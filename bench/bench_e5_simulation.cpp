@@ -22,6 +22,12 @@
 /// replayed on the binary-heap and timing-wheel time-index backends
 /// (sim/time_index.hpp), with an execution-order FNV fingerprint that both
 /// must reproduce exactly before the events/sec figures are trusted.
+///
+/// E5.4 is the scaling series of the relation checker itself: sim-r and
+/// sim-rrev on random graphs of 10^3–10^5 nodes, reporting steps, µs per
+/// concrete step and clauses evaluated per step.  At 2·10^3 nodes it also
+/// runs the every-step oracle (tests/simulation_oracle.hpp) and fails on
+/// any difference in the runs' record checksums.
 
 #include <benchmark/benchmark.h>
 
@@ -32,10 +38,12 @@
 #include "automata/scheduler.hpp"
 #include "automata/simulation.hpp"
 #include "core/relations.hpp"
+#include "graph/digraph_algos.hpp"
 #include "graph/generators.hpp"
 #include "runner/runner.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time_index.hpp"
+#include "simulation_oracle.hpp"
 
 #include "bench_util.hpp"
 
@@ -220,6 +228,121 @@ bool print_event_core_series(bool smoke) {
   return identical;
 }
 
+// ---------------------------------------------------------------------------
+// E5.4: the relation checker at scale, and against the every-step oracle
+// ---------------------------------------------------------------------------
+
+/// One sim-r / sim-rrev run as the runner's kernel executes it (lowest-id
+/// scheduler, the sweep default): the checker's result, the other record
+/// fields, and the time of one check.
+struct CheckRun {
+  SimulationCheckResult result;
+  std::uint64_t edge_reversals = 0;
+  bool converged = false;
+  double ns = 0.0;
+
+  /// FNV-1a over the fields the run's sweep record carries.
+  std::uint64_t record_checksum() const {
+    return bench::fnv1a(std::to_string(result.concrete_steps) + "," +
+                        std::to_string(result.abstract_steps) + "," +
+                        (result.ok ? "ok," : "violated,") + std::to_string(edge_reversals) + "," +
+                        (converged ? "yes" : "no"));
+  }
+};
+
+/// Times `check(concrete, abstract, scheduler)` on fresh automata over
+/// `inst` (repeated up to `min_total_ms` for the small sizes).
+template <typename C, typename B, typename Check>
+CheckRun time_check(const Instance& inst, Check&& check, double min_total_ms) {
+  CheckRun run;
+  run.ns = bench::measure_ns_per_iter(
+      [&] {
+        C concrete(inst);
+        B abstract(inst);
+        LowestIdScheduler scheduler;
+        run.result = check(concrete, abstract, scheduler);
+        run.edge_reversals = concrete.orientation().reversal_count();
+        run.converged = is_destination_oriented(concrete.orientation(), concrete.destination());
+      },
+      1, min_total_ms);
+  return run;
+}
+
+/// Runs one relation at one size with the production checker and, when
+/// `with_oracle`, with the every-step oracle; adds the table row and
+/// returns false on a violated relation or a checksum difference.
+template <typename C, typename B, typename Relation, typename OracleRelation,
+          typename Correspondence>
+bool scale_row(Table& table, std::size_t n, const char* label, const Instance& inst,
+               const Relation& relation, OracleRelation oracle_relation,
+               Correspondence correspond, bool with_oracle, double min_total_ms) {
+  const CheckRun run = time_check<C, B>(
+      inst,
+      [&](C& c, B& b, LowestIdScheduler& s) {
+        return check_forward_simulation(c, b, s, relation, correspond);
+      },
+      min_total_ms);
+  const double steps = static_cast<double>(std::max<std::uint64_t>(run.result.concrete_steps, 1));
+  std::vector<std::string> row = {bench::fmt_u(n),
+                                  label,
+                                  bench::fmt_u(run.result.concrete_steps),
+                                  bench::fmt(run.ns / 1e6),
+                                  bench::fmt(run.ns / 1e3 / steps),
+                                  bench::fmt(static_cast<double>(run.result.clause_checks) / steps),
+                                  bench::fmt_hex(run.record_checksum())};
+  bool ok = run.result.ok;
+  if (with_oracle) {
+    const CheckRun every_step = time_check<C, B>(
+        inst,
+        [&](C& c, B& b, LowestIdScheduler& s) {
+          return oracle::check_forward_simulation(c, b, s, oracle_relation, correspond);
+        },
+        0.0);
+    const bool identical = every_step.record_checksum() == run.record_checksum();
+    ok &= identical;
+    row.insert(row.end(), {bench::fmt(every_step.ns / 1e6),
+                           bench::fmt_hex(every_step.record_checksum()), identical ? "yes" : "NO"});
+  } else {
+    row.insert(row.end(), {"-", "-", "-"});
+  }
+  table.add_row(row);
+  return ok;
+}
+
+/// Prints E5.4; returns false on any violated relation or any record
+/// checksum that differs from the oracle's.
+bool print_checker_scaling_series(bool smoke) {
+  bench::print_header("E5.4: relation checker scaling, local re-checks + checkpoints",
+                      "cost per step tracks touched degree; records identical to the "
+                      "every-step oracle (docs/PERFORMANCE.md)");
+  constexpr std::size_t kOracleSize = 2000;
+  const std::vector<std::size_t> sizes =
+      smoke ? std::vector<std::size_t>{kOracleSize}
+            : std::vector<std::size_t>{1000, kOracleSize, 10'000, 100'000};
+  const double min_total_ms = smoke ? 0.0 : 200.0;
+  Table table;
+  table.columns = {"n",         "relation",        "steps",    "check_ms",
+                   "us_per_step", "clauses_per_step", "checksum", "oracle_ms",
+                   "oracle_checksum", "identical"};
+  bool ok = true;
+  for (const std::size_t n : sizes) {
+    RunSpec spec;
+    spec.topology = TopologyKind::kRandom;
+    spec.size = n;
+    const Instance inst = make_instance(spec);
+    const bool with_oracle = n == kOracleSize;
+    ok &= scale_row<OneStepPRAutomaton, NewPRAutomaton>(
+        table, n, "sim-r", inst, relation_R, oracle::relation_R, correspondence_R, with_oracle,
+        min_total_ms);
+    ok &= scale_row<NewPRAutomaton, OneStepPRAutomaton>(
+        table, n, "sim-rrev", inst, reverse_relation_R, oracle::reverse_relation_R,
+        correspondence_R_reverse, with_oracle, min_total_ms);
+  }
+  bench::emit_csv(table);
+  std::printf("relations and oracle checksums: %s\n", ok ? "all hold, identical" : "FAILED");
+  return ok;
+}
+
 void BM_SimulationCheckRPrime(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::mt19937_64 rng(9);
@@ -228,10 +351,8 @@ void BM_SimulationCheckRPrime(benchmark::State& state) {
     PRAutomaton concrete(inst);
     OneStepPRAutomaton abstract(inst);
     RandomSetScheduler scheduler(1);
-    const auto r = check_forward_simulation(
-        concrete, abstract, scheduler,
-        [](const PRAutomaton& s, const OneStepPRAutomaton& t) { return relation_R_prime(s, t); },
-        correspondence_R_prime);
+    const auto r = check_forward_simulation(concrete, abstract, scheduler, relation_R_prime,
+                                            correspondence_R_prime);
     benchmark::DoNotOptimize(r.ok);
   }
 }
@@ -265,6 +386,10 @@ int main(int argc, char** argv) {
   }
   if (!lr::print_event_core_series(smoke)) {
     std::fprintf(stderr, "E5.3 event-core A/B verification FAILED\n");
+    return 1;
+  }
+  if (!lr::print_checker_scaling_series(smoke)) {
+    std::fprintf(stderr, "E5.4 relation checker verification FAILED\n");
     return 1;
   }
   if (smoke) return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <queue>
 #include <random>
@@ -32,24 +33,53 @@
 /// FarthestFirstScheduler over a flat sink worklist — the two paths are
 /// interchangeable by construction and tests/reversal_engine_test.cpp
 /// keeps them that way.
+///
+/// The single-step schedulers other than RoundRobinScheduler choose
+/// straight from the orientation's unordered sink set in O(#sinks),
+/// without materialising the sorted enabled_sinks() vector; each picks
+/// the same node it would pick from that vector (tests/scheduler_test.cpp
+/// pins all six against it).  RoundRobinScheduler walks node ids forward
+/// from its cursor instead: cheap while sinks are dense, O(n) per choice
+/// when they are sparse.
 
 namespace lr {
 
-/// Picks uniformly at random among enabled sinks.
+/// The enabled sink (a sink other than the destination) that is least
+/// under the strict total order `less`, or nullopt at quiescence.  A total
+/// order makes the choice independent of how the sink set is ordered.
+template <SingleStepAutomaton A, typename Less>
+std::optional<NodeId> least_enabled_sink(const A& automaton, Less less) {
+  std::optional<NodeId> best;
+  for (const NodeId u : automaton.orientation().sinks()) {
+    if (u == automaton.destination()) continue;
+    if (!best || less(u, *best)) best = u;
+  }
+  return best;
+}
+
+/// Picks uniformly at random among enabled sinks: one draw k per choice,
+/// firing the k-th smallest id.
 class RandomScheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed) : rng_(seed) {}
 
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
-    const auto sinks = automaton.enabled_sinks();
-    if (sinks.empty()) return std::nullopt;
-    std::uniform_int_distribution<std::size_t> pick(0, sinks.size() - 1);
-    return sinks[pick(rng_)];
+    const auto sinks = automaton.orientation().sinks();
+    candidates_.clear();
+    for (const NodeId u : sinks) {
+      if (u != automaton.destination()) candidates_.push_back(u);
+    }
+    if (candidates_.empty()) return std::nullopt;
+    std::uniform_int_distribution<std::size_t> pick(0, candidates_.size() - 1);
+    const auto kth = candidates_.begin() + static_cast<std::ptrdiff_t>(pick(rng_));
+    std::nth_element(candidates_.begin(), kth, candidates_.end());
+    return *kth;
   }
 
  private:
   std::mt19937_64 rng_;
+  std::vector<NodeId> candidates_;  // reused across choices
 };
 
 /// Deterministic: always fires the smallest-id enabled sink.
@@ -57,9 +87,7 @@ class LowestIdScheduler {
  public:
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) const {
-    const auto sinks = automaton.enabled_sinks();
-    if (sinks.empty()) return std::nullopt;
-    return *std::min_element(sinks.begin(), sinks.end());
+    return least_enabled_sink(automaton, std::less<NodeId>{});
   }
 };
 
@@ -93,10 +121,8 @@ class FarthestFirstScheduler {
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
     if (distance_.empty()) compute_distances(automaton.graph(), automaton.destination());
-    const auto sinks = automaton.enabled_sinks();
-    if (sinks.empty()) return std::nullopt;
-    return *std::max_element(sinks.begin(), sinks.end(), [this](NodeId a, NodeId b) {
-      return std::pair(distance_[a], a) < std::pair(distance_[b], b);
+    return least_enabled_sink(automaton, [this](NodeId a, NodeId b) {
+      return std::pair(distance_[a], a) > std::pair(distance_[b], b);
     });
   }
 
@@ -151,16 +177,13 @@ class LeastRecentlyFiredScheduler {
  public:
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
-    const auto sinks = automaton.enabled_sinks();
-    if (sinks.empty()) return std::nullopt;
     if (last_fired_.size() < automaton.graph().num_nodes()) {
       last_fired_.assign(automaton.graph().num_nodes(), 0);
     }
-    const NodeId pick = *std::min_element(
-        sinks.begin(), sinks.end(), [this](NodeId a, NodeId b) {
-          return std::pair(last_fired_[a], a) < std::pair(last_fired_[b], b);
-        });
-    last_fired_[pick] = ++clock_;
+    const auto pick = least_enabled_sink(automaton, [this](NodeId a, NodeId b) {
+      return std::pair(last_fired_[a], a) < std::pair(last_fired_[b], b);
+    });
+    if (pick) last_fired_[*pick] = ++clock_;
     return pick;
   }
 
@@ -176,11 +199,9 @@ class MaxDegreeScheduler {
  public:
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) const {
-    const auto sinks = automaton.enabled_sinks();
-    if (sinks.empty()) return std::nullopt;
     const Graph& g = automaton.graph();
-    return *std::max_element(sinks.begin(), sinks.end(), [&g](NodeId a, NodeId b) {
-      return std::pair(g.degree(a), a) < std::pair(g.degree(b), b);
+    return least_enabled_sink(automaton, [&g](NodeId a, NodeId b) {
+      return std::pair(g.degree(a), a) > std::pair(g.degree(b), b);
     });
   }
 };

@@ -37,6 +37,13 @@ class PartialReversalState : public LinkReversalBase {
   /// |list[u]| in O(1).
   std::size_t list_size(NodeId u) const { return list_size_[u]; }
 
+  /// list[u] as one flag per incidence of u, aligned with
+  /// graph().neighbors(u): flag i is set iff the i-th neighbour is in
+  /// list[u].  Allocation-free view for the relation clauses.
+  std::span<const std::uint8_t> list_flags(NodeId u) const {
+    return {in_list_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
+  }
+
   /// True iff v ∈ list[u].  Precondition: {u, v} ∈ E.
   bool list_contains(NodeId u, NodeId v) const;
 

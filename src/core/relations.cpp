@@ -1,43 +1,47 @@
 #include "core/relations.hpp"
 
+#include <algorithm>
+
 namespace lr {
 
 namespace {
 
-bool is_subset(const std::vector<NodeId>& sub, const std::vector<NodeId>& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-}
-
-}  // namespace
-
-bool relation_R(const PartialReversalState& s, const NewPRAutomaton& t) {
-  if (!(s.orientation() == t.orientation())) return false;
-  const Graph& g = s.graph();
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto list = s.list(u);
-    if (list.empty()) continue;
-    if (t.parity(u) == Parity::kEven) {
-      if (!is_subset(list, s.initial_out_neighbors(u))) return false;
-    } else {
-      if (!is_subset(list, s.initial_in_neighbors(u))) return false;
-    }
+/// list[u] ⊆ {v : v's edge had direction `allowed` from u in G'_init}.
+bool list_within_initial(const PartialReversalState& s, NodeId u, Dir allowed) {
+  const auto flags = s.list_flags(u);
+  const auto nbrs = s.graph().neighbors(u);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (flags[i] && s.initial_dir(u, nbrs[i].edge) != allowed) return false;
   }
   return true;
 }
 
-bool reverse_relation_R(const NewPRAutomaton& t, const PartialReversalState& s) {
-  if (!(t.orientation() == s.orientation())) return false;
-  const Graph& g = t.graph();
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto list = s.list(u);
-    const auto in_nbrs = s.initial_in_neighbors(u);
-    const auto out_nbrs = s.initial_out_neighbors(u);
-    const bool even = t.parity(u) == Parity::kEven;
+/// The constant set parity[u] selects in R: out-nbrs_u when even, in-nbrs_u
+/// when odd.
+Dir allowed_by_parity(const NewPRAutomaton& t, NodeId u) {
+  return t.parity(u) == Parity::kEven ? Dir::kOut : Dir::kIn;
+}
 
-    const bool case_regular = even ? is_subset(list, out_nbrs) : is_subset(list, in_nbrs);
-    const bool case_post_dummy_sink = even && out_nbrs.empty() && list.size() == g.degree(u);
-    const bool case_post_dummy_source = !even && in_nbrs.empty() && list.size() == g.degree(u);
-    if (!case_regular && !case_post_dummy_sink && !case_post_dummy_source) return false;
+}  // namespace
+
+bool clause_R_prime(const PartialReversalState& s, const PartialReversalState& t, NodeId u) {
+  const auto a = s.list_flags(u);
+  const auto b = t.list_flags(u);
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+bool clause_R(const PartialReversalState& s, const NewPRAutomaton& t, NodeId u) {
+  return list_within_initial(s, u, allowed_by_parity(t, u));
+}
+
+bool clause_R_rev(const NewPRAutomaton& t, const PartialReversalState& s, NodeId u) {
+  const Dir allowed = allowed_by_parity(t, u);
+  if (list_within_initial(s, u, allowed)) return true;  // cases (1) and (2)
+  // Cases (3) and (4): list[u] = nbrs_u and the constant set R would
+  // confine it to is empty.
+  if (!s.list_full(u)) return false;
+  for (const Incidence& inc : s.graph().neighbors(u)) {
+    if (s.initial_dir(u, inc.edge) == allowed) return false;
   }
   return true;
 }

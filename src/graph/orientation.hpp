@@ -117,7 +117,7 @@ class Orientation {
   /// Directed-graph equality: same topology and same edge senses.  Used by
   /// the simulation relations (s.G' = t.G').
   friend bool operator==(const Orientation& a, const Orientation& b) {
-    return *a.graph_ == *b.graph_ && a.senses_ == b.senses_;
+    return (a.graph_ == b.graph_ || *a.graph_ == *b.graph_) && a.senses_ == b.senses_;
   }
 
  private:

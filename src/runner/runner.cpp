@@ -320,20 +320,17 @@ void run_sim_rprime_kernel(RunRecord& record, const Instance& instance) {
   const RunSpec& spec = record.spec;
   PRAutomaton concrete(instance);
   OneStepPRAutomaton abstract(instance);
-  const auto relation = [](const PRAutomaton& s, const OneStepPRAutomaton& t) {
-    return relation_R_prime(s, t);
-  };
   SimulationCheckResult result;
   switch (spec.scheduler) {
     case SchedulerKind::kLowestId: {
       MaximalSetScheduler scheduler;
-      result = check_forward_simulation(concrete, abstract, scheduler, relation,
+      result = check_forward_simulation(concrete, abstract, scheduler, relation_R_prime,
                                         correspondence_R_prime, spec.max_steps);
       break;
     }
     case SchedulerKind::kRandom: {
       RandomSetScheduler scheduler(spec.scheduler_seed());
-      result = check_forward_simulation(concrete, abstract, scheduler, relation,
+      result = check_forward_simulation(concrete, abstract, scheduler, relation_R_prime,
                                         correspondence_R_prime, spec.max_steps);
       break;
     }
@@ -352,10 +349,8 @@ void run_sim_r_kernel(RunRecord& record, const Instance& instance) {
   NewPRAutomaton abstract(instance);
   const SimulationCheckResult result = with_single_scheduler(
       spec.scheduler, spec.scheduler_seed(), [&](auto& scheduler) {
-        return check_forward_simulation(
-            concrete, abstract, scheduler,
-            [](const OneStepPRAutomaton& s, const NewPRAutomaton& t) { return relation_R(s, t); },
-            correspondence_R, spec.max_steps);
+        return check_forward_simulation(concrete, abstract, scheduler, relation_R,
+                                        correspondence_R, spec.max_steps);
       });
   fill_simulation_result(record, result, concrete.orientation(), concrete.destination());
 }
@@ -368,12 +363,8 @@ void run_sim_rrev_kernel(RunRecord& record, const Instance& instance) {
   OneStepPRAutomaton abstract(instance);
   const SimulationCheckResult result = with_single_scheduler(
       spec.scheduler, spec.scheduler_seed(), [&](auto& scheduler) {
-        return check_forward_simulation(
-            concrete, abstract, scheduler,
-            [](const NewPRAutomaton& t, const OneStepPRAutomaton& s) {
-              return reverse_relation_R(t, s);
-            },
-            correspondence_R_reverse, spec.max_steps);
+        return check_forward_simulation(concrete, abstract, scheduler, reverse_relation_R,
+                                        correspondence_R_reverse, spec.max_steps);
       });
   fill_simulation_result(record, result, concrete.orientation(), concrete.destination());
 }

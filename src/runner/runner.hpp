@@ -34,7 +34,10 @@ namespace lr {
 /// Verdict of the per-run simulation-relation check (sim-* kernels).
 enum class RelationVerdict : std::uint8_t {
   kNotChecked,  ///< kernel does not check a relation
-  kHolds,       ///< relation held at every matched step pair
+  kHolds,       ///< every check of check_forward_simulation passed:
+                ///< exact when both automata write only inside the
+                ///< fired footprint; a stray write outside it is caught
+                ///< only if it lasts until the next full check
   kViolated,    ///< relation (or an abstract precondition) failed
 };
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "automata/scheduler.hpp"
 #include "automata/simulation.hpp"
 #include "core/invariants.hpp"
 #include "core/relations.hpp"
 #include "graph/generators.hpp"
+#include "simulation_oracle.hpp"
 
 /// Negative tests: every checker must *fail* on states that violate its
 /// property.  A checker that can never fire is worthless as evidence, so
@@ -109,13 +112,72 @@ TEST(CheckerNegativeTest, SimulationCheckerFlagsWrongCorrespondence) {
   NewPRAutomaton abstract(inst);
   RandomScheduler scheduler(1);
   const auto result = check_forward_simulation(
-      concrete, abstract, scheduler,
-      [](const OneStepPRAutomaton& s, const NewPRAutomaton& t) { return relation_R(s, t); },
+      concrete, abstract, scheduler, relation_R,
       [](const OneStepPRAutomaton&, NodeId, const NewPRAutomaton&) {
         return std::vector<NodeId>{};  // deliberately wrong
       });
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.failure.find("relation violated"), std::string::npos);
+}
+
+/// NewPR that also reverses one edge away from the fired node: on its
+/// `stray_at`-th step, or with stray_at = 0 on the step that leaves it
+/// quiescent.  It writes outside the footprint the local re-check reads,
+/// so only the checker's full checks can catch it.
+class StrayEdgeNewPR : public NewPRAutomaton {
+ public:
+  StrayEdgeNewPR(const Instance& instance, std::uint64_t stray_at)
+      : NewPRAutomaton(instance), stray_at_(stray_at) {}
+
+  void apply(NodeId u) {
+    NewPRAutomaton::apply(u);
+    if (stray_at_ == 0 ? quiescent() : total_steps() == stray_at_) {
+      EdgeId e = 0;
+      while (graph().edge_u(e) == u || graph().edge_v(e) == u) ++e;
+      orientation_.reverse_edge(e);
+    }
+  }
+
+ private:
+  std::uint64_t stray_at_;
+};
+
+TEST(CheckerNegativeTest, SimulationCheckerCatchesAStrayWriteAtACheckpoint) {
+  const Instance inst = make_worst_case_chain(16);
+  OneStepPRAutomaton concrete(inst);
+  StrayEdgeNewPR abstract(inst, 3);
+  LowestIdScheduler scheduler;
+  const auto result =
+      check_forward_simulation(concrete, abstract, scheduler, relation_R, correspondence_R);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.failure.find("relation violated after concrete step 4"), std::string::npos)
+      << result.failure;
+  EXPECT_NE(result.failure.find("caught by the checkpoint full check"), std::string::npos)
+      << result.failure;
+
+  // The stray write happened at step 3, where the local re-check missed it:
+  // the every-step oracle flags that step.
+  OneStepPRAutomaton oracle_concrete(inst);
+  StrayEdgeNewPR oracle_abstract(inst, 3);
+  LowestIdScheduler oracle_scheduler;
+  const auto every_step = oracle::check_forward_simulation(
+      oracle_concrete, oracle_abstract, oracle_scheduler, oracle::relation_R, correspondence_R);
+  EXPECT_NE(every_step.failure.find("after concrete step 3 "), std::string::npos)
+      << every_step.failure;
+}
+
+TEST(CheckerNegativeTest, SimulationCheckerCatchesAStrayWriteAtTheFinalFullCheck) {
+  const Instance inst = make_worst_case_chain(16);
+  OneStepPRAutomaton concrete(inst);
+  StrayEdgeNewPR abstract(inst, 0);
+  LowestIdScheduler scheduler;
+  const auto result =
+      check_forward_simulation(concrete, abstract, scheduler, relation_R, correspondence_R);
+  EXPECT_FALSE(result.ok);
+  ASSERT_FALSE(std::has_single_bit(result.concrete_steps))
+      << "the last step must not be a checkpoint for the final check to be the one that fires";
+  EXPECT_NE(result.failure.find("caught by the final full check"), std::string::npos)
+      << result.failure;
 }
 
 TEST(CheckerNegativeTest, SimulationCheckerFlagsDisabledAbstractAction) {

@@ -41,10 +41,8 @@ TEST_P(RelationSweep, RPrimeForwardSimulationPRToOneStepPR) {
   OneStepPRAutomaton abstract(inst);
   RandomSetScheduler scheduler(GetParam().seed);
 
-  const auto result = check_forward_simulation(
-      concrete, abstract, scheduler,
-      [](const PRAutomaton& s, const OneStepPRAutomaton& t) { return relation_R_prime(s, t); },
-      correspondence_R_prime);
+  const auto result = check_forward_simulation(concrete, abstract, scheduler, relation_R_prime,
+                                               correspondence_R_prime);
   EXPECT_TRUE(result.ok) << result.failure;
   EXPECT_EQ(result.abstract_steps, concrete.total_node_steps())
       << "every node of every set step maps to exactly one OneStepPR step";
@@ -57,10 +55,8 @@ TEST_P(RelationSweep, RForwardSimulationOneStepPRToNewPR) {
   NewPRAutomaton abstract(inst);
   RandomScheduler scheduler(GetParam().seed + 1);
 
-  const auto result = check_forward_simulation(
-      concrete, abstract, scheduler,
-      [](const OneStepPRAutomaton& s, const NewPRAutomaton& t) { return relation_R(s, t); },
-      correspondence_R);
+  const auto result =
+      check_forward_simulation(concrete, abstract, scheduler, relation_R, correspondence_R);
   EXPECT_TRUE(result.ok) << result.failure;
   // Lemma 5.3: 1 or 2 NewPR steps per OneStepPR step.
   EXPECT_GE(result.abstract_steps, result.concrete_steps);
@@ -75,12 +71,8 @@ TEST_P(RelationSweep, ReverseSimulationNewPRToOneStepPR) {
   OneStepPRAutomaton abstract(inst);
   RandomScheduler scheduler(GetParam().seed + 2);
 
-  const auto result = check_forward_simulation(
-      concrete, abstract, scheduler,
-      [](const NewPRAutomaton& t, const OneStepPRAutomaton& s) {
-        return reverse_relation_R(t, s);
-      },
-      correspondence_R_reverse);
+  const auto result = check_forward_simulation(concrete, abstract, scheduler, reverse_relation_R,
+                                               correspondence_R_reverse);
   EXPECT_TRUE(result.ok) << result.failure;
   // Dummy steps map to the empty sequence.
   EXPECT_EQ(result.concrete_steps - result.abstract_steps, concrete.dummy_steps());
@@ -92,10 +84,8 @@ TEST_P(RelationSweep, OneStepPRToSetPRTrivialDirection) {
   PRAutomaton abstract(inst);
   RandomScheduler scheduler(GetParam().seed + 3);
 
-  const auto result = check_forward_simulation(
-      concrete, abstract, scheduler,
-      [](const OneStepPRAutomaton& s, const PRAutomaton& t) { return relation_R_prime(s, t); },
-      correspondence_one_step_to_set);
+  const auto result = check_forward_simulation(concrete, abstract, scheduler, relation_R_prime,
+                                               correspondence_one_step_to_set);
   EXPECT_TRUE(result.ok) << result.failure;
   EXPECT_EQ(result.abstract_steps, result.concrete_steps);
 }

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "automata/executor.hpp"
+#include "core/newpr.hpp"
 #include "core/pr.hpp"
 #include "graph/generators.hpp"
 
@@ -155,6 +163,175 @@ TEST(SchedulerTest, MaxStepsBudgetRespected) {
   const RunResult result = run_to_quiescence(pr, scheduler, options);
   EXPECT_EQ(result.steps, 5u);
   EXPECT_FALSE(result.quiescent);
+}
+
+// ---------------------------------------------------------------------------
+// The six single-step schedulers pinned against reference choosers that
+// pick from the sorted enabled_sinks() vector
+// ---------------------------------------------------------------------------
+
+struct ReferenceLowestId {
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    return sinks.front();
+  }
+};
+
+struct ReferenceRandom {
+  std::mt19937_64 rng;
+
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    std::uniform_int_distribution<std::size_t> pick(0, sinks.size() - 1);
+    return sinks[pick(rng)];
+  }
+};
+
+struct ReferenceRoundRobin {
+  std::size_t cursor = 0;
+
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    const auto at_or_after = std::lower_bound(sinks.begin(), sinks.end(), cursor);
+    const NodeId pick = at_or_after == sinks.end() ? sinks.front() : *at_or_after;
+    cursor = (pick + 1) % automaton.graph().num_nodes();
+    return pick;
+  }
+};
+
+struct ReferenceFarthestFirst {
+  std::vector<std::size_t> distance;
+
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    if (distance.empty()) {
+      const Graph& g = automaton.graph();
+      distance.assign(g.num_nodes(), std::numeric_limits<std::size_t>::max());
+      std::vector<NodeId> frontier{automaton.destination()};
+      distance[automaton.destination()] = 0;
+      for (std::size_t i = 0; i < frontier.size(); ++i) {
+        for (const Incidence& inc : g.neighbors(frontier[i])) {
+          if (distance[inc.neighbor] != std::numeric_limits<std::size_t>::max()) continue;
+          distance[inc.neighbor] = distance[frontier[i]] + 1;
+          frontier.push_back(inc.neighbor);
+        }
+      }
+    }
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    return *std::max_element(sinks.begin(), sinks.end(), [this](NodeId a, NodeId b) {
+      return std::pair(distance[a], a) < std::pair(distance[b], b);
+    });
+  }
+};
+
+struct ReferenceLeastRecentlyFired {
+  std::vector<std::uint64_t> last_fired;
+  std::uint64_t clock = 0;
+
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    last_fired.resize(automaton.graph().num_nodes(), 0);
+    const NodeId pick = *std::min_element(sinks.begin(), sinks.end(), [this](NodeId a, NodeId b) {
+      return std::pair(last_fired[a], a) < std::pair(last_fired[b], b);
+    });
+    last_fired[pick] = ++clock;
+    return pick;
+  }
+};
+
+struct ReferenceMaxDegree {
+  template <typename A>
+  std::optional<NodeId> choose(const A& automaton) {
+    const auto sinks = automaton.enabled_sinks();
+    if (sinks.empty()) return std::nullopt;
+    const Graph& g = automaton.graph();
+    return *std::max_element(sinks.begin(), sinks.end(), [&g](NodeId a, NodeId b) {
+      return std::pair(g.degree(a), a) < std::pair(g.degree(b), b);
+    });
+  }
+};
+
+/// Drives one automaton with `scheduler` to quiescence, asking `reference`
+/// for its choice at every state; the two sequences must be identical.
+template <typename Automaton, typename Scheduler, typename Reference>
+void expect_reference_choices(const Instance& inst, Scheduler scheduler, Reference reference,
+                              const std::string& label) {
+  Automaton automaton(inst);
+  for (std::size_t step = 0;; ++step) {
+    const std::optional<NodeId> choice = scheduler.choose(automaton);
+    const std::optional<NodeId> expected = reference.choose(automaton);
+    ASSERT_EQ(choice, expected) << label << " step " << step;
+    if (!choice) break;
+    automaton.apply(*choice);
+  }
+}
+
+/// Runs the pin over random graphs of several sizes and densities and
+/// several seeds, on OneStepPR and on NewPR (whose dummy steps keep a
+/// fired node a sink).  `make` builds a (scheduler, reference) pair.
+template <typename Make>
+void pin_against_reference(Make make) {
+  for (const std::size_t n : {6, 40, 150}) {
+    for (const std::size_t extra : {n / 4, 2 * n}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        std::mt19937_64 rng(seed * 7919 + n);
+        const Instance inst = make_random_instance(n, extra, rng);
+        const std::string label = "n=" + std::to_string(n) + " extra=" + std::to_string(extra) +
+                                  " seed=" + std::to_string(seed);
+        {
+          auto [scheduler, reference] = make(seed);
+          expect_reference_choices<OneStepPRAutomaton>(inst, scheduler, reference,
+                                                       "OneStepPR " + label);
+        }
+        {
+          auto [scheduler, reference] = make(seed);
+          expect_reference_choices<NewPRAutomaton>(inst, scheduler, reference, "NewPR " + label);
+        }
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, LowestIdMatchesTheEnabledSinksReference) {
+  pin_against_reference(
+      [](std::uint64_t) { return std::pair(LowestIdScheduler{}, ReferenceLowestId{}); });
+}
+
+TEST(SchedulerTest, RandomMatchesTheEnabledSinksReference) {
+  pin_against_reference([](std::uint64_t seed) {
+    return std::pair(RandomScheduler(seed), ReferenceRandom{std::mt19937_64(seed)});
+  });
+}
+
+TEST(SchedulerTest, RoundRobinMatchesTheEnabledSinksReference) {
+  pin_against_reference(
+      [](std::uint64_t) { return std::pair(RoundRobinScheduler{}, ReferenceRoundRobin{}); });
+}
+
+TEST(SchedulerTest, FarthestFirstMatchesTheEnabledSinksReference) {
+  pin_against_reference([](std::uint64_t) {
+    return std::pair(FarthestFirstScheduler{}, ReferenceFarthestFirst{});
+  });
+}
+
+TEST(SchedulerTest, LeastRecentlyFiredMatchesTheEnabledSinksReference) {
+  pin_against_reference([](std::uint64_t) {
+    return std::pair(LeastRecentlyFiredScheduler{}, ReferenceLeastRecentlyFired{});
+  });
+}
+
+TEST(SchedulerTest, MaxDegreeMatchesTheEnabledSinksReference) {
+  pin_against_reference(
+      [](std::uint64_t) { return std::pair(MaxDegreeScheduler{}, ReferenceMaxDegree{}); });
 }
 
 }  // namespace
