@@ -17,12 +17,11 @@
 ///         (topology, size, seed).  Full mode asserts the >= 10x reload
 ///         speedup at the largest size; every mode asserts fingerprint
 ///         equality.
-///  E10.3  Churn at scale: the random-waypoint schedule replayed as
-///         in-place CSR patches (`insert_link` / `remove_link`) at
-///         10^5–10^6 nodes — rebuild-free by construction, self-verified
-///         by the healing suffix restoring the initial fingerprint — plus
-///         the `DynamicHeightsDag` steady state asserting
-///         `snapshot_rebuilds() == 0` via the existing counters.
+///  E10.3  Churn at scale: the random-waypoint schedule replayed through
+///         the `DynamicHeightsDag` steady state (add/remove + stabilize
+///         per event) at 2·10^4 and 10^5 nodes, in events/sec —
+///         self-verified by the counters (no rebuild, one patch per
+///         event) and by the healing suffix restoring the initial links.
 ///  E10.4  Deployment identity: the same sweeps byte-identical in-process,
 ///         with a cold snapshot dir (saves), a warm one (mmap reloads,
 ///         i.e. borrowed CsrGraphs), and at 2 / 4 worker processes
@@ -255,107 +254,66 @@ bool print_snapshot_series(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// E10.3: churn at scale — CSR patch storm + rebuild-free heights
+// E10.3: churn at scale — the dynamic-heights steady state
 // ---------------------------------------------------------------------------
 
-/// E10.3 driver; returns false when the healed fingerprint diverges or
-/// the steady-state heights core performed any snapshot rebuild.
+/// E10.3 driver; returns false when the heights core rebuilt its
+/// adjacency, miscounted an effective event, or did not return to the
+/// initial link set after the healing suffix.
 bool print_churn_series(bool smoke) {
   bench::print_header(
-      "E10.3: random-waypoint churn, in-place CSR patches at scale",
-      "steady-state patch ops/sec with zero rebuilds; the healing suffix "
-      "restores the initial fingerprint exactly");
+      "E10.3: random-waypoint churn through the dynamic-heights core",
+      "add_link/remove_link + stabilize per event, events/sec; the cost per event "
+      "follows the touched degree and reversal steps, not n");
 
   const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{16'384}
-            : std::vector<std::size_t>{100'000, 1'000'000};
-
-  Table patch_table;
-  patch_table.columns = {"n",        "m",      "events",          "patch_ns_per_event",
-                         "patch_events_per_sec", "rebuild_ns", "rebuild_vs_patch", "restored"};
+      smoke ? std::vector<std::size_t>{2'048} : std::vector<std::size_t>{20'000, 100'000};
+  Table table;
+  table.columns = {"n",         "m",        "events",           "ns_per_event", "events_per_sec",
+                   "reversals", "visits_per_event", "rebuild_free", "restored"};
   bool ok = true;
-
   for (const std::size_t size : sizes) {
-    // A patch is one linear array pass (O(m)), so the event budget shrinks
-    // as m grows to keep the storm's wall clock bounded; the throughput
-    // figure is per event and unaffected.
-    const std::size_t min_events = smoke ? 1'000 : (size >= 1'000'000 ? 1'000 : 10'000);
-    std::mt19937_64 rng(93);
+    std::mt19937_64 rng(94);
     const double radius = std::sqrt(6.0 / static_cast<double>(size));
-    ChurnInstance churn = make_waypoint_churn_instance(size, radius, min_events, rng);
-    CsrGraph csr(churn.instance.graph, churn.instance.senses);
-    const std::uint64_t initial_fingerprint = csr.fingerprint();
-
-    // One full rebuild: what every event would cost without the patch
-    // path (Graph front-end untouched; CSR freeze alone).
-    const double rebuild_ns = bench::measure_ns_per_iter(
-        [&] {
-          benchmark::DoNotOptimize(
-              CsrGraph(churn.instance.graph, churn.instance.senses).num_edges());
-        },
-        smoke ? 1 : 3, smoke ? 0.0 : 200.0);
-
-    // The storm: every link event patched in place.  The waypoint
-    // schedule's healing suffix returns the link set to the initial
-    // topology, and patched-in links carry the canonical forward sense —
-    // so the final snapshot must be byte-identical to the initial one.
+    const ChurnInstance churn =
+        make_waypoint_churn_instance(size, radius, smoke ? 1'000 : 100'000, rng);
+    const Graph& graph = churn.instance.graph;
+    DynamicHeightsDag dag(graph, churn.instance.destination);
+    dag.stabilize();
+    const std::uint64_t warm_patches = dag.snapshot_patches();
+    const std::uint64_t warm_reversals = dag.total_reversals();
+    const std::uint64_t warm_visits = dag.maintenance_visits();
     const auto start = std::chrono::steady_clock::now();
     for (const LinkEvent& event : churn.churn) {
       if (event.up) {
-        csr.insert_link(event.u, event.v);
+        dag.add_link(event.u, event.v);
       } else {
-        csr.remove_link(event.u, event.v);
+        dag.remove_link(event.u, event.v);
       }
+      dag.stabilize();
     }
-    const double patch_ns =
+    const double ns =
         std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
             .count();
-    const bool restored = csr.fingerprint() == initial_fingerprint;
-    ok &= restored;
+    // Every waypoint event flips a link, so each one is an effective patch.
+    const bool rebuild_free = dag.snapshot_rebuilds() == 1 &&
+                              dag.snapshot_patches() - warm_patches == churn.churn.size();
+    // The healing suffix restores the initial topology exactly.
+    std::size_t degree_sum = 0;
+    for (NodeId u = 0; u < graph.num_nodes(); ++u) degree_sum += dag.neighbors(u).size();
+    bool restored = degree_sum == 2 * graph.num_edges();
+    for (const auto& [u, v] : graph.edges()) restored = restored && dag.has_link(u, v);
+    ok &= rebuild_free && restored;
 
-    const double per_event = patch_ns / static_cast<double>(churn.churn.size());
-    patch_table.add_row(
-        {bench::fmt_u(size), bench::fmt_u(churn.instance.graph.num_edges()),
-         bench::fmt_u(churn.churn.size()), bench::fmt(per_event),
-         bench::fmt(per_event > 0.0 ? 1e9 / per_event : 0.0), bench::fmt(rebuild_ns),
-         bench::fmt(per_event > 0.0 ? rebuild_ns / per_event : 0.0), restored ? "yes" : "NO"});
+    const double events = static_cast<double>(churn.churn.size());
+    table.add_row({bench::fmt_u(size), bench::fmt_u(graph.num_edges()),
+                   bench::fmt_u(churn.churn.size()), bench::fmt(ns / events),
+                   bench::fmt(ns > 0.0 ? events * 1e9 / ns : 0.0),
+                   bench::fmt_u(dag.total_reversals() - warm_reversals),
+                   bench::fmt(static_cast<double>(dag.maintenance_visits() - warm_visits) / events),
+                   rebuild_free ? "yes" : "NO", restored ? "yes" : "NO"});
   }
-  bench::emit_csv(patch_table);
-
-  // Steady-state heights core: single-link churn must stay on the patch
-  // path (the existing counters are the assertion hook).  Smaller sizes —
-  // stabilization work, not patching, dominates here.
-  const std::size_t heights_n = smoke ? 2'048 : 20'000;
-  std::mt19937_64 rng(94);
-  const double radius = std::sqrt(6.0 / static_cast<double>(heights_n));
-  ChurnInstance churn =
-      make_waypoint_churn_instance(heights_n, radius, smoke ? 1'000 : 10'000, rng);
-  DynamicHeightsDag dag(churn.instance.graph, churn.instance.destination);
-  dag.stabilize();
-  const std::uint64_t warm_rebuilds = dag.snapshot_rebuilds();
-  const std::uint64_t warm_patches = dag.snapshot_patches();
-  const auto start = std::chrono::steady_clock::now();
-  for (const LinkEvent& event : churn.churn) {
-    if (event.up) {
-      dag.add_link(event.u, event.v);
-    } else {
-      dag.remove_link(event.u, event.v);
-    }
-    dag.stabilize();
-  }
-  const double ns =
-      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
-  const std::uint64_t rebuilds = dag.snapshot_rebuilds() - warm_rebuilds;
-  const std::uint64_t patches = dag.snapshot_patches() - warm_patches;
-  const bool rebuild_free = rebuilds == 0 && patches == churn.churn.size();
-  ok &= rebuild_free;
-  std::printf(
-      "heights steady state (n=%zu): %zu events, %.0f events/sec, %llu patches, "
-      "%llu rebuilds -> %s\n",
-      heights_n, churn.churn.size(),
-      ns > 0.0 ? static_cast<double>(churn.churn.size()) * 1e9 / ns : 0.0,
-      static_cast<unsigned long long>(patches), static_cast<unsigned long long>(rebuilds),
-      rebuild_free ? "rebuild-free" : "REBUILT");
+  bench::emit_csv(table);
   return ok;
 }
 

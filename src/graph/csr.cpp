@@ -222,179 +222,6 @@ void CsrGraph::fill_partition() {
   }
 }
 
-namespace {
-
-/// Inserts `first_value` / `second_value` at ascending positions
-/// `first` / `second` of `values` (old coordinates: the second value lands
-/// at `second + 1` after both inserts) — the shared shape of every
-/// double-entry array patch below.
-template <typename T>
-void double_insert(std::vector<T>& values, CsrPos first, T first_value, CsrPos second,
-                   T second_value) {
-  values.insert(values.begin() + second, second_value);  // later point first:
-  values.insert(values.begin() + first, first_value);    // `first` stays valid
-}
-
-/// Erases the entries at ascending positions `first` < `second`.
-template <typename T>
-void double_erase(std::vector<T>& values, CsrPos first, CsrPos second) {
-  values.erase(values.begin() + second);
-  values.erase(values.begin() + first);
-}
-
-}  // namespace
-
-void CsrGraph::insert_link(NodeId u, NodeId v, EdgeSense sense) {
-  if (u >= num_nodes_ || v >= num_nodes_ || u == v) {
-    throw std::invalid_argument("CsrGraph::insert_link: bad endpoints");
-  }
-  materialize();  // never patch borrowed (possibly read-only mmap'd) memory
-  if (position_of(u, v).has_value()) {
-    throw std::invalid_argument("CsrGraph::insert_link: link already present");
-  }
-  const NodeId a = std::min(u, v);
-  const NodeId b = std::max(u, v);
-
-  // The new edge's id is its rank in the canonical sorted edge list (the
-  // class precondition keeps existing ids equal to their ranks).  Each
-  // edge is counted once, at its smaller endpoint's block.
-  EdgeId e_new = 0;
-  for (NodeId w = 0; w < a; ++w) {
-    for (const NodeId x : neighbors(w)) {
-      if (x > w) ++e_new;
-    }
-  }
-  for (const NodeId x : neighbors(a)) {
-    if (x > a && x < b) ++e_new;
-  }
-  for (EdgeId& e : edge_) {
-    if (e >= e_new) ++e;
-  }
-  initial_senses_.insert(initial_senses_.begin() + e_new, sense);
-
-  // Adjacency insertion points in old position coordinates.  When they
-  // coincide (the blocks of u and v abut with nothing between), the entry
-  // belonging to the earlier block must land first.
-  const auto insert_point = [this](NodeId owner, NodeId neighbor) {
-    const auto nbrs = neighbors(owner);
-    return offsets_[owner] +
-           static_cast<CsrPos>(std::lower_bound(nbrs.begin(), nbrs.end(), neighbor) -
-                               nbrs.begin());
-  };
-  const CsrPos iu = insert_point(u, v);
-  const CsrPos iv = insert_point(v, u);
-  const bool u_entry_first = iu < iv || (iu == iv && u < v);
-  const CsrPos first = u_entry_first ? iu : iv;
-  const CsrPos second = u_entry_first ? iv : iu;
-  const auto map_pos = [first, second](CsrPos p) {
-    return p + (p >= first ? 1u : 0u) + (p >= second ? 1u : 0u);
-  };
-  const CsrPos new_pu = u_entry_first ? first : second + 1;  // v inside u's block
-  const CsrPos new_pv = u_entry_first ? second + 1 : first;  // u inside v's block
-
-  // Partition insertion points, computed against the still-unshifted
-  // offsets: the new neighbor joins the in- or out-half of each block
-  // depending on which way the new edge points, keeping the half ascending.
-  const bool out_of_u = (sense == EdgeSense::kForward) == (u == a);
-  const NodeId in_endpoint = out_of_u ? v : u;
-  const auto partition_point = [this](NodeId owner, NodeId neighbor, bool out_half) {
-    const CsrPos begin = out_half ? split_[owner] : offsets_[owner];
-    const CsrPos end = out_half ? offsets_[owner + 1] : split_[owner];
-    const auto half_begin = part_nbr_.begin() + begin;
-    const auto half_end = part_nbr_.begin() + end;
-    return begin + static_cast<CsrPos>(std::lower_bound(half_begin, half_end, neighbor) -
-                                       half_begin);
-  };
-  const CsrPos ju = partition_point(u, v, out_of_u);
-  const CsrPos jv = partition_point(v, u, !out_of_u);
-  const bool u_part_first = ju < jv || (ju == jv && u < v);
-  const CsrPos part_first = u_part_first ? ju : jv;
-  const CsrPos part_second = u_part_first ? jv : ju;
-
-  // Patch the aligned adjacency arrays: remap stored positions, then
-  // double-insert the two new entries (which mirror each other).
-  for (CsrPos& m : mirror_) m = map_pos(m);
-  for (CsrPos& p : part_pos_) p = map_pos(p);
-  double_insert(nbr_, first, u_entry_first ? v : u, second, u_entry_first ? u : v);
-  double_insert(edge_, first, e_new, second, e_new);
-  double_insert(mirror_, first, second + 1, second, first);
-  double_insert(part_nbr_, part_first, u_part_first ? v : u, part_second,
-                u_part_first ? u : v);
-  double_insert(part_pos_, part_first, u_part_first ? new_pu : new_pv, part_second,
-                u_part_first ? new_pv : new_pu);
-
-  // Offsets and partition splits in one pass: block starts after u / v
-  // shift, and the receiving endpoint's in-half grows by one.
-  for (NodeId w = 0; w < num_nodes_; ++w) {
-    const CsrPos in_degree = split_[w] - offsets_[w];
-    offsets_[w] += (w > u ? 1u : 0u) + (w > v ? 1u : 0u);
-    split_[w] = offsets_[w] + in_degree + (w == in_endpoint ? 1u : 0u);
-  }
-  offsets_[num_nodes_] += 2;
-  rebind();  // the double-inserts may have reallocated the arrays
-}
-
-void CsrGraph::remove_link(NodeId u, NodeId v) {
-  if (u >= num_nodes_ || v >= num_nodes_ || u == v) {
-    throw std::invalid_argument("CsrGraph::remove_link: bad endpoints");
-  }
-  materialize();  // never patch borrowed (possibly read-only mmap'd) memory
-  const auto pu_lookup = position_of(u, v);
-  if (!pu_lookup.has_value()) {
-    throw std::invalid_argument("CsrGraph::remove_link: link not present");
-  }
-  const CsrPos pu = *pu_lookup;
-  const CsrPos pv = mirror_[pu];
-  const EdgeId e = edge_[pu];
-  const EdgeSense sense = initial_senses_[e];
-  const bool out_of_u = (sense == EdgeSense::kForward) == (u < v);
-  const NodeId in_endpoint = out_of_u ? v : u;
-
-  // Partition coordinates of the two doomed entries (old offsets).
-  const auto partition_entry = [this](NodeId owner, NodeId neighbor, bool out_half) {
-    const CsrPos begin = out_half ? split_[owner] : offsets_[owner];
-    const CsrPos end = out_half ? offsets_[owner + 1] : split_[owner];
-    const auto half_begin = part_nbr_.begin() + begin;
-    const auto half_end = part_nbr_.begin() + end;
-    return begin + static_cast<CsrPos>(std::lower_bound(half_begin, half_end, neighbor) -
-                                       half_begin);
-  };
-  const CsrPos qu = partition_entry(u, v, out_of_u);
-  const CsrPos qv = partition_entry(v, u, !out_of_u);
-
-  const CsrPos first = std::min(pu, pv);
-  const CsrPos second = std::max(pu, pv);
-  const auto map_pos = [first, second](CsrPos p) {
-    return p - (p > first ? 1u : 0u) - (p > second ? 1u : 0u);
-  };
-
-  // Erase the mirrored pair from the aligned arrays, then remap the
-  // surviving stored positions (no survivor references an erased slot:
-  // only the pair itself mirrored them).
-  double_erase(nbr_, first, second);
-  double_erase(edge_, first, second);
-  double_erase(mirror_, first, second);
-  double_erase(part_nbr_, std::min(qu, qv), std::max(qu, qv));
-  double_erase(part_pos_, std::min(qu, qv), std::max(qu, qv));
-  for (CsrPos& m : mirror_) m = map_pos(m);
-  for (CsrPos& p : part_pos_) p = map_pos(p);
-
-  // Renumber edge ids past the erased one (ranks close up) and drop its
-  // sense slot.
-  initial_senses_.erase(initial_senses_.begin() + e);
-  for (EdgeId& x : edge_) {
-    if (x > e) --x;
-  }
-
-  for (NodeId w = 0; w < num_nodes_; ++w) {
-    const CsrPos in_degree = split_[w] - offsets_[w];
-    offsets_[w] -= (w > u ? 1u : 0u) + (w > v ? 1u : 0u);
-    split_[w] = offsets_[w] + in_degree - (w == in_endpoint ? 1u : 0u);
-  }
-  offsets_[num_nodes_] -= 2;
-  rebind();  // the erases shrank the arrays; refresh the view extents
-}
-
 // ---------------------------------------------------------------------------
 // CsrBuilder: streaming two-pass construction
 // ---------------------------------------------------------------------------

@@ -43,24 +43,19 @@
 /// exactly as it lives in memory, so loading is `mmap` + eight span
 /// bindings, no parsing and no per-element work.  All read accessors go
 /// through spans either way, so the engine cannot tell the modes apart.
-/// Mutating a borrowed snapshot (insert_link / remove_link) first
-/// *materializes* it — copies the views into owning vectors — because the
-/// borrowed memory may be a read-only shared mapping.
+/// `materialize()` turns a borrowed snapshot into an owning one, for a
+/// caller that must keep it past the mapping's lifetime.
 ///
-/// A `CsrGraph` never changes during an execution; mutable execution state
-/// (current edge senses, out-degrees, lists, parities) lives in the engine.
-/// Between executions, however, a snapshot can be *patched in place* for
-/// single-link topology events (`insert_link` / `remove_link`): one linear
-/// pass over the flat arrays instead of a `Graph` reconstruction plus a
-/// full rebuild.  The dynamic routing core (routing/dynamic_heights.hpp)
-/// uses this to keep churn-heavy TORA sweeps rebuild-free.
+/// A `CsrGraph` never changes: mutable execution state (current edge
+/// senses, out-degrees, lists, parities) lives in the engine.  Topologies
+/// whose links churn keep their own mutable adjacency instead
+/// (routing/dynamic_heights.hpp).
 
 namespace lr {
 
 class CsrBuilder;
 
-/// Flat CSR snapshot of a `Graph` plus an initial orientation; immutable
-/// during execution, patchable between executions (see insert_link).
+/// Flat, immutable CSR snapshot of a `Graph` plus an initial orientation.
 class CsrGraph {
  public:
   /// An empty CSR graph (0 nodes); useful as a placeholder before assignment.
@@ -229,37 +224,6 @@ class CsrGraph {
   /// streaming-vs-batch identity tests.
   std::uint64_t fingerprint() const;
 
-  // -------------------------------------------------------------------------
-  // Single-link in-place patching (the incremental snapshot-repair path)
-  // -------------------------------------------------------------------------
-  //
-  // Both calls keep every class invariant — adjacency order, mirror links,
-  // the initial in/out partition, and edge-id numbering — via one linear
-  // pass over the flat arrays, so a patched snapshot is *byte-identical*
-  // to one rebuilt from scratch over the modified edge list
-  // (tests/csr_test.cpp locks this in under randomized churn).
-  //
-  // Precondition (documented, not checked): edge ids must ascend in
-  // canonical (min, max) endpoint order, i.e. the snapshot was built from
-  // a Graph over a canonically sorted edge list — which is exactly how
-  // `DynamicHeightsDag` builds and rebuilds its snapshots.  Patching
-  // preserves the property, so any number of patches may be chained.
-  //
-  // A borrowed snapshot is materialized first (one array copy), then
-  // patched: the mmap'd bytes stay pristine for other processes.
-
-  /// Patches the link {u, v} into the snapshot with initial sense `sense`
-  /// for the new edge (forward = min -> max, the canonical default).
-  /// Throws std::invalid_argument on bad endpoints or an existing link.
-  /// O(n + m) array shifting — no allocation beyond vector growth, no
-  /// Graph reconstruction, no re-sorting.
-  void insert_link(NodeId u, NodeId v, EdgeSense sense = EdgeSense::kForward);
-
-  /// Patches the link {u, v} out of the snapshot.  Throws
-  /// std::invalid_argument on bad endpoints or an absent link.  Same cost
-  /// model as insert_link.
-  void remove_link(NodeId u, NodeId v);
-
  private:
   friend class CsrBuilder;
 
@@ -315,9 +279,7 @@ class CsrGraph {
 /// ascending canonical (min, max) lexicographic order — which generators
 /// emit naturally, and which makes validation free: strict ascent implies
 /// no duplicates, and self-loops/range are checked per edge.  Edge ids
-/// are stream ranks, exactly the canonical-rank numbering the
-/// `insert_link` / `remove_link` patch path requires, so a streamed
-/// snapshot is patchable from birth.  Per-block neighbor ascent falls out
+/// are stream ranks.  Per-block neighbor ascent falls out
 /// of the stream order: node `w`'s block receives its smaller neighbors
 /// (from edges `(x, w)`, `x` ascending) before its larger ones (from
 /// edges `(w, y)`, `y` ascending).

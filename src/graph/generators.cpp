@@ -517,9 +517,7 @@ ChurnInstance make_waypoint_churn_instance(std::size_t n, double radius, std::si
 
   ChurnInstance out;
   out.instance.graph = std::move(draw.graph);
-  // Canonical all-forward orientation: the sense insert_link assigns to
-  // patched-in links, so a full-schedule replay restores the snapshot
-  // byte-for-byte (see the header contract).
+  // Canonical all-forward orientation (see the header contract).
   out.instance.senses.assign(out.instance.graph.num_edges(), EdgeSense::kForward);
   out.instance.destination = 0;
   out.instance.name = "waypoint(n=" + std::to_string(n) + ")";

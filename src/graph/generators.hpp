@@ -188,15 +188,11 @@ struct ChurnInstance {
 /// spatial grid, O(local density) per step).  The schedule ends with a
 /// healing suffix that returns every node's links to the initial
 /// topology, so replaying the whole schedule restores the starting link
-/// set exactly — the self-verification hook the E10 churn storm asserts
-/// with CSR fingerprints.
+/// set exactly (tests/csr_builder_test.cpp checks it by CSR fingerprint).
 ///
 /// The instance's initial orientation is the canonical all-forward one
-/// (every edge min -> max), matching the default sense
-/// `CsrGraph::insert_link` assigns to patched-in links: a snapshot
-/// patched through the full schedule is byte-identical to the initial
-/// snapshot.  This is a churn/scale workload; use the static families for
-/// convergence measurements.
+/// (every edge min -> max).  This is a churn/scale workload; use the
+/// static families for convergence measurements.
 ChurnInstance make_waypoint_churn_instance(std::size_t n, double radius, std::size_t min_events,
                                            std::mt19937_64& rng);
 

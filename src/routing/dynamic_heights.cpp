@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace lr {
 
-namespace {
-
-/// Canonical (min, max) form of an undirected link.
-std::pair<NodeId, NodeId> canonical(NodeId u, NodeId v) {
-  return u < v ? std::pair{u, v} : std::pair{v, u};
-}
-
-}  // namespace
-
 DynamicHeightsDag::DynamicHeightsDag(std::size_t num_nodes, NodeId destination)
-    : destination_(destination), a_(num_nodes, 0), b_(num_nodes) {
+    : destination_(destination),
+      adj_(num_nodes),
+      a_(num_nodes, 0),
+      b_(num_nodes),
+      out_degree_(num_nodes, 0),
+      member_(num_nodes, 0),
+      mark_(num_nodes, 0) {
   if (destination >= num_nodes) {
     throw std::invalid_argument("DynamicHeightsDag: destination out of range");
   }
@@ -25,102 +21,158 @@ DynamicHeightsDag::DynamicHeightsDag(std::size_t num_nodes, NodeId destination)
   // Ascending in id, so orienting towards a high-id destination (e.g. a
   // newly elected leader) genuinely exercises reversals.
   for (NodeId u = 0; u < num_nodes; ++u) b_[u] = static_cast<std::int64_t>(u);
+  member_[destination] = epoch_;  // with no links the component is {destination}
 }
 
 DynamicHeightsDag::DynamicHeightsDag(const Graph& topology, NodeId destination)
     : DynamicHeightsDag(topology.num_nodes(), destination) {
-  links_ = topology.edges();
-  std::sort(links_.begin(), links_.end());
-  // Snapshot through the one rebuild path (ensure_snapshot builds from the
-  // sorted link list) so edge ids are canonical ranks — the precondition
-  // CsrGraph's in-place patching maintains; a Graph keeps its input edge
-  // order, so snapshotting `topology` directly would bake in arbitrary ids.
-  ensure_snapshot();
+  // Graph::neighbors is ascending, so the lists start sorted.  Initial
+  // heights are (0, id): every link points from its larger id down.
+  for (NodeId u = 0; u < num_nodes(); ++u) {
+    const auto incidences = topology.neighbors(u);
+    adj_[u].reserve(incidences.size());
+    for (const Incidence& inc : incidences) {
+      adj_[u].push_back(inc.neighbor);
+      if (inc.neighbor < u) ++out_degree_[u];
+    }
+  }
+  absorb(destination_);
 }
 
 void DynamicHeightsDag::set_destination(NodeId d) {
   if (d >= num_nodes()) {
     throw std::invalid_argument("DynamicHeightsDag::set_destination: out of range");
   }
+  if (d == destination_) return;
+  const NodeId old = destination_;
   destination_ = d;  // heights (and thus directions) are unaffected
+  if (routable(d)) {
+    note_sink(old);  // same component: only the old destination can now be a sink
+    return;
+  }
+  // A new component: relabel it under a fresh epoch, noting its sinks.
+  ++epoch_;
+  oriented_ = true;
+  absorb(d);
 }
 
 void DynamicHeightsDag::add_link(NodeId u, NodeId v) {
   if (u >= num_nodes() || v >= num_nodes() || u == v) {
     throw std::invalid_argument("DynamicHeightsDag::add_link: bad endpoints");
   }
-  const auto link = canonical(u, v);
-  const auto it = std::lower_bound(links_.begin(), links_.end(), link);
-  if (it != links_.end() && *it == link) return;  // already present
-  links_.insert(it, link);
-  if (stale_) return;  // no snapshot to repair; the next query rebuilds
-  // Incremental repair: patch the adjacency in place and admit the link
-  // into the out-degree counters under the current heights.  The patched
-  // snapshot is byte-identical to a full rebuild from links_.
-  csr_.insert_link(u, v);
+  auto& list_u = adj_[u];
+  const auto at_u = std::lower_bound(list_u.begin(), list_u.end(), v);
+  if (at_u != list_u.end() && *at_u == v) return;  // already present
+  list_u.insert(at_u, v);
+  auto& list_v = adj_[v];
+  list_v.insert(std::lower_bound(list_v.begin(), list_v.end(), u), u);
   ++out_degree_[directed_from(u, v) ? u : v];
   ++snapshot_patches_;
+  // A link creates no sink inside a component.  Joining another component
+  // to the destination's brings that side's sinks in.
+  if (routable(u) != routable(v)) absorb(routable(u) ? v : u);
 }
 
 void DynamicHeightsDag::remove_link(NodeId u, NodeId v) {
   if (u >= num_nodes() || v >= num_nodes()) {
     throw std::invalid_argument("DynamicHeightsDag::remove_link: bad endpoints");
   }
-  const auto link = canonical(u, v);
-  const auto it = std::lower_bound(links_.begin(), links_.end(), link);
-  if (it == links_.end() || *it != link) return;  // absent
-  links_.erase(it);
-  if (stale_) return;
-  // Incremental repair, mirroring add_link: retract the link from the
-  // counters under the current heights, then patch it out of the CSR.
-  --out_degree_[directed_from(u, v) ? u : v];
-  csr_.remove_link(u, v);
+  auto& list_u = adj_[u];
+  const auto at_u = std::lower_bound(list_u.begin(), list_u.end(), v);
+  if (at_u == list_u.end() || *at_u != v) return;  // absent
+  list_u.erase(at_u);
+  auto& list_v = adj_[v];
+  list_v.erase(std::lower_bound(list_v.begin(), list_v.end(), u));
+  const NodeId higher = directed_from(u, v) ? u : v;
+  --out_degree_[higher];
   ++snapshot_patches_;
-}
-
-void DynamicHeightsDag::apply_events(std::span<const LinkEvent> events) {
-  // Beyond this many events, one rebuild is cheaper than per-event O(m)
-  // patches; results are identical either way.
-  constexpr std::size_t kPatchBatchLimit = 4;
-  if (events.size() > kPatchBatchLimit) stale_ = true;  // batch-churn fallback
-  for (const LinkEvent& event : events) {
-    if (event.up) {
-      add_link(event.u, event.v);
-    } else {
-      remove_link(event.u, event.v);
-    }
-  }
+  if (!routable(u)) return;  // another component: the destination's is unchanged
+  // On an oriented component every node keeps a descending path to the
+  // destination unless `higher` just lost its last out-link
+  // (docs/ARCHITECTURE.md, src/routing), so only then can it split.
+  if (!oriented_ || out_degree_[higher] == 0) split_search(u, v);
+  note_sink(higher);  // the lower endpoint kept its out-links
 }
 
 bool DynamicHeightsDag::has_link(NodeId u, NodeId v) const {
-  return std::binary_search(links_.begin(), links_.end(), canonical(u, v));
+  if (u >= num_nodes()) return false;
+  return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
 }
 
-void DynamicHeightsDag::ensure_snapshot() const {
-  if (!stale_) return;
-  ++snapshot_rebuilds_;
-  csr_ = CsrGraph(Graph(num_nodes(), links_));
-  out_degree_.assign(num_nodes(), 0);
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (const NodeId v : csr_.neighbors(u)) {
-      if (directed_from(u, v)) ++out_degree_[u];
+void DynamicHeightsDag::note_sink(NodeId u) {
+  if (u == destination_ || !routable(u) || !is_sink(u)) return;
+  pending_.push_back(u);
+  oriented_ = false;
+}
+
+void DynamicHeightsDag::absorb(NodeId root) {
+  frontier_.assign(1, root);
+  member_[root] = epoch_;
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const NodeId x = frontier_[head];
+    ++maintenance_visits_;
+    note_sink(x);
+    for (const NodeId y : adj_[x]) {
+      if (member_[y] != epoch_) {
+        member_[y] = epoch_;
+        frontier_.push_back(y);
+      }
     }
   }
-  stale_ = false;
 }
 
-std::span<const NodeId> DynamicHeightsDag::neighbors(NodeId u) const {
-  ensure_snapshot();
-  return csr_.neighbors(u);
-}
-
-bool DynamicHeightsDag::is_sink(NodeId u) const {
-  ensure_snapshot();
-  return csr_.degree(u) > 0 && out_degree_[u] == 0;
+void DynamicHeightsDag::split_search(NodeId u, NodeId v) {
+  // Two BFS searches, from u and from v, advance one neighbour scan each
+  // per round.  Reaching a node the other side holds proves the
+  // component intact.  A side whose queue runs dry first has found all of
+  // its (now separate) component, after at most as many scans as that
+  // side's degree sum, so the other side scanned no more.
+  ++search_;
+  const std::uint64_t mark[2] = {2 * search_, 2 * search_ + 1};
+  std::size_t head[2] = {0, 0};
+  std::size_t scan[2] = {0, 0};
+  const NodeId start[2] = {u, v};
+  for (int s = 0; s < 2; ++s) {
+    side_[s].assign(1, start[s]);
+    mark_[start[s]] = mark[s];
+    ++maintenance_visits_;
+  }
+  const auto exhausted = [&](int s) {
+    while (head[s] < side_[s].size() && scan[s] == adj_[side_[s][head[s]]].size()) {
+      ++head[s];
+      scan[s] = 0;
+    }
+    return head[s] == side_[s].size();
+  };
+  int closed = -1;
+  while (closed < 0) {
+    if (exhausted(0)) {
+      closed = 0;
+    } else if (exhausted(1)) {
+      closed = 1;
+    } else {
+      for (int s = 0; s < 2; ++s) {
+        const NodeId y = adj_[side_[s][head[s]]][scan[s]++];
+        if (mark_[y] == mark[1 - s]) return;  // the sides met: no split
+        if (mark_[y] != mark[s]) {
+          mark_[y] = mark[s];
+          side_[s].push_back(y);
+          ++maintenance_visits_;
+        }
+      }
+    }
+  }
+  // The closed side is a whole component now.  If it holds the destination
+  // it becomes the component under a fresh epoch (the other side drops out
+  // with its old stamp); otherwise it leaves.
+  const bool keeps_destination = mark_[destination_] == mark[closed];
+  if (keeps_destination) ++epoch_;
+  const std::uint64_t stamp = keeps_destination ? epoch_ : 0;
+  for (const NodeId x : side_[closed]) member_[x] = stamp;
 }
 
 void DynamicHeightsDag::partial_reversal_step(NodeId u) {
-  const auto slice = csr_.neighbors(u);
+  const std::span<const NodeId> slice = adj_[u];
   // Retract u's links from the out-degree counters under the old height...
   for (const NodeId v : slice) {
     if (directed_from(u, v)) {
@@ -154,57 +206,40 @@ void DynamicHeightsDag::partial_reversal_step(NodeId u) {
   ++total_reversals_;
 }
 
-std::vector<bool> DynamicHeightsDag::destination_component() const {
-  ensure_snapshot();
-  std::vector<bool> in_component(num_nodes(), false);
-  std::queue<NodeId> frontier;
-  in_component[destination_] = true;
-  frontier.push(destination_);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const NodeId v : csr_.neighbors(u)) {
-      if (!in_component[v]) {
-        in_component[v] = true;
-        frontier.push(v);
-      }
-    }
-  }
-  return in_component;
-}
-
 std::uint64_t DynamicHeightsDag::stabilize() {
-  ensure_snapshot();
-  const auto in_component = destination_component();
-  std::uint64_t steps = 0;
-  // Simple work-list loop; a step can only create new sinks among the
-  // stepping node's neighbors, so seed with all current sinks and chase.
-  // Sink tests are O(1) through the out-degree counters.
-  std::queue<NodeId> candidates;
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    if (u != destination_ && in_component[u] && is_sink(u)) candidates.push(u);
+  // Seed with the pending candidates in ascending id order, filtered like
+  // an all-n sink scan: pending_ holds every non-destination sink of the
+  // component (and perhaps some stale entries), so the work-list and hence
+  // the reversal sequence are the ones that scan would produce.
+  std::sort(pending_.begin(), pending_.end());
+  pending_.erase(std::unique(pending_.begin(), pending_.end()), pending_.end());
+  maintenance_visits_ += pending_.size();
+  for (const NodeId u : pending_) {
+    if (u != destination_ && routable(u) && is_sink(u)) work_.push(u);
   }
-  while (!candidates.empty()) {
-    const NodeId u = candidates.front();
-    candidates.pop();
+  pending_.clear();
+  // A step can only create new sinks among the stepping node's neighbors,
+  // so chase them.  Sink tests are O(1) through the out-degree counters.
+  std::uint64_t steps = 0;
+  while (!work_.empty()) {
+    const NodeId u = work_.front();
+    work_.pop();
     if (u == destination_ || !is_sink(u)) continue;
     partial_reversal_step(u);
     ++steps;
-    for (const NodeId v : csr_.neighbors(u)) {
-      if (v != destination_ && in_component[v] && is_sink(v)) candidates.push(v);
+    for (const NodeId v : adj_[u]) {
+      if (v != destination_ && routable(v) && is_sink(v)) work_.push(v);
     }
-    if (is_sink(u)) candidates.push(u);  // defensive; cannot normally happen
+    if (is_sink(u)) work_.push(u);  // defensive; cannot normally happen
   }
+  oriented_ = true;
   return steps;
 }
 
-bool DynamicHeightsDag::routable(NodeId u) const { return destination_component()[u]; }
-
 std::optional<NodeId> DynamicHeightsDag::next_hop(NodeId u) const {
   if (u == destination_) return std::nullopt;
-  ensure_snapshot();
   std::optional<NodeId> best;
-  for (const NodeId v : csr_.neighbors(u)) {
+  for (const NodeId v : adj_[u]) {
     if (!directed_from(u, v)) continue;
     if (!best || height(v) < height(*best)) best = v;
   }

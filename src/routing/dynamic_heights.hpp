@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <queue>
 #include <span>
 #include <tuple>
-#include <utility>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -31,28 +30,35 @@
 ///     connectivity; TORA handles partition detection separately, which we
 ///     approximate by the component check).
 ///
-/// Execution layout (docs/PERFORMANCE.md): the link set is a sorted
-/// canonical edge list, and every query loop (sink tests, reversal steps,
-/// component BFS, next-hop scans) runs over a frozen `CsrGraph` snapshot.
-/// Per-node out-degree counters are maintained incrementally under height
-/// updates, making sink tests O(1) instead of an adjacency walk.
+/// Every event pays for what it touches, not for n (docs/ARCHITECTURE.md,
+/// "src/routing"):
 ///
-/// Snapshot maintenance is *incremental*: a single add_link/remove_link on
-/// a live snapshot patches the CSR adjacency in place
-/// (`CsrGraph::insert_link` / `remove_link`, one linear array pass) and
-/// adjusts the one affected out-degree counter, so churn-heavy TORA sweeps
-/// never rebuild.  A full rebuild happens only when no snapshot exists yet
-/// (the empty-construction bootstrap) or after batch churn
-/// (`apply_events` beyond the patch limit), where one rebuild beats many
-/// patches.  The `snapshot_rebuilds()` / `snapshot_patches()` counters
-/// expose which path ran, and tests assert single-link churn is
-/// rebuild-free.
+///   * **Links.**  Each node keeps an ascending neighbour list, so
+///     `add_link`/`remove_link` cost O(deg) and `has_link` is one binary
+///     search.  Per-node out-degree counters, kept up to date under height
+///     updates, make a sink test O(1).
+///   * **Component.**  Membership in the destination's component is an
+///     epoch stamp per node, so `routable()` is O(1).  A link that joins
+///     another component absorbs that side by BFS.  A removal searches
+///     only when it may split the component: on a stabilized DAG, only
+///     when the higher endpoint lost its last out-link, since every other
+///     node still has a descending path to the destination.  The search
+///     runs BFS from both endpoints in lockstep, one neighbour scan per
+///     side per round, and relabels the side that runs out first, so it
+///     costs O(smaller side + its degree sum).  A re-target inside the
+///     component is O(1); one outside it relabels the new component.
+///   * **Stabilization.**  Only three events can create a non-destination
+///     sink in the component: a removal can sink its higher endpoint, a
+///     merge can bring in the absorbed side's sinks, and a re-target turns
+///     the old destination into one.  Those candidates wait in a pending
+///     list; `stabilize()` sorts it ascending and filters it exactly like
+///     an all-n sink scan would, so the reversal sequence is the one a
+///     whole-graph scan produces.
+///
+/// `maintenance_visits()` counts the nodes the component searches and the
+/// seeding visit, which is how the tests pin this cost model.
 
 namespace lr {
-
-// LinkEvent (one topology event of an apply_events batch) lives in
-// graph/types.hpp so the churn-schedule generators can emit event streams
-// without depending on the routing layer.
 
 /// The dynamic-topology partial-reversal height core; see the file comment.
 class DynamicHeightsDag {
@@ -62,9 +68,8 @@ class DynamicHeightsDag {
   /// acyclic by total order.
   DynamicHeightsDag(std::size_t num_nodes, NodeId destination);
 
-  /// Batch form: starts with all of `topology`'s links in one snapshot
-  /// build (the services' construction fast path; equivalent to add_link
-  /// over every edge, minus m incremental inserts).
+  /// Batch form: starts with all of `topology`'s links (equivalent to
+  /// add_link over every edge, in O(n + m)).
   DynamicHeightsDag(const Graph& topology, NodeId destination);
 
   /// Number of nodes (fixed at construction; links churn, nodes do not).
@@ -74,37 +79,34 @@ class DynamicHeightsDag {
   NodeId destination() const noexcept { return destination_; }
 
   /// Re-targets the DAG (new leader / token holder).  Call stabilize()
-  /// afterwards.
+  /// afterwards.  O(1) when `d` is in the current destination's
+  /// component; otherwise O(size of d's component).
   void set_destination(NodeId d);
 
   /// Adds / removes an undirected link.  Idempotent.  Call stabilize()
-  /// afterwards to restore destination orientation.  On a live snapshot
-  /// this is an in-place CSR patch, not a rebuild (see the file comment).
+  /// afterwards to restore destination orientation.  O(deg) plus any
+  /// component search the file comment describes.
   void add_link(NodeId u, NodeId v);
   /// \copydoc add_link
   void remove_link(NodeId u, NodeId v);
   /// True iff the undirected link {u, v} is currently present.
   bool has_link(NodeId u, NodeId v) const;
 
-  /// Applies a batch of link events in order (each idempotent, like
-  /// add_link/remove_link).  Small batches patch the snapshot per event;
-  /// beyond the internal patch limit the snapshot is invalidated first so
-  /// the whole batch costs one rebuild — the batch-churn fallback.
-  void apply_events(std::span<const LinkEvent> events);
+  /// Adjacency builds performed: always 1, the construction.  Link events
+  /// update the neighbour lists in place and never rebuild; the tora churn
+  /// records report this counter.
+  std::uint64_t snapshot_rebuilds() const noexcept { return 1; }
 
-  /// Drops the current snapshot so the next query rebuilds it from the
-  /// link list.  Results never depend on this (a rebuilt snapshot is
-  /// byte-identical to a patched one); it exists as a debug/test hook to
-  /// force the full-rebuild path for comparison.
-  void invalidate_snapshot() { stale_ = true; }
-
-  /// Full snapshot (re)builds performed so far, the initial construction
-  /// included.  Single-link churn on a live snapshot never increments
-  /// this.
-  std::uint64_t snapshot_rebuilds() const noexcept { return snapshot_rebuilds_; }
-
-  /// In-place single-link snapshot patches performed so far.
+  /// Effective add_link/remove_link calls so far (an idempotent repeat
+  /// changes nothing and is not counted).
   std::uint64_t snapshot_patches() const noexcept { return snapshot_patches_; }
+
+  /// Nodes visited by maintenance so far: one per node an absorb BFS or a
+  /// split search reaches, and one per pending candidate `stabilize()`
+  /// examines when seeding its work-list.  Reversal steps and their
+  /// neighbour scans are not included (`total_reversals()` counts those).
+  /// A work counter for tests and benches; no record reports it.
+  std::uint64_t maintenance_visits() const noexcept { return maintenance_visits_; }
 
   /// The Gafni–Bertsekas triple height of `u`: (a, b, id), compared
   /// lexicographically.
@@ -117,7 +119,7 @@ class DynamicHeightsDag {
 
   /// True iff u has no outgoing link (and at least one link).  O(1) via the
   /// maintained out-degree counters.
-  bool is_sink(NodeId u) const;
+  bool is_sink(NodeId u) const { return !adj_[u].empty() && out_degree_[u] == 0; }
 
   /// Applies partial-reversal height updates to non-destination sinks in
   /// the destination's component until none remain.  Returns the number of
@@ -125,8 +127,8 @@ class DynamicHeightsDag {
   std::uint64_t stabilize();
 
   /// True iff u is in the destination's component (i.e. routable once
-  /// stabilized).
-  bool routable(NodeId u) const;
+  /// stabilized).  O(1).
+  bool routable(NodeId u) const { return member_[u] == epoch_; }
 
   /// The out-neighbor with the smallest height (the steepest-descent next
   /// hop), or nullopt if u is the destination, a sink, or unroutable.
@@ -139,30 +141,48 @@ class DynamicHeightsDag {
   /// Total reversal steps performed by all stabilize() calls so far.
   std::uint64_t total_reversals() const noexcept { return total_reversals_; }
 
-  /// Current neighbors of `u`, ascending — an O(1) slice of the CSR
-  /// snapshot.  Invalidated by the next add_link/remove_link.
-  std::span<const NodeId> neighbors(NodeId u) const;
+  /// Current neighbors of `u`, ascending.  Invalidated by the next
+  /// add_link/remove_link touching `u`.
+  std::span<const NodeId> neighbors(NodeId u) const { return adj_[u]; }
 
  private:
-  void ensure_snapshot() const;
   void partial_reversal_step(NodeId u);
-  std::vector<bool> destination_component() const;
+  /// Queues `u` for the next stabilize() if it is a non-destination sink
+  /// in the destination's component.
+  void note_sink(NodeId u);
+  /// Stamps every node reachable from `root` through unstamped nodes with
+  /// the current epoch, noting the sinks it reaches.
+  void absorb(NodeId root);
+  /// After the link {u, v} went away inside the component: finds whether
+  /// u and v are still connected and, if not, relabels the side that ran
+  /// out first.
+  void split_search(NodeId u, NodeId v);
 
   NodeId destination_;
-  /// The mutable link set: canonical (min, max) pairs, sorted — the only
-  /// state churn touches; everything else derives from the snapshot.
-  std::vector<std::pair<NodeId, NodeId>> links_;
+  std::vector<std::vector<NodeId>> adj_;  ///< ascending neighbour lists
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
+  std::vector<std::uint32_t> out_degree_;  ///< derived from heights
+  /// Component stamp: `member_[u] == epoch_` iff u is in the destination's
+  /// component.  0 is never an epoch.
+  std::vector<std::uint64_t> member_;
+  std::uint64_t epoch_ = 1;
+  /// Split-search scratch: `mark_[u]` is 2·search or 2·search + 1 when
+  /// the current search reached u from the first or second endpoint.
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t search_ = 0;
+  std::vector<NodeId> side_[2];  ///< split-search BFS queues (also the visit lists)
+  std::vector<NodeId> frontier_;  ///< absorb BFS queue
+  /// Sink candidates since the last stabilize(); a superset of the
+  /// non-destination sinks in the destination's component.
+  std::vector<NodeId> pending_;
+  std::queue<NodeId> work_;  ///< stabilize()'s FIFO, kept so its blocks are reused
+  /// True when the destination's component is known to hold no
+  /// non-destination sink (set by stabilize(), cleared by note_sink()).
+  bool oriented_ = true;
   std::uint64_t total_reversals_ = 0;
-
-  // Lazily (re)built, incrementally patched execution snapshot (mutable:
-  // const queries refresh it when stale).
-  mutable CsrGraph csr_;
-  mutable std::vector<std::uint32_t> out_degree_;  ///< derived from heights
-  mutable bool stale_ = true;
-  mutable std::uint64_t snapshot_rebuilds_ = 0;
   std::uint64_t snapshot_patches_ = 0;
+  std::uint64_t maintenance_visits_ = 0;
 };
 
 }  // namespace lr

@@ -1,5 +1,8 @@
 #include "routing/tora.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace lr {
 
 ToraRouter::ToraRouter(const Graph& initial_topology, NodeId destination)
@@ -33,7 +36,9 @@ DeliveryResult ToraRouter::send_packet(NodeId source) {
   } else {
     // Partitioned: park the packet at its source, TORA style; it is
     // re-tried after every topology event.
-    ++buffer_[source];
+    if (buffer_[source]++ == 0) {
+      parked_.insert(std::lower_bound(parked_.begin(), parked_.end(), source), source);
+    }
     ++stats_.packets_buffered;
   }
   return result;
@@ -41,21 +46,27 @@ DeliveryResult ToraRouter::send_packet(NodeId source) {
 
 std::size_t ToraRouter::buffered_packets() const {
   std::size_t total = 0;
-  for (const std::uint32_t count : buffer_) total += count;
+  for (const NodeId source : parked_) total += buffer_[source];
   return total;
 }
 
 void ToraRouter::flush_buffers() {
-  for (NodeId source = 0; source < buffer_.size(); ++source) {
-    while (buffer_[source] > 0) {
-      const auto path = dag_.route(source);
-      if (!path) break;  // still partitioned: keep parking
-      --buffer_[source];
-      ++stats_.packets_flushed;
-      ++stats_.packets_delivered;
-      stats_.total_hops += path->size() - 1;
+  // Ascending over the parked sources only.  The DAG does not change while
+  // flushing, so a source that has a route delivers all its packets along
+  // it; one outside the destination's component keeps them parked.
+  std::size_t kept = 0;
+  for (const NodeId source : parked_) {
+    const auto path = dag_.routable(source) ? dag_.route(source) : std::nullopt;
+    if (!path) {
+      parked_[kept++] = source;
+      continue;
     }
+    const std::uint32_t count = std::exchange(buffer_[source], 0);
+    stats_.packets_flushed += count;
+    stats_.packets_delivered += count;
+    stats_.total_hops += std::uint64_t{count} * (path->size() - 1);
   }
+  parked_.resize(kept);
 }
 
 ToraStats run_churn_scenario(const Graph& topology, NodeId destination, std::size_t events,

@@ -77,6 +77,7 @@ class ToraRouter {
 
   DynamicHeightsDag dag_;
   std::vector<std::uint32_t> buffer_;  ///< parked packet count per source
+  std::vector<NodeId> parked_;         ///< sources with parked packets, ascending
   ToraStats stats_;
 };
 

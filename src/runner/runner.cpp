@@ -197,9 +197,9 @@ void run_hybrid_kernel(RunRecord& record, const Instance& instance) {
 /// FrozenInstance when the sweep already generated it) over the
 /// dynamic-heights core, stabilizing after every event — the E10
 /// steady-state regime.  Record mapping: work = total reversal steps,
-/// rounds = events replayed, messages = in-place snapshot patches,
-/// abstract_steps = full snapshot rebuilds after warm-up (0 = the
-/// rebuild-free steady state docs/EXPERIMENTS.md promises).
+/// rounds = events replayed, messages = effective link events
+/// (`snapshot_patches()`), abstract_steps = adjacency rebuilds after
+/// warm-up (always 0: link events update the neighbour lists in place).
 void run_tora_kernel(RunRecord& record, const Instance& instance,
                      const std::vector<LinkEvent>* churn) {
   const RunSpec& spec = record.spec;

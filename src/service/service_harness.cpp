@@ -244,8 +244,8 @@ ServiceReport ServiceHarness::run() {
       pending.push_back(request);
     }
 
-    // Phase 1 — churn due at or before this tick, applied serially
-    // through the incremental patch path of all three services.
+    // Phase 1 — churn due at or before this tick, applied serially to
+    // all three services.
     apply_churn_until(now);
 
     // Phase 2 — draw this tick's requests serially, one per woken
@@ -308,11 +308,8 @@ ServiceReport ServiceHarness::run() {
     }
 
     // Phase 4 — route queries and leader lookups: pure reads over the
-    // tora / leader DAGs, sharded contiguously across the pool.  Freshen
-    // both snapshots serially first so the parallel phase never races an
-    // ensure_snapshot rebuild.
-    (void)tora_.dag().neighbors(0);
-    (void)leader_.dag().neighbors(0);
+    // tora / leader DAGs (const and cache-free), sharded contiguously
+    // across the pool.
     const auto process_read = [this](PendingRequest& request) {
       const NodeId source = request.source;
       if (request.kind == RequestKind::kRoute) {

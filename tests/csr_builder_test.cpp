@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -97,24 +98,6 @@ TEST(CsrBuilder, WideRandomGeneratorStreamsByteIdentically) {
   const CsrGraph batch(g);
   const CsrGraph streamed = build_streamed(g.num_nodes(), g.edges(), senses);
   EXPECT_EQ(streamed.fingerprint(), batch.fingerprint());
-}
-
-TEST(CsrBuilder, StreamedSnapshotIsPatchableFromBirth) {
-  // Edge ids are stream ranks (canonical ranks), so the insert/remove
-  // patch path must work on a streamed snapshot without any rebuild.
-  const Graph g = make_torus_graph(4, 5);
-  CsrBuilder builder(g.num_nodes());
-  for (const auto& [u, v] : g.edges()) builder.count_edge(u, v);
-  builder.begin_placement();
-  for (const auto& [u, v] : g.edges()) builder.place_edge(u, v);
-  CsrGraph csr = builder.finish();
-
-  const std::uint64_t initial = csr.fingerprint();
-  const auto [u, v] = g.edges()[g.num_edges() / 2];
-  csr.remove_link(u, v);
-  EXPECT_NE(csr.fingerprint(), initial);
-  csr.insert_link(u, v);
-  EXPECT_EQ(csr.fingerprint(), initial);
 }
 
 TEST(CsrBuilder, OverflowGuardRejectsPositionSpaceExhaustion) {
@@ -218,25 +201,30 @@ TEST(CsrBuilder, PassTwoMustReplayPassOne) {
 
 TEST(CsrBuilder, WaypointChurnReplayRestoresInitialFingerprint) {
   // The random-waypoint schedule's healing suffix guarantees full replay
-  // returns to the initial link set; with the all-forward initial
-  // orientation the patched snapshot must be byte-identical again.
+  // returns to the initial link set, so the snapshot frozen from the
+  // replayed links is byte-identical to the initial one.
   std::mt19937_64 rng(4242);
   const ChurnInstance churned = make_waypoint_churn_instance(200, 0.18, 400, rng);
   ASSERT_GE(churned.churn.size(), 400u);
 
-  CsrGraph csr(churned.instance.graph, churned.instance.senses);
-  const std::uint64_t initial = csr.fingerprint();
+  const Graph& initial = churned.instance.graph;
+  std::set<std::pair<NodeId, NodeId>> links(initial.edges().begin(), initial.edges().end());
+  const auto initial_links = links;
   bool diverged = false;
   for (const LinkEvent& event : churned.churn) {
+    const std::pair<NodeId, NodeId> link = std::minmax(event.u, event.v);
+    ASSERT_EQ(links.count(link), event.up ? 0u : 1u) << "event must flip the link";
     if (event.up) {
-      csr.insert_link(event.u, event.v);
+      links.insert(link);
     } else {
-      csr.remove_link(event.u, event.v);
+      links.erase(link);
     }
-    diverged = diverged || csr.fingerprint() != initial;
+    diverged = diverged || links != initial_links;
   }
   EXPECT_TRUE(diverged) << "schedule never changed the topology";
-  EXPECT_EQ(csr.fingerprint(), initial);
+  const Graph replayed(initial.num_nodes(), {links.begin(), links.end()});
+  EXPECT_EQ(CsrGraph(replayed, churned.instance.senses).fingerprint(),
+            CsrGraph(initial, churned.instance.senses).fingerprint());
 }
 
 }  // namespace

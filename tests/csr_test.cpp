@@ -1,7 +1,8 @@
 // Tests for the immutable CSR execution core (graph/csr.hpp): conversion
 // round-trips against the Graph front-end, mirror-position consistency,
-// and the initial in/out partition against the automata's reference
-// definition of the paper's constant sets.
+// the initial in/out partition against the automata's reference
+// definition of the paper's constant sets, and churned routing adjacency
+// against fresh rebuilds.
 
 #include "graph/csr.hpp"
 
@@ -9,12 +10,13 @@
 
 #include <algorithm>
 #include <random>
-#include <string>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/lr_base.hpp"
 #include "graph/generators.hpp"
+#include "routing/dynamic_heights.hpp"
 
 namespace lr {
 namespace {
@@ -161,102 +163,24 @@ TEST(CsrGraphTest, RejectsSenseVectorOfWrongSize) {
 }
 
 // ---------------------------------------------------------------------------
-// In-place single-link patching (the incremental snapshot-repair path)
+// Churned adjacency against fresh rebuilds
 // ---------------------------------------------------------------------------
 
-using LinkList = std::vector<std::pair<NodeId, NodeId>>;
-
-/// Asserts every public view of `patched` equals `rebuilt`, element for
-/// element — the "patched snapshot is byte-identical to a fresh rebuild"
-/// contract of insert_link/remove_link.
-void expect_csr_identical(const CsrGraph& patched, const CsrGraph& rebuilt,
-                          const std::string& context) {
-  ASSERT_EQ(patched.num_nodes(), rebuilt.num_nodes()) << context;
-  ASSERT_EQ(patched.num_edges(), rebuilt.num_edges()) << context;
-  const auto senses = patched.initial_senses();
-  const auto expected_senses = rebuilt.initial_senses();
-  ASSERT_TRUE(std::equal(senses.begin(), senses.end(), expected_senses.begin(),
-                         expected_senses.end()))
-      << context << ": initial senses differ";
-  for (NodeId u = 0; u < patched.num_nodes(); ++u) {
-    ASSERT_EQ(patched.adjacency_begin(u), rebuilt.adjacency_begin(u)) << context << " node " << u;
-    ASSERT_EQ(patched.adjacency_end(u), rebuilt.adjacency_end(u)) << context << " node " << u;
-    ASSERT_EQ(patched.initial_in_degree(u), rebuilt.initial_in_degree(u))
-        << context << " node " << u;
-    for (CsrPos p = patched.adjacency_begin(u); p < patched.adjacency_end(u); ++p) {
-      ASSERT_EQ(patched.neighbor_at(p), rebuilt.neighbor_at(p)) << context << " pos " << p;
-      ASSERT_EQ(patched.edge_at(p), rebuilt.edge_at(p)) << context << " pos " << p;
-      ASSERT_EQ(patched.mirror(p), rebuilt.mirror(p)) << context << " pos " << p;
-    }
-    const auto in_pos = patched.initial_in_positions(u);
-    const auto expected_in = rebuilt.initial_in_positions(u);
-    ASSERT_TRUE(std::equal(in_pos.begin(), in_pos.end(), expected_in.begin(), expected_in.end()))
-        << context << " node " << u << ": in-partition positions differ";
-    const auto out_pos = patched.initial_out_positions(u);
-    const auto expected_out = rebuilt.initial_out_positions(u);
-    ASSERT_TRUE(
-        std::equal(out_pos.begin(), out_pos.end(), expected_out.begin(), expected_out.end()))
-        << context << " node " << u << ": out-partition positions differ";
-  }
-}
-
-/// Fresh rebuild over the canonically sorted link list — the control the
-/// patched snapshot must match byte for byte.
-CsrGraph rebuild(std::size_t n, const LinkList& sorted_links,
-                 const std::vector<EdgeSense>& senses) {
-  return CsrGraph(Graph(n, sorted_links), senses);
-}
-
-TEST(CsrGraphPatchTest, InsertLinkMatchesFreshRebuild) {
-  const std::size_t n = 8;
-  LinkList links = {{0, 1}, {1, 2}, {2, 5}, {4, 6}};  // sorted canonical
-  std::vector<EdgeSense> senses(links.size(), EdgeSense::kForward);
-  CsrGraph patched = rebuild(n, links, senses);
-  // A mix of first-link, middle-of-block, end-of-block, and adjacent-block
-  // inserts, including an isolated node gaining its first edge.
-  const LinkList inserts = {{0, 7}, {3, 4}, {1, 6}, {0, 2}, {6, 7}, {2, 3}};
-  for (const auto& [u, v] : inserts) {
-    patched.insert_link(u, v);
-    const auto rank = std::lower_bound(links.begin(), links.end(), std::pair{u, v});
-    senses.insert(senses.begin() + (rank - links.begin()), EdgeSense::kForward);
-    links.insert(rank, {u, v});
-    expect_csr_identical(patched, rebuild(n, links, senses),
-                         "after insert {" + std::to_string(u) + "," + std::to_string(v) + "}");
-  }
-}
-
-TEST(CsrGraphPatchTest, RemoveLinkMatchesFreshRebuild) {
-  const std::size_t n = 6;
-  LinkList links = {{0, 1}, {0, 2}, {1, 2}, {1, 4}, {2, 3}, {3, 4}, {4, 5}};
-  std::vector<EdgeSense> senses(links.size(), EdgeSense::kForward);
-  senses[2] = EdgeSense::kBackward;  // one non-canonical sense in the mix
-  CsrGraph patched = rebuild(n, links, senses);
-  const LinkList removals = {{1, 2}, {4, 5}, {0, 1}, {2, 3}};
-  for (const auto& [u, v] : removals) {
-    patched.remove_link(v, u);  // endpoint order must not matter
-    const auto rank = std::lower_bound(links.begin(), links.end(), std::pair{u, v});
-    senses.erase(senses.begin() + (rank - links.begin()));
-    links.erase(rank);
-    expect_csr_identical(patched, rebuild(n, links, senses),
-                         "after remove {" + std::to_string(u) + "," + std::to_string(v) + "}");
-  }
-}
-
 TEST(CsrGraphPatchTest, RandomizedChurnStaysIdenticalToRebuilds) {
+  // A CsrGraph is never patched: link churn updates DynamicHeightsDag's
+  // per-node neighbour lists in place.  After every random insert or
+  // remove, those lists and the DAG's height orientation must equal a
+  // CsrGraph rebuilt from scratch over the same link set, with each
+  // link's sense read off the heights.
   const std::size_t n = 16;
   std::mt19937_64 rng(2024);
-  LinkList links;
-  std::vector<EdgeSense> senses;
-  // Seed with a random link set (sorted canonical, random senses).
+  std::vector<std::pair<NodeId, NodeId>> links;  // sorted canonical
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng() % 3 == 0) {
-        links.push_back({u, v});
-        senses.push_back(rng() % 2 == 0 ? EdgeSense::kForward : EdgeSense::kBackward);
-      }
+      if (rng() % 3 == 0) links.push_back({u, v});
     }
   }
-  CsrGraph patched = rebuild(n, links, senses);
+  DynamicHeightsDag dag(Graph(n, links), 0);
   for (int op = 0; op < 200; ++op) {
     const NodeId u = static_cast<NodeId>(rng() % n);
     NodeId v = static_cast<NodeId>(rng() % n);
@@ -264,46 +188,35 @@ TEST(CsrGraphPatchTest, RandomizedChurnStaysIdenticalToRebuilds) {
     const auto link = u < v ? std::pair{u, v} : std::pair{v, u};
     const auto rank = std::lower_bound(links.begin(), links.end(), link);
     if (rank != links.end() && *rank == link) {
-      patched.remove_link(u, v);
-      senses.erase(senses.begin() + (rank - links.begin()));
+      dag.remove_link(u, v);
       links.erase(rank);
     } else {
-      const EdgeSense sense = rng() % 2 == 0 ? EdgeSense::kForward : EdgeSense::kBackward;
-      patched.insert_link(u, v, sense);
-      senses.insert(senses.begin() + (rank - links.begin()), sense);
+      dag.add_link(u, v);
       links.insert(rank, link);
     }
-    expect_csr_identical(patched, rebuild(n, links, senses), "op " + std::to_string(op));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
+    if (op % 4 == 0) dag.stabilize();  // reverse some links so senses mix
 
-TEST(CsrGraphPatchTest, RejectsBadPatchArguments) {
-  CsrGraph csr(Graph(4, {{0, 1}, {1, 2}}));
-  EXPECT_THROW(csr.insert_link(0, 0), std::invalid_argument);   // self loop
-  EXPECT_THROW(csr.insert_link(0, 9), std::invalid_argument);   // out of range
-  EXPECT_THROW(csr.insert_link(0, 1), std::invalid_argument);   // already present
-  EXPECT_THROW(csr.remove_link(0, 2), std::invalid_argument);   // absent
-  EXPECT_THROW(csr.remove_link(0, 9), std::invalid_argument);   // out of range
-  EXPECT_THROW(csr.remove_link(2, 2), std::invalid_argument);   // self loop
-}
-
-TEST(CsrGraphPatchTest, PatchedSnapshotDrivesTheEngineLikeARebuiltOne) {
-  // End-to-end sanity: the patched snapshot must be a fully valid
-  // execution substrate, not just structurally equal (mirrors, partitions,
-  // and degrees all feed the engine's kernels via attach/reset).
-  const std::size_t n = 10;
-  LinkList links = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {8, 9}};
-  std::vector<EdgeSense> senses(links.size(), EdgeSense::kForward);
-  CsrGraph patched = rebuild(n, links, senses);
-  patched.insert_link(7, 8);
-  patched.remove_link(8, 9);
-  const LinkList expected_links = {{0, 1}, {1, 2}, {2, 3}, {3, 4},
-                                   {4, 5}, {5, 6}, {6, 7}, {7, 8}};
-  const CsrGraph control =
-      rebuild(n, expected_links, std::vector<EdgeSense>(8, EdgeSense::kForward));
-  for (NodeId u = 0; u < n; ++u) {
-    ASSERT_EQ(patched.initial_out_degree(u), control.initial_out_degree(u)) << u;
+    std::vector<EdgeSense> senses;
+    for (const auto& [a, b] : links) {
+      senses.push_back(dag.directed_from(a, b) ? EdgeSense::kForward : EdgeSense::kBackward);
+    }
+    const CsrGraph rebuilt(Graph(n, links), senses);
+    for (NodeId w = 0; w < n; ++w) {
+      const auto mine = dag.neighbors(w);
+      const auto theirs = rebuilt.neighbors(w);
+      ASSERT_TRUE(std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end()))
+          << "op " << op << " node " << w << ": neighbour lists differ";
+      std::vector<NodeId> out;
+      for (const NodeId x : mine) {
+        if (dag.directed_from(w, x)) out.push_back(x);
+      }
+      const auto rebuilt_out = rebuilt.initial_out_neighbors(w);
+      std::vector<NodeId> expected_out(rebuilt_out.begin(), rebuilt_out.end());
+      std::sort(expected_out.begin(), expected_out.end());
+      ASSERT_EQ(out, expected_out) << "op " << op << " node " << w;
+      ASSERT_EQ(dag.is_sink(w), rebuilt.degree(w) > 0 && rebuilt.initial_out_degree(w) == 0)
+          << "op " << op << " node " << w;
+    }
   }
 }
 

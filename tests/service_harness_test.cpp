@@ -2,7 +2,7 @@
 /// byte-identical traces and histograms at every worker count and under
 /// both event-scheduler backends, exactly-once request accounting
 /// through partition-and-heal fault injection, patch-only (rebuild-free)
-/// churn through the incremental CSR path, and sweep integration — the
+/// churn through the DAGs' in-place link updates, and sweep integration — the
 /// service kernel rides WorkerPoolCache instead of spawning a pool per
 /// run, and its records are invariant across sim_threads / scheduler /
 /// process sharding.
@@ -209,8 +209,8 @@ TEST(ServiceHarnessFaults, FailuresDuringPartitionAreStampedPartitioned) {
 
 TEST(ServiceHarnessFaults, ChurnRidesTheIncrementalPatchPath) {
   // Steady-state churn must flow through add_link/remove_link patches:
-  // the only snapshot rebuilds are the three services' construction
-  // freezes, no matter how many links flip mid-run.
+  // the only adjacency builds are the three services' constructions, no
+  // matter how many links flip mid-run.
   const Instance inst = random_instance(24);
   ServiceOptions options;
   options.clients = 6;

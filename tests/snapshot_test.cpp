@@ -130,27 +130,6 @@ TEST(Snapshot, MaterializedCopyOutlivesTheMapping) {
   EXPECT_EQ(copy.fingerprint(), csr.fingerprint());
 }
 
-TEST(Snapshot, PatchingABorrowedSnapshotMaterializesFirst) {
-  const TempDir dir;
-  const Instance instance = sample_instance();
-  const CsrGraph csr(instance.graph, instance.senses);
-  const std::string path = dir.file("patch.lrsnap");
-  save_snapshot(path, instance, csr);
-
-  const Snapshot loaded = Snapshot::load(path);
-  CsrGraph patched = loaded.csr();
-  const std::uint64_t initial = patched.fingerprint();
-  const auto [u, v] = instance.graph.edges().front();
-  const EdgeSense sense = instance.senses.front();
-  patched.remove_link(u, v);
-  EXPECT_FALSE(patched.is_borrowed()) << "patching must not write through the mmap";
-  EXPECT_NE(patched.fingerprint(), initial);
-  patched.insert_link(u, v, sense);
-  EXPECT_EQ(patched.fingerprint(), initial);
-  // The mapping itself stayed pristine.
-  EXPECT_EQ(loaded.csr().fingerprint(), initial);
-}
-
 TEST(Snapshot, SaveIsAtomicAndIdempotent) {
   const TempDir dir;
   const Instance instance = sample_instance();
