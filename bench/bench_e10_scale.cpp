@@ -26,7 +26,7 @@
 ///         with a cold snapshot dir (saves), a warm one (mmap reloads,
 ///         i.e. borrowed CsrGraphs), and at 2 / 4 worker processes
 ///         sharing the snapshot dir — the merge contract of
-///         runner/process_runner.hpp extended to the mmap path.
+///         runner/shard_coordinator.hpp extended to the mmap path.
 ///
 /// Like every harness: verification gates first (the binary exits
 /// non-zero on any mismatch), timings second.  `--smoke` runs the full
@@ -47,9 +47,10 @@
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "routing/dynamic_heights.hpp"
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "runner/shard_coordinator.hpp"
+#include "runner/shard_server.hpp"
 
 namespace lr {
 namespace {
@@ -390,9 +391,10 @@ bool print_deployment_series(bool smoke) {
       }
     }
     for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-      ProcessShardRunner runner(
-          {.threads = 1, .process_workers = workers, .snapshot_dir = dir.path});
-      add_row("processes n=" + std::to_string(workers), fingerprint_of(runner.run(sweep)), 0);
+      ShardCoordinator coordinator = make_shard_coordinator(
+          {.threads = 1, .process_workers = workers, .snapshot_dir = dir.path}, {});
+      add_row("processes n=" + std::to_string(workers), fingerprint_of(coordinator.run(sweep)),
+              0);
     }
   }
   bench::emit_csv(table);
@@ -437,7 +439,7 @@ BENCHMARK(BM_SnapshotLoad)->Arg(64)->Arg(256);
 
 int main(int argc, char** argv) {
   // Self-hosting sweep worker for the E10.4 deployment A/B: the
-  // ProcessShardRunner fork/execs this very binary (/proc/self/exe).
+  // process transport fork/execs this very binary (/proc/self/exe).
   if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
     return lr::sweep_worker_main(argc, argv);
   }

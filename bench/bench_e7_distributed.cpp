@@ -25,8 +25,9 @@
 /// delivered-messages/sec figures are trusted.
 ///
 /// E7.8 is the process-shard A/B: the same sweep executed by the
-/// in-process ScenarioRunner and by the multi-process ProcessShardRunner
-/// at 2 and 4 worker processes (runner/process_runner.hpp).  The full
+/// in-process ScenarioRunner and by the shard coordinator over 2 and 4
+/// local worker processes (make_shard_coordinator in
+/// runner/shard_coordinator.hpp).  The full
 /// record + aggregate CSV of every deployment must hash to the
 /// single-process fingerprint — the merge contract is byte-identity, not
 /// statistical agreement — before the sweep-runs/sec scaling figures are
@@ -36,8 +37,8 @@
 ///
 /// E7.9 is the multi-host A/B: the same sweep served by loopback-TCP
 /// `shard-server` endpoints (runner/shard_server.hpp, embedded in this
-/// process so the harness stays self-contained) through the
-/// MultiHostShardRunner at 2 hosts x 1 and 2 hosts x 2 workers.  Table
+/// process so the harness stays self-contained) through the same
+/// coordinator at 2 hosts x 1 and 2 hosts x 2 workers.  Table
 /// fingerprints must match the in-process baseline exactly; the
 /// sweeps/sec column is the loopback-TCP counterpart of E7.8's fork/exec
 /// figures (docs/PERFORMANCE.md compares the two dataplane overheads).
@@ -49,7 +50,6 @@
 
 #include "graph/generators.hpp"
 #include "routing/tora.hpp"
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/shard_coordinator.hpp"
 #include "runner/shard_server.hpp"
@@ -393,10 +393,11 @@ bool print_process_shard_series(bool smoke) {
     add_row("in-process t=1", fingerprint, ns, runs);
   }
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    ProcessShardRunner runner({.threads = 1, .process_workers = workers});
+    ShardCoordinator coordinator =
+        make_shard_coordinator({.threads = 1, .process_workers = workers}, {});
     std::uint64_t fingerprint = 0;
     const double ns = bench::measure_ns_per_iter(
-        [&] { fingerprint = fingerprint_of(runner.run(sweep)); }, smoke ? 1 : 3,
+        [&] { fingerprint = fingerprint_of(coordinator.run(sweep)); }, smoke ? 1 : 3,
         smoke ? 0.0 : 200.0);
     const std::string label = "processes n=" + std::to_string(workers);
     add_row(label.c_str(), fingerprint, ns, runs);
@@ -463,8 +464,8 @@ bool print_multi_host_series(bool smoke) {
     std::uint64_t fingerprint = 0;
     const double ns = bench::measure_ns_per_iter(
         [&] {
-          MultiHostShardRunner runner({.threads = 1}, hosts);
-          fingerprint = fingerprint_of(runner.run(sweep));
+          ShardCoordinator coordinator = make_shard_coordinator({.threads = 1}, hosts);
+          fingerprint = fingerprint_of(coordinator.run(sweep));
         },
         smoke ? 1 : 3, smoke ? 0.0 : 200.0);
     add_row("hosts 2x" + std::to_string(workers), fingerprint, ns, runs);
@@ -499,7 +500,7 @@ BENCHMARK(BM_ChurnScenario)->Arg(32)->Arg(128);
 
 int main(int argc, char** argv) {
   // Self-hosting sweep worker for the E7.8 process-shard A/B: the
-  // ProcessShardRunner fork/execs this very binary (/proc/self/exe).
+  // process transport fork/execs this very binary (/proc/self/exe).
   if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
     return lr::sweep_worker_main(argc, argv);
   }

@@ -25,10 +25,12 @@
 ///       stdout — byte-identical for every --threads and --cache-cap value
 ///       (the cap LRU-bounds the sweep's frozen-instance cache; 0 =
 ///       unbounded, the default).  --processes N shards the sweep across N
-///       shared-nothing `sweep-worker` child processes with crash-isolated
-///       retries (--retries, default 2); tables stay byte-identical to the
-///       in-process run at every worker count.  With --processes, --threads
-///       sets each worker's internal thread count (default 1).
+///       shared-nothing `sweep-worker` child processes, each serving the
+///       same shard session as `shard-server` over a socketpair, with
+///       heartbeats both ways and crash-isolated retries (--retries,
+///       default 2); tables stay byte-identical to the in-process run at
+///       every worker count.  With --processes, --threads sets each
+///       worker's internal thread count (default 1).
 ///       --snapshot-dir DIR persists each generated workload as an
 ///       mmap-reloadable snapshot file in DIR (created if absent) and
 ///       reloads it on later sweeps — and, with --processes, in every
@@ -50,8 +52,8 @@
 ///       sweep; `-` logs to stderr.  Requires --processes or --hosts.
 ///
 ///   lr_cli shard-server --listen <port> [--bind <address>]
-///       The worker daemon of `sweep --hosts`: serves shard-protocol v3
-///       connections (one shard per connection) until SIGINT/SIGTERM.
+///       The worker daemon of `sweep --hosts`: serves shard-protocol
+///       sessions (one shard per connection) until SIGINT/SIGTERM.
 ///       Prints "shard-server listening on <address>:<port>" when ready.
 ///
 ///   lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>
@@ -71,11 +73,12 @@
 ///       under both --scheduler backends (the determinism contract);
 ///       wall-clock throughput goes to stderr.
 ///
-///   lr_cli sweep-worker ... (internal)
-///       Child-process entry point spawned by `sweep --processes N`; reads
-///       the spec on stdin and emits binary shard frames on stdout.  Not
-///       for direct invocation.
+///   lr_cli sweep-worker (internal)
+///       Child-process entry point spawned by `sweep --processes N`: serves
+///       one shard session over the socketpair end it inherits as stdin
+///       and stdout.  Not for direct invocation.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -95,7 +98,6 @@
 #include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "graph/snapshot.hpp"
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_coordinator.hpp"
@@ -119,7 +121,8 @@ int usage() {
                " [--records out.csv] [--json out.json]\n"
                "               [--processes N] [--retries N] [--snapshot-dir DIR]\n"
                "               [--hosts host:port[*W],...] [--shard-log PATH|-]\n"
-               "      --processes shards the sweep across N worker processes (>= 1);\n"
+               "      --processes shards the sweep across N local worker processes\n"
+               "      (>= 1), each serving the shard-server session over a socketpair;\n"
                "      tables are byte-identical to the in-process run at every N\n"
                "      --snapshot-dir persists workloads as mmap snapshot files and\n"
                "      reloads them on later sweeps and in every worker process\n"
@@ -360,19 +363,27 @@ int cmd_sweep(int argc, char** argv) {
   std::string deployment;
   std::vector<ShardDiagnostics> shard_diagnostics;
   const auto started = std::chrono::steady_clock::now();
-  if (!hosts.empty()) {
-    // Multi-host backend: shards go to remote `lr_cli shard-server`
-    // daemons over TCP.  --threads is per remote worker lane and
-    // defaults to 1, same reasoning as --processes.  --processes N here
-    // means "N-local-worker fallback if every host dies".
+  if (!hosts.empty() || options.process_workers > 0) {
+    // Sharded backends: local worker processes, or remote `lr_cli
+    // shard-server` daemons over TCP, where --processes N instead arms an
+    // N-worker local fallback engaged only if every host dies.  Each
+    // worker is shared-nothing, so --threads is per worker and defaults
+    // to 1 (not hardware concurrency, which would oversubscribe N-fold).
     if (!threads_given) options.threads = 1;
-    MultiHostShardRunner runner(options, hosts);
-    if (runner.total_workers() > spec.run_count()) {
-      std::fprintf(stderr, "note: %zu remote worker(s) clamped to %zu (one shard per run)\n",
-                   runner.total_workers(), spec.run_count());
+    ShardCoordinator coordinator = make_shard_coordinator(options, hosts);
+    const std::size_t capacity = coordinator.total_capacity();
+    const std::size_t workers = std::min(capacity, spec.run_count());
+    if (workers < capacity) {
+      if (hosts.empty()) {
+        std::fprintf(stderr, "note: --processes %zu clamped to %zu (one shard per run)\n",
+                     capacity, workers);
+      } else {
+        std::fprintf(stderr, "note: %zu remote worker(s) clamped to %zu (one shard per run)\n",
+                     capacity, workers);
+      }
     }
-    report = runner.run(spec);
-    shard_diagnostics = runner.shard_diagnostics();
+    report = coordinator.run(spec);
+    shard_diagnostics = coordinator.shard_diagnostics();
     std::size_t retries = 0;
     for (const ShardDiagnostics& diag : shard_diagnostics) {
       retries += diag.failures.size();
@@ -380,33 +391,14 @@ int cmd_sweep(int argc, char** argv) {
         std::fprintf(stderr, "shard %zu retry: %s\n", diag.shard, failure.c_str());
       }
     }
-    deployment = std::to_string(hosts.size()) + " host(s) x " +
-                 std::to_string(runner.total_workers()) + " worker(s) x " +
-                 std::to_string(options.threads) + " thread(s), " + std::to_string(retries) +
-                 " shard retry(ies)";
-    if (runner.fallback_engaged()) deployment += ", local fallback engaged";
-  } else if (options.process_workers > 0) {
-    // Multi-process backend: each worker is shared-nothing, so --threads
-    // is per worker and defaults to 1 (not hardware concurrency, which
-    // would oversubscribe the host N-fold).
-    if (!threads_given) options.threads = 1;
-    ProcessShardRunner runner(options);
-    const std::size_t workers = runner.resolved_workers(spec.run_count());
-    if (workers < options.process_workers) {
-      std::fprintf(stderr, "note: --processes %zu clamped to %zu (one shard per run)\n",
-                   options.process_workers, workers);
-    }
-    report = runner.run(spec);
-    shard_diagnostics = runner.shard_diagnostics();
-    std::size_t retries = 0;
-    for (const ShardDiagnostics& diag : shard_diagnostics) {
-      retries += diag.failures.size();
-      for (const std::string& failure : diag.failures) {
-        std::fprintf(stderr, "shard %zu retry: %s\n", diag.shard, failure.c_str());
-      }
-    }
-    deployment = std::to_string(workers) + " process(es) x " + std::to_string(options.threads) +
-                 " thread(s), " + std::to_string(retries) + " worker retry(ies)";
+    const std::string threads = std::to_string(options.threads) + " thread(s), ";
+    deployment = hosts.empty()
+                     ? std::to_string(workers) + " process(es) x " + threads +
+                           std::to_string(retries) + " worker retry(ies)"
+                     : std::to_string(hosts.size()) + " host(s) x " + std::to_string(capacity) +
+                           " worker(s) x " + threads + std::to_string(retries) +
+                           " shard retry(ies)";
+    if (coordinator.fallback_engaged()) deployment += ", local fallback engaged";
   } else {
     const ScenarioRunner runner(options);
     report = runner.run(spec);
@@ -613,9 +605,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   // The internal worker entry point dispatches before anything touches
-  // stdout: its stdout is a binary frame pipe, not a terminal surface.
+  // stdout: its stdout is the session socket, not a terminal surface.
   // (sweep_worker_main itself rejects invocations that did not come from
-  // a ProcessShardRunner parent, with a readable explanation.)
+  // a sharded sweep, with a readable explanation.)
   if (command == "sweep-worker") return lr::sweep_worker_main(argc, argv);
   // The shard-server daemon owns its own argv/signal handling and ready
   // line; it dispatches outside the generic catch so its exit codes (2 on

@@ -17,8 +17,8 @@
 /// out exactly as it lives in memory and padded to 8-byte alignment.
 /// Loading is therefore `mmap` + pointer arithmetic + `CsrGraph::borrow`
 /// — zero fixup, zero per-element work, and the page cache shares the
-/// bytes across every process mapping the same file (the multi-process
-/// sweep shards of runner/process_runner.hpp).
+/// bytes across every process mapping the same file (the worker processes
+/// of a sharded sweep, runner/shard_coordinator.hpp).
 ///
 /// Integrity over portability: the header carries a magic, a version, the
 /// array extents, and an FNV-1a checksum over the payload, and `load`

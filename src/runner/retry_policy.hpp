@@ -5,10 +5,9 @@
 #include <cstdint>
 
 /// \file retry_policy.hpp
-/// The retry/backoff policy shared by every shard dataplane backend
-/// (runner/process_runner.hpp, runner/shard_coordinator.hpp): how many
-/// attempts a failing shard gets, and how long the coordinator waits
-/// before each re-dispatch.
+/// The retry/backoff policy of the shard coordinator
+/// (runner/shard_coordinator.hpp): how many attempts a failing shard
+/// gets, and how long the coordinator waits before each re-dispatch.
 ///
 /// The delay schedule is capped exponential backoff with *deterministic*
 /// seeded jitter: `delay(attempt)` is a pure function of (policy, shard,

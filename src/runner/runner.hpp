@@ -259,34 +259,34 @@ struct RunnerOptions {
   /// Purely a memory knob: records are byte-identical at every value.
   std::size_t cache_max_entries = 0;
 
-  /// Worker *processes* of the multi-process sweep backend
-  /// (runner/process_runner.hpp): 0 = in-process execution on this
+  /// Worker *processes* of a sharded sweep (make_shard_coordinator in
+  /// runner/shard_coordinator.hpp): 0 = in-process execution on this
   /// runner's thread pool (the default), N >= 1 = shard the expanded run
   /// list across N shared-nothing `sweep-worker` child processes (clamped
   /// to the run count).  Like `threads`, a pure deployment knob: the
   /// merged tables are byte-identical at every value by construction.
   std::size_t process_workers = 0;
 
-  /// How many times a crashed / stalled / protocol-violating worker's
-  /// shard is retried in a fresh process before the whole sweep fails
-  /// loudly (process_workers > 0 only).  Total attempts per shard is
+  /// How many times a crashed / unresponsive / protocol-violating
+  /// worker's shard is retried before the whole sweep fails loudly
+  /// (sharded sweeps only).  Total attempts per shard is
   /// 1 + worker_retries.
   std::size_t worker_retries = 2;
 
-  /// Inactivity watchdog per worker process in milliseconds: a worker
-  /// that emits no frame for this long is presumed wedged, killed, and
-  /// retried (process_workers > 0 only).  The LR_TEST_WORKER_TIMEOUT_MS
-  /// environment variable overrides it (test hook for the stall-fault
-  /// battery).
+  /// Inactivity watchdog per worker in milliseconds: a worker that sends
+  /// no frame for this long — not even the heartbeats it sends while a
+  /// long run computes — is presumed unresponsive, aborted, and retried
+  /// (sharded sweeps only).  The LR_TEST_WORKER_TIMEOUT_MS environment
+  /// variable overrides it (test hook for the stall-fault battery).
   int worker_timeout_ms = 30'000;
 
   /// Directory of mmap-backed instance snapshot files shared by the
   /// sweep's caches (see SweepCache's snapshot_dir constructor); empty =
-  /// disabled.  With process_workers > 0 the directory is forwarded to
-  /// every `sweep-worker` child, so all shards mmap the same files and
-  /// the kernel shares one physical copy of each workload's pages across
-  /// the whole worker fleet.  Purely a performance knob: tables are
-  /// byte-identical with and without it.
+  /// disabled.  With process_workers > 0 the shard request carries the
+  /// directory to every `sweep-worker` child, so all shards mmap the same
+  /// files and the kernel shares one physical copy of each workload's
+  /// pages across the whole worker fleet.  Purely a performance knob:
+  /// tables are byte-identical with and without it.
   std::string snapshot_dir;
 };
 

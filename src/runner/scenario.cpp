@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <concepts>
+#include <limits>
 #include <istream>
 #include <set>
 #include <sstream>
@@ -27,6 +29,7 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t value) { return splitmix64(h ^ 
 constexpr std::uint64_t kInstanceDomain = 0x1a57a9cee1ULL;
 constexpr std::uint64_t kSchedulerDomain = 0x5c4ed01e5ULL;
 constexpr std::uint64_t kNetworkDomain = 0x4e7320a11ULL;
+constexpr std::uint64_t kSpecDomain = 0x5bec0d16e5ULL;
 
 }  // namespace
 
@@ -39,6 +42,20 @@ std::uint64_t RunSpec::instance_seed() const {
 std::uint64_t RunSpec::scheduler_seed() const { return mix(kSchedulerDomain, instance_seed()); }
 
 std::uint64_t RunSpec::network_seed() const { return mix(kNetworkDomain, instance_seed()); }
+
+std::uint64_t spec_digest(const RunSpec& spec) {
+  // Each fold is a bijection of the running state for fixed later
+  // inputs, so changing any one field changes the digest.
+  std::uint64_t h = mix(kSpecDomain, static_cast<std::uint64_t>(spec.topology));
+  h = mix(h, spec.size);
+  h = mix(h, static_cast<std::uint64_t>(spec.algorithm));
+  h = mix(h, static_cast<std::uint64_t>(spec.scheduler));
+  h = mix(h, spec.seed);
+  for_each_scalar(spec, [&h](const char*, const auto& field) {
+    h = mix(h, static_cast<std::uint64_t>(field));
+  });
+  return h;
+}
 
 namespace {
 
@@ -230,20 +247,12 @@ std::vector<RunSpec> SweepSpec::expand() const {
         for (const SchedulerKind scheduler : schedulers) {
           for (const std::uint64_t seed : seeds) {
             RunSpec spec;
+            static_cast<SpecScalars&>(spec) = *this;
             spec.topology = topology;
             spec.size = size;
             spec.algorithm = algorithm;
             spec.scheduler = scheduler;
             spec.seed = seed;
-            spec.max_steps = max_steps;
-            spec.path = path;
-            spec.engine_threads = engine_threads;
-            spec.sim_scheduler = sim_scheduler;
-            spec.sim_threads = sim_threads;
-            spec.service_workload = service_workload;
-            spec.service_clients = service_clients;
-            spec.service_duration = service_duration;
-            spec.churn_events = churn_events;
             runs.push_back(spec);
           }
         }
@@ -280,7 +289,15 @@ std::uint64_t parse_u64(const std::string& token) {
       })) {
     throw std::invalid_argument("expected a non-negative integer, got '" + token + "'");
   }
-  return std::stoull(token);
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      throw std::invalid_argument("integer '" + token + "' is out of range");
+    }
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 /// Parses an integer list with `lo..hi` inclusive range sugar.
@@ -296,10 +313,83 @@ std::vector<std::uint64_t> parse_integer_list(const std::string& list) {
     const std::uint64_t lo = parse_u64(trim(token.substr(0, dots)));
     const std::uint64_t hi = parse_u64(trim(token.substr(dots + 2)));
     if (hi < lo) throw std::invalid_argument("descending range '" + token + "'");
-    if (hi - lo + 1 > kMaxRange) throw std::invalid_argument("range too large: '" + token + "'");
-    for (std::uint64_t v = lo; v <= hi; ++v) values.push_back(v);
+    // hi - lo, not hi - lo + 1: the latter wraps to 0 for 0..2^64-1.
+    if (hi - lo >= kMaxRange) throw std::invalid_argument("range too large: '" + token + "'");
+    for (std::uint64_t v = lo;; ++v) {  // `v <= hi` would never fail at hi = 2^64-1
+      values.push_back(v);
+      if (v == hi) break;
+    }
   }
   return values;
+}
+
+/// The single value of scalar `key`'s value list.
+std::string single_value(const std::string& key, const std::string& list) {
+  const std::vector<std::string> values = split_values(list);
+  if (values.size() != 1) throw std::invalid_argument(key + " takes a single value");
+  return values[0];
+}
+
+// Scalar field parsers and printers, one overload per field type of
+// SpecScalars.
+
+template <std::unsigned_integral Integer>
+void parse_scalar(const std::string& key, const std::string& list, Integer& field) {
+  field = static_cast<Integer>(parse_u64(single_value(key, list)));
+}
+void parse_scalar(const std::string& key, const std::string& list, ExecutionPath& field) {
+  field = parse_path(single_value(key, list));
+}
+void parse_scalar(const std::string& key, const std::string& list, EventSchedulerKind& field) {
+  field = parse_event_scheduler(single_value(key, list));
+}
+void parse_scalar(const std::string& key, const std::string& list, ServiceWorkload& field) {
+  field = parse_service_workload(single_value(key, list));
+}
+
+template <std::unsigned_integral Integer>
+std::string scalar_text(Integer field) {
+  return std::to_string(field);
+}
+std::string scalar_text(ExecutionPath field) { return path_token(field); }
+std::string scalar_text(EventSchedulerKind field) { return event_scheduler_token(field); }
+std::string scalar_text(ServiceWorkload field) { return service_workload_token(field); }
+
+/// Parses one `key = values` line into `spec`; false when `key` names
+/// neither an axis nor a scalar.
+bool parse_line(const std::string& key, const std::string& values, SweepSpec& spec) {
+  if (key == "topology") {
+    for (const std::string& token : split_values(values)) {
+      spec.topologies.push_back(parse_topology(token));
+    }
+  } else if (key == "size") {
+    for (const std::uint64_t v : parse_integer_list(values)) {
+      spec.sizes.push_back(static_cast<std::size_t>(v));
+    }
+  } else if (key == "algorithm") {
+    for (const std::string& token : split_values(values)) {
+      spec.algorithms.push_back(parse_algorithm(token));
+    }
+  } else if (key == "scheduler") {
+    for (const std::string& token : split_values(values)) {
+      spec.schedulers.push_back(parse_scheduler(token));
+    }
+  } else if (key == "seed") {
+    spec.seeds = parse_integer_list(values);
+  } else {
+    bool known = false;
+    for_each_scalar(spec, [&](const char* name, auto& field) {
+      if (key != name) return;
+      known = true;
+      parse_scalar(key, values, field);
+    });
+    if (!known) return false;
+    // The one scalar with a floor: a service with no clients is meaningless.
+    if (spec.service_clients == 0) {
+      throw std::invalid_argument("service_clients takes a single value >= 1");
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -327,71 +417,7 @@ SweepSpec SweepSpec::parse(std::istream& is) {
                                   ": duplicate key '" + key + "'");
     }
     try {
-      if (key == "topology") {
-        for (const std::string& token : split_values(values)) {
-          spec.topologies.push_back(parse_topology(token));
-        }
-      } else if (key == "size") {
-        for (const std::uint64_t v : parse_integer_list(values)) {
-          spec.sizes.push_back(static_cast<std::size_t>(v));
-        }
-      } else if (key == "algorithm") {
-        for (const std::string& token : split_values(values)) {
-          spec.algorithms.push_back(parse_algorithm(token));
-        }
-      } else if (key == "scheduler") {
-        for (const std::string& token : split_values(values)) {
-          spec.schedulers.push_back(parse_scheduler(token));
-        }
-      } else if (key == "seed") {
-        spec.seeds = parse_integer_list(values);
-      } else if (key == "max_steps") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1) throw std::invalid_argument("max_steps takes a single value");
-        spec.max_steps = list[0];
-      } else if (key == "path") {
-        const auto tokens = split_values(values);
-        if (tokens.size() != 1) throw std::invalid_argument("path takes a single value");
-        spec.path = parse_path(tokens[0]);
-      } else if (key == "engine_threads") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1) throw std::invalid_argument("engine_threads takes a single value");
-        spec.engine_threads = static_cast<std::size_t>(list[0]);
-      } else if (key == "sim_scheduler") {
-        const auto tokens = split_values(values);
-        if (tokens.size() != 1) throw std::invalid_argument("sim_scheduler takes a single value");
-        spec.sim_scheduler = parse_event_scheduler(tokens[0]);
-      } else if (key == "sim_threads") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1) throw std::invalid_argument("sim_threads takes a single value");
-        spec.sim_threads = static_cast<std::size_t>(list[0]);
-      } else if (key == "service_workload") {
-        const auto tokens = split_values(values);
-        if (tokens.size() != 1) {
-          throw std::invalid_argument("service_workload takes a single value");
-        }
-        spec.service_workload = parse_service_workload(tokens[0]);
-      } else if (key == "service_clients") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1 || list[0] == 0) {
-          throw std::invalid_argument("service_clients takes a single value >= 1");
-        }
-        spec.service_clients = static_cast<std::size_t>(list[0]);
-      } else if (key == "service_duration") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1) {
-          throw std::invalid_argument("service_duration takes a single value");
-        }
-        spec.service_duration = list[0];
-      } else if (key == "churn_events") {
-        const auto list = parse_integer_list(values);
-        if (list.size() != 1) {
-          throw std::invalid_argument("churn_events takes a single value");
-        }
-        spec.churn_events = static_cast<std::size_t>(list[0]);
-      } else {
-        throw std::invalid_argument("unknown key '" + key + "'");
-      }
+      if (!parse_line(key, values, spec)) throw std::invalid_argument("unknown key '" + key + "'");
     } catch (const std::invalid_argument& error) {
       throw std::invalid_argument("sweep spec line " + std::to_string(line_number) + ": " +
                                   error.what());
@@ -432,15 +458,9 @@ std::string format_sweep_spec(const SweepSpec& spec) {
   list_line("algorithm", spec.algorithms, algorithm_token);
   list_line("scheduler", spec.schedulers, scheduler_token);
   list_line("seed", spec.seeds, integer);
-  os << "max_steps = " << spec.max_steps << "\n";
-  os << "path = " << path_token(spec.path) << "\n";
-  os << "engine_threads = " << spec.engine_threads << "\n";
-  os << "sim_scheduler = " << event_scheduler_token(spec.sim_scheduler) << "\n";
-  os << "sim_threads = " << spec.sim_threads << "\n";
-  os << "service_workload = " << service_workload_token(spec.service_workload) << "\n";
-  os << "service_clients = " << spec.service_clients << "\n";
-  os << "service_duration = " << spec.service_duration << "\n";
-  os << "churn_events = " << spec.churn_events << "\n";
+  for_each_scalar(spec, [&os](const char* key, const auto& field) {
+    os << key << " = " << scalar_text(field) << "\n";
+  });
   return os.str();
 }
 

@@ -90,60 +90,96 @@ const char* path_token(ExecutionPath path);
 /// unknown.
 ExecutionPath parse_path(const std::string& token);
 
-/// One fully resolved scenario: a point of the sweep's cartesian product.
-struct RunSpec {
+/// The nine scalar options of a sweep, declared once: a SweepSpec holds
+/// one value of each and stamps it on every RunSpec it expands to, so both
+/// derive from this struct.  Every place that names the fields one by one
+/// (the spec parser, format_sweep_spec(), spec_digest()) walks them
+/// through for_each_scalar() below, and expand() copies this base whole.
+///
+/// The fields are scalars, not axes, for one of two reasons: a
+/// performance switch leaves every record byte-identical at every value
+/// (path, engine_threads, sim_scheduler, sim_threads), so sweeping it
+/// would only duplicate rows; the rest parameterize a workload rather than
+/// name an independent axis (sweep the algorithm axis to compare kernels).
+struct SpecScalars {
+  /// `max_steps =`: the per-run step/round safety budget.
+  std::uint64_t max_steps = 10'000'000;
+
+  /// `path =` (`csr` default, `legacy` for A/B comparison): the execution
+  /// back-end (see ExecutionPath).
+  ExecutionPath path = ExecutionPath::kCsr;
+
+  /// `engine_threads =`: worker threads of the reversal engine's sharded
+  /// greedy-rounds kernel (CSR path, fr/pr kernels only): 1 = serial
+  /// (default), 0 = hardware concurrency, N = a pool of N.  The parallel
+  /// engine is deterministic and byte-identical to the serial one at every
+  /// value (tests/reversal_engine_test.cpp).  A value > 1 borrows a pool
+  /// per worker; worth it on large topologies, overhead on tiny ones.
+  std::size_t engine_threads = 1;
+
+  /// `sim_scheduler =` (`heap` default, `wheel`): the event-scheduler
+  /// backend of the simulated network's time index (dist-fr / dist-pr
+  /// kernels; sim/time_index.hpp).  Pop order, and hence every record, is
+  /// byte-identical across backends (tests/sim_test.cpp).
+  EventSchedulerKind sim_scheduler = EventSchedulerKind::kHeap;
+
+  /// `sim_threads =`: worker threads of the simulated network's sharded
+  /// event loop (dist-fr / dist-pr kernels): 1 = the serial event queue
+  /// (default), 0 = hardware concurrency, N = a pool of N per-node event
+  /// lanes (sim/sharded_loop.hpp).  Byte-identical to the serial loop at
+  /// every value, like engine_threads.  The service kernel reuses this
+  /// knob as the harness's parallel read-phase worker count (same
+  /// contract: reports are byte-identical at every value).
+  std::size_t sim_threads = 1;
+
+  /// `service_workload =` (`mixed` default): the client-request mix of the
+  /// service kernel (service/service_harness.hpp); ignored by every other
+  /// kernel.
+  ServiceWorkload service_workload = ServiceWorkload::kMixed;
+
+  /// `service_clients =` (>= 1): closed-loop client count of the service
+  /// kernel.
+  std::size_t service_clients = 8;
+
+  /// `service_duration =`: virtual-tick duration of the service kernel's
+  /// run.
+  std::uint64_t service_duration = 256;
+
+  /// `churn_events =`: minimum length of the churn schedule attached to a
+  /// `waypoint` workload (make_churn_instance); 0 = a static instance with
+  /// an empty schedule (the default).  The tora kernel replays the
+  /// schedule over the dynamic-heights core when it is non-empty; every
+  /// other kernel measures the static pre-churn instance.  Part of the
+  /// workload identity: SweepCache keys include it so runs with different
+  /// churn schedules can never alias one cached instance.
+  std::size_t churn_events = 0;
+};
+
+/// Calls `visit(key, field)` for each SpecScalars field, in the canonical
+/// order, with `key` the field's spec-file name.  The one list of scalar
+/// fields: the parser, format_sweep_spec() and spec_digest() walk it
+/// instead of naming the fields themselves.
+template <typename Scalars, typename Visit>
+void for_each_scalar(Scalars& scalars, Visit&& visit) {
+  visit("max_steps", scalars.max_steps);
+  visit("path", scalars.path);
+  visit("engine_threads", scalars.engine_threads);
+  visit("sim_scheduler", scalars.sim_scheduler);
+  visit("sim_threads", scalars.sim_threads);
+  visit("service_workload", scalars.service_workload);
+  visit("service_clients", scalars.service_clients);
+  visit("service_duration", scalars.service_duration);
+  visit("churn_events", scalars.churn_events);
+}
+
+/// One fully resolved scenario: a point of the sweep's cartesian product
+/// (the five axis values) plus the sweep's scalar options.
+struct RunSpec : SpecScalars {
   TopologyKind topology = TopologyKind::kChain;  ///< topology family
   std::size_t size = 8;                          ///< nominal instance size
   AlgorithmKind algorithm = AlgorithmKind::kOneStepPR;  ///< kernel to run
   SchedulerKind scheduler = SchedulerKind::kLowestId;   ///< demon resolving nondeterminism
   std::uint64_t seed = 1;      ///< master seed of this run's RNG streams
-  std::uint64_t max_steps = 10'000'000;  ///< step/round safety budget
-  ExecutionPath path = ExecutionPath::kCsr;  ///< execution back-end (A/B switch)
-
-  /// Worker threads of the reversal engine's sharded greedy-rounds kernel
-  /// (CSR path, fr/pr kernels only): 1 = serial (default), 0 = hardware
-  /// concurrency, N = a pool of N.  Purely a performance switch — the
-  /// parallel engine is deterministic and byte-identical to the serial one
-  /// at every value (tests/reversal_engine_test.cpp), so records never
-  /// depend on it.  A value > 1 spawns a short-lived ThreadPool per run;
-  /// worth it on large topologies, overhead on tiny ones.
-  std::size_t engine_threads = 1;
-
-  /// Event-scheduler backend of the simulated network's time index
-  /// (dist-fr / dist-pr kernels): the historical binary heap or the
-  /// hierarchical timing wheel (sim/time_index.hpp).  Purely a performance
-  /// switch — pop order, and hence every record, is byte-identical across
-  /// backends (tests/sim_test.cpp pins the equivalence).
-  EventSchedulerKind sim_scheduler = EventSchedulerKind::kHeap;
-
-  /// Worker threads of the simulated network's sharded event loop
-  /// (dist-fr / dist-pr kernels): 1 = the serial event queue (default),
-  /// 0 = hardware concurrency, N = a pool of N per-node event lanes
-  /// (sim/sharded_loop.hpp).  Deterministic and byte-identical to the
-  /// serial loop at every value, like engine_threads.  The service
-  /// kernel reuses this knob as the harness's parallel read-phase
-  /// worker count (same contract: reports are byte-identical at every
-  /// value).
-  std::size_t sim_threads = 1;
-
-  /// Client-request mix of the service kernel
-  /// (service/service_harness.hpp); ignored by every other kernel.
-  ServiceWorkload service_workload = ServiceWorkload::kMixed;
-
-  /// Closed-loop client count of the service kernel.
-  std::size_t service_clients = 8;
-
-  /// Virtual-tick duration of the service kernel's run.
-  std::uint64_t service_duration = 256;
-
-  /// Minimum length of the churn schedule attached to a `waypoint`
-  /// workload (make_churn_instance); 0 = a static instance with an empty
-  /// schedule (the default).  The tora kernel replays the schedule over
-  /// the dynamic-heights core when it is non-empty; every other kernel
-  /// measures the static pre-churn instance.  Part of the workload
-  /// identity: SweepCache keys include it so runs with different churn
-  /// schedules can never alias one cached instance.
-  std::size_t churn_events = 0;
 
   /// Seed of the instance-construction RNG stream.  Depends only on
   /// (topology, size, seed) — *not* on algorithm or scheduler — so all
@@ -157,6 +193,13 @@ struct RunSpec {
   /// Seed of the network RNG stream (message delays, drops, churn).
   std::uint64_t network_seed() const;
 };
+
+/// 64-bit digest of every field of `spec` (the five axes and the nine
+/// scalars).  Two specs that differ in any one field have different
+/// digests.  A shard worker ships it in each record frame in place of the
+/// spec itself; the coordinator compares it with the digest of its own
+/// expansion's run (runner/shard_protocol.hpp).
+std::uint64_t spec_digest(const RunSpec& spec);
 
 /// SplitMix64 — the seed-derivation hash behind the per-run RNG streams.
 std::uint64_t splitmix64(std::uint64_t x);
@@ -201,11 +244,11 @@ AlgorithmKind parse_algorithm(const std::string& token);
 SchedulerKind parse_scheduler(const std::string& token);
 
 /// A declarative sweep: the five value lists whose cartesian product is
-/// the set of runs, plus the shared step budget.
+/// the set of runs, plus the scalar options stamped on every run.
 ///
 /// Text form (see docs/EXPERIMENTS.md §"Sweep specs"): one `key = values`
-/// line per axis, `#` comments, values comma-separated, integer axes also
-/// accepting inclusive `lo..hi` ranges:
+/// line per axis or scalar, `#` comments, values comma-separated, integer
+/// axes also accepting inclusive `lo..hi` ranges:
 ///
 ///     topology  = chain, random
 ///     size      = 16, 32
@@ -215,48 +258,14 @@ SchedulerKind parse_scheduler(const std::string& token);
 ///     max_steps = 1000000
 ///
 /// `scheduler` defaults to `lowest` and `seed` to `1` when omitted;
-/// `topology`, `size`, and `algorithm` are required.
-struct SweepSpec {
+/// `topology`, `size`, and `algorithm` are required.  A scalar takes a
+/// single value.
+struct SweepSpec : SpecScalars {
   std::vector<TopologyKind> topologies;     ///< `topology =` axis
   std::vector<std::size_t> sizes;           ///< `size =` axis
   std::vector<AlgorithmKind> algorithms;    ///< `algorithm =` axis
   std::vector<SchedulerKind> schedulers;    ///< `scheduler =` axis
   std::vector<std::uint64_t> seeds;         ///< `seed =` axis
-  std::uint64_t max_steps = 10'000'000;     ///< per-run safety budget
-  /// `path =` scalar option (`csr` default, `legacy` for A/B comparison):
-  /// the execution back-end stamped on every expanded run.  A scalar, not
-  /// an axis: results are identical on both paths, so sweeping it would
-  /// only duplicate rows.
-  ExecutionPath path = ExecutionPath::kCsr;
-  /// `engine_threads =` scalar option: the engine's greedy-rounds worker
-  /// count stamped on every expanded run (see RunSpec::engine_threads).
-  /// Also a scalar, for the same reason as `path`: results are identical
-  /// at every thread count by construction.
-  std::size_t engine_threads = 1;
-  /// `sim_scheduler =` scalar option (`heap` default, `wheel` for the
-  /// timing-wheel backend): the network time index stamped on every
-  /// expanded run (see RunSpec::sim_scheduler).  Scalar because records
-  /// are byte-identical across backends.
-  EventSchedulerKind sim_scheduler = EventSchedulerKind::kHeap;
-  /// `sim_threads =` scalar option: the network's sharded-event-loop
-  /// worker count stamped on every expanded run (see RunSpec::sim_threads).
-  /// Scalar because records are byte-identical at every value.
-  std::size_t sim_threads = 1;
-  /// `service_workload =` scalar option (`mixed` default): the service
-  /// kernel's request mix stamped on every expanded run.  A scalar like
-  /// max_steps: it parameterizes the workload rather than naming an
-  /// independent axis (sweep the algorithm axis to compare kernels).
-  ServiceWorkload service_workload = ServiceWorkload::kMixed;
-  /// `service_clients =` scalar option: the service kernel's closed-loop
-  /// client count stamped on every expanded run.
-  std::size_t service_clients = 8;
-  /// `service_duration =` scalar option: the service kernel's virtual-tick
-  /// duration stamped on every expanded run.
-  std::uint64_t service_duration = 256;
-  /// `churn_events =` scalar option: the waypoint churn-schedule length
-  /// stamped on every expanded run (see RunSpec::churn_events).  A scalar
-  /// because it parameterizes the workload, like service_duration.
-  std::size_t churn_events = 0;
 
   /// Number of runs the spec expands to (the axes' size product).
   std::size_t run_count() const;
@@ -266,7 +275,8 @@ struct SweepSpec {
   std::vector<RunSpec> expand() const;
 
   /// Parses the text form.  Throws std::invalid_argument on unknown keys,
-  /// unknown tokens, duplicate keys, or a missing required axis.
+  /// unknown tokens, duplicate keys, a list for a scalar, an integer out
+  /// of range, or a missing required axis; errors on a line name it.
   static SweepSpec parse(std::istream& is);
 
   /// Convenience overload of parse() taking the spec text directly.
@@ -276,9 +286,9 @@ struct SweepSpec {
 /// Canonical text form of a sweep spec: one `key = values` line per axis
 /// plus every scalar option, in a fixed order.  The round-trip contract
 /// `SweepSpec::parse_string(format_sweep_spec(s)).expand() == s.expand()`
-/// is what lets the multi-process sweep backend ship a spec to its worker
-/// processes as text (runner/process_runner.hpp) without the parent and
-/// the workers ever disagreeing about what run #k means.
+/// is what lets a sharded sweep ship a spec to its workers as text
+/// (runner/shard_protocol.hpp) without the coordinator and the workers
+/// ever disagreeing about what run #k means.
 std::string format_sweep_spec(const SweepSpec& spec);
 
 }  // namespace lr

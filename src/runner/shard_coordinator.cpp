@@ -16,18 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The spec axes and scalars must survive the text round-trip to the
-/// worker exactly; every record frame is cross-checked against the
-/// coordinator's own expansion through this.
-bool specs_equal(const RunSpec& a, const RunSpec& b) {
-  return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
-         a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
-         a.path == b.path && a.engine_threads == b.engine_threads &&
-         a.sim_scheduler == b.sim_scheduler && a.sim_threads == b.sim_threads &&
-         a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
-         a.service_duration == b.service_duration && a.churn_events == b.churn_events;
-}
-
 constexpr std::size_t kNoEndpoint = static_cast<std::size_t>(-1);
 
 /// One endpoint the coordinator can dispatch to, with its liveness score.
@@ -118,7 +106,6 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   endpoints.reserve(transports_.size() + 1);
   for (const auto& transport : transports_) endpoints.push_back({transport});
 
-  const SigpipeGuard sigpipe_guard;
   std::vector<SweepCacheStats> shard_cache(shards);
   std::vector<LiveAttempt> live;
   std::vector<PendingShard> pending;
@@ -206,11 +193,13 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         return "out-of-order record (got run #" + std::to_string(record.global_index) +
                ", expected #" + std::to_string(attempt.next_index) + ")";
       }
-      if (!specs_equal(record.record.spec, runs[record.global_index])) {
+      const RunSpec& spec = runs[record.global_index];
+      if (record.spec_digest != spec_digest(spec)) {
         return "record #" + std::to_string(record.global_index) +
-               " carries a spec that differs from the parent's expansion";
+               " carries a spec that differs from the coordinator's expansion";
       }
       report.records[record.global_index] = record.record;
+      report.records[record.global_index].spec = spec;
       ++attempt.next_index;
       return {};
     }
@@ -270,27 +259,28 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
 
       ShardDiagnostics& diag = diagnostics_[job.shard];
       ++diag.attempts;
-      ShardAssignment assignment;
-      assignment.shard = job.shard;
-      assignment.range = ranges[job.shard];
-      assignment.total = total;
-      assignment.attempt = diag.attempts - 1;
-      assignment.spec_text = spec_text;
-      assignment.threads = options_.threads;
-      assignment.cache_cap = options_.cache_cap;
-      assignment.snapshot_dir = options_.snapshot_dir;
-      assignment.start_timeout_ms = options_.start_timeout_ms;
-      assignment.heartbeat_ms = heartbeat_ms;
+      ShardRequestFrame request;
+      request.shard = job.shard;
+      request.begin = ranges[job.shard].begin;
+      request.end = ranges[job.shard].end;
+      request.total = total;
+      request.attempt = diag.attempts - 1;
+      request.threads = options_.threads;
+      request.cache_cap = options_.cache_cap;
+      request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
       // The worker tolerates a few missed coordinator beacons before
       // declaring the coordinator gone and unwinding its session.
-      assignment.liveness_timeout_ms = std::max(2 * timeout_ms, 2'000);
+      request.liveness_timeout_ms = static_cast<std::uint32_t>(std::max(2 * timeout_ms, 2'000));
+      request.spec_text = spec_text;
+      request.snapshot_dir = options_.snapshot_dir;
 
       LiveAttempt attempt;
       attempt.shard = job.shard;
       attempt.endpoint = chosen;
       attempt.started = Clock::now();
       attempt.backoff_ms = job.backoff_ms;
-      ShardStart started = endpoints[chosen].transport->start(assignment);
+      ShardStart started =
+          endpoints[chosen].transport->start(request, options_.start_timeout_ms);
       if (started.channel == nullptr) {
         record_failure(attempt, started.error);
         continue;  // re-scan from the same index (erase shifted the rest)
@@ -432,58 +422,46 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   return report;
 }
 
-namespace {
-
-/// Builds the coordinator a MultiHostShardRunner drives: one TCP
-/// transport per host (each wrapped in a FaultyTransport when the
-/// LR_TEST_TRANSPORT_FAULT knob is set), plus the optional local
-/// process fallback.
-ShardCoordinator make_multi_host_coordinator(const RunnerOptions& options,
-                                             std::vector<HostSpec> hosts,
-                                             std::string fallback_worker_command) {
-  if (hosts.empty()) {
-    throw std::invalid_argument("MultiHostShardRunner: at least one host is required");
+ShardCoordinator make_shard_coordinator(const RunnerOptions& options,
+                                        const std::vector<HostSpec>& hosts) {
+  if (hosts.empty() && options.process_workers == 0) {
+    throw std::invalid_argument(
+        "make_shard_coordinator: need hosts or process_workers >= 1 (0 means in-process; use "
+        "ScenarioRunner)");
   }
   TransportFault fault;
   if (const char* env = std::getenv("LR_TEST_TRANSPORT_FAULT")) {
     if (*env != '\0') fault = parse_transport_fault(env);
   }
   std::vector<std::shared_ptr<ShardTransport>> transports;
-  transports.reserve(hosts.size());
   for (const HostSpec& host : hosts) {
-    std::shared_ptr<ShardTransport> transport =
-        std::make_shared<TcpShardTransport>(host.host, host.port, host.workers);
-    if (fault.kind != TransportFault::Kind::kNone) {
-      transport = std::make_shared<FaultyTransport>(std::move(transport), fault);
-    }
-    transports.push_back(std::move(transport));
+    transports.push_back(std::make_shared<TcpShardTransport>(host.host, host.port, host.workers));
   }
+  // Local worker processes are the primary transport without hosts, and
+  // the fallback with them.
   std::shared_ptr<ShardTransport> fallback;
   if (options.process_workers > 0) {
-    fallback = std::make_shared<ProcessShardTransport>(options.process_workers,
-                                                       std::move(fallback_worker_command));
+    auto processes = std::make_shared<ProcessShardTransport>(options.process_workers);
+    if (hosts.empty()) {
+      transports.push_back(std::move(processes));
+    } else {
+      fallback = std::move(processes);
+    }
+  }
+  if (fault.kind != TransportFault::Kind::kNone) {
+    for (auto& transport : transports) {
+      transport = std::make_shared<FaultyTransport>(std::move(transport), fault);
+    }
   }
   CoordinatorOptions coordinator_options;
   coordinator_options.retry.max_attempts = 1 + options.worker_retries;
   coordinator_options.timeout_ms = options.worker_timeout_ms;
-  coordinator_options.label = "multi-host sweep";
+  coordinator_options.label = hosts.empty() ? "multi-process sweep" : "multi-host sweep";
   coordinator_options.threads = options.threads;
   coordinator_options.cache_cap = options.cache_max_entries;
-  // snapshot_dir is deliberately not forwarded: remote hosts do not
-  // share this coordinator's filesystem (the CLI rejects the combination
-  // outright).
+  if (hosts.empty()) coordinator_options.snapshot_dir = options.snapshot_dir;
   return ShardCoordinator(std::move(coordinator_options), std::move(transports),
                           std::move(fallback));
 }
-
-}  // namespace
-
-MultiHostShardRunner::MultiHostShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
-                                           std::string fallback_worker_command)
-    : coordinator_(
-          make_multi_host_coordinator(options, std::move(hosts),
-                                      std::move(fallback_worker_command))) {}
-
-SweepReport MultiHostShardRunner::run(const SweepSpec& spec) { return coordinator_.run(spec); }
 
 }  // namespace lr

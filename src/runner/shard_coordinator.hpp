@@ -19,23 +19,23 @@
 /// endpoint-death detection, shard reassignment to surviving endpoints,
 /// and the local-process fallback when every remote endpoint is gone.
 ///
-/// Both sweep backends are thin wrappers over this loop:
-/// ProcessShardRunner (runner/process_runner.hpp) hands it one
-/// ProcessShardTransport; MultiHostShardRunner hands it one
+/// make_shard_coordinator() builds the one coordinator `lr_cli sweep`
+/// shards through: one ProcessShardTransport for `--processes`, or one
 /// TcpShardTransport per `--hosts` entry plus an optional process
-/// fallback.  The merge contract is owned here, once: every record is
-/// validated against the coordinator's own expansion and written to its
-/// global slot, so the merged tables are byte-identical to the
-/// in-process runner's at every transport mix, worker count, and fault
-/// schedule — retries and reassignments simply overwrite slots with
-/// identical bytes.
+/// fallback.  The merge contract is owned here, once: every record's spec
+/// digest is checked against the coordinator's own expansion and the
+/// record is written to its global slot with the spec taken from that
+/// expansion, so the merged tables are byte-identical to the in-process
+/// runner's at every transport mix, worker count, and fault schedule —
+/// retries and reassignments simply overwrite slots with identical bytes.
 ///
-/// Liveness state machine (docs/ARCHITECTURE.md §"Multi-host sweep
-/// dataplane"): every live attempt carries a deadline that any received
-/// frame pushes forward; a silent attempt past the deadline is aborted
-/// and charged.  Failures (crash, EOF, protocol violation, stall,
-/// refused connect, heartbeat-write failure) increment the serving
-/// endpoint's consecutive-failure count; at the threshold the endpoint
+/// Liveness state machine (docs/ARCHITECTURE.md §"The shard dataplane"):
+/// every live attempt carries a deadline that any received frame —
+/// worker heartbeats included — pushes forward; a silent attempt past
+/// the deadline is an unresponsive worker, aborted and charged.
+/// Failures (crash, EOF, protocol violation, stall, refused connect,
+/// heartbeat-write failure) increment the serving endpoint's
+/// consecutive-failure count; at the threshold the endpoint
 /// is declared dead and receives no new work, and its shards are
 /// reassigned to surviving endpoints (preferring an endpoint other than
 /// the one that just failed).  An endpoint that later completes a shard
@@ -57,8 +57,8 @@ struct CoordinatorOptions {
   /// LR_TEST_WORKER_TIMEOUT_MS environment variable overrides it.
   int timeout_ms = 30'000;
 
-  /// Budget for establishing one attempt (fork + spec shipping, or
-  /// connect + request shipping).
+  /// Budget for establishing one attempt (fork or connect, then request
+  /// shipping).
   int start_timeout_ms = 5'000;
 
   /// Coordinator -> worker beacon interval; 0 derives timeout_ms / 4.
@@ -73,7 +73,7 @@ struct CoordinatorOptions {
 
   std::size_t threads = 1;      ///< worker-internal thread count
   std::size_t cache_cap = 0;    ///< worker SweepCache LRU bound
-  std::string snapshot_dir;     ///< worker snapshot dir (pipe transport only)
+  std::string snapshot_dir;     ///< worker SweepCache snapshot dir (empty = none)
 };
 
 /// The generic coordinator: shards a sweep across `transports` (and,
@@ -118,41 +118,22 @@ class ShardCoordinator {
   bool fallback_engaged_ = false;
 };
 
-/// Executes sweeps by sharding them across remote `shard-server`
-/// daemons (runner/shard_server.hpp) over TCP — the `lr_cli sweep
-/// --hosts` backend.  Each host serves `HostSpec::workers` concurrent
-/// shard connections; RunnerOptions::process_workers > 0 additionally
-/// arms a local fork/exec fallback engaged only when every host dies.
-/// The LR_TEST_TRANSPORT_FAULT environment variable
-/// (`kind:shard[:attempts]`, kind in connect|drop|corrupt|hbstall|
-/// delay) wraps every host in a deterministic FaultyTransport — the
-/// network fault battery of tests/multi_host_runner_test.cpp.
-class MultiHostShardRunner {
- public:
-  /// Creates a runner over `hosts` (at least one required; throws
-  /// std::invalid_argument on an empty list or a malformed
-  /// LR_TEST_TRANSPORT_FAULT).  `fallback_worker_command` is the binary
-  /// the local fallback fork/execs (empty = this process's own binary).
-  MultiHostShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
-                       std::string fallback_worker_command = {});
-
-  /// Runs the sweep across the hosts; same contract and exception
-  /// behavior as ShardCoordinator::run().
-  SweepReport run(const SweepSpec& spec);
-
-  /// Per-shard attempt/failure log of the most recent run() call.
-  const std::vector<ShardDiagnostics>& shard_diagnostics() const noexcept {
-    return coordinator_.shard_diagnostics();
-  }
-
-  /// True when the most recent run() fell back to local workers.
-  bool fallback_engaged() const noexcept { return coordinator_.fallback_engaged(); }
-
-  /// Total concurrent shard connections across all hosts.
-  std::size_t total_workers() const noexcept { return coordinator_.total_capacity(); }
-
- private:
-  ShardCoordinator coordinator_;
-};
+/// Builds the coordinator of a sharded `lr_cli sweep` from its options.
+/// With no `hosts`, the sweep runs on `options.process_workers` local
+/// worker processes (which must be >= 1) and the workers share
+/// `options.snapshot_dir`.  With hosts, each host serves
+/// `HostSpec::workers` concurrent TCP sessions and `process_workers > 0`
+/// arms a local process fallback engaged only when every host dies;
+/// snapshot_dir is not forwarded (remote hosts do not share this
+/// filesystem).  `threads` is the thread count inside each worker,
+/// `worker_retries` / `worker_timeout_ms` the retry budget and the
+/// inactivity watchdog.  The LR_TEST_TRANSPORT_FAULT environment variable
+/// (`kind:shard[:attempts[:at_byte]]`, kind in connect|drop|corrupt|
+/// hbstall|delay) wraps every primary transport in a deterministic
+/// FaultyTransport — the fault batteries of tests/process_runner_test.cpp
+/// and tests/multi_host_runner_test.cpp.  Throws std::invalid_argument
+/// when there is nowhere to run or the fault knob is malformed.
+ShardCoordinator make_shard_coordinator(const RunnerOptions& options,
+                                        const std::vector<HostSpec>& hosts);
 
 }  // namespace lr

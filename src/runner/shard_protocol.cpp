@@ -122,21 +122,7 @@ HelloFrame decode_hello(Cursor& cursor) {
 
 void encode_payload(std::vector<std::uint8_t>& out, const RecordFrame& frame) {
   put_u64(out, frame.global_index);
-  const RunSpec& spec = frame.record.spec;
-  put_u8(out, static_cast<std::uint8_t>(spec.topology));
-  put_u64(out, spec.size);
-  put_u8(out, static_cast<std::uint8_t>(spec.algorithm));
-  put_u8(out, static_cast<std::uint8_t>(spec.scheduler));
-  put_u64(out, spec.seed);
-  put_u64(out, spec.max_steps);
-  put_u8(out, static_cast<std::uint8_t>(spec.path));
-  put_u64(out, spec.engine_threads);
-  put_u8(out, static_cast<std::uint8_t>(spec.sim_scheduler));
-  put_u64(out, spec.sim_threads);
-  put_u8(out, static_cast<std::uint8_t>(spec.service_workload));
-  put_u64(out, spec.service_clients);
-  put_u64(out, spec.service_duration);
-  put_u64(out, spec.churn_events);
+  put_u64(out, spec_digest(frame.record.spec));
   const RunRecord& record = frame.record;
   put_u64(out, record.run_seed);
   put_u64(out, record.nodes);
@@ -155,21 +141,7 @@ void encode_payload(std::vector<std::uint8_t>& out, const RecordFrame& frame) {
 RecordFrame decode_record(Cursor& cursor) {
   RecordFrame frame;
   frame.global_index = cursor.u64();
-  RunSpec& spec = frame.record.spec;
-  spec.topology = checked_enum(cursor.u8(), TopologyKind::kWaypoint, "topology");
-  spec.size = static_cast<std::size_t>(cursor.u64());
-  spec.algorithm = checked_enum(cursor.u8(), AlgorithmKind::kService, "algorithm");
-  spec.scheduler = checked_enum(cursor.u8(), SchedulerKind::kFarthestFirst, "scheduler");
-  spec.seed = cursor.u64();
-  spec.max_steps = cursor.u64();
-  spec.path = checked_enum(cursor.u8(), ExecutionPath::kLegacy, "path");
-  spec.engine_threads = static_cast<std::size_t>(cursor.u64());
-  spec.sim_scheduler = checked_enum(cursor.u8(), EventSchedulerKind::kWheel, "sim_scheduler");
-  spec.sim_threads = static_cast<std::size_t>(cursor.u64());
-  spec.service_workload = checked_enum(cursor.u8(), ServiceWorkload::kMixed, "service_workload");
-  spec.service_clients = static_cast<std::size_t>(cursor.u64());
-  spec.service_duration = cursor.u64();
-  spec.churn_events = static_cast<std::size_t>(cursor.u64());
+  frame.spec_digest = cursor.u64();
   RunRecord& record = frame.record;
   record.run_seed = cursor.u64();
   record.nodes = cursor.u64();
@@ -217,6 +189,7 @@ void encode_payload(std::vector<std::uint8_t>& out, const ShardRequestFrame& req
   put_u32(out, request.heartbeat_ms);
   put_u32(out, request.liveness_timeout_ms);
   put_string(out, request.spec_text);
+  put_string(out, request.snapshot_dir);
 }
 
 ShardRequestFrame decode_request(Cursor& cursor) {
@@ -232,6 +205,7 @@ ShardRequestFrame decode_request(Cursor& cursor) {
   request.heartbeat_ms = cursor.u32();
   request.liveness_timeout_ms = cursor.u32();
   request.spec_text = cursor.string();
+  request.snapshot_dir = cursor.string();
   cursor.expect_exhausted();
   return request;
 }

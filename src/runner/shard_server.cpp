@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -33,42 +34,27 @@ void close_fd(int& fd) {
   }
 }
 
+/// Abandons a session: further writes fail immediately and a blocked
+/// peer observes a closed connection.  Safe from any thread.
+void cancel_session(int fd, std::atomic<bool>& cancelled) {
+  cancelled.store(true);
+  ::shutdown(fd, SHUT_RDWR);
+}
+
+long long now_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
-/// Per-connection state shared between the session's compute thread and
-/// the server's stop() path.
+/// Per-connection state shared between the session's thread and the
+/// server's stop() path.
 struct ShardServer::Session {
   int fd = -1;
-  std::atomic<bool> cancelled{false};  ///< abandon the session ASAP
-  std::atomic<bool> done{false};       ///< shard-done frame sent
-  std::mutex write_mutex;              ///< serializes records vs. beacons
+  std::atomic<bool> cancelled{false};  ///< serve_shard_session's cancel flag
+  std::atomic<bool> done{false};       ///< session returned; the fd is the reaper's
   std::thread thread;
-
-  /// Cancels the session: further writes fail immediately and blocked
-  /// peers observe a closed connection.  Safe from any thread.
-  void cancel() {
-    cancelled.store(true);
-    ::shutdown(fd, SHUT_RDWR);
-  }
-
-  /// Full write under the write mutex; MSG_NOSIGNAL because the server
-  /// may be embedded in a process that does not ignore SIGPIPE.  A
-  /// failed write cancels the session.
-  bool send_bytes(const std::vector<std::uint8_t>& bytes) {
-    const std::lock_guard<std::mutex> lock(write_mutex);
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        cancel();
-        return false;
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
 };
 
 ShardServer::ShardServer(ShardServerOptions options) : options_(std::move(options)) {
@@ -86,7 +72,8 @@ ShardServer::ShardServer(ShardServerOptions options) : options_(std::move(option
   }
   std::string last_error = "no addresses";
   for (struct addrinfo* address = addresses; address != nullptr; address = address->ai_next) {
-    listen_fd_ = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
+    listen_fd_ =
+        ::socket(address->ai_family, address->ai_socktype | SOCK_CLOEXEC, address->ai_protocol);
     if (listen_fd_ < 0) {
       last_error = std::string("socket: ") + std::strerror(errno);
       continue;
@@ -134,7 +121,7 @@ void ShardServer::stop() {
     const std::lock_guard<std::mutex> lock(sessions_mutex_);
     sessions.swap(sessions_);
   }
-  for (const auto& session : sessions) session->cancel();
+  for (const auto& session : sessions) cancel_session(session->fd, session->cancelled);
   for (const auto& session : sessions) {
     if (session->thread.joinable()) session->thread.join();
     close_fd(session->fd);
@@ -165,7 +152,9 @@ void ShardServer::accept_loop() {
     const int ready = ::poll(&pfd, 1, 100);
     if (stopping_.load()) break;
     if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // CLOEXEC: a worker process forked by a coordinator in this process
+    // must not hold the connection open past the session.
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
@@ -175,26 +164,49 @@ void ShardServer::accept_loop() {
       const std::lock_guard<std::mutex> lock(sessions_mutex_);
       sessions_.push_back(session);
     }
-    session->thread = std::thread([this, session] { serve_session(session); });
+    session->thread = std::thread([this, session] {
+      if (serve_shard_session(session->fd, options_.request_timeout_ms, session->cancelled)) {
+        sessions_completed_.fetch_add(1);
+      } else {
+        sessions_failed_.fetch_add(1);
+      }
+      session->done.store(true);  // last: hands the fd to the reaper
+    });
   }
 }
 
-void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
-  const int fd = session->fd;
-  bool completed = false;
+bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& cancelled) {
+  // Records and beacons come from two threads; the mutex keeps frames
+  // whole.  MSG_NOSIGNAL because the session may run in a process that
+  // does not ignore SIGPIPE.  A failed write cancels the session.
+  std::mutex write_mutex;
+  const auto send_bytes = [&](const std::vector<std::uint8_t>& bytes) {
+    const std::lock_guard<std::mutex> lock(write_mutex);
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        cancel_session(fd, cancelled);
+        return false;
+      }
+      written += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
 
   // ---- Phase 1: receive the shard request, deadline-bounded. ----------
   FrameParser parser;
   std::optional<Frame> request_frame;
   std::string refusal;
   const Clock::time_point request_deadline =
-      Clock::now() + std::chrono::milliseconds(options_.request_timeout_ms);
-  while (!request_frame && refusal.empty() && !session->cancelled.load()) {
+      Clock::now() + std::chrono::milliseconds(request_timeout_ms);
+  while (!request_frame && refusal.empty() && !cancelled.load()) {
     const auto remaining_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(request_deadline - Clock::now())
             .count();
     if (remaining_ms <= 0) {
-      refusal = "no shard request within " + std::to_string(options_.request_timeout_ms) + " ms";
+      refusal = "no shard request within " + std::to_string(request_timeout_ms) + " ms";
       break;
     }
     struct pollfd pfd {
@@ -252,14 +264,12 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
     }
   }
   if (!refusal.empty() || !request_frame) {
-    if (!refusal.empty() && !session->cancelled.load()) {
+    if (!refusal.empty() && !cancelled.load()) {
       ShardErrorFrame error;
       error.message = refusal;
-      session->send_bytes(encode_frame(error));
+      send_bytes(encode_frame(error));
     }
-    sessions_failed_.fetch_add(1);
-    session->done.store(true);  // last: hands the fd to the reaper
-    return;
+    return false;
   }
 
   const ShardRequestFrame request = request_frame->request;
@@ -270,14 +280,13 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
   hello.begin = request.begin;
   hello.end = request.end;
   hello.attempt = request.attempt;
-  session->send_bytes(encode_frame(hello));
+  send_bytes(encode_frame(hello));
 
   const int heartbeat_ms = static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1));
   const int liveness_ms =
       static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1));
-  std::atomic<long long> last_heard_ms{
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now().time_since_epoch())
-          .count()};
+  std::atomic<long long> last_heard_ms{now_ms()};
+  std::atomic<bool> finished{false};
 
   // The watchdog owns the read side: coordinator beacons reset the
   // liveness deadline; silence past it — or EOF, or a protocol error —
@@ -287,7 +296,7 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
   // not read as a dead worker.
   // The watchdog inherits the phase-1 parser so a coordinator beacon
   // whose bytes straddled the request read is parsed, not lost.
-  std::thread watchdog([&, session] {
+  std::thread watchdog([&] {
     std::uint64_t beacon_sequence = 0;
     Clock::time_point next_beacon = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
     // Drains every buffered frame; returns false on anything but a
@@ -298,9 +307,7 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
           if (frame->type != FrameType::kHeartbeat || frame->heartbeat.from_coordinator != 1) {
             return false;
           }
-          last_heard_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                  Clock::now().time_since_epoch())
-                                  .count());
+          last_heard_ms.store(now_ms());
         }
       } catch (const ShardProtocolError&) {
         return false;
@@ -308,22 +315,20 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
       return true;
     };
     if (!drain_beacons()) {
-      session->cancel();
+      cancel_session(fd, cancelled);
       return;
     }
-    while (!session->done.load() && !session->cancelled.load()) {
+    while (!finished.load() && !cancelled.load()) {
       const Clock::time_point now = Clock::now();
-      const long long now_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now.time_since_epoch()).count();
-      if (now_ms - last_heard_ms.load() > liveness_ms) {
-        session->cancel();  // coordinator presumed dead or partitioned
+      if (now_ms() - last_heard_ms.load() > liveness_ms) {
+        cancel_session(fd, cancelled);  // coordinator presumed dead or partitioned
         break;
       }
       if (now >= next_beacon) {
         HeartbeatFrame beacon;
         beacon.from_coordinator = 0;
         beacon.sequence = beacon_sequence++;
-        if (!session->send_bytes(encode_frame(beacon))) break;
+        if (!send_bytes(encode_frame(beacon))) break;
         next_beacon = now + std::chrono::milliseconds(heartbeat_ms);
       }
       const auto until_beacon =
@@ -337,67 +342,56 @@ void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
       std::uint8_t buffer[4096];
       const ssize_t n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
       if (n == 0) {
-        session->cancel();  // coordinator went away
+        cancel_session(fd, cancelled);  // coordinator went away
         break;
       }
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        session->cancel();
+        cancel_session(fd, cancelled);
         break;
       }
       parser.feed(buffer, static_cast<std::size_t>(n));
       if (!drain_beacons()) {
-        session->cancel();
+        cancel_session(fd, cancelled);
         break;
       }
     }
   });
 
   // Shared-nothing execution with this session's own runner and cache,
-  // chunked exactly like the fork/exec worker so records flow long
-  // before the shard finishes.
+  // chunked so records flow long before the shard finishes.
   constexpr std::size_t kChunk = 16;
-  bool failed = false;
+  bool completed = false;
   {
-    const std::size_t threads = static_cast<std::size_t>(request.threads);
     const std::size_t cache_cap = static_cast<std::size_t>(request.cache_cap);
-    const ScenarioRunner runner({.threads = threads == 0 ? 0 : threads,
+    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads),
                                  .cache_max_entries = cache_cap});
-    SweepCache cache(cache_cap);
+    SweepCache cache(cache_cap, request.snapshot_dir);
     std::size_t emitted = 0;
-    for (std::uint64_t offset = request.begin; offset < request.end && !failed;
+    for (std::uint64_t offset = request.begin; offset < request.end && !cancelled.load();
          offset += kChunk) {
-      if (session->cancelled.load()) {
-        failed = true;
-        break;
-      }
       const std::uint64_t stop = std::min<std::uint64_t>(offset + kChunk, request.end);
       const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(offset),
                                        runs.begin() + static_cast<std::ptrdiff_t>(stop));
       const std::vector<RunRecord> records = runner.run_all(slice, cache);
-      for (std::size_t i = 0; i < records.size() && !failed; ++i) {
-        RecordFrame frame;
-        frame.global_index = offset + i;
-        frame.record = records[i];
-        if (!session->send_bytes(encode_frame(frame))) failed = true;
-        ++emitted;
+      for (std::size_t i = 0; i < records.size() && !cancelled.load(); ++i) {
+        if (send_bytes(encode_frame(RecordFrame{offset + i, records[i]}))) ++emitted;
       }
     }
-    if (!failed && !session->cancelled.load()) {
+    if (emitted == request.end - request.begin && !cancelled.load()) {
       ShardDoneFrame done;
       done.records_emitted = emitted;
       done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
-      if (session->send_bytes(encode_frame(done))) completed = true;
+      completed = send_bytes(encode_frame(done));
     }
   }
-
-  if (completed) {
-    sessions_completed_.fetch_add(1);
-  } else {
-    sessions_failed_.fetch_add(1);
-  }
-  session->done.store(true);  // last: stops the watchdog, hands the fd over
-  if (watchdog.joinable()) watchdog.join();
+  // Shutting the read side wakes the watchdog from its poll at once, so
+  // a worker process exits without waiting for the coordinator to close
+  // its end; the session reads nothing more anyway.
+  finished.store(true);
+  ::shutdown(fd, SHUT_RD);
+  watchdog.join();
+  return completed;
 }
 
 // ---------------------------------------------------------------------------
@@ -411,12 +405,36 @@ int server_argv_error(const std::string& why) {
                "error: %s\n"
                "usage: lr_cli shard-server --listen <port> [--bind <address>]\n"
                "Serves sweep shards to a remote `lr_cli sweep --hosts` coordinator over the\n"
-               "v3 shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n",
+               "shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n",
+               why.c_str());
+  return 2;
+}
+
+int worker_argv_error(const std::string& why) {
+  std::fprintf(stderr,
+               "error: %s\n"
+               "sweep-worker is an internal subcommand: a sharded sweep spawns it with one\n"
+               "end of a socketpair as stdin and stdout, and speaks the binary shard protocol\n"
+               "over it.  To run a multi-process sweep, use: lr_cli sweep <spec> --processes N\n",
                why.c_str());
   return 2;
 }
 
 }  // namespace
+
+int sweep_worker_main(int argc, char** argv) {
+  if (argc != 2 || std::strcmp(argv[1], "sweep-worker") != 0) {
+    return worker_argv_error("sweep-worker takes no arguments");
+  }
+  if (std::getenv("LR_SWEEP_WORKER") == nullptr) {
+    return worker_argv_error(
+        "direct invocation rejected: sweep-worker serves a coordinator over its stdin");
+  }
+  std::atomic<bool> cancelled{false};
+  return serve_shard_session(STDIN_FILENO, ShardServerOptions{}.request_timeout_ms, cancelled)
+             ? 0
+             : 1;
+}
 
 int shard_server_main(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], "shard-server") != 0) {

@@ -9,31 +9,39 @@
 #include <vector>
 
 /// \file shard_server.hpp
-/// The worker daemon of the multi-host sweep dataplane: a TCP server
-/// that accepts shard-protocol v3 connections from a remote coordinator
-/// (runner/shard_coordinator.hpp via TcpShardTransport), executes the
-/// requested shard with this process's own ScenarioRunner + SweepCache,
-/// and streams hello / record / shard-done frames back — the TCP
-/// counterpart of the fork/exec `sweep-worker` child.
+/// The worker side of the sharded sweep dataplane: one shard session,
+/// served over a connected stream socket, and the two ways a coordinator
+/// (runner/shard_coordinator.hpp) reaches it.  A `shard-server` daemon
+/// serves one session per accepted TCP connection (TcpShardTransport); a
+/// `sweep-worker` child serves one session on the socketpair end it
+/// inherits as stdin and stdout (ProcessShardTransport).
 ///
-/// Session contract, per connection: the coordinator opens with one
-/// kShardRequest; the server validates it (protocol version, parseable
-/// spec, run-count and range cross-checks) and either answers with a
-/// single loud kShardError and closes, or replies kHello and executes
-/// the shard in chunks, interleaving kHeartbeat beacons so a
-/// long-running chunk never looks like a dead worker.  A per-session
-/// watchdog reads the coordinator's own beacons; a coordinator silent
-/// past the request's liveness timeout — or a closed connection — makes
-/// the server abandon the session and reclaim its threads, so an
-/// orphaned server never computes for a dead coordinator and never
-/// leaks sessions.  Every wait is deadline-bounded: no peer behavior
-/// can hang the server.
+/// Session contract: the coordinator opens with one kShardRequest; the
+/// worker validates it (protocol version, parseable spec, run-count and
+/// range cross-checks) and either answers with a single loud kShardError
+/// and ends, or replies kHello and executes the shard with its own
+/// ScenarioRunner + SweepCache in chunks, streaming kRecord frames and
+/// interleaving kHeartbeat beacons so a long-running chunk never looks
+/// like a dead worker, then kShardDone.  A watchdog thread reads the
+/// coordinator's own beacons; a coordinator silent past the request's
+/// liveness timeout — or a closed connection — makes the worker abandon
+/// the session, so an orphaned worker never computes for a dead
+/// coordinator.  Every wait is deadline-bounded: no peer behavior can
+/// hang a session.
 ///
-/// The class is embeddable (tests and benches run real TCP sessions
+/// ShardServer is embeddable (tests and benches run real TCP sessions
 /// in-process, no daemon needed); `shard_server_main` wraps it as the
 /// `lr_cli shard-server --listen <port>` subcommand.
 
 namespace lr {
+
+/// Serves one shard session (see the file comment) on the connected
+/// stream socket `fd`, which stays open for the caller to close.
+/// `request_timeout_ms` bounds the wait for the coordinator's request.
+/// Setting `cancelled` and shutting `fd` down abandons the session from
+/// any thread; the session does the same itself when the coordinator
+/// goes silent or away.  Returns true when the shard-done frame was sent.
+bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& cancelled);
 
 /// Configuration of a ShardServer.
 struct ShardServerOptions {
@@ -88,7 +96,6 @@ class ShardServer {
   struct Session;
 
   void accept_loop();
-  void serve_session(const std::shared_ptr<Session>& session);
 
   ShardServerOptions options_;
   int listen_fd_ = -1;
@@ -101,6 +108,15 @@ class ShardServer {
   std::atomic<std::uint64_t> sessions_completed_{0};
   std::atomic<std::uint64_t> sessions_failed_{0};
 };
+
+/// Entry point of the internal `sweep-worker` subcommand: serves one
+/// shard session on stdin/stdout, which ProcessShardTransport connects to
+/// one end of a socketpair.  Returns the process exit code (0 when the
+/// shard completed).  Refuses to run (exit 2, clear stderr message) when
+/// given arguments or unless the LR_SWEEP_WORKER environment variable
+/// marks the invocation as coming from a coordinator — humans get pointed
+/// at `lr_cli sweep --processes N` instead.
+int sweep_worker_main(int argc, char** argv);
 
 /// Entry point of the `shard-server` subcommand: parses
 /// `shard-server --listen <port> [--bind <address>]`, prints one

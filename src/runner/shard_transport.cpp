@@ -13,13 +13,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
-
-#include "runner/shard_protocol.hpp"
 
 namespace lr {
 
@@ -61,130 +58,64 @@ std::string describe_status(int status) {
   return "unknown wait status " + std::to_string(status);
 }
 
-/// The running binary's path: the default worker command, so any binary
-/// that forwards `sweep-worker` argv to sweep_worker_main() self-hosts
-/// its workers.
+/// The running binary's path: the worker command, so any binary that
+/// forwards `sweep-worker` argv to sweep_worker_main() self-hosts its
+/// workers.
 std::string self_executable_path() {
   char buffer[4096];
   const ssize_t length = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (length <= 0) {
-    throw std::runtime_error(
-        "ProcessShardTransport: cannot resolve /proc/self/exe; pass worker_command explicitly");
-  }
+  if (length <= 0) throw std::runtime_error("ProcessShardTransport: cannot resolve /proc/self/exe");
   buffer[length] = '\0';
   return buffer;
 }
 
-/// Maps one nonblocking read() on `fd` to the channel-read contract.
-ChannelRead read_fd(int fd, std::uint8_t* buffer, std::size_t capacity) {
-  ChannelRead result;
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, capacity);
-    if (n > 0) {
-      result.kind = ChannelRead::Kind::kData;
-      result.bytes = static_cast<std::size_t>(n);
-      return result;
-    }
-    if (n == 0) {
-      result.kind = ChannelRead::Kind::kEof;
-      return result;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.kind = ChannelRead::Kind::kWouldBlock;
-      return result;
-    }
-    result.kind = ChannelRead::Kind::kError;
-    result.error = std::string("read error: ") + std::strerror(errno);
-    return result;
-  }
-}
-
-/// Writes `size` bytes to a (possibly nonblocking) fd, polling for
-/// writability until `deadline`.  Returns empty on success, else the
-/// failure description.
-std::string write_all_deadline(int fd, const std::uint8_t* data, std::size_t size,
-                               Clock::time_point deadline) {
+/// Writes `bytes` to a nonblocking socket, polling for writability until
+/// `deadline`.  MSG_NOSIGNAL: a dead peer is an EPIPE failure of this
+/// attempt, never a SIGPIPE for the whole sweep.  Returns 0 on success,
+/// else the errno of the failure (ETIMEDOUT past the deadline).
+int send_all(int fd, const std::vector<std::uint8_t>& bytes, Clock::time_point deadline) {
   std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
+  while (written < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      return std::string("write: ") + std::strerror(errno);
-    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return errno;
     const auto remaining_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
-    if (remaining_ms <= 0) return "write timed out";
+    if (remaining_ms <= 0) return ETIMEDOUT;
     struct pollfd pfd {
       fd, POLLOUT, 0
     };
     if (::poll(&pfd, 1, static_cast<int>(std::min<long long>(remaining_ms, 1000))) < 0 &&
         errno != EINTR) {
-      return std::string("poll: ") + std::strerror(errno);
+      return errno;
     }
   }
-  return {};
+  return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Pipe channel: one fork/exec'd sweep-worker child
-// ---------------------------------------------------------------------------
-
-class ProcessShardChannel final : public ShardChannel {
+/// The one channel: a nonblocking stream socket to a worker session —
+/// a TCP connection to a shard-server, or a socketpair end whose other
+/// end the `sweep-worker` child `child` holds (child <= 0: no child).
+class SocketShardChannel final : public ShardChannel {
  public:
-  ProcessShardChannel(pid_t pid, int fd) : pid_(pid), fd_(fd) {}
-  ~ProcessShardChannel() override { abort(); }
+  SocketShardChannel(int fd, pid_t child) : fd_(fd), child_(child) {}
+  ~SocketShardChannel() override { abort(); }
 
   int poll_fd() const noexcept override { return fd_; }
 
   ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) override {
-    return read_fd(fd_, buffer, capacity);
-  }
-
-  // A pipe to our own child has implicit liveness (death is an EOF), so
-  // there is no beacon to send.
-  std::string send_heartbeat(std::uint64_t /*sequence*/) override { return {}; }
-
-  std::string abort() override {
-    close_fd(fd_);
-    if (pid_ <= 0) return "not running";
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return describe_status(status);
-  }
-
-  void complete() override {
-    close_fd(fd_);
-    if (pid_ <= 0) return;
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
- private:
-  pid_t pid_;
-  int fd_;
-};
-
-// ---------------------------------------------------------------------------
-// TCP channel: one connection to a shard-server
-// ---------------------------------------------------------------------------
-
-class TcpShardChannel final : public ShardChannel {
- public:
-  explicit TcpShardChannel(int fd) : fd_(fd) {}
-  ~TcpShardChannel() override { abort(); }
-
-  int poll_fd() const noexcept override { return fd_; }
-
-  ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) override {
-    return read_fd(fd_, buffer, capacity);
+    for (;;) {
+      const ssize_t n = ::read(fd_, buffer, capacity);
+      if (n > 0) return {ChannelRead::Kind::kData, static_cast<std::size_t>(n), {}};
+      if (n == 0) return {ChannelRead::Kind::kEof, 0, {}};
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return {ChannelRead::Kind::kWouldBlock, 0, {}};
+      return {ChannelRead::Kind::kError, 0, std::string("read error: ") + std::strerror(errno)};
+    }
   }
 
   std::string send_heartbeat(std::uint64_t sequence) override {
@@ -192,27 +123,59 @@ class TcpShardChannel final : public ShardChannel {
     HeartbeatFrame beacon;
     beacon.from_coordinator = 1;
     beacon.sequence = sequence;
-    const std::vector<std::uint8_t> bytes = encode_frame(beacon);
     // A beacon is tiny; if the socket cannot absorb it within a second
-    // the connection is effectively dead and the coordinator should
-    // treat the attempt as failed.
-    const std::string error = write_all_deadline(
-        fd_, bytes.data(), bytes.size(), Clock::now() + std::chrono::milliseconds(1000));
-    if (!error.empty()) return "heartbeat failed (" + error + ")";
-    return {};
+    // the worker is effectively dead and the attempt has failed.  A peer
+    // that closed its end is left to the read side, which reports the
+    // frames it sent before closing and then EOF: a worker that sent
+    // shard-done and exited has not failed.
+    const int error =
+        send_all(fd_, encode_frame(beacon), Clock::now() + std::chrono::milliseconds(1000));
+    if (error == 0 || error == EPIPE || error == ECONNRESET) return {};
+    return std::string("heartbeat failed (") + std::strerror(error) + ")";
   }
 
   std::string abort() override {
-    if (fd_ < 0) return "not connected";
+    const bool was_open = fd_ >= 0;
     close_fd(fd_);
-    return "connection closed by coordinator";
+    if (child_ > 0) {
+      ::kill(child_, SIGKILL);
+      return reap();
+    }
+    return was_open ? "connection closed by coordinator" : "not connected";
   }
 
-  void complete() override { close_fd(fd_); }
+  void complete() override {
+    close_fd(fd_);  // first: the worker's session sees EOF and exits
+    if (child_ > 0) reap();
+  }
 
  private:
+  std::string reap() {
+    int status = 0;
+    ::waitpid(child_, &status, 0);
+    child_ = -1;
+    return describe_status(status);
+  }
+
   int fd_;
+  pid_t child_;
 };
+
+/// Ships `request` over a freshly connected channel; the channel on
+/// success, else the failure (the channel is aborted).
+ShardStart ship_request(std::unique_ptr<SocketShardChannel> channel,
+                        const ShardRequestFrame& request, Clock::time_point deadline,
+                        const std::string& endpoint) {
+  ShardStart result;
+  const int error = send_all(channel->poll_fd(), encode_frame(request), deadline);
+  if (error != 0) {
+    result.error = endpoint + ": failed shipping shard request (" + std::strerror(error) + ", " +
+                   channel->abort() + ")";
+    return result;
+  }
+  result.channel = std::move(channel);
+  return result;
+}
 
 }  // namespace
 
@@ -220,93 +183,55 @@ class TcpShardChannel final : public ShardChannel {
 // ProcessShardTransport
 // ---------------------------------------------------------------------------
 
-ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string worker_command)
-    : workers_(workers), worker_command_(std::move(worker_command)) {
+ProcessShardTransport::ProcessShardTransport(std::size_t workers) : workers_(workers) {
   if (workers_ == 0) {
     throw std::invalid_argument("ProcessShardTransport: workers must be >= 1");
   }
 }
 
-ShardStart ProcessShardTransport::start(const ShardAssignment& assignment) {
+ShardStart ProcessShardTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(start_timeout_ms);
   ShardStart result;
-  const std::string command = worker_command_.empty() ? self_executable_path() : worker_command_;
+  // Everything the child needs is built before fork(): until execve the
+  // child of a multithreaded coordinator may only make async-signal-safe
+  // calls.  LR_SWEEP_WORKER marks the invocation as coming from here.
+  const std::string command = self_executable_path();
+  const char* argv[] = {command.c_str(), "sweep-worker", nullptr};
+  std::vector<const char*> envp;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    if (std::strncmp(*entry, "LR_SWEEP_WORKER=", 16) != 0) envp.push_back(*entry);
+  }
+  envp.push_back("LR_SWEEP_WORKER=1");
+  envp.push_back(nullptr);
 
-  int spec_pipe[2] = {-1, -1};
-  int frame_pipe[2] = {-1, -1};
-  if (::pipe(spec_pipe) != 0) {
-    result.error = std::string("pipe() failed: ") + std::strerror(errno);
+  // CLOEXEC on both ends: no other worker may inherit this pair, or the
+  // child would not see EOF when the coordinator closes its end.
+  int ends[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+    result.error = std::string("socketpair() failed: ") + std::strerror(errno);
     return result;
   }
-  if (::pipe(frame_pipe) != 0) {
-    result.error = std::string("pipe() failed: ") + std::strerror(errno);
-    close_fd(spec_pipe[0]);
-    close_fd(spec_pipe[1]);
-    return result;
-  }
-
   const pid_t pid = ::fork();
   if (pid < 0) {
     result.error = std::string("fork() failed: ") + std::strerror(errno);
-    for (int* fd : {&spec_pipe[0], &spec_pipe[1], &frame_pipe[0], &frame_pipe[1]}) close_fd(*fd);
+    close_fd(ends[0]);
+    close_fd(ends[1]);
     return result;
   }
   if (pid == 0) {
-    // Child: spec on stdin, frames on stdout, stderr passes through so
-    // worker error messages surface in the parent's diagnostics stream.
-    ::dup2(spec_pipe[0], STDIN_FILENO);
-    ::dup2(frame_pipe[1], STDOUT_FILENO);
-    for (const int fd : {spec_pipe[0], spec_pipe[1], frame_pipe[0], frame_pipe[1]}) ::close(fd);
-    ::setenv("LR_SWEEP_WORKER", "1", 1);
-    const std::string shard_arg = std::to_string(assignment.shard);
-    const std::string range_arg =
-        std::to_string(assignment.range.begin) + ":" + std::to_string(assignment.range.end);
-    const std::string total_arg = std::to_string(assignment.total);
-    const std::string attempt_arg = std::to_string(assignment.attempt);
-    const std::string threads_arg = std::to_string(assignment.threads);
-    const std::string cap_arg = std::to_string(assignment.cache_cap);
-    std::vector<const char*> argv = {command.c_str(),     "sweep-worker",
-                                     "--shard",           shard_arg.c_str(),
-                                     "--range",           range_arg.c_str(),
-                                     "--total",           total_arg.c_str(),
-                                     "--attempt",         attempt_arg.c_str(),
-                                     "--threads",         threads_arg.c_str(),
-                                     "--cache-cap",       cap_arg.c_str()};
-    if (!assignment.snapshot_dir.empty()) {
-      // Every shard maps the same snapshot files, so the kernel keeps one
-      // physical copy of each workload's pages across the worker fleet.
-      argv.push_back("--snapshot-dir");
-      argv.push_back(assignment.snapshot_dir.c_str());
-    }
-    argv.push_back(nullptr);
-    ::execv(command.c_str(), const_cast<char**>(argv.data()));
-    std::fprintf(stderr, "error: cannot exec sweep worker '%s': %s\n", command.c_str(),
-                 std::strerror(errno));
+    // Child: the session socket on stdin and stdout (dup2 clears
+    // CLOEXEC); stderr passes through so worker messages surface.
+    ::dup2(ends[1], STDIN_FILENO);
+    ::dup2(ends[1], STDOUT_FILENO);
+    ::execve(command.c_str(), const_cast<char**>(argv), const_cast<char**>(envp.data()));
+    constexpr char kExecFailed[] = "error: cannot exec sweep worker\n";
+    (void)!::write(STDERR_FILENO, kExecFailed, sizeof(kExecFailed) - 1);
     ::_exit(127);
   }
-
-  // Parent.
-  close_fd(spec_pipe[0]);
-  close_fd(frame_pipe[1]);
-  ::fcntl(frame_pipe[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(spec_pipe[1], F_SETFL, O_NONBLOCK);
-
-  auto channel = std::make_unique<ProcessShardChannel>(pid, frame_pipe[0]);
-
-  // Ship the spec text; deadline-bounded so a worker that dies (or
-  // wedges) before reading its stdin becomes a per-shard failure, not a
-  // parent hang.  The worker reads stdin to EOF before emitting frames.
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms);
-  const std::string error = write_all_deadline(
-      spec_pipe[1], reinterpret_cast<const std::uint8_t*>(assignment.spec_text.data()),
-      assignment.spec_text.size(), deadline);
-  close_fd(spec_pipe[1]);
-  if (!error.empty()) {
-    result.error = "failed shipping sweep spec to worker (" + error + ", " + channel->abort() + ")";
-    return result;
-  }
-  result.channel = std::move(channel);
-  return result;
+  close_fd(ends[1]);
+  ::fcntl(ends[0], F_SETFL, O_NONBLOCK);
+  return ship_request(std::make_unique<SocketShardChannel>(ends[0], pid), request, deadline,
+                      endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,10 +249,9 @@ TcpShardTransport::TcpShardTransport(std::string host, std::uint16_t port, std::
   endpoint_ = host_ + ":" + std::to_string(port_);
 }
 
-ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
+ShardStart TcpShardTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
   ShardStart result;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms);
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(start_timeout_ms);
 
   struct addrinfo hints {};
   hints.ai_family = AF_UNSPEC;
@@ -344,7 +268,7 @@ ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
   int fd = -1;
   std::string last_error = "no addresses";
   for (struct addrinfo* address = addresses; address != nullptr; address = address->ai_next) {
-    fd = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
+    fd = ::socket(address->ai_family, address->ai_socktype | SOCK_CLOEXEC, address->ai_protocol);
     if (fd < 0) {
       last_error = std::string("socket: ") + std::strerror(errno);
       continue;
@@ -381,30 +305,7 @@ ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
   // don't let Nagle batch them against delayed ACKs.
   int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-
-  auto channel = std::make_unique<TcpShardChannel>(fd);
-
-  ShardRequestFrame request;
-  request.shard = assignment.shard;
-  request.begin = assignment.range.begin;
-  request.end = assignment.range.end;
-  request.total = assignment.total;
-  request.attempt = assignment.attempt;
-  request.threads = assignment.threads;
-  request.cache_cap = assignment.cache_cap;
-  request.heartbeat_ms = static_cast<std::uint32_t>(std::max(assignment.heartbeat_ms, 1));
-  request.liveness_timeout_ms =
-      static_cast<std::uint32_t>(std::max(assignment.liveness_timeout_ms, 1));
-  request.spec_text = assignment.spec_text;
-  const std::vector<std::uint8_t> bytes = encode_frame(request);
-  const std::string error = write_all_deadline(fd, bytes.data(), bytes.size(), deadline);
-  if (!error.empty()) {
-    result.error = endpoint_ + ": failed shipping shard request (" + error + ")";
-    channel->abort();
-    return result;
-  }
-  result.channel = std::move(channel);
-  return result;
+  return ship_request(std::make_unique<SocketShardChannel>(fd, -1), request, deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,23 +376,29 @@ std::vector<HostSpec> parse_host_list(const std::string& text) {
 TransportFault parse_transport_fault(const std::string& text) {
   const auto bad = [&](const std::string& why) -> TransportFault {
     throw std::invalid_argument("bad transport fault '" + text + "': " + why +
-                                " (want kind:shard[:attempts], kind in "
+                                " (want kind:shard[:attempts[:at_byte]], kind in "
                                 "connect|drop|corrupt|hbstall|delay)");
   };
-  const std::size_t first = text.find(':');
-  if (first == std::string::npos) return bad("missing ':shard'");
-  const std::string kind_token = text.substr(0, first);
-  std::string rest = text.substr(first + 1);
-  std::uint64_t attempts = 1;
-  const std::size_t second = rest.find(':');
-  if (second != std::string::npos) {
-    if (!parse_uint(rest.substr(second + 1), 1u << 20, attempts) || attempts == 0) {
-      return bad("attempts must be a positive integer");
-    }
-    rest.resize(second);
+  std::vector<std::string> fields;
+  for (std::size_t begin = 0;;) {
+    const std::size_t colon = text.find(':', begin);
+    fields.push_back(text.substr(begin, colon == std::string::npos ? colon : colon - begin));
+    if (colon == std::string::npos) break;
+    begin = colon + 1;
   }
+  if (fields.size() < 2) return bad("missing ':shard'");
+  if (fields.size() > 4) return bad("too many fields");
+  const std::string& kind_token = fields[0];
   std::uint64_t shard = 0;
-  if (!parse_uint(rest, 1u << 20, shard)) return bad("shard must be a non-negative integer");
+  if (!parse_uint(fields[1], 1u << 20, shard)) return bad("shard must be a non-negative integer");
+  std::uint64_t attempts = 1;
+  if (fields.size() > 2 && (!parse_uint(fields[2], 1u << 20, attempts) || attempts == 0)) {
+    return bad("attempts must be a positive integer");
+  }
+  std::uint64_t at_byte = TransportFault{}.at_byte;
+  if (fields.size() > 3 && !parse_uint(fields[3], 1u << 30, at_byte)) {
+    return bad("at_byte must be a non-negative integer");
+  }
 
   TransportFault fault;
   if (kind_token == "connect") {
@@ -509,6 +416,7 @@ TransportFault parse_transport_fault(const std::string& text) {
   }
   fault.shard = static_cast<std::size_t>(shard);
   fault.attempts = static_cast<std::size_t>(attempts);
+  fault.at_byte = static_cast<std::size_t>(at_byte);
   return fault;
 }
 
@@ -524,7 +432,7 @@ class FaultyChannel final : public ShardChannel {
       // A never-readable fd the coordinator can park its poll() on once
       // the stream goes silent, so the watchdog fires on schedule
       // instead of the loop spinning hot.
-      if (::pipe(stall_pipe_) != 0) stall_pipe_[0] = stall_pipe_[1] = -1;
+      if (::pipe2(stall_pipe_, O_CLOEXEC) != 0) stall_pipe_[0] = stall_pipe_[1] = -1;
     }
   }
 
@@ -626,39 +534,19 @@ class FaultyChannel final : public ShardChannel {
 FaultyTransport::FaultyTransport(std::shared_ptr<ShardTransport> inner, TransportFault fault)
     : inner_(std::move(inner)), fault_(fault) {}
 
-ShardStart FaultyTransport::start(const ShardAssignment& assignment) {
-  const bool armed = fault_.kind != TransportFault::Kind::kNone &&
-                     assignment.shard == fault_.shard && assignment.attempt < fault_.attempts;
+ShardStart FaultyTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
+  const bool armed = fault_.kind != TransportFault::Kind::kNone && request.shard == fault_.shard &&
+                     request.attempt < fault_.attempts;
   if (armed && fault_.kind == TransportFault::Kind::kConnectRefuse) {
     ShardStart refused;
     refused.error = endpoint() + ": connect: Connection refused (injected fault)";
     return refused;
   }
-  ShardStart started = inner_->start(assignment);
+  ShardStart started = inner_->start(request, start_timeout_ms);
   if (armed && started.channel != nullptr) {
     started.channel = std::make_unique<FaultyChannel>(std::move(started.channel), fault_);
   }
   return started;
-}
-
-// ---------------------------------------------------------------------------
-// SigpipeGuard
-// ---------------------------------------------------------------------------
-
-SigpipeGuard::SigpipeGuard() {
-  using Sigaction = struct sigaction;
-  auto* saved = new Sigaction{};
-  Sigaction ignore{};
-  ignore.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &ignore, saved);
-  previous_ = saved;
-}
-
-SigpipeGuard::~SigpipeGuard() {
-  using Sigaction = struct sigaction;
-  auto* saved = static_cast<Sigaction*>(previous_);
-  ::sigaction(SIGPIPE, saved, nullptr);
-  delete saved;
 }
 
 }  // namespace lr

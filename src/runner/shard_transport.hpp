@@ -6,26 +6,26 @@
 #include <string>
 #include <vector>
 
+#include "runner/shard_protocol.hpp"
+
 /// \file shard_transport.hpp
 /// The transport abstraction of the sharded sweep dataplane: how a
 /// coordinator (runner/shard_coordinator.hpp) reaches the workers that
-/// execute its shards.  The shard/merge/retry contracts are
-/// transport-agnostic by design — a transport only has to (1) start a
-/// shard attempt somewhere and (2) hand back a pollable byte stream
-/// speaking the shard protocol (runner/shard_protocol.hpp).  Two
-/// implementations ship:
+/// execute its shards.  Every worker runs the same session
+/// (runner/shard_server.hpp) over a connected stream socket, so a
+/// transport only has to (1) connect a socket to a fresh session, (2)
+/// ship the shard request, and (3) hand the socket back as a pollable
+/// channel.  Two transports ship:
 ///
-///   - ProcessShardTransport: fork/exec of shared-nothing `sweep-worker`
-///     child processes over pipes (the PR-6 dataplane, extracted here),
-///   - TcpShardTransport: TCP connections to remote `shard-server`
-///     daemons (runner/shard_server.hpp), with heartbeat liveness in
-///     both directions,
+///   - ProcessShardTransport: a socketpair whose other end a fork/exec'd
+///     `sweep-worker` child inherits as stdin and stdout,
+///   - TcpShardTransport: a TCP connection to a remote `shard-server`
+///     daemon,
 ///
 /// plus FaultyTransport, a deterministic fault-injection decorator that
-/// wraps any transport and corrupts / drops / stalls / delays the byte
-/// stream of a chosen shard's first attempts — the network half of the
-/// LR_TEST_WORKER_FAULT battery (process_runner.hpp documents the
-/// worker-process half).
+/// wraps either one and corrupts / drops / stalls / delays the byte
+/// stream of a chosen shard's first attempts (the LR_TEST_TRANSPORT_FAULT
+/// knob).
 
 namespace lr {
 
@@ -72,23 +72,6 @@ struct ShardDiagnostics {
   std::vector<ShardAttemptLog> attempt_log;  ///< every attempt, incl. the successful one
 };
 
-/// Everything a transport needs to start one shard attempt: the
-/// assignment itself plus the worker-side execution knobs, mirroring the
-/// `sweep-worker` argv/stdin contract and the v3 kShardRequest frame.
-struct ShardAssignment {
-  std::size_t shard = 0;     ///< shard index being assigned
-  ShardRange range;          ///< global run range [begin, end)
-  std::size_t total = 0;     ///< full run count of the sweep (cross-check)
-  std::size_t attempt = 0;   ///< 0 = first try, +1 per retry
-  std::string spec_text;     ///< canonical sweep spec (format_sweep_spec)
-  std::size_t threads = 1;   ///< worker-internal thread count
-  std::size_t cache_cap = 0;  ///< worker SweepCache LRU bound (0 = unbounded)
-  std::string snapshot_dir;  ///< worker snapshot dir (pipe transport only)
-  int start_timeout_ms = 5'000;     ///< budget for connect + assignment shipping
-  int heartbeat_ms = 1'000;         ///< worker liveness beacon interval
-  int liveness_timeout_ms = 30'000;  ///< worker-side coordinator watchdog
-};
-
 /// Result of ShardChannel::read_some.
 struct ChannelRead {
   /// What the read produced.
@@ -104,8 +87,8 @@ struct ChannelRead {
 };
 
 /// One live shard attempt's byte stream, as the coordinator consumes it.
-/// The channel owns the underlying resource (pipe + child process, or
-/// socket); exactly one of abort() / complete() must be called before
+/// The channel owns the socket and, for a process worker, the child;
+/// exactly one of abort() / complete() should be called, else
 /// destruction ends the attempt implicitly (destructors abort).
 class ShardChannel {
  public:
@@ -120,16 +103,15 @@ class ShardChannel {
   /// Sends a coordinator -> worker liveness beacon.  Returns an empty
   /// string on success, else a failure description (the coordinator
   /// treats a failed heartbeat like any other channel failure).
-  /// Transports with implicit liveness (a pipe to our own child) no-op.
   virtual std::string send_heartbeat(std::uint64_t sequence) = 0;
 
-  /// Abandons the attempt — kills / disconnects the worker and releases
-  /// the channel.  Returns a status description for diagnostics (e.g.
+  /// Abandons the attempt — closes the socket and kills and reaps the
+  /// child, if any.  Returns a status description for diagnostics (e.g.
   /// the child's wait status).  Idempotent.
   virtual std::string abort() = 0;
 
-  /// Releases the channel after a clean shard completion (reaps the
-  /// child / closes the socket).  Idempotent.
+  /// Releases the channel after a clean shard completion (closes the
+  /// socket, reaps the child).  Idempotent.
   virtual void complete() = 0;
 };
 
@@ -141,8 +123,7 @@ struct ShardStart {
 
 /// A place that can execute shard attempts: a factory of ShardChannels.
 /// `capacity()` is how many attempts the coordinator may run there
-/// concurrently (worker processes for the pipe transport, connections
-/// for a TCP host).
+/// concurrently (worker processes, or connections to a TCP host).
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
@@ -154,44 +135,36 @@ class ShardTransport {
   /// Concurrent attempts this transport can serve.
   virtual std::size_t capacity() const noexcept = 0;
 
-  /// Starts one shard attempt; blocks at most
-  /// `assignment.start_timeout_ms` establishing it.  A failure (fork
-  /// failure, connection refused, timeout shipping the assignment) is
+  /// Starts one shard attempt by opening a session and shipping
+  /// `request`; blocks at most `start_timeout_ms`.  A failure (fork
+  /// failure, connection refused, timeout shipping the request) is
   /// returned, not thrown — the coordinator charges it against the
   /// shard's retry budget and the endpoint's liveness score.
-  virtual ShardStart start(const ShardAssignment& assignment) = 0;
+  virtual ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) = 0;
 };
 
-/// The fork/exec pipe transport (the PR-6 dataplane): every start() is a
-/// fresh shared-nothing `sweep-worker` child of this process, its
-/// assignment shipped via argv + stdin and its frames read from a
-/// nonblocking stdout pipe.  Crash isolation is the process boundary;
-/// liveness is implicit (a dead child is an EOF), so send_heartbeat() is
-/// a no-op.
+/// Local worker processes: every start() fork/execs this process's own
+/// binary (/proc/self/exe) as `<binary> sweep-worker`, a fresh
+/// shared-nothing process that inherits one end of a socketpair as its
+/// stdin and stdout.  Crash isolation is the process boundary; the
+/// channel owns the child and kills it on abort().
 class ProcessShardTransport : public ShardTransport {
  public:
-  /// `worker_command` is the executable fork/exec'd as
-  /// `<worker_command> sweep-worker ...`; empty means this process's own
-  /// binary (/proc/self/exe).  `workers` is the concurrent-attempt
-  /// capacity.
-  explicit ProcessShardTransport(std::size_t workers, std::string worker_command = {});
+  /// `workers` is the concurrent-attempt capacity (>= 1).
+  explicit ProcessShardTransport(std::size_t workers);
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
 
  private:
   std::size_t workers_;
-  std::string worker_command_;  ///< empty = resolve /proc/self/exe lazily
   std::string endpoint_ = "process";
 };
 
 /// One remote `shard-server` endpoint (runner/shard_server.hpp): every
-/// start() opens a fresh TCP connection, ships a v3 kShardRequest, and
-/// returns the socket as the channel.  Heartbeats flow both ways; the
-/// coordinator's inactivity watchdog and the server's coordinator
-/// watchdog bound every partial-failure mode (drop, partition, stall)
-/// to a deadline.
+/// start() opens a fresh TCP connection, ships the request, and returns
+/// the socket as the channel.
 class TcpShardTransport : public ShardTransport {
  public:
   /// Endpoint `host:port` with `workers` concurrent connections.
@@ -199,7 +172,7 @@ class TcpShardTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
 
  private:
   std::string host_;
@@ -225,16 +198,16 @@ struct HostSpec {
 /// non-numeric worker count, or trailing garbage.
 std::vector<HostSpec> parse_host_list(const std::string& text);
 
-/// A deterministic network fault, armed for the first `attempts`
-/// attempts of one shard.  Parsed from the LR_TEST_TRANSPORT_FAULT
-/// environment knob (`kind:shard[:attempts]`), mirroring
-/// LR_TEST_WORKER_FAULT's shape for the worker-process faults.
+/// A deterministic fault, armed for the first `attempts` attempts of one
+/// shard.  Parsed from the LR_TEST_TRANSPORT_FAULT environment knob
+/// (`kind:shard[:attempts[:at_byte]]`), which wraps every primary
+/// transport of a sweep, processes included.
 struct TransportFault {
-  /// Network fault classes.
+  /// Fault classes.
   enum class Kind : std::uint8_t {
     kNone,            ///< no fault
     kConnectRefuse,   ///< `connect`: start() fails as if the host were down
-    kDrop,            ///< `drop`: connection closed mid-shard
+    kDrop,            ///< `drop`: connection closed (child killed) mid-shard
     kCorrupt,         ///< `corrupt`: one byte of the stream flipped
     kHeartbeatStall,  ///< `hbstall`: stream goes silent mid-shard
     kDelay,           ///< `delay`: bytes trickle through a slowed link
@@ -246,8 +219,9 @@ struct TransportFault {
   std::uint32_t delay_ms = 2;  ///< per-read delay of the `delay` fault
 };
 
-/// Parses `kind:shard[:attempts]` (kind in connect|drop|corrupt|hbstall|
-/// delay); throws std::invalid_argument on malformed input.
+/// Parses `kind:shard[:attempts[:at_byte]]` (kind in connect|drop|
+/// corrupt|hbstall|delay; `at_byte` overrides the default stream
+/// offset); throws std::invalid_argument on malformed input.
 TransportFault parse_transport_fault(const std::string& text);
 
 /// Decorator injecting one TransportFault into an inner transport's byte
@@ -262,26 +236,11 @@ class FaultyTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return inner_->endpoint(); }
   std::size_t capacity() const noexcept override { return inner_->capacity(); }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
 
  private:
   std::shared_ptr<ShardTransport> inner_;
   TransportFault fault_;
-};
-
-/// Restores the previous SIGPIPE disposition on scope exit.  A shard
-/// coordinator ignores SIGPIPE while attempts live so a write to a dead
-/// worker's stdin or socket fails with EPIPE (a per-shard failure)
-/// instead of killing the whole sweep.
-class SigpipeGuard {
- public:
-  SigpipeGuard();
-  ~SigpipeGuard();
-  SigpipeGuard(const SigpipeGuard&) = delete;
-  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
-
- private:
-  void* previous_;  ///< opaque saved struct sigaction
 };
 
 }  // namespace lr

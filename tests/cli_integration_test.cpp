@@ -213,10 +213,10 @@ std::string write_small_sweep_spec(const char* name) {
 }
 
 TEST_F(CliIntegrationTest, SweepWorkerRejectsDirectInvocation) {
-  // The sweep-worker subcommand is an internal argv contract between a
-  // ProcessShardRunner parent and its children; invoked by a human (no
+  // The sweep-worker subcommand is an internal contract between a
+  // sharded sweep and its worker processes; invoked by a human (no
   // LR_SWEEP_WORKER handshake in the environment) it must refuse with a
-  // clear pointer at the public flag instead of emitting binary frames.
+  // clear pointer at the public flag instead of speaking the protocol.
   const auto result = run_command("sweep-worker --shard 0 --range 0:1 --total 1 --attempt 1");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("internal"), std::string::npos) << result.output;

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_protocol.hpp"
@@ -27,17 +26,19 @@
 #include "runner/shard_transport.hpp"
 #include "trace/report.hpp"
 
-/// Acceptance battery of the multi-host sweep dataplane
+/// Acceptance battery of the sharded sweep dataplane
 /// (runner/shard_coordinator.hpp + runner/shard_server.hpp): real TCP
 /// sessions against in-process ShardServers must merge byte-identically
 /// to the in-process ScenarioRunner at every host/worker count, recover
-/// from every injected network fault class within the retry budget,
-/// reassign a dead host's shards to survivors, fall back to local
-/// worker processes when every host dies, and reject protocol version
-/// skew loudly in both directions — and no configuration may hang.
+/// from every injected fault class within the retry budget — on TCP and
+/// on local worker processes, which serve the same session — reassign a
+/// dead host's shards to survivors, fall back to local worker processes
+/// when every host dies, keep a run longer than the watchdog alive on
+/// worker heartbeats, and reject protocol version skew and foreign
+/// records loudly — and no configuration may hang.
 ///
 /// The test binary is its own `sweep-worker` (main() below forwards the
-/// subcommand), because the local-fallback battery fork/execs it.
+/// subcommand), because the process transport fork/execs it.
 
 namespace lr {
 namespace {
@@ -137,6 +138,58 @@ std::uint16_t dead_port() {
   return port;
 }
 
+/// A scripted worker on a loopback port: answers every connection with
+/// `reply`, then keeps the connection open, so whatever the coordinator
+/// concludes comes from the bytes, not from a dropped connection.
+class FakeWorker {
+ public:
+  explicit FakeWorker(std::vector<std::uint8_t> reply) : reply_(std::move(reply)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    const int reuse = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = 0;
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address), sizeof(address)), 0);
+    EXPECT_EQ(::listen(listen_fd_, 8), 0);
+    socklen_t length = sizeof(address);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address), &length), 0);
+    port_ = ntohs(address.sin_port);
+    thread_ = std::thread([this] {
+      while (!stop_.load()) {
+        pollfd poll_item{listen_fd_, POLLIN, 0};
+        if (::poll(&poll_item, 1, 50) <= 0) continue;
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) continue;
+        accepted_.push_back(fd);
+        (void)!::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      }
+    });
+  }
+
+  ~FakeWorker() {
+    stop_.store(true);
+    thread_.join();
+    for (const int fd : accepted_) ::close(fd);
+    ::close(listen_fd_);
+  }
+
+  FakeWorker(const FakeWorker&) = delete;
+  FakeWorker& operator=(const FakeWorker&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  std::vector<std::uint8_t> reply_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::vector<int> accepted_;  ///< touched by the accept thread only
+  std::thread thread_;
+};
+
 // ---------------------------------------------------------------------------
 // Byte identity
 // ---------------------------------------------------------------------------
@@ -146,8 +199,8 @@ TEST(MultiHostRunner, ByteIdenticalAcrossHostAndWorkerCounts) {
   const std::string expected = in_process_tables(sweep);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     const auto servers = start_servers(2);
-    MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, workers));
-    EXPECT_EQ(runner.total_workers(), 2 * workers);
+    ShardCoordinator runner = make_shard_coordinator({.threads = 1}, hosts_of(servers, workers));
+    EXPECT_EQ(runner.total_capacity(), 2 * workers);
     const SweepReport report = runner.run(sweep);
     EXPECT_EQ(tables_of(report), expected) << workers << " worker(s) per host";
     EXPECT_FALSE(runner.fallback_engaged());
@@ -166,19 +219,28 @@ TEST(MultiHostRunner, WorkerThreadsInsideHostsKeepTablesIdentical) {
   const SweepSpec sweep = small_sweep();
   const std::string expected = in_process_tables(sweep);
   const auto servers = start_servers(2);
-  MultiHostShardRunner runner({.threads = 2}, hosts_of(servers, 2));
+  ShardCoordinator runner = make_shard_coordinator({.threads = 2}, hosts_of(servers, 2));
   EXPECT_EQ(tables_of(runner.run(sweep)), expected);
 }
 
 // ---------------------------------------------------------------------------
-// Network fault battery: every class recovers with identical tables
+// Fault battery: every class recovers with identical tables, on both
+// transports
 // ---------------------------------------------------------------------------
+
+/// Which transport a battery case shards over.
+enum class Transport : std::uint8_t { kTcp, kProcess };
 
 struct FaultCase {
   const char* knob;          ///< LR_TEST_TRANSPORT_FAULT value
   const char* expect_in_failure;  ///< substring of the logged failure
   bool recovers_via_retry;   ///< true = one failed attempt then success
+  Transport transport;       ///< 2 TCP hosts x 2 lanes, or 4 worker processes
 };
+
+/// `drop` with the stream cut right after the hello, at a frame boundary:
+/// the worker vanishes between frames instead of mid-frame.
+const std::string kDropAfterHello = "drop:1:1:" + std::to_string(encode_frame(HelloFrame{}).size());
 
 class MultiHostFaultBattery : public ::testing::TestWithParam<FaultCase> {};
 
@@ -189,8 +251,11 @@ TEST_P(MultiHostFaultBattery, RecoversWithinBudgetAndStaysByteIdentical) {
   const ScopedEnv knob("LR_TEST_TRANSPORT_FAULT", fault.knob);
   // Short watchdog so the heartbeat-stall case fires in test time.
   const ScopedEnv watchdog("LR_TEST_WORKER_TIMEOUT_MS", "400");
-  const auto servers = start_servers(2);
-  MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  const auto servers = start_servers(fault.transport == Transport::kTcp ? 2 : 0);
+  ShardCoordinator runner =
+      fault.transport == Transport::kTcp
+          ? make_shard_coordinator({.threads = 1}, hosts_of(servers, 2))
+          : make_shard_coordinator({.threads = 1, .process_workers = 4}, {});
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected) << fault.knob;
   const auto& diagnostics = runner.shard_diagnostics();
@@ -227,15 +292,27 @@ TEST_P(MultiHostFaultBattery, RecoversWithinBudgetAndStaysByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     NetworkFaults, MultiHostFaultBattery,
-    ::testing::Values(FaultCase{"drop:1", "truncated mid-frame|exited before completing", true},
-                      FaultCase{"corrupt:1", "shard frame", true},
-                      FaultCase{"hbstall:1", "stalled|heartbeat failed", true},
-                      FaultCase{"connect:1", "connect", true},
-                      FaultCase{"delay:1", "", false}),
+    ::testing::ValuesIn([] {
+      std::vector<FaultCase> cases;
+      for (const Transport transport : {Transport::kTcp, Transport::kProcess}) {
+        for (const FaultCase& fault :
+             {FaultCase{"drop:1", "truncated mid-frame|exited before completing", true},
+              FaultCase{"corrupt:1", "shard frame", true},
+              FaultCase{"hbstall:1", "stalled|heartbeat failed", true},
+              FaultCase{"connect:1", "connect", true},
+              FaultCase{"delay:1", "", false},
+              FaultCase{kDropAfterHello.c_str(), "exited before completing its shard", true}}) {
+          cases.push_back(fault);
+          cases.back().transport = transport;
+        }
+      }
+      return cases;
+    }()),
     [](const ::testing::TestParamInfo<FaultCase>& info) {
-      std::string name = info.param.knob;
-      name.resize(name.find(':'));
-      return name;
+      const std::string knob = info.param.knob;
+      std::string name = knob.substr(0, knob.find(':'));
+      if (knob == kDropAfterHello) name += "_after_hello";
+      return info.param.transport == Transport::kProcess ? "process_" + name : name;
     });
 
 TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
@@ -245,7 +322,7 @@ TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
   const auto servers = start_servers(2);
   RunnerOptions options{.threads = 1};
   options.worker_retries = 1;
-  MultiHostShardRunner runner(options, hosts_of(servers, 2));
+  ShardCoordinator runner = make_shard_coordinator(options, hosts_of(servers, 2));
   try {
     runner.run(sweep);
     FAIL() << "budget exhaustion must throw";
@@ -272,7 +349,7 @@ TEST(MultiHostRunner, DeadHostShardsReassignToSurvivor) {
   const auto servers = start_servers(1);
   std::vector<HostSpec> hosts = hosts_of(servers, 2);
   hosts.push_back({"127.0.0.1", dead_port(), 2});
-  MultiHostShardRunner runner({.threads = 1}, hosts);
+  ShardCoordinator runner = make_shard_coordinator({.threads = 1}, hosts);
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected);
   EXPECT_FALSE(runner.fallback_engaged());
@@ -298,7 +375,7 @@ TEST(MultiHostRunner, HostStoppedMidRunIsRecoveredFrom) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     servers[1]->stop();  // coordinators observe dropped connections
   });
-  MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  ShardCoordinator runner = make_shard_coordinator({.threads = 1}, hosts_of(servers, 2));
   const SweepReport report = runner.run(sweep);
   killer.join();
   EXPECT_EQ(tables_of(report), expected);
@@ -314,7 +391,7 @@ TEST(MultiHostRunner, AllHostsDeadEngagesLocalProcessFallback) {
                                  {"127.0.0.1", dead_port(), 2}};
   RunnerOptions options{.threads = 1};
   options.process_workers = 2;  // arms the local fork/exec fallback
-  MultiHostShardRunner runner(options, hosts);
+  ShardCoordinator runner = make_shard_coordinator(options, hosts);
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected);
   EXPECT_TRUE(runner.fallback_engaged());
@@ -328,7 +405,7 @@ TEST(MultiHostRunner, AllHostsDeadEngagesLocalProcessFallback) {
 TEST(MultiHostRunner, AllHostsDeadWithoutFallbackFailsLoudly) {
   const SweepSpec sweep = small_sweep();
   std::vector<HostSpec> hosts = {{"127.0.0.1", dead_port(), 2}};
-  MultiHostShardRunner runner({.threads = 1}, hosts);
+  ShardCoordinator runner = make_shard_coordinator({.threads = 1}, hosts);
   try {
     runner.run(sweep);
     FAIL() << "an all-dead deployment with no fallback must throw";
@@ -340,7 +417,8 @@ TEST(MultiHostRunner, AllHostsDeadWithoutFallbackFailsLoudly) {
 }
 
 TEST(MultiHostRunner, EmptyHostListRejected) {
-  EXPECT_THROW(MultiHostShardRunner({.threads = 1}, {}), std::invalid_argument);
+  // No hosts and no worker processes: nowhere to run.
+  EXPECT_THROW(make_shard_coordinator({.threads = 1}, {}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,60 +473,87 @@ TEST(MultiHostRunner, ServerRejectsSkewedRequestVersionLoudly) {
 }
 
 TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
-  // A fake "old worker": accepts the connection and answers with a
-  // version-2 hello.  The coordinator must classify the skew by name.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  const int reuse = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)), 0);
-  ASSERT_EQ(::listen(listen_fd, 8), 0);
-  socklen_t length = sizeof(address);
-  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&address), &length), 0);
-  const std::uint16_t port = ntohs(address.sin_port);
+  // A fake "old worker" answers with a version-2 hello.  The coordinator
+  // must classify the skew by name.
+  HelloFrame hello;
+  hello.version = 2;
+  hello.begin = 0;
+  hello.end = 24;
+  const FakeWorker fake(encode_frame(hello));
 
-  std::atomic<bool> stop{false};
-  std::vector<int> accepted;
-  std::thread fake_worker([listen_fd, &stop, &accepted] {
-    while (!stop.load()) {
-      pollfd poll_item{listen_fd, POLLIN, 0};
-      if (::poll(&poll_item, 1, 50) <= 0) continue;
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) continue;
-      accepted.push_back(fd);
-      HelloFrame hello;
-      hello.version = 2;
-      hello.begin = 0;
-      hello.end = 24;
-      const std::vector<std::uint8_t> bytes = encode_frame(hello);
-      (void)!::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      // Keep the fd open: the rejection must come from the version
-      // check, not from a dropped connection.
-    }
-  });
-
-  const SweepSpec sweep = small_sweep();
   RunnerOptions options{.threads = 1};
   options.worker_retries = 0;  // one attempt: the skew itself must surface
-  MultiHostShardRunner runner(options, {{"127.0.0.1", port, 1}});
+  ShardCoordinator runner = make_shard_coordinator(options, {{"127.0.0.1", fake.port(), 1}});
   try {
-    runner.run(sweep);
-    stop.store(true);
-    fake_worker.join();
-    ::close(listen_fd);
+    runner.run(small_sweep());
     FAIL() << "version skew must fail the sweep";
   } catch (const std::runtime_error& error) {
-    stop.store(true);
-    fake_worker.join();
-    for (const int fd : accepted) ::close(fd);
-    ::close(listen_fd);
     const std::string what = error.what();
     EXPECT_NE(what.find("protocol version mismatch"), std::string::npos) << what;
     EXPECT_NE(what.find("worker 2"), std::string::npos) << what;
+  }
+}
+
+TEST(MultiHostRunner, CoordinatorRejectsRecordOfAnotherRun) {
+  // A fake worker whose first record carries the digest of run #1 in
+  // slot #0: a worker that expanded the spec differently.  The
+  // coordinator must refuse to merge it, by name.
+  const SweepSpec sweep = small_sweep();
+  const std::vector<RunSpec> runs = sweep.expand();
+  HelloFrame hello;
+  hello.begin = 0;
+  hello.end = runs.size();
+  RunRecord record;
+  record.spec = runs[1];
+  std::vector<std::uint8_t> reply = encode_frame(hello);
+  const std::vector<std::uint8_t> foreign = encode_frame(RecordFrame{0, record});
+  reply.insert(reply.end(), foreign.begin(), foreign.end());
+  const FakeWorker fake(reply);
+
+  RunnerOptions options{.threads = 1};
+  options.worker_retries = 0;
+  ShardCoordinator runner = make_shard_coordinator(options, {{"127.0.0.1", fake.port(), 1}});
+  try {
+    runner.run(sweep);
+    FAIL() << "a record of another run must fail the attempt";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("record #0 carries a spec that differs"), std::string::npos) << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Worker heartbeats: a run longer than the watchdog is not a dead worker
+// ---------------------------------------------------------------------------
+
+TEST(MultiHostRunner, LongRunOutlivesTheWatchdogOnBothTransports) {
+  // One run lasting several watchdog periods: only the worker's session
+  // beacons keep the attempt alive, since no record flows until the run
+  // ends.  It must complete on its first attempt over TCP and over a
+  // worker process alike.
+  SweepSpec sweep;
+  sweep.topologies = {TopologyKind::kChain};
+  sweep.sizes = {10'000};  // FR on the away chain: ~n^2/2 node steps
+  sweep.algorithms = {AlgorithmKind::kFullReversal};
+  sweep.schedulers = {SchedulerKind::kLowestId};
+  sweep.seeds = {1};
+  constexpr int kWatchdogMs = 250;
+  const ScopedEnv watchdog("LR_TEST_WORKER_TIMEOUT_MS", std::to_string(kWatchdogMs));
+  const auto started = std::chrono::steady_clock::now();
+  const std::string expected = in_process_tables(sweep);
+  // The test means nothing unless the run outlasts the watchdog.
+  EXPECT_GT(std::chrono::steady_clock::now() - started, std::chrono::milliseconds(2 * kWatchdogMs));
+
+  const auto servers = start_servers(1);
+  for (const bool over_tcp : {true, false}) {
+    ShardCoordinator runner = over_tcp
+                                  ? make_shard_coordinator({.threads = 1}, hosts_of(servers, 1))
+                                  : make_shard_coordinator({.threads = 1, .process_workers = 1}, {});
+    EXPECT_EQ(tables_of(runner.run(sweep)), expected) << (over_tcp ? "tcp" : "process");
+    ASSERT_EQ(runner.shard_diagnostics().size(), 1u);
+    const ShardDiagnostics& diag = runner.shard_diagnostics()[0];
+    EXPECT_EQ(diag.attempts, 1u) << (over_tcp ? "tcp" : "process");
+    EXPECT_TRUE(diag.failures.empty()) << (diag.failures.empty() ? "" : diag.failures[0]);
   }
 }
 

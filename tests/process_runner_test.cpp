@@ -1,8 +1,11 @@
-#include "runner/process_runner.hpp"
-
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,15 +13,22 @@
 
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "runner/shard_coordinator.hpp"
+#include "runner/shard_protocol.hpp"
+#include "runner/shard_server.hpp"
 #include "trace/report.hpp"
 
-/// Acceptance battery of the multi-process sweep backend
-/// (runner/process_runner.hpp): shard partitioning, spec round-trip,
-/// byte-identical merges at every worker count (including sweeps that
-/// exercise the engine / sim parallelism knobs), and the fault-injection
-/// battery — each of exit / segv / truncate / stall must recover via a
-/// retry with identical tables, and an unrecoverable fault must fail
-/// loudly with per-shard diagnostics, never hang or drop runs.
+/// Acceptance battery of sharded sweeps on local worker processes
+/// (make_shard_coordinator with process_workers and no hosts): shard
+/// partitioning, spec round-trip, byte-identical merges at every worker
+/// count (including sweeps that exercise the engine / sim parallelism
+/// knobs and a shared snapshot dir), and the fault-injection battery —
+/// a worker killed at a frame boundary or mid-frame, or gone silent,
+/// must recover via a retry with identical tables, and an unrecoverable
+/// fault must fail loudly with per-shard diagnostics, never hang or drop
+/// runs.  Faults come from the LR_TEST_TRANSPORT_FAULT knob, which wraps
+/// the process transport like any other (the TCP side of the battery is
+/// tests/multi_host_runner_test.cpp).
 ///
 /// The test binary is its own sweep worker: main() below forwards a
 /// `sweep-worker` argv[1] straight to sweep_worker_main(), which is the
@@ -145,26 +155,35 @@ TEST(FormatSweepSpec, RoundTripsThroughTheParser) {
   }
 }
 
+/// The coordinator of a `--processes N` sweep.
+ShardCoordinator process_coordinator(RunnerOptions options) {
+  return make_shard_coordinator(options, {});
+}
+
 TEST(ProcessShardRunner, RejectsZeroWorkers) {
-  EXPECT_THROW(ProcessShardRunner({.process_workers = 0}), std::invalid_argument);
+  EXPECT_THROW(process_coordinator({.process_workers = 0}), std::invalid_argument);
 }
 
 TEST(ProcessShardRunner, ClampsWorkersToRunCount) {
-  const ProcessShardRunner runner({.process_workers = 64});
-  EXPECT_EQ(runner.resolved_workers(3), 3u);
-  EXPECT_EQ(runner.resolved_workers(100), 64u);
-  EXPECT_EQ(runner.resolved_workers(0), 0u);
+  ShardCoordinator coordinator = process_coordinator({.threads = 1, .process_workers = 64});
+  EXPECT_EQ(coordinator.total_capacity(), 64u);
+  SweepSpec sweep = small_sweep();
+  sweep.sizes = {8};
+  sweep.algorithms = {AlgorithmKind::kFullReversal};
+  sweep.seeds = {1, 2, 3};  // 2 topologies x 3 seeds = 6 runs
+  coordinator.run(sweep);
+  EXPECT_EQ(coordinator.shard_diagnostics().size(), 6u);  // one shard per run
 }
 
 TEST(ProcessShardRunner, TablesAreByteIdenticalAtEveryWorkerCount) {
   const SweepSpec sweep = small_sweep();
   const std::string baseline = in_process_tables(sweep);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ProcessShardRunner runner({.threads = 1, .process_workers = workers});
-    const SweepReport report = runner.run(sweep);
+    ShardCoordinator coordinator = process_coordinator({.threads = 1, .process_workers = workers});
+    const SweepReport report = coordinator.run(sweep);
     EXPECT_EQ(tables_of(report), baseline) << workers << " workers";
     // Every shard completed on its first attempt.
-    for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
+    for (const ShardDiagnostics& diag : coordinator.shard_diagnostics()) {
       EXPECT_TRUE(diag.completed);
       EXPECT_EQ(diag.attempts, 1u);
       EXPECT_TRUE(diag.failures.empty());
@@ -176,33 +195,98 @@ TEST(ProcessShardRunner, ParallelismKnobsDoNotPerturbTheMerge) {
   const SweepSpec sweep = parallel_knobs_sweep();
   const std::string baseline = in_process_tables(sweep);
   for (const std::size_t workers : {2u, 4u}) {
-    ProcessShardRunner runner({.threads = 2, .process_workers = workers});
-    EXPECT_EQ(tables_of(runner.run(sweep)), baseline) << workers << " workers";
+    ShardCoordinator coordinator = process_coordinator({.threads = 2, .process_workers = workers});
+    EXPECT_EQ(tables_of(coordinator.run(sweep)), baseline) << workers << " workers";
   }
 }
 
 TEST(ProcessShardRunner, EmptySweepYieldsEmptyReport) {
   SweepSpec sweep = small_sweep();
   sweep.seeds.clear();  // run_count() == 0
-  ProcessShardRunner runner({.process_workers = 4});
-  const SweepReport report = runner.run(sweep);
+  ShardCoordinator coordinator = process_coordinator({.process_workers = 4});
+  const SweepReport report = coordinator.run(sweep);
   EXPECT_TRUE(report.records.empty());
-  EXPECT_TRUE(runner.shard_diagnostics().empty());
+  EXPECT_TRUE(coordinator.shard_diagnostics().empty());
 }
 
 TEST(ProcessShardRunner, MergedCacheStatsCoverEveryRun) {
   const SweepSpec sweep = small_sweep();
-  ProcessShardRunner runner({.threads = 1, .process_workers = 3});
-  const SweepReport report = runner.run(sweep);
+  ShardCoordinator coordinator = process_coordinator({.threads = 1, .process_workers = 3});
+  const SweepReport report = coordinator.run(sweep);
   // Every CSR-path run consults its worker's cache exactly once, and the
-  // parent sums the per-worker counters.
+  // coordinator sums the per-worker counters.
   EXPECT_EQ(report.cache.hits + report.cache.misses, sweep.run_count());
   EXPECT_GT(report.cache.misses, 0u);
+}
+
+TEST(ProcessShardRunner, WorkersShareTheSnapshotDir) {
+  // The request carries snapshot_dir: the first sweep's workers generate
+  // and save every workload, the second sweep's workers mmap-reload the
+  // same files (a save would replace a file, changing its inode).
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("lr_process_snapshots_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  SweepSpec sweep = small_sweep();
+  sweep.topologies = {TopologyKind::kTorus, TopologyKind::kRandom};
+  const std::string baseline = in_process_tables(sweep);
+  const RunnerOptions options{.threads = 1, .process_workers = 3, .snapshot_dir = dir.string()};
+
+  const auto inodes = [&dir] {
+    std::vector<std::pair<std::string, ino_t>> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      struct stat info {};
+      EXPECT_EQ(::stat(entry.path().c_str(), &info), 0) << entry.path();
+      files.emplace_back(entry.path().string(), info.st_ino);
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+
+  EXPECT_EQ(tables_of(process_coordinator(options).run(sweep)), baseline);
+  const auto saved = inodes();
+  EXPECT_EQ(saved.size(), 8u);  // one file per (topology, size, seed): 2 x 2 x 2
+  EXPECT_EQ(tables_of(process_coordinator(options).run(sweep)), baseline);
+  EXPECT_EQ(inodes(), saved) << "a warm sweep rewrote a snapshot instead of reloading it";
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
 // Fault-injection battery
 // ---------------------------------------------------------------------------
+
+/// The LR_TEST_TRANSPORT_FAULT knob standing in for the worker crash a
+/// battery case is named after, armed on `shard` for its first `attempts`
+/// attempts.  On the process transport `drop` kills the child: with the
+/// stream cut right after the hello, a frame boundary (`exit`), mid-record
+/// (`segv`), or 8 bytes into the first record (`truncate`).  `hbstall`
+/// silences the stream (`stall`).
+std::string fault_knob(const std::string& kind, std::size_t shard, std::size_t attempts) {
+  const std::size_t hello = encode_frame(HelloFrame{}).size();
+  const std::string target = std::to_string(shard) + ":" + std::to_string(attempts);
+  if (kind == "exit") return "drop:" + target + ":" + std::to_string(hello);
+  if (kind == "segv") return "drop:" + target;
+  if (kind == "truncate") return "drop:" + target + ":" + std::to_string(hello + 8);
+  return "hbstall:" + target;
+}
+
+/// How the coordinator classifies each kind: '|'-separated alternatives
+/// (a silenced worker trips the inactivity watchdog, or a beacon write
+/// fails first; both are loud and both recover).
+const char* expected_failure(const std::string& kind) {
+  if (kind == "exit") return "exited before completing its shard";
+  if (kind == "stall") return "stalled|heartbeat failed";
+  return "truncated mid-frame";
+}
+
+bool matches_any(const std::string& text, const std::string& alternatives) {
+  std::istringstream tokens(alternatives);
+  std::string token;
+  while (std::getline(tokens, token, '|')) {
+    if (text.find(token) != std::string::npos) return true;
+  }
+  return false;
+}
 
 /// Each fault kind: the sweep must recover on the retry, the merged
 /// tables must match the in-process baseline byte for byte, and the
@@ -216,22 +300,24 @@ TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
   const std::string baseline = in_process_tables(sweep);
 
   // Arm the fault on shard 2, first attempt only.
-  const ScopedEnv fault("LR_TEST_WORKER_FAULT", kind + ":2");
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob(kind, 2, 1));
   // The stall fault only resolves via the inactivity watchdog; keep the
   // test fast with a short deadline (generous enough for a real frame).
   const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", "1500");
 
-  ProcessShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 2});
-  const SweepReport report = runner.run(sweep);
+  ShardCoordinator coordinator =
+      process_coordinator({.threads = 1, .process_workers = 4, .worker_retries = 2});
+  const SweepReport report = coordinator.run(sweep);
   EXPECT_EQ(tables_of(report), baseline) << "fault kind " << kind;
 
-  const auto& diagnostics = runner.shard_diagnostics();
+  const auto& diagnostics = coordinator.shard_diagnostics();
   ASSERT_EQ(diagnostics.size(), 4u);
   for (const ShardDiagnostics& diag : diagnostics) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
     if (diag.shard == 2) {
       EXPECT_EQ(diag.attempts, 2u);
       ASSERT_EQ(diag.failures.size(), 1u);
+      EXPECT_TRUE(matches_any(diag.failures[0], expected_failure(kind))) << diag.failures[0];
     } else {
       EXPECT_EQ(diag.attempts, 1u);
       EXPECT_TRUE(diag.failures.empty());
@@ -248,11 +334,12 @@ INSTANTIATE_TEST_SUITE_P(AllFaultKinds, WorkerFaultRecovery,
 TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
   const SweepSpec sweep = small_sweep();
   // Fault every attempt (99 >> retry budget) on shard 1.
-  const ScopedEnv fault("LR_TEST_WORKER_FAULT", "exit:1:99");
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob("exit", 1, 99));
 
-  ProcessShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 1});
+  ShardCoordinator coordinator =
+      process_coordinator({.threads = 1, .process_workers = 4, .worker_retries = 1});
   try {
-    runner.run(sweep);
+    coordinator.run(sweep);
     FAIL() << "a shard faulting on every attempt must fail the sweep";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
@@ -262,7 +349,7 @@ TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
     EXPECT_NE(what.find("attempt"), std::string::npos) << what;
   }
 
-  const auto& diagnostics = runner.shard_diagnostics();
+  const auto& diagnostics = coordinator.shard_diagnostics();
   ASSERT_EQ(diagnostics.size(), 4u);
   for (const ShardDiagnostics& diag : diagnostics) {
     if (diag.shard == 1) {
@@ -275,36 +362,38 @@ TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
 
 TEST(WorkerFaultExhaustion, StallFaultNeverHangsTheSweep) {
   const SweepSpec sweep = small_sweep();
-  const ScopedEnv fault("LR_TEST_WORKER_FAULT", "stall:0:99");
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob("stall", 0, 99));
   const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", "400");
-  ProcessShardRunner runner({.threads = 1, .process_workers = 2, .worker_retries = 1});
+  ShardCoordinator coordinator =
+      process_coordinator({.threads = 1, .process_workers = 2, .worker_retries = 1});
   // Two stalled attempts at ~400 ms each: the sweep must fail within the
-  // watchdog budget rather than waiting on the wedged workers forever.
-  EXPECT_THROW(runner.run(sweep), std::runtime_error);
-  ASSERT_FALSE(runner.shard_diagnostics().empty());
-  const ShardDiagnostics& diag = runner.shard_diagnostics()[0];
+  // watchdog budget rather than waiting on the silenced workers forever.
+  EXPECT_THROW(coordinator.run(sweep), std::runtime_error);
+  ASSERT_FALSE(coordinator.shard_diagnostics().empty());
+  const ShardDiagnostics& diag = coordinator.shard_diagnostics()[0];
   EXPECT_FALSE(diag.completed);
   ASSERT_EQ(diag.failures.size(), 2u);
-  EXPECT_NE(diag.failures[0].find("stalled"), std::string::npos) << diag.failures[0];
+  EXPECT_TRUE(matches_any(diag.failures[0], expected_failure("stall"))) << diag.failures[0];
 }
 
 TEST(WorkerFaultRecoveryUnderLoad, MidSweepCrashStillMergesByteIdentically) {
-  // The determinism-under-crashes acceptance test: a worker dying mid
+  // The determinism-under-crashes acceptance test: a worker killed mid
   // sweep with internally parallel workers must not perturb a single
   // byte of the merged tables.
   const SweepSpec sweep = parallel_knobs_sweep();
   const std::string baseline = in_process_tables(sweep);
-  const ScopedEnv fault("LR_TEST_WORKER_FAULT", "segv:0");
-  ProcessShardRunner runner({.threads = 2, .process_workers = 2, .worker_retries = 2});
-  EXPECT_EQ(tables_of(runner.run(sweep)), baseline);
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob("segv", 0, 1));
+  ShardCoordinator coordinator =
+      process_coordinator({.threads = 2, .process_workers = 2, .worker_retries = 2});
+  EXPECT_EQ(tables_of(coordinator.run(sweep)), baseline);
 }
 
 }  // namespace
 }  // namespace lr
 
-/// Self-hosting worker dispatch: ProcessShardRunner fork/execs this very
-/// binary as `<test> sweep-worker ...` (worker_command defaults to
-/// /proc/self/exe), so forward that argv before gtest sees it.
+/// Self-hosting worker dispatch: the process transport fork/execs this
+/// very binary (/proc/self/exe) as `<test> sweep-worker`, so forward that
+/// argv before gtest sees it.
 int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
     return lr::sweep_worker_main(argc, argv);

@@ -5,6 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "runner/runner.hpp"
@@ -63,6 +66,28 @@ TEST(SweepSpecTest, RejectsMalformedInput) {
   EXPECT_THROW(SweepSpec::parse_string("topology = chain\nsize = 8\nalgorithm = pr\n"
                                        "seed = 1..99999999\n"),
                std::invalid_argument);
+  // Integer overflow is rejected on its line: a range whose size wraps
+  // the guard (hi - lo + 1 overflows to 0), and a value past 2^64 - 1.
+  for (const auto& [text, line] :
+       {std::pair<const char*, const char*>{"topology = chain\nsize = 8\nalgorithm = pr\n"
+                                            "seed = 0..18446744073709551615\n",
+                                            "line 4:"},
+        {"topology = chain\nsize = 99999999999999999999\nalgorithm = pr\n", "line 2:"}}) {
+    try {
+      SweepSpec::parse_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(line), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(SweepSpecTest, RangeEndingAtTheLargestValueTerminates) {
+  const SweepSpec spec = SweepSpec::parse_string(
+      "topology = chain\nsize = 8\nalgorithm = pr\n"
+      "seed = 18446744073709551614..18446744073709551615\n");
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{18446744073709551614ULL,
+                                                     18446744073709551615ULL}));
 }
 
 TEST(SweepSpecTest, ParsesEventCoreOptionsAndStampsEveryRun) {
@@ -209,6 +234,44 @@ TEST(RunSpecTest, InstanceSeedIgnoresAlgorithmAndScheduler) {
   RunSpec d = a;
   d.size = 33;
   EXPECT_NE(a.instance_seed(), d.instance_seed());
+}
+
+TEST(RunSpecTest, SpecDigestChangesWithEveryField) {
+  // Shard record frames carry spec_digest() instead of the spec, so a
+  // change to any one field — each of the five axes and each scalar of
+  // the for_each_scalar() list — must change the digest.
+  RunSpec base;
+  base.topology = TopologyKind::kRandom;
+  base.size = 32;
+  base.algorithm = AlgorithmKind::kDistPR;
+  base.scheduler = SchedulerKind::kRandom;
+  base.seed = 7;
+  const std::uint64_t digest = spec_digest(base);
+  EXPECT_EQ(spec_digest(base), digest);  // a pure function
+
+  std::vector<RunSpec> variants(5, base);
+  variants[0].topology = TopologyKind::kGrid;
+  variants[1].size = 33;
+  variants[2].algorithm = AlgorithmKind::kDistFR;
+  variants[3].scheduler = SchedulerKind::kLowestId;
+  variants[4].seed = 8;
+  std::size_t scalars = 0;
+  for_each_scalar(base, [&scalars](const char*, const auto&) { ++scalars; });
+  EXPECT_EQ(scalars, 9u);
+  for (std::size_t field = 0; field < scalars; ++field) {
+    RunSpec variant = base;
+    std::size_t index = 0;
+    for_each_scalar(variant, [&](const char*, auto& value) {
+      if (index++ == field) {
+        value = static_cast<std::remove_reference_t<decltype(value)>>(
+            static_cast<std::uint64_t>(value) ^ 1);
+      }
+    });
+    variants.push_back(variant);
+  }
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(spec_digest(variants[i]), digest) << "field #" << i;
+  }
 }
 
 TEST(RunSpecTest, DerivedStreamsAreDistinct) {

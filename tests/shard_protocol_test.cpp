@@ -5,11 +5,12 @@
 #include <random>
 #include <vector>
 
-/// Unit tests of the multi-process sweep wire protocol
+/// Unit tests of the sharded sweep wire protocol
 /// (runner/shard_protocol.hpp): frame round-trips for every frame type,
 /// rejection of truncated / oversized / corrupted / garbage input, and a
 /// randomized fuzz loop over frame boundaries — the parser must decode
-/// the identical frame sequence no matter how the pipe chunks the bytes.
+/// the identical frame sequence no matter how the socket chunks the
+/// bytes.
 
 namespace lr {
 namespace {
@@ -41,17 +42,8 @@ RunRecord sample_record() {
   return record;
 }
 
+/// Every record field a frame carries; the spec travels as its digest.
 void expect_records_equal(const RunRecord& a, const RunRecord& b) {
-  EXPECT_EQ(a.spec.topology, b.spec.topology);
-  EXPECT_EQ(a.spec.size, b.spec.size);
-  EXPECT_EQ(a.spec.algorithm, b.spec.algorithm);
-  EXPECT_EQ(a.spec.scheduler, b.spec.scheduler);
-  EXPECT_EQ(a.spec.seed, b.spec.seed);
-  EXPECT_EQ(a.spec.max_steps, b.spec.max_steps);
-  EXPECT_EQ(a.spec.path, b.spec.path);
-  EXPECT_EQ(a.spec.engine_threads, b.spec.engine_threads);
-  EXPECT_EQ(a.spec.sim_scheduler, b.spec.sim_scheduler);
-  EXPECT_EQ(a.spec.sim_threads, b.spec.sim_threads);
   EXPECT_EQ(a.run_seed, b.run_seed);
   EXPECT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(a.bad_nodes, b.bad_nodes);
@@ -98,6 +90,7 @@ TEST(ShardProtocol, RecordRoundTripPreservesEveryField) {
   const Frame frame = decode_single(encode_frame(record));
   ASSERT_EQ(frame.type, FrameType::kRecord);
   EXPECT_EQ(frame.record.global_index, 0xdeadbeefULL);
+  EXPECT_EQ(frame.record.spec_digest, spec_digest(record.record.spec));
   expect_records_equal(frame.record.record, record.record);
 }
 
@@ -138,6 +131,7 @@ TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   request.heartbeat_ms = 750;
   request.liveness_timeout_ms = 30000;
   request.spec_text = "topology = chain\nsize = 8, 16\nseed = 1\nalgorithm = fr\n";
+  request.snapshot_dir = "/var/cache/lr snapshots";
   const Frame frame = decode_single(encode_frame(request));
   ASSERT_EQ(frame.type, FrameType::kShardRequest);
   EXPECT_EQ(frame.request.version, kShardProtocolVersion);
@@ -151,6 +145,7 @@ TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   EXPECT_EQ(frame.request.heartbeat_ms, 750u);
   EXPECT_EQ(frame.request.liveness_timeout_ms, 30000u);
   EXPECT_EQ(frame.request.spec_text, request.spec_text);
+  EXPECT_EQ(frame.request.snapshot_dir, request.snapshot_dir);
 }
 
 TEST(ShardProtocol, ShardErrorRoundTripIncludingAwkwardMessages) {
@@ -229,14 +224,15 @@ TEST(ShardProtocol, ChecksumMismatchRejected) {
 }
 
 TEST(ShardProtocol, BadEnumInsideRecordRejected) {
-  // A record whose topology byte is out of range, with the checksum
+  // A record whose relation byte is out of range, with the checksum
   // recomputed to match: the payload decoder itself must reject it (the
   // checksum only guards transport corruption, not a buggy sender).
   RecordFrame record;
   record.record = sample_record();
   std::vector<std::uint8_t> bytes = encode_frame(record);
-  // Payload starts at offset 9; global_index is 8 bytes; topology next.
-  bytes[9 + 8] = 250;
+  // Payload starts at offset 9: global_index and spec digest (8 bytes
+  // each), nine u64 counters, the converged byte, then the relation.
+  bytes[9 + 8 + 8 + 9 * 8 + 1] = 250;
   // Recompute the trailing checksum over (type || payload).
   const std::size_t payload_len = bytes.size() - 9 - 8;
   std::uint64_t hash = 14695981039346656037ULL;
@@ -285,8 +281,8 @@ TEST(ShardProtocol, TrailingPayloadBytesRejected) {
 
 /// The boundary fuzz: a realistic multi-frame stream — now with the v3
 /// frames (shard-request, heartbeats either direction, shard-error)
-/// interleaved — fed at every chunking a pipe or TCP socket might
-/// produce must decode identically.
+/// interleaved — fed at every chunking a socket might produce must
+/// decode identically.
 TEST(ShardProtocol, FuzzRandomChunkBoundaries) {
   std::mt19937_64 rng(20260808);
   std::vector<std::uint8_t> stream;

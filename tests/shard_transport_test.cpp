@@ -11,7 +11,7 @@
 
 #include "runner/retry_policy.hpp"
 
-/// Unit tests of the transport-layer plumbing that the multi-host sweep
+/// Unit tests of the transport-layer plumbing that the sharded sweep
 /// dataplane rides on: the shared RetryPolicy backoff schedule
 /// (runner/retry_policy.hpp), the `--hosts` endpoint-list parser, and
 /// the LR_TEST_TRANSPORT_FAULT knob parser (runner/shard_transport.hpp).
@@ -99,7 +99,7 @@ TEST(RetryPolicy, JitterDesynchronizesShards) {
 }
 
 // ---------------------------------------------------------------------------
-// shard_ranges (moved here from process_runner.hpp; contract unchanged)
+// shard_ranges
 // ---------------------------------------------------------------------------
 
 TEST(ShardRanges, ContiguousCoverBalancedLargerFirst) {
@@ -205,10 +205,20 @@ TEST(ParseTransportFault, ExplicitAttemptCount) {
   EXPECT_EQ(fault.kind, TransportFault::Kind::kDrop);
   EXPECT_EQ(fault.shard, 3u);
   EXPECT_EQ(fault.attempts, 5u);
+  EXPECT_EQ(fault.at_byte, TransportFault{}.at_byte);  // default cut
+}
+
+TEST(ParseTransportFault, ExplicitStreamOffset) {
+  const TransportFault fault = parse_transport_fault("drop:1:2:53");
+  EXPECT_EQ(fault.kind, TransportFault::Kind::kDrop);
+  EXPECT_EQ(fault.shard, 1u);
+  EXPECT_EQ(fault.attempts, 2u);
+  EXPECT_EQ(fault.at_byte, 53u);
 }
 
 TEST(ParseTransportFault, RejectionBattery) {
-  for (const std::string text : {"", "drop", "explode:1", "drop:x", "drop:1:0", "drop:1:x"}) {
+  for (const std::string text : {"", "drop", "explode:1", "drop:x", "drop:1:0", "drop:1:x",
+                                 "drop:1:1:x", "drop:1:1:2:3", "drop:1::2"}) {
     EXPECT_THROW(parse_transport_fault(text), std::invalid_argument) << "'" << text << "'";
   }
 }
