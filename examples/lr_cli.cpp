@@ -86,9 +86,9 @@
 #include <iostream>
 #include <string>
 
+#include "analysis/game.hpp"
 #include "automata/executor.hpp"
 #include "automata/model_check.hpp"
-#include "automata/scheduler.hpp"
 #include "core/full_reversal.hpp"
 #include "core/invariants.hpp"
 #include "core/newpr.hpp"
@@ -186,24 +186,10 @@ int cmd_info(int argc, char** argv) {
 }
 
 template <typename A>
-int run_algorithm(const Instance& inst, const std::string& scheduler_name, std::uint64_t seed) {
+int run_algorithm(const Instance& inst, SchedulerKind scheduler, std::uint64_t seed) {
   A automaton(inst);
-  RunResult result;
-  if (scheduler_name == "lowest") {
-    LowestIdScheduler s;
-    result = run_to_quiescence(automaton, s);
-  } else if (scheduler_name == "random") {
-    RandomScheduler s(seed);
-    result = run_to_quiescence(automaton, s);
-  } else if (scheduler_name == "rr") {
-    RoundRobinScheduler s;
-    result = run_to_quiescence(automaton, s);
-  } else if (scheduler_name == "farthest") {
-    FarthestFirstScheduler s;
-    result = run_to_quiescence(automaton, s);
-  } else {
-    return usage();
-  }
+  const RunResult result = with_single_scheduler(
+      scheduler, seed, [&automaton](auto&& s) { return run_to_quiescence(automaton, s); });
   std::fprintf(stderr, "steps=%llu edge_reversals=%llu quiescent=%s destination_oriented=%s\n",
                static_cast<unsigned long long>(result.steps),
                static_cast<unsigned long long>(result.edge_reversals),
@@ -216,7 +202,12 @@ int cmd_run(int argc, char** argv) {
   if (argc != 5 && argc != 6) return usage();
   const Instance inst = load_instance(argv[2]);
   const std::string algo = argv[3];
-  const std::string sched = argv[4];
+  SchedulerKind sched = SchedulerKind::kLowestId;
+  try {
+    sched = parse_scheduler(argv[4]);
+  } catch (const std::invalid_argument&) {
+    return usage();
+  }
   const std::uint64_t seed = argc == 6 ? std::strtoull(argv[5], nullptr, 10) : 1;
   if (algo == "pr") return run_algorithm<OneStepPRAutomaton>(inst, sched, seed);
   if (algo == "newpr") return run_algorithm<NewPRAutomaton>(inst, sched, seed);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "automata/executor.hpp"
-#include "automata/scheduler.hpp"
 #include "core/full_reversal.hpp"
 #include "core/newpr.hpp"
 #include "core/pr.hpp"
@@ -52,29 +50,9 @@ CostProfile run_strategy(A automaton, Strategy strategy, SchedulerKind scheduler
   profile.node_cost.assign(automaton.graph().num_nodes(), 0);
 
   const auto observer = [&profile](const A&, NodeId u) { ++profile.node_cost[u]; };
-  RunResult result;
-  switch (scheduler) {
-    case SchedulerKind::kLowestId: {
-      LowestIdScheduler s;
-      result = run_to_quiescence(automaton, s, observer, options);
-      break;
-    }
-    case SchedulerKind::kRandom: {
-      RandomScheduler s(seed);
-      result = run_to_quiescence(automaton, s, observer, options);
-      break;
-    }
-    case SchedulerKind::kRoundRobin: {
-      RoundRobinScheduler s;
-      result = run_to_quiescence(automaton, s, observer, options);
-      break;
-    }
-    case SchedulerKind::kFarthestFirst: {
-      FarthestFirstScheduler s;
-      result = run_to_quiescence(automaton, s, observer, options);
-      break;
-    }
-  }
+  const RunResult result = with_single_scheduler(scheduler, seed, [&](auto&& s) {
+    return run_to_quiescence(automaton, s, observer, options);
+  });
   profile.social_cost = result.steps;
   profile.edge_reversals = result.edge_reversals;
   profile.converged = result.quiescent && result.destination_oriented;

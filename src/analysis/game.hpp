@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "automata/executor.hpp"
+#include "automata/scheduler.hpp"
 #include "core/hybrid.hpp"
 #include "graph/generators.hpp"
 
@@ -32,6 +34,24 @@ const char* strategy_name(Strategy s);
 enum class SchedulerKind : std::uint8_t { kLowestId, kRandom, kRoundRobin, kFarthestFirst };
 
 const char* scheduler_name(SchedulerKind k);
+
+/// Applies `f` (taking `auto&&`) to a fresh single-step scheduler of kind
+/// `kind`, seeded with `seed` if it draws.  Schedulers are stateful
+/// templates, so every SchedulerKind dispatch goes through here.
+template <typename F>
+decltype(auto) with_single_scheduler(SchedulerKind kind, std::uint64_t seed, F&& f) {
+  switch (kind) {
+    case SchedulerKind::kLowestId:
+      return f(LowestIdScheduler{});
+    case SchedulerKind::kRandom:
+      return f(RandomScheduler(seed));
+    case SchedulerKind::kRoundRobin:
+      return f(RoundRobinScheduler{});
+    case SchedulerKind::kFarthestFirst:
+      return f(FarthestFirstScheduler{});
+  }
+  throw std::invalid_argument("unknown scheduler kind");
+}
 
 /// Work profile of one strategy on one instance under one scheduler.
 struct CostProfile {

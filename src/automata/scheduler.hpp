@@ -1,8 +1,6 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <queue>
 #include <random>
@@ -28,33 +26,34 @@
 /// choose() call, so invariant checkers, traces, and the model checker can
 /// watch every intermediate state.  Production sweeps and benches run the
 /// batched CSR engine instead (core/reversal_engine.hpp), whose
-/// EnginePolicy values reproduce the exact choice sequences of
-/// LowestIdScheduler / RandomScheduler / RoundRobinScheduler /
-/// FarthestFirstScheduler over a flat sink worklist — the two paths are
-/// interchangeable by construction and tests/reversal_engine_test.cpp
-/// keeps them that way.
+/// EnginePolicy values reproduce the exact choice sequences of the first
+/// four schedulers below (tests/reversal_engine_test.cpp).
 ///
-/// The single-step schedulers other than RoundRobinScheduler choose
-/// straight from the orientation's unordered sink set in O(#sinks),
-/// without materialising the sorted enabled_sinks() vector; each picks
-/// the same node it would pick from that vector (tests/scheduler_test.cpp
-/// pins all six against it).  RoundRobinScheduler walks node ids forward
-/// from its cursor instead: cheap while sinks are dense, O(n) per choice
-/// when they are sparse.
+/// RandomScheduler, LowestIdScheduler and RoundRobinScheduler are each one
+/// query on the orientation's sink index (graph/sink_index.hpp) skipping
+/// the destination, O(log n) words per choice — the query the engine asks
+/// of its own index.  The other three scan the index for the sink with the
+/// least key under their own order, O(n/4096 + #sinks) per choice.
+/// tests/scheduler_test.cpp pins all six against choosers that test
+/// enabled(u) for every id.
 
 namespace lr {
 
-/// The enabled sink (a sink other than the destination) that is least
-/// under the strict total order `less`, or nullopt at quiescence.  A total
-/// order makes the choice independent of how the sink set is ordered.
-template <SingleStepAutomaton A, typename Less>
-std::optional<NodeId> least_enabled_sink(const A& automaton, Less less) {
-  std::optional<NodeId> best;
-  for (const NodeId u : automaton.orientation().sinks()) {
-    if (u == automaton.destination()) continue;
-    if (!best || less(u, *best)) best = u;
-  }
-  return best;
+/// The enabled sink (a sink other than the destination) with the least
+/// `key(u)`, or nullopt at quiescence; each key includes the node id, so
+/// keys are distinct.  Selects, not a branch, keep the running minimum: an ascending
+/// scan for a max order's key takes the update at every tie.
+template <SingleStepAutomaton A, typename Key>
+std::optional<NodeId> least_enabled_sink(const A& automaton, Key key) {
+  NodeId best = kNoNode;
+  decltype(key(NodeId{})) best_key{};
+  automaton.orientation().sinks().for_each([&](NodeId u) {
+    const auto k = key(u);
+    const bool take = (u != automaton.destination()) & ((best == kNoNode) | (k < best_key));
+    best = take ? u : best;
+    best_key = take ? k : best_key;
+  });
+  return best == kNoNode ? std::nullopt : std::optional<NodeId>(best);
 }
 
 /// Picks uniformly at random among enabled sinks: one draw k per choice,
@@ -65,21 +64,15 @@ class RandomScheduler {
 
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
-    const auto sinks = automaton.orientation().sinks();
-    candidates_.clear();
-    for (const NodeId u : sinks) {
-      if (u != automaton.destination()) candidates_.push_back(u);
-    }
-    if (candidates_.empty()) return std::nullopt;
-    std::uniform_int_distribution<std::size_t> pick(0, candidates_.size() - 1);
-    const auto kth = candidates_.begin() + static_cast<std::ptrdiff_t>(pick(rng_));
-    std::nth_element(candidates_.begin(), kth, candidates_.end());
-    return *kth;
+    const SinkIndex& sinks = automaton.orientation().sinks();
+    const std::size_t enabled = sinks.size() - (sinks.contains(automaton.destination()) ? 1 : 0);
+    if (enabled == 0) return std::nullopt;
+    std::uniform_int_distribution<std::size_t> pick(0, enabled - 1);
+    return sinks.select(pick(rng_), automaton.destination());
   }
 
  private:
   std::mt19937_64 rng_;
-  std::vector<NodeId> candidates_;  // reused across choices
 };
 
 /// Deterministic: always fires the smallest-id enabled sink.
@@ -87,29 +80,27 @@ class LowestIdScheduler {
  public:
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) const {
-    return least_enabled_sink(automaton, std::less<NodeId>{});
+    const NodeId u = automaton.orientation().sinks().next(0, automaton.destination());
+    return u == kNoNode ? std::nullopt : std::optional<NodeId>(u);
   }
 };
 
 /// Round-robin: cycles through node ids, firing the next enabled sink at
-/// or after the cursor.  Models a fair scheduler.
+/// or after the cursor (wrapping round).  Models a fair scheduler.
 class RoundRobinScheduler {
  public:
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
-    const std::size_t n = automaton.graph().num_nodes();
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId candidate = static_cast<NodeId>((cursor_ + i) % n);
-      if (candidate != automaton.destination() && automaton.enabled(candidate)) {
-        cursor_ = (candidate + 1) % n;
-        return candidate;
-      }
-    }
-    return std::nullopt;
+    const SinkIndex& sinks = automaton.orientation().sinks();
+    NodeId u = sinks.next(cursor_, automaton.destination());
+    if (u == kNoNode) u = sinks.next(0, automaton.destination());
+    if (u == kNoNode) return std::nullopt;
+    cursor_ = static_cast<NodeId>((u + 1) % automaton.graph().num_nodes());
+    return u;
   }
 
  private:
-  std::size_t cursor_ = 0;
+  NodeId cursor_ = 0;
 };
 
 /// Adversarial heuristic: fires the enabled sink whose undirected distance
@@ -121,14 +112,14 @@ class FarthestFirstScheduler {
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) {
     if (distance_.empty()) compute_distances(automaton.graph(), automaton.destination());
-    return least_enabled_sink(automaton, [this](NodeId a, NodeId b) {
-      return std::pair(distance_[a], a) > std::pair(distance_[b], b);
+    return least_enabled_sink(automaton, [this](NodeId u) {
+      return ~(std::uint64_t{distance_[u]} << 32 | u);  // max (distance, id)
     });
   }
 
  private:
   void compute_distances(const Graph& g, NodeId destination) {
-    distance_.assign(g.num_nodes(), std::numeric_limits<std::size_t>::max());
+    distance_.assign(g.num_nodes(), std::numeric_limits<std::uint32_t>::max());
     std::queue<NodeId> frontier;
     distance_[destination] = 0;
     frontier.push(destination);
@@ -136,7 +127,7 @@ class FarthestFirstScheduler {
       const NodeId u = frontier.front();
       frontier.pop();
       for (const Incidence& inc : g.neighbors(u)) {
-        if (distance_[inc.neighbor] == std::numeric_limits<std::size_t>::max()) {
+        if (distance_[inc.neighbor] == std::numeric_limits<std::uint32_t>::max()) {
           distance_[inc.neighbor] = distance_[u] + 1;
           frontier.push(inc.neighbor);
         }
@@ -144,7 +135,7 @@ class FarthestFirstScheduler {
     }
   }
 
-  std::vector<std::size_t> distance_;
+  std::vector<std::uint32_t> distance_;  // unreachable nodes rank farthest
 };
 
 /// Replays a fixed node sequence; `choose` fails (returns nullopt) past the
@@ -180,9 +171,8 @@ class LeastRecentlyFiredScheduler {
     if (last_fired_.size() < automaton.graph().num_nodes()) {
       last_fired_.assign(automaton.graph().num_nodes(), 0);
     }
-    const auto pick = least_enabled_sink(automaton, [this](NodeId a, NodeId b) {
-      return std::pair(last_fired_[a], a) < std::pair(last_fired_[b], b);
-    });
+    const auto pick = least_enabled_sink(
+        automaton, [this](NodeId u) { return std::pair(last_fired_[u], u); });
     if (pick) last_fired_[*pick] = ++clock_;
     return pick;
   }
@@ -200,8 +190,8 @@ class MaxDegreeScheduler {
   template <SingleStepAutomaton A>
   std::optional<NodeId> choose(const A& automaton) const {
     const Graph& g = automaton.graph();
-    return least_enabled_sink(automaton, [&g](NodeId a, NodeId b) {
-      return std::pair(g.degree(a), a) > std::pair(g.degree(b), b);
+    return least_enabled_sink(automaton, [&g](NodeId u) {
+      return ~(std::uint64_t{g.degree(u)} << 32 | u);  // max (degree, id)
     });
   }
 };

@@ -87,10 +87,7 @@ class LinkReversalBase {
 
   /// True iff no reverse action is enabled.
   bool quiescent() const {
-    for (const NodeId u : orientation_.sinks()) {
-      if (u != destination_) return false;
-    }
-    return true;
+    return orientation_.sinks().size() == (orientation_.is_sink(destination_) ? 1 : 0);
   }
 
   /// True iff `u` is a non-destination sink (the common precondition).

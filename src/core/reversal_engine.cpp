@@ -230,136 +230,74 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
     if (!result.node_cost.empty()) ++result.node_cost[u];
   };
 
-  switch (policy) {
-    case EnginePolicy::kLowestId: {
-      // Lazy min-heap worklist: every node is pushed when its out-degree
-      // hits zero; stale entries are discarded at pop.  The first valid pop
-      // is the minimum current sink, exactly LowestIdScheduler's choice.
-      heap_.clear();
-      queued_.assign(n, 0);
-      for (NodeId u = 0; u < n; ++u) {
-        if (out_degree_[u] == 0) {
-          heap_.push_back(u);
-          queued_[u] = 1;
-        }
-      }
-      std::make_heap(heap_.begin(), heap_.end(), std::greater<NodeId>{});
-      const auto push = [this](NodeId v) {
-        if (!queued_[v]) {
-          queued_[v] = 1;
-          heap_.push_back(v);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<NodeId>{});
-        }
-      };
-      SerialOps ops{out_degree_.data(), list_size_.data(), push};
-      while (result.steps < options.max_steps) {
-        NodeId u = kNoNode;
-        while (!heap_.empty()) {
-          std::pop_heap(heap_.begin(), heap_.end(), std::greater<NodeId>{});
-          const NodeId top = heap_.back();
-          heap_.pop_back();
-          queued_[top] = 0;
-          if (top != destination_ && out_degree_[top] == 0) {
-            u = top;
-            break;
-          }
-        }
-        if (u == kNoNode) {
-          result.quiescent = true;
-          break;
-        }
-        account(u, fire(algorithm, u, ops));
-      }
-      break;
+  if (policy != EnginePolicy::kFarthestFirst) {
+    // One step loop for the id-ordered policies: each choice is the sink
+    // index query its scheduler asks of the orientation's index (the same
+    // mt19937_64 draws for random).  This index never holds D: no skip.
+    sink_index_.reset(n);
+    const auto push = [this](NodeId v) {
+      if (v != destination_) sink_index_.insert(v);
+    };
+    for (NodeId u = 0; u < n; ++u) {
+      if (out_degree_[u] == 0) push(u);
     }
-    case EnginePolicy::kRandom: {
-      // Reproduces RandomScheduler exactly: an ascending sink list and a
-      // uniform index draw per step from the same mt19937_64 stream.
-      std::mt19937_64 rng(options.scheduler_seed);
-      const auto no_push = [](NodeId) {};
-      SerialOps ops{out_degree_.data(), list_size_.data(), no_push};
-      while (result.steps < options.max_steps) {
-        sink_list_.clear();
-        for (NodeId u = 0; u < n; ++u) {
-          if (u != destination_ && out_degree_[u] == 0) sink_list_.push_back(u);
-        }
-        if (sink_list_.empty()) {
-          result.quiescent = true;
-          break;
-        }
-        std::uniform_int_distribution<std::size_t> pick(0, sink_list_.size() - 1);
-        const NodeId u = sink_list_[pick(rng)];
-        account(u, fire(algorithm, u, ops));
+    SerialOps ops{out_degree_.data(), list_size_.data(), push};
+    std::mt19937_64 rng(options.scheduler_seed);
+    NodeId cursor = 0;
+    while (result.steps < options.max_steps) {
+      if (sink_index_.size() == 0) {
+        result.quiescent = true;
+        break;
       }
-      break;
+      NodeId u = kNoNode;
+      if (policy == EnginePolicy::kRandom) {
+        std::uniform_int_distribution<std::size_t> pick(0, sink_index_.size() - 1);
+        u = sink_index_.select(pick(rng));
+      } else {  // lowest-id is round-robin with the cursor pinned at 0
+        u = sink_index_.next(cursor);
+        if (u == kNoNode) u = sink_index_.next(0);
+        if (policy == EnginePolicy::kRoundRobin) cursor = static_cast<NodeId>((u + 1) % n);
+      }
+      sink_index_.erase(u);  // a zero-flip step re-inserts it through ops
+      account(u, fire(algorithm, u, ops));
     }
-    case EnginePolicy::kRoundRobin: {
-      // Reproduces RoundRobinScheduler's cursor rule over the flat
-      // out-degree array.
-      std::size_t cursor = 0;
-      const auto no_push = [](NodeId) {};
-      SerialOps ops{out_degree_.data(), list_size_.data(), no_push};
-      while (result.steps < options.max_steps) {
-        NodeId u = kNoNode;
-        for (std::size_t i = 0; i < n; ++i) {
-          const NodeId candidate = static_cast<NodeId>((cursor + i) % n);
-          if (candidate != destination_ && out_degree_[candidate] == 0) {
-            u = candidate;
-            cursor = (candidate + 1) % n;
-            break;
-          }
-        }
-        if (u == kNoNode) {
-          result.quiescent = true;
-          break;
-        }
-        account(u, fire(algorithm, u, ops));
+  } else {
+    // Lazy max-heap keyed (BFS distance to D, id), matching the max over
+    // the same keys that FarthestFirstScheduler scans for.
+    ensure_distances();
+    const auto key_of = [this](NodeId u) {
+      return (static_cast<std::uint64_t>(distance_[u]) << 32) | u;
+    };
+    key_heap_.clear();
+    queued_.assign(n, 0);
+    const auto push = [this, &key_of](NodeId v) {
+      if (!queued_[v]) {
+        queued_[v] = 1;
+        key_heap_.push_back(key_of(v));
+        std::push_heap(key_heap_.begin(), key_heap_.end());
       }
-      break;
+    };
+    for (NodeId u = 0; u < n; ++u) {
+      if (out_degree_[u] == 0) push(u);  // keys are unique: the pop order is fixed
     }
-    case EnginePolicy::kFarthestFirst: {
-      // Lazy max-heap keyed (BFS distance to D, id), matching
-      // FarthestFirstScheduler's max_element over (distance, id) pairs.
-      ensure_distances();
-      const auto key_of = [this](NodeId u) {
-        return (static_cast<std::uint64_t>(distance_[u]) << 32) | u;
-      };
-      key_heap_.clear();
-      queued_.assign(n, 0);
-      for (NodeId u = 0; u < n; ++u) {
-        if (out_degree_[u] == 0) {
-          key_heap_.push_back(key_of(u));
-          queued_[u] = 1;
-        }
-      }
-      std::make_heap(key_heap_.begin(), key_heap_.end());
-      const auto push = [this, &key_of](NodeId v) {
-        if (!queued_[v]) {
-          queued_[v] = 1;
-          key_heap_.push_back(key_of(v));
-          std::push_heap(key_heap_.begin(), key_heap_.end());
-        }
-      };
-      SerialOps ops{out_degree_.data(), list_size_.data(), push};
-      while (result.steps < options.max_steps) {
-        NodeId u = kNoNode;
-        while (!key_heap_.empty()) {
-          std::pop_heap(key_heap_.begin(), key_heap_.end());
-          const NodeId top = static_cast<NodeId>(key_heap_.back() & 0xffffffffu);
-          key_heap_.pop_back();
-          queued_[top] = 0;
-          if (top != destination_ && out_degree_[top] == 0) {
-            u = top;
-            break;
-          }
-        }
-        if (u == kNoNode) {
-          result.quiescent = true;
+    SerialOps ops{out_degree_.data(), list_size_.data(), push};
+    while (result.steps < options.max_steps) {
+      NodeId u = kNoNode;
+      while (!key_heap_.empty()) {
+        std::pop_heap(key_heap_.begin(), key_heap_.end());
+        const NodeId top = static_cast<NodeId>(key_heap_.back() & 0xffffffffu);
+        key_heap_.pop_back();
+        queued_[top] = 0;
+        if (top != destination_ && out_degree_[top] == 0) {
+          u = top;
           break;
         }
-        account(u, fire(algorithm, u, ops));
       }
-      break;
+      if (u == kNoNode) {
+        result.quiescent = true;
+        break;
+      }
+      account(u, fire(algorithm, u, ops));
     }
   }
 

@@ -6,6 +6,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "graph/sink_index.hpp"
 #include "runner/thread_pool.hpp"
 
 /// \file reversal_engine.hpp
@@ -17,16 +18,15 @@
 /// possible — one object per algorithm, per-step preconditions, orientation
 /// updates routed through `Orientation::reverse_edge` so every invariant
 /// checker can watch them.  That fidelity costs time: each step re-derives
-/// neighbor sets, binary-searches adjacency lists, and reconsults a sink
-/// vector that is re-sorted per scheduler call.
+/// neighbor sets and binary-searches adjacency lists.
 ///
 /// `ReversalEngine` is the production path.  It executes the *same*
 /// algorithms over a `CsrGraph` snapshot with:
 ///
 ///  * flat per-edge sense bytes and per-node out-degree counters (the whole
 ///    mutable state of G'),
-///  * a maintained sink *worklist* — nodes are pushed exactly when their
-///    out-degree hits zero, so no step ever scans the graph for sinks,
+///  * sinks tracked as out-degrees hit zero, so no step scans for them (a
+///    graph/sink_index.hpp index, or farthest-first's lazy key heap),
 ///  * batched per-node kernels that exploit the sink precondition (every
 ///    incident edge of a firing node points at it, so a "reversal set" is
 ///    just a slice of positions to flip),
@@ -38,7 +38,8 @@
 /// `run()` performs the *identical action sequence* as the corresponding
 /// automaton driven by the same scheduler from `automata/scheduler.hpp`,
 /// and therefore produces identical work counts, per-node costs, dummy
-/// counts, and final orientations.  `tests/reversal_engine_test.cpp` locks
+/// counts, and final orientations: both paths make each id-ordered choice
+/// with the same `SinkIndex` query.  `tests/reversal_engine_test.cpp` locks
 /// this in across algorithms × policies × topologies, which is what makes
 /// the scenario runner's legacy/CSR A/B mode byte-identical.
 
@@ -55,9 +56,9 @@ enum class EngineAlgorithm : std::uint8_t {
 /// path uses (`automata/scheduler.hpp`); each engine policy reproduces the
 /// exact choice sequence of its scheduler counterpart.
 enum class EnginePolicy : std::uint8_t {
-  kLowestId,       ///< always the smallest-id enabled sink (lazy min-heap)
-  kRandom,         ///< uniform over the ascending sink list (same RNG draws)
-  kRoundRobin,     ///< cursor scan over node ids (same cursor rule)
+  kLowestId,       ///< always the smallest-id enabled sink (sink index)
+  kRandom,         ///< k-th smallest for a uniform k (sink index, same draws)
+  kRoundRobin,     ///< next sink at or after the cursor (sink index)
   kFarthestFirst,  ///< max (BFS distance to destination, id) (lazy max-heap)
 };
 
@@ -239,10 +240,9 @@ class ReversalEngine {
   std::uint64_t dummy_steps_ = 0;
 
   // Scheduling scratch (persistent so repeated runs do not allocate).
-  std::vector<NodeId> heap_;            // lowest-id lazy min-heap
+  SinkIndex sink_index_;                // id-ordered policies: sinks but D
   std::vector<std::uint64_t> key_heap_; // farthest-first lazy max-heap
   std::vector<std::uint8_t> queued_;    // one live heap entry per node
-  std::vector<NodeId> sink_list_;       // random policy: ascending sinks
   std::vector<NodeId> round_current_;   // greedy rounds: this round's set
   std::vector<NodeId> round_next_;      // greedy rounds: next round's set
   std::vector<std::vector<NodeId>> shard_next_;   // per-shard next-round buffers

@@ -70,10 +70,9 @@ std::vector<NodeId> bad_nodes(const Orientation& o, NodeId destination) {
 
 std::vector<NodeId> sinks_excluding(const Orientation& o, NodeId destination) {
   std::vector<NodeId> result;
-  for (const NodeId u : o.sinks()) {
+  o.sinks().for_each([&](NodeId u) {
     if (u != destination) result.push_back(u);
-  }
-  std::sort(result.begin(), result.end());
+  });
   return result;
 }
 

@@ -9,7 +9,15 @@ Orientation::Orientation(const Graph& g, std::vector<EdgeSense> senses)
   if (senses_.size() != g.num_edges()) {
     throw std::invalid_argument("Orientation: one sense required per edge");
   }
-  rebuild_degrees_and_sinks();
+  const std::size_t n = g.num_nodes();
+  out_degree_.assign(n, 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ++out_degree_[tail(e)];
+  }
+  sink_index_.reset(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (out_degree_[u] == 0) sink_index_.insert(u);
+  }
 }
 
 Orientation Orientation::from_ranking(const Graph& g, std::span<const std::uint32_t> rank) {
@@ -28,33 +36,6 @@ Orientation Orientation::from_ranking(const Graph& g, std::span<const std::uint3
   return Orientation(g, std::move(senses));
 }
 
-void Orientation::rebuild_degrees_and_sinks() {
-  const std::size_t n = graph_->num_nodes();
-  out_degree_.assign(n, 0);
-  for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
-    ++out_degree_[tail(e)];
-  }
-  sinks_.clear();
-  sink_pos_.assign(n, kNotSink);
-  for (NodeId u = 0; u < n; ++u) {
-    if (out_degree_[u] == 0) add_sink(u);
-  }
-}
-
-void Orientation::add_sink(NodeId u) {
-  sink_pos_[u] = static_cast<std::uint32_t>(sinks_.size());
-  sinks_.push_back(u);
-}
-
-void Orientation::remove_sink(NodeId u) {
-  const std::uint32_t pos = sink_pos_[u];
-  const NodeId last = sinks_.back();
-  sinks_[pos] = last;
-  sink_pos_[last] = pos;
-  sinks_.pop_back();
-  sink_pos_[u] = kNotSink;
-}
-
 void Orientation::reverse_edge(EdgeId e) {
   const NodeId old_tail = tail(e);
   const NodeId old_head = head(e);
@@ -62,9 +43,9 @@ void Orientation::reverse_edge(EdgeId e) {
   ++reversal_count_;
 
   // old_tail loses an outgoing edge; may become a sink.
-  if (--out_degree_[old_tail] == 0) add_sink(old_tail);
+  if (--out_degree_[old_tail] == 0) sink_index_.insert(old_tail);
   // old_head gains an outgoing edge; may stop being a sink.
-  if (out_degree_[old_head]++ == 0) remove_sink(old_head);
+  if (out_degree_[old_head]++ == 0) sink_index_.erase(old_head);
 }
 
 std::vector<NodeId> Orientation::out_neighbors(NodeId u) const {

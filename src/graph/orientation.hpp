@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/sink_index.hpp"
 #include "graph/types.hpp"
 
 /// \file orientation.hpp
@@ -18,9 +19,9 @@
 /// src/core still exercises the two-sided API so the paper's statement is
 /// tested rather than merely assumed.
 ///
-/// The orientation also maintains per-node out-degrees and an incrementally
-/// updated set of current sinks, because every link-reversal automaton's
-/// precondition is "u is a sink" and enabled-action enumeration must be
+/// The orientation also maintains per-node out-degrees and an ascending
+/// index of current sinks (graph/sink_index.hpp), because every automaton's
+/// precondition is "u is a sink" and choosing an enabled action must be
 /// cheap (experiment E8.3 measures this ablation; docs/EXPERIMENTS.md).
 
 namespace lr {
@@ -75,7 +76,7 @@ class Orientation {
   Dir dir(NodeId u, NodeId v) const { return dir_from(u, graph_->edge_between(u, v)); }
 
   /// Reverses edge `e` (the elementary effect of every reverse action).
-  /// Updates degrees and the sink set in O(1) amortized.
+  /// Updates degrees and the sink index in O(log n).
   void reverse_edge(EdgeId e);
 
   /// Points edge `e` away from node `u` if it is not already; no-op
@@ -100,9 +101,9 @@ class Orientation {
     return graph_->degree(u) > 0 && out_degree_[u] == graph_->degree(u);
   }
 
-  /// Current sinks, maintained incrementally; unordered.  Includes the
-  /// destination if it happens to be a sink — callers exclude it.
-  std::span<const NodeId> sinks() const noexcept { return sinks_; }
+  /// Current sinks, ascending, maintained incrementally.  Includes the
+  /// destination if it happens to be a sink — callers skip it.
+  const SinkIndex& sinks() const noexcept { return sink_index_; }
 
   /// Current out-neighbors of `u` (computed on demand, ascending order).
   std::vector<NodeId> out_neighbors(NodeId u) const;
@@ -121,18 +122,11 @@ class Orientation {
   }
 
  private:
-  void rebuild_degrees_and_sinks();
-  void add_sink(NodeId u);
-  void remove_sink(NodeId u);
-
   const Graph* graph_ = nullptr;
   std::vector<EdgeSense> senses_;
   std::vector<std::uint32_t> out_degree_;
-  std::vector<NodeId> sinks_;           // unordered set of current sinks
-  std::vector<std::uint32_t> sink_pos_; // index into sinks_, or npos
+  SinkIndex sink_index_;
   std::uint64_t reversal_count_ = 0;
-
-  static constexpr std::uint32_t kNotSink = std::numeric_limits<std::uint32_t>::max();
 };
 
 }  // namespace lr

@@ -77,13 +77,16 @@ ToraStats run_churn_scenario(const Graph& topology, NodeId destination, std::siz
   std::uniform_int_distribution<NodeId> pick_node(0,
                                                   static_cast<NodeId>(topology.num_nodes() - 1));
   for (std::size_t i = 0; i < events; ++i) {
-    const EdgeId e = pick_edge(rng);
-    const NodeId u = topology.edge_u(e);
-    const NodeId v = topology.edge_v(e);
-    if (router.dag().has_link(u, v)) {
-      router.link_down(u, v);
-    } else {
-      router.link_up(u, v);
+    // An edgeless topology has no link to flip: its events only send packets.
+    if (topology.num_edges() > 0) {
+      const EdgeId e = pick_edge(rng);
+      const NodeId u = topology.edge_u(e);
+      const NodeId v = topology.edge_v(e);
+      if (router.dag().has_link(u, v)) {
+        router.link_down(u, v);
+      } else {
+        router.link_up(u, v);
+      }
     }
     for (std::size_t p = 0; p < packets_per_event; ++p) {
       router.send_packet(pick_node(rng));

@@ -47,31 +47,6 @@ const char* relation_verdict_token(RelationVerdict verdict) {
 
 namespace {
 
-/// Instantiates the single-step scheduler `kind` names and applies `f` to
-/// it (schedulers are stateful templates, so dispatch happens here once).
-template <typename F>
-decltype(auto) with_single_scheduler(SchedulerKind kind, std::uint64_t seed, F&& f) {
-  switch (kind) {
-    case SchedulerKind::kLowestId: {
-      LowestIdScheduler s;
-      return f(s);
-    }
-    case SchedulerKind::kRandom: {
-      RandomScheduler s(seed);
-      return f(s);
-    }
-    case SchedulerKind::kRoundRobin: {
-      RoundRobinScheduler s;
-      return f(s);
-    }
-    case SchedulerKind::kFarthestFirst: {
-      FarthestFirstScheduler s;
-      return f(s);
-    }
-  }
-  throw std::invalid_argument("unknown scheduler kind");
-}
-
 void fill_instance_shape(RunRecord& record, const Instance& instance) {
   record.nodes = instance.graph.num_nodes();
   record.bad_nodes = count_bad_nodes(instance);
@@ -181,7 +156,7 @@ void run_hybrid_kernel(RunRecord& record, const Instance& instance) {
   }
   HybridStrategyAutomaton automaton(instance, std::move(profile));
   const RunResult result = with_single_scheduler(
-      spec.scheduler, spec.scheduler_seed(), [&](auto& scheduler) {
+      spec.scheduler, spec.scheduler_seed(), [&](auto&& scheduler) {
         return run_to_quiescence(automaton, scheduler, {.max_steps = spec.max_steps});
       });
   record.work = result.node_steps;
@@ -348,7 +323,7 @@ void run_sim_r_kernel(RunRecord& record, const Instance& instance) {
   OneStepPRAutomaton concrete(instance);
   NewPRAutomaton abstract(instance);
   const SimulationCheckResult result = with_single_scheduler(
-      spec.scheduler, spec.scheduler_seed(), [&](auto& scheduler) {
+      spec.scheduler, spec.scheduler_seed(), [&](auto&& scheduler) {
         return check_forward_simulation(concrete, abstract, scheduler, relation_R,
                                         correspondence_R, spec.max_steps);
       });
@@ -362,7 +337,7 @@ void run_sim_rrev_kernel(RunRecord& record, const Instance& instance) {
   NewPRAutomaton concrete(instance);
   OneStepPRAutomaton abstract(instance);
   const SimulationCheckResult result = with_single_scheduler(
-      spec.scheduler, spec.scheduler_seed(), [&](auto& scheduler) {
+      spec.scheduler, spec.scheduler_seed(), [&](auto&& scheduler) {
         return check_forward_simulation(concrete, abstract, scheduler, reverse_relation_R,
                                         correspondence_R_reverse, spec.max_steps);
       });

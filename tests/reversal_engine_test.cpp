@@ -1,7 +1,7 @@
 // Tests for the batched CSR execution engine (core/reversal_engine.hpp):
 // step-for-step equivalence with the legacy automaton + scheduler path
 // across all three algorithms and all four scheduling policies, greedy-
-// rounds equivalence, worklist sink detection on disconnected/degenerate
+// rounds equivalence, incremental sink detection on disconnected/degenerate
 // graphs, and record-level A/B equality through the scenario runner.
 
 #include "core/reversal_engine.hpp"
@@ -74,28 +74,7 @@ template <typename A>
 std::vector<EdgeSense> legacy_final_senses(const Instance& instance, SchedulerKind kind,
                                            std::uint64_t seed) {
   A automaton(instance);
-  switch (kind) {
-    case SchedulerKind::kLowestId: {
-      LowestIdScheduler s;
-      run_to_quiescence(automaton, s);
-      break;
-    }
-    case SchedulerKind::kRandom: {
-      RandomScheduler s(seed);
-      run_to_quiescence(automaton, s);
-      break;
-    }
-    case SchedulerKind::kRoundRobin: {
-      RoundRobinScheduler s;
-      run_to_quiescence(automaton, s);
-      break;
-    }
-    case SchedulerKind::kFarthestFirst: {
-      FarthestFirstScheduler s;
-      run_to_quiescence(automaton, s);
-      break;
-    }
-  }
+  with_single_scheduler(kind, seed, [&automaton](auto&& s) { run_to_quiescence(automaton, s); });
   return automaton.orientation().senses();
 }
 
@@ -114,7 +93,13 @@ std::vector<EdgeSense> legacy_final_senses(const Instance& instance, Strategy st
 
 TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
   const std::uint64_t seed = 12345;
-  for (const Instance& instance : equivalence_instances()) {
+  // The small instances fit in one leaf word of the sink index; one graph
+  // above 4,096 nodes puts its summary levels and cross-word select on
+  // both paths.
+  std::vector<Instance> instances = equivalence_instances();
+  std::mt19937_64 rng(4242);
+  instances.push_back(make_random_instance(5000, 5000 / 4, rng));
+  for (const Instance& instance : instances) {
     ReversalEngine engine(instance);
     for (const Strategy strategy : kStrategies) {
       for (const NamedPolicy& pair : kPolicies) {

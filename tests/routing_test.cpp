@@ -392,6 +392,16 @@ TEST(ToraTest, ChurnScenarioKeepsDeliveringWhenConnected) {
   EXPECT_EQ(stats.link_events, 40u);
 }
 
+TEST(ToraTest, ChurnScenarioOnAnEdgelessGraphSendsWithoutLinkEvents) {
+  // No edge to draw: every event only sends packets, all from (and to)
+  // the destination itself.
+  const Graph g(1, {});
+  const ToraStats stats = run_churn_scenario(g, 0, 5, 3, 7);
+  EXPECT_EQ(stats.link_events, 0u);
+  EXPECT_EQ(stats.packets_sent, 15u);
+  EXPECT_EQ(stats.packets_delivered, 15u);
+}
+
 // ---------------------------------------------------------------------------
 // LeaderElectionService
 // ---------------------------------------------------------------------------

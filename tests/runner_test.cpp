@@ -316,6 +316,19 @@ TEST(ExecuteRunTest, EveryAlgorithmKernelExecutesCleanly) {
   }
 }
 
+TEST(ExecuteRunTest, ToraOnAnEdgelessChainIsAnOkRecord) {
+  // A one-node chain has no link to flip; run_churn_scenario used to draw
+  // an edge id from an empty range and read past the edge table.
+  RunSpec spec;
+  spec.topology = TopologyKind::kChain;
+  spec.size = 1;
+  spec.algorithm = AlgorithmKind::kTora;
+  const RunRecord record = execute_run(spec);
+  EXPECT_TRUE(record.error.empty()) << record.error;
+  EXPECT_EQ(record.nodes, 1u);
+  EXPECT_TRUE(record.converged);
+}
+
 TEST(ExecuteRunTest, ChainWorkMatchesClosedForms) {
   RunSpec spec;
   spec.topology = TopologyKind::kChain;

@@ -124,7 +124,8 @@ auto correspondence_R_with_stray_dummy() {
                         const NewPRAutomaton& t) mutable {
     std::vector<NodeId> mapped = correspondence_R(s, w, t);
     if (done) return mapped;
-    for (const NodeId x : t.orientation().sinks()) {
+    const SinkIndex& sinks = t.orientation().sinks();
+    for (NodeId x = sinks.next(0); x != kNoNode; x = sinks.next(x + 1)) {
       if (x != w && x != t.destination() && t.would_be_dummy_step(x)) {
         mapped.push_back(x);
         done = true;
