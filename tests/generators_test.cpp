@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/csr.hpp"
 #include "graph/digraph_algos.hpp"
+#include "runner/scenario.hpp"
 
 namespace lr {
 namespace {
@@ -199,6 +201,98 @@ TEST(GeneratorsTest, InstanceOrientationIsFreshEachTime) {
   Orientation b = inst.make_orientation();
   EXPECT_EQ(b.reversal_count(), 0u);
   EXPECT_FALSE(a == b);
+}
+
+/// FNV-1a over each event's (u, v, up), in schedule order.
+std::uint64_t schedule_hash(const std::vector<LinkEvent>& churn) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const LinkEvent& ev : churn) {
+    mix(ev.u, 4);
+    mix(ev.v, 4);
+    mix(ev.up ? 1 : 0, 1);
+  }
+  return h;
+}
+
+// Golden values of the randomized sweep topologies: the CSR fingerprint of
+// make_churn_instance(spec) and, for waypoint with churn_events = 100, the
+// hash of its schedule.  Any change to a generator's RNG draws, dedup or
+// edge order moves them, so a generator rewrite must leave this table alone.
+TEST(GeneratorsTest, SeededInstancesMatchGoldenFingerprints) {
+  constexpr std::uint64_t kNoSchedule = 0xcbf29ce484222325ull;  // hash of an empty schedule
+  struct Golden {
+    TopologyKind topology;
+    std::size_t size;
+    std::uint64_t seed;
+    std::uint64_t csr_fingerprint;
+    std::uint64_t schedule;
+  };
+  const Golden golden[] = {
+      {TopologyKind::kWideRandom, 8, 1, 0xa40092b170a329d9ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 8, 2, 0x5ab77bebe22cf14dull, kNoSchedule},
+      {TopologyKind::kWideRandom, 8, 3, 0xc091c2aba40bafe1ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 1, 0xb835f2b089a924fbull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 2, 0xdb9489b88ef418feull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 3, 0x567788a168b4b280ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 1, 0x94bc80abd4870b11ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 2, 0x967b95cdc1615bdcull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 3, 0x0d1edc1bb38ba7a9ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 1, 0xbf6dc9edace8dd25ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 2, 0xfed823f44ced5598ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 3, 0x0e90d374afab4daeull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 1, 0x7497d582083c099aull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 2, 0x00c8bbeb069cbf35ull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 3, 0x734c25cda55098e9ull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 1, 0xd746ad2cb4ff5f64ull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 2, 0xdd24cf7a1920300aull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 3, 0x9561918b9d147a1full, kNoSchedule},
+      {TopologyKind::kLayered, 8, 1, 0xb3ee24aed84da4ccull, kNoSchedule},
+      {TopologyKind::kLayered, 8, 2, 0x52ae0abec5112598ull, kNoSchedule},
+      {TopologyKind::kLayered, 8, 3, 0x88f7d8a7a92511dcull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 1, 0x6c2626a696063f54ull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 2, 0x5e757a6774d26660ull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 3, 0x86ee05d08253c026ull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 1, 0xae7ca2c8b99c21caull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 2, 0xced21b6f3c7ca1d4ull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 3, 0x54751283d8b6d5cfull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 1, 0x679e79db2c2c7bebull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 2, 0x10c13d17608d3947ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 3, 0xacae6680fddd6c02ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 1, 0x72b9ca140c6bc3caull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 2, 0x9d19e7b05f566c1eull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 3, 0x2afeeaae8e24c976ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 1, 0xf4cf91710a602849ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 2, 0x1f5e18ae8acf812dull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 3, 0xf89b9c1961fedb59ull, kNoSchedule},
+      {TopologyKind::kWaypoint, 8, 1, 0x833579853bbdd3adull, 0x9eebd8dd214c576dull},
+      {TopologyKind::kWaypoint, 8, 2, 0xd173de60c441c681ull, 0x74ed45829ad8f476ull},
+      {TopologyKind::kWaypoint, 8, 3, 0x26b2d0f90f56f3e7ull, 0x4fa1ce9952a88fccull},
+      {TopologyKind::kWaypoint, 300, 1, 0xbef9cafec94ddfcbull, 0x36eeed8afb25ebb7ull},
+      {TopologyKind::kWaypoint, 300, 2, 0x2905b6a89f621d12ull, 0x10ce8807060f68a4ull},
+      {TopologyKind::kWaypoint, 300, 3, 0x8f4108a5263c63a0ull, 0xbb7c0a758bcbd36cull},
+      {TopologyKind::kWaypoint, 5000, 1, 0xf271bbe962262b9aull, 0xe2f0720c9db64ffcull},
+      {TopologyKind::kWaypoint, 5000, 2, 0x07a74c9508ba95e4ull, 0x029262483e275fb0ull},
+      {TopologyKind::kWaypoint, 5000, 3, 0xa622b06d0e310a32ull, 0x6e458e505958065eull},
+  };
+  for (const Golden& g : golden) {
+    RunSpec spec;
+    spec.topology = g.topology;
+    spec.size = g.size;
+    spec.seed = g.seed;
+    if (g.topology == TopologyKind::kWaypoint) spec.churn_events = 100;
+    SCOPED_TRACE(std::string(topology_token(g.topology)) + "-" + std::to_string(g.size) +
+                 " seed " + std::to_string(g.seed));
+    const ChurnInstance churn = make_churn_instance(spec);
+    EXPECT_EQ(CsrGraph(churn.instance.graph, churn.instance.senses).fingerprint(),
+              g.csr_fingerprint);
+    EXPECT_EQ(schedule_hash(churn.churn), g.schedule);
+  }
 }
 
 }  // namespace
