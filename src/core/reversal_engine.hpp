@@ -218,8 +218,10 @@ class ReversalEngine {
   std::uint32_t fire_pr(NodeId u, Ops& ops);
   template <typename Ops>
   std::uint32_t fire_newpr(NodeId u, Ops& ops);
+  // Forced inline: GCC otherwise keeps one out-of-line flip per Ops type,
+  // and the call costs the greedy rounds 14-26% at 10^6 (docs/PERFORMANCE.md).
   template <typename Ops>
-  void flip(CsrPos p, Ops& ops);
+  [[gnu::always_inline]] inline void flip(CsrPos p, Ops& ops);
 
   const CsrGraph* csr_ = nullptr;
   std::vector<CsrGraph> owned_csr_;  // non-empty only for the Instance ctor

@@ -6,7 +6,8 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
-#include <unordered_set>
+
+#include "graph/edge_key_table.hpp"
 
 namespace lr {
 
@@ -21,34 +22,34 @@ std::vector<EdgeSense> senses_from_ranking(const Graph& g, const std::vector<std
 }
 
 // ---------------------------------------------------------------------------
-// Flat edge-set machinery.  The randomized generators historically
-// deduplicated through std::set<std::pair> — one red-black node per edge,
-// which dominates generation time at n = 10^6.  They now deduplicate
-// through a flat hash set of packed (min << 32 | max) keys and sort once
-// at the end: the membership semantics (hence RNG consumption) and the
-// final sorted edge order are identical to the std::set versions, so
-// every seeded workload is byte-for-byte unchanged.
+// Random edge sets.  The randomized generators draw until they hold enough
+// distinct edges, so whether each draw was new decides how many draws
+// follow.  They deduplicate through an EdgeKeyTable (one flat array of
+// packed (min << 32 | max) keys, graph/edge_key_table.hpp) whose insert
+// answers "new?" exactly as the std::set, and later std::unordered_set, it
+// replaced did: every seeded instance keeps its draws and its bytes.  The
+// table returns the edges in canonical ascending order, which Graph adopts
+// without sorting again, and is freed before the Graph is built.
 // ---------------------------------------------------------------------------
 
-/// Packs a canonical edge into one hashable 64-bit key.
-constexpr std::uint64_t edge_key(NodeId a, NodeId b) {
-  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
-}
-
-/// Unpacks an edge_key back into its canonical endpoint pair.
-constexpr std::pair<NodeId, NodeId> key_edge(std::uint64_t key) {
-  return {static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffu)};
-}
-
-/// Sorted canonical edge list of a key set (ascending (min, max) lex
-/// order — the same order std::set iteration used to produce).
-std::vector<std::pair<NodeId, NodeId>> sorted_edges(const std::unordered_set<std::uint64_t>& keys) {
-  std::vector<std::uint64_t> flat(keys.begin(), keys.end());
-  std::sort(flat.begin(), flat.end());
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(flat.size());
-  for (const std::uint64_t k : flat) edges.push_back(key_edge(k));
-  return edges;
+/// Canonical edge list of a random connected graph on `n` >= 1 nodes: a
+/// random-attachment spanning tree (node i >= 1 joins a uniform node below
+/// it, the draws of make_random_tree_graph; low diameter, O(n)), then
+/// uniform node pairs until `target` distinct edges exist.
+std::vector<std::pair<NodeId, NodeId>> random_connected_edges(std::size_t n, std::size_t target,
+                                                              std::mt19937_64& rng) {
+  EdgeKeyTable edges(target);
+  for (NodeId i = 1; i < n; ++i) {
+    std::uniform_int_distribution<NodeId> parent(0, i - 1);
+    edges.insert(edge_key(parent(rng), i));
+  }
+  std::uniform_int_distribution<NodeId> pick(0, static_cast<NodeId>(n - 1));
+  while (edges.size() < target) {
+    const NodeId a = pick(rng);
+    const NodeId b = pick(rng);
+    if (a != b) edges.insert(edge_key(a, b));
+  }
+  return edges.sorted_edges(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,20 +233,10 @@ Graph make_random_tree_graph(std::size_t n, std::mt19937_64& rng) {
 }
 
 Graph make_random_connected_graph(std::size_t n, std::size_t extra_edges, std::mt19937_64& rng) {
-  Graph tree = make_random_tree_graph(n, rng);
-  std::unordered_set<std::uint64_t> edge_set;
+  if (n == 0) throw std::invalid_argument("make_random_connected_graph: n must be positive");
   const std::size_t max_edges = n * (n - 1) / 2;
   const std::size_t target = std::min(max_edges, (n - 1) + extra_edges);
-  edge_set.reserve(2 * target);
-  for (const auto& [a, b] : tree.edges()) edge_set.insert(edge_key(a, b));
-  std::uniform_int_distribution<NodeId> pick(0, static_cast<NodeId>(n - 1));
-  while (edge_set.size() < target) {
-    const NodeId a = pick(rng);
-    const NodeId b = pick(rng);
-    if (a == b) continue;
-    edge_set.insert(edge_key(a, b));
-  }
-  return Graph(n, sorted_edges(edge_set));
+  return Graph(n, random_connected_edges(n, target, rng));
 }
 
 Graph make_layered_graph(std::size_t layers, std::size_t width, double p, std::mt19937_64& rng) {
@@ -260,27 +251,29 @@ Graph make_layered_graph(std::size_t layers, std::size_t width, double p, std::m
   const auto layer_size = [width](std::size_t layer) { return layer == 0 ? std::size_t{1} : width; };
   const std::size_t n = 1 + (layers - 1) * width;
 
-  std::unordered_set<std::uint64_t> edge_set;
-  edge_set.reserve(2 * n);
-  std::bernoulli_distribution flip(p);
-  for (std::size_t layer = 1; layer < layers; ++layer) {
-    const NodeId prev_begin = layer_begin(layer - 1);
-    const std::size_t prev_size = layer_size(layer - 1);
-    std::uniform_int_distribution<NodeId> pick_prev(prev_begin,
-                                                    static_cast<NodeId>(prev_begin + prev_size - 1));
-    for (std::size_t i = 0; i < layer_size(layer); ++i) {
-      const NodeId u = static_cast<NodeId>(layer_begin(layer) + i);
-      // Guarantee connectivity: one mandatory edge to the previous layer.
-      NodeId anchor = pick_prev(rng);
-      edge_set.insert(edge_key(anchor, u));
-      // Optional extra edges.
-      for (std::size_t j = 0; j < prev_size; ++j) {
-        const NodeId v = static_cast<NodeId>(prev_begin + j);
-        if (v != anchor && flip(rng)) edge_set.insert(edge_key(u, v));
+  const auto draw_edges = [&] {
+    EdgeKeyTable edges(n + static_cast<std::size_t>(p * static_cast<double>(n * width)));
+    std::bernoulli_distribution flip(p);
+    for (std::size_t layer = 1; layer < layers; ++layer) {
+      const NodeId prev_begin = layer_begin(layer - 1);
+      const std::size_t prev_size = layer_size(layer - 1);
+      std::uniform_int_distribution<NodeId> pick_prev(
+          prev_begin, static_cast<NodeId>(prev_begin + prev_size - 1));
+      for (std::size_t i = 0; i < layer_size(layer); ++i) {
+        const NodeId u = static_cast<NodeId>(layer_begin(layer) + i);
+        // Guarantee connectivity: one mandatory edge to the previous layer.
+        NodeId anchor = pick_prev(rng);
+        edges.insert(edge_key(anchor, u));
+        // Optional extra edges.
+        for (std::size_t j = 0; j < prev_size; ++j) {
+          const NodeId v = static_cast<NodeId>(prev_begin + j);
+          if (v != anchor && flip(rng)) edges.insert(edge_key(u, v));
+        }
       }
     }
-  }
-  return Graph(n, sorted_edges(edge_set));
+    return edges.sorted_edges(n);
+  };
+  return Graph(n, draw_edges());
 }
 
 Graph make_unit_disk_graph(std::size_t n, double radius, std::mt19937_64& rng) {
@@ -473,21 +466,7 @@ Graph make_wide_random_graph(std::size_t n, double avg_degree, std::mt19937_64& 
   const auto wanted = static_cast<std::size_t>(avg_degree * static_cast<double>(n) / 2.0);
   const std::size_t target = std::min(max_edges, std::max(n >= 1 ? n - 1 : 0, wanted));
 
-  std::unordered_set<std::uint64_t> edge_set;
-  edge_set.reserve(2 * target);
-  // Random-attachment spanning tree: low diameter (hence "wide"), O(n).
-  for (NodeId i = 1; i < n; ++i) {
-    std::uniform_int_distribution<NodeId> parent(0, i - 1);
-    edge_set.insert(edge_key(parent(rng), i));
-  }
-  std::uniform_int_distribution<NodeId> pick(0, static_cast<NodeId>(n - 1));
-  while (edge_set.size() < target) {
-    const NodeId a = pick(rng);
-    const NodeId b = pick(rng);
-    if (a == b) continue;
-    edge_set.insert(edge_key(a, b));
-  }
-  return Graph(n, sorted_edges(edge_set));
+  return Graph(n, random_connected_edges(n, target, rng));
 }
 
 Instance make_torus_instance(std::size_t rows, std::size_t cols, std::mt19937_64& rng) {
@@ -521,12 +500,6 @@ ChurnInstance make_waypoint_churn_instance(std::size_t n, double radius, std::si
   out.instance.senses.assign(out.instance.graph.num_edges(), EdgeSense::kForward);
   out.instance.destination = 0;
   out.instance.name = "waypoint(n=" + std::to_string(n) + ")";
-
-  // The proximity link set, live under mobility; starts as the graph.
-  std::unordered_set<std::uint64_t> links;
-  links.reserve(2 * out.instance.graph.num_edges());
-  for (const auto& [a, b] : out.instance.graph.edges()) links.insert(edge_key(a, b));
-  const std::unordered_set<std::uint64_t> original = links;
 
   UnitSquareGrid grid(n, r);
   for (NodeId i = 0; i < n; ++i) grid.insert(i, pos[i].first, pos[i].second);
@@ -565,34 +538,32 @@ ChurnInstance make_waypoint_churn_instance(std::size_t n, double radius, std::si
                         std::back_inserter(gained));
     for (const NodeId v : lost) {
       out.churn.push_back(LinkEvent{std::min(w, v), std::max(w, v), false});
-      links.erase(edge_key(w, v));
     }
     for (const NodeId v : gained) {
       out.churn.push_back(LinkEvent{std::min(w, v), std::max(w, v), true});
-      links.insert(edge_key(w, v));
     }
   }
 
   // Healing suffix: return the link set to the initial topology exactly
-  // (downs for links churn created, ups for links it destroyed; both in
-  // canonical order for determinism).
-  std::vector<std::uint64_t> extra, missing;
-  for (const std::uint64_t k : links) {
-    if (!original.contains(k)) extra.push_back(k);
+  // (downs for links churn created, ups for links it destroyed; each in
+  // canonical order for determinism).  Only a link the schedule touched can
+  // differ from the initial topology, and it ends as its last event left
+  // it, so one backward pass over the events finds every difference.
+  std::vector<LinkEvent> extra, missing;
+  EdgeKeyTable settled(out.churn.size());
+  for (auto ev = out.churn.rbegin(); ev != out.churn.rend(); ++ev) {
+    if (!settled.insert(edge_key(ev->u, ev->v))) continue;  // a later event decided it
+    const bool initial = out.instance.graph.adjacent(ev->u, ev->v);
+    if (ev->up && !initial) extra.push_back(LinkEvent{ev->u, ev->v, false});
+    if (!ev->up && initial) missing.push_back(LinkEvent{ev->u, ev->v, true});
   }
-  for (const std::uint64_t k : original) {
-    if (!links.contains(k)) missing.push_back(k);
-  }
-  std::sort(extra.begin(), extra.end());
-  std::sort(missing.begin(), missing.end());
-  for (const std::uint64_t k : extra) {
-    const auto [a, b] = key_edge(k);
-    out.churn.push_back(LinkEvent{a, b, false});
-  }
-  for (const std::uint64_t k : missing) {
-    const auto [a, b] = key_edge(k);
-    out.churn.push_back(LinkEvent{a, b, true});
-  }
+  const auto canonical = [](const LinkEvent& x, const LinkEvent& y) {
+    return std::pair(x.u, x.v) < std::pair(y.u, y.v);
+  };
+  std::sort(extra.begin(), extra.end(), canonical);
+  std::sort(missing.begin(), missing.end(), canonical);
+  out.churn.insert(out.churn.end(), extra.begin(), extra.end());
+  out.churn.insert(out.churn.end(), missing.begin(), missing.end());
   return out;
 }
 

@@ -60,8 +60,10 @@ Graph make_binary_tree_graph(std::size_t n);
 /// Uniformly random labeled tree (random attachment).
 Graph make_random_tree_graph(std::size_t n, std::mt19937_64& rng);
 
-/// Connected random graph: random spanning tree plus `extra_edges`
-/// additional distinct non-tree edges (clamped to the complete graph).
+/// Connected random graph: random spanning tree (the draws of
+/// make_random_tree_graph) plus `extra_edges` additional distinct
+/// non-tree edges (clamped to the complete graph).  Throws
+/// std::invalid_argument when `n` is 0.
 Graph make_random_connected_graph(std::size_t n, std::size_t extra_edges, std::mt19937_64& rng);
 
 /// Layered graph: `layers` layers of `width` nodes; every node has >= 1
@@ -108,9 +110,10 @@ Graph make_torus_graph(std::size_t rows, std::size_t cols);
 /// Wide random connected graph: a random-attachment spanning tree (low
 /// diameter, hence "wide") plus distinct random extra edges up to
 /// `avg_degree * n / 2` total edges (clamped to the complete graph).
-/// Built with a flat hash-key set and one final sort — no per-edge tree
-/// nodes — so it generates million-node instances in seconds.  The edge
-/// list is canonically sorted (CsrBuilder-streamable, see above).
+/// Deduplicated through a flat EdgeKeyTable (graph/edge_key_table.hpp)
+/// and ordered by a counting sort, with no heap node per edge, so a
+/// million-node instance takes about a second.  The edge list is
+/// canonically sorted (CsrBuilder-streamable, see above).
 Graph make_wide_random_graph(std::size_t n, double avg_degree, std::mt19937_64& rng);
 
 // ---------------------------------------------------------------------------

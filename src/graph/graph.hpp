@@ -36,11 +36,15 @@ struct Incidence {
 ///  * endpoints of edge e are stored canonically as (a, b) with a < b.
 class Graph {
  public:
-  /// Builds a graph with `num_nodes` nodes and the given undirected edges.
-  /// Throws std::invalid_argument on self loops, parallel edges, or
-  /// out-of-range endpoints, and std::overflow_error when the adjacency
-  /// would exceed the 32-bit CSR position space (2·E >= 2^32; see the
-  /// offset-width policy in graph/types.hpp).
+  /// Builds a graph with `num_nodes` nodes and the given undirected edges;
+  /// edge i of the list becomes EdgeId i.  The vector is canonicalized in
+  /// place and kept as the endpoint array, without a copy.  Strictly
+  /// ascending canonical input (what the generators emit) is accepted in
+  /// O(n + m): it cannot hold parallel edges and needs no sorting.  Throws
+  /// std::invalid_argument on self loops, parallel edges, or out-of-range
+  /// endpoints, and std::overflow_error when the adjacency would exceed the
+  /// 32-bit CSR position space (2·E >= 2^32; see the offset-width policy in
+  /// graph/types.hpp).
   Graph(std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 
   /// Already-validated construction parts for the trusted fast path

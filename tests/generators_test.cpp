@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/csr.hpp"
 #include "graph/digraph_algos.hpp"
 #include "runner/scenario.hpp"
@@ -292,6 +294,26 @@ TEST(GeneratorsTest, SeededInstancesMatchGoldenFingerprints) {
     EXPECT_EQ(CsrGraph(churn.instance.graph, churn.instance.senses).fingerprint(),
               g.csr_fingerprint);
     EXPECT_EQ(schedule_hash(churn.churn), g.schedule);
+  }
+}
+
+// The generator contract (docs/ARCHITECTURE.md): every sweep topology's
+// edge list is strictly ascending in canonical (min, max) order, which is
+// what lets Graph skip its duplicate sort and per-node sorts.
+TEST(GeneratorsTest, SweepTopologiesEmitStrictlyAscendingCanonicalEdges) {
+  for (const TopologyKind topology :
+       {TopologyKind::kChain, TopologyKind::kRandom, TopologyKind::kGrid, TopologyKind::kLayered,
+        TopologyKind::kStar, TopologyKind::kUnitDisk, TopologyKind::kTorus,
+        TopologyKind::kWideRandom, TopologyKind::kWaypoint}) {
+    RunSpec spec;
+    spec.topology = topology;
+    spec.size = 300;
+    const Instance instance = make_instance(spec);
+    const auto& edges = instance.graph.edges();
+    EXPECT_EQ(std::adjacent_find(edges.begin(), edges.end(),
+                                 [](const auto& x, const auto& y) { return !(x < y); }),
+              edges.end())
+        << topology_token(topology);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
+
+#include "graph/generators.hpp"
 
 namespace lr {
 namespace {
@@ -112,6 +116,68 @@ TEST(GraphTest, Equality) {
   Graph c(3, {{0, 1}, {0, 2}});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+/// Runs `build` and returns the message of the std::invalid_argument it
+/// throws ("" when it throws none).
+template <typename Build>
+std::string rejection(Build&& build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Strictly ascending canonical input skips the duplicate sort and the
+// per-node sorts; any other order takes the general path.  Both must build
+// the same adjacency.
+TEST(GraphTest, CanonicalInputBuildsWhatTheGeneralPathBuilds) {
+  std::mt19937_64 rng(3);
+  const Graph canonical = make_wide_random_graph(300, 6.0, rng);
+  const auto& edges = canonical.edges();
+  ASSERT_TRUE(std::is_sorted(edges.begin(), edges.end()));
+
+  // Same order with every endpoint pair swapped: canonicalizes back to the
+  // same ascending list, so the same graph, edge ids included.
+  std::vector<std::pair<NodeId, NodeId>> swapped(edges);
+  for (auto& [a, b] : swapped) std::swap(a, b);
+  EXPECT_EQ(Graph(300, swapped), canonical);
+
+  // Shuffled, with every other pair swapped: the general path.  Edge ids
+  // follow the input order, so compare each incidence through its edge's
+  // endpoints.
+  std::vector<std::pair<NodeId, NodeId>> shuffled(edges);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (std::size_t i = 0; i < shuffled.size(); i += 2) {
+    std::swap(shuffled[i].first, shuffled[i].second);
+  }
+  const Graph general(300, shuffled);
+  ASSERT_EQ(general.num_edges(), canonical.num_edges());
+  for (NodeId u = 0; u < 300; ++u) {
+    const auto want = canonical.neighbors(u);
+    const auto got = general.neighbors(u);
+    ASSERT_EQ(got.size(), want.size()) << "node " << u;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].neighbor, want[i].neighbor) << "node " << u;
+      EXPECT_EQ(general.edges()[got[i].edge], canonical.edges()[want[i].edge]) << "node " << u;
+    }
+  }
+}
+
+TEST(GraphTest, SortedInputStillRejectsParallelEdges) {
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 1}, {0, 1}}); }), "Graph: parallel edge not allowed");
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 1}, {1, 2}, {1, 2}}); }),
+            "Graph: parallel edge not allowed");
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 1}, {2, 1}, {1, 2}}); }),
+            "Graph: parallel edge not allowed");
+}
+
+TEST(GraphTest, SortedInputStillRejectsBadEndpoints) {
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 1}, {1, 3}}); }), "Graph: edge endpoint out of range");
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 1}, {2, 2}}); }), "Graph: self loop not allowed");
+  EXPECT_EQ(rejection([] { Graph(3, {{0, 0}, {0, 1}}); }), "Graph: self loop not allowed");
 }
 
 }  // namespace
