@@ -12,9 +12,9 @@
 ///         byte-identical.  The torus row also streams straight off the
 ///         generator with *no Graph at all* — the zero-intermediate path.
 ///  E10.2  mmap snapshot reload vs regeneration: `save_snapshot` once,
-///         then `Snapshot::load` (+ `thaw_instance`, the SweepCache
-///         production path) against regenerating the instance from
-///         (topology, size, seed).  Full mode asserts the >= 10x reload
+///         then `Snapshot::load` (the SweepCache production path: the
+///         Graph and the CsrGraph bound over the mapping) against
+///         regenerating the instance from (topology, size, seed).  Full mode asserts the >= 10x reload
 ///         speedup at the largest size; every mode asserts fingerprint
 ///         equality.
 ///  E10.3  Churn at scale: the random-waypoint schedule replayed through
@@ -24,7 +24,7 @@
 ///         event) and by the healing suffix restoring the initial links.
 ///  E10.4  Deployment identity: the same sweeps byte-identical in-process,
 ///         with a cold snapshot dir (saves), a warm one (mmap reloads,
-///         i.e. borrowed CsrGraphs), and at 2 / 4 worker processes
+///         i.e. CsrGraphs bound over the mapping), and at 2 / 4 worker processes
 ///         sharing the snapshot dir — the merge contract of
 ///         runner/shard_coordinator.hpp extended to the mmap path.
 ///
@@ -193,8 +193,8 @@ bool print_snapshot_series(bool smoke) {
   const TempDir dir;
 
   Table table;
-  table.columns = {"topology", "n",       "m",          "file_mb",   "regen_ns",
-                   "load_ns",  "thaw_ns", "reload_speedup", "identical"};
+  table.columns = {"topology", "n",       "m",          "file_mb",
+                   "regen_ns", "load_ns", "reload_speedup", "identical"};
   bool identical = true;
   double last_speedup = 0.0;
 
@@ -218,30 +218,25 @@ bool print_snapshot_series(bool smoke) {
 
       const double regen_ns = bench::measure_ns_per_iter(
           [&] { benchmark::DoNotOptimize(regenerate().num_edges()); }, min_iters, min_ms);
-      // Load = mmap + validation (checksum included: the production
-      // default).  Thaw adds the one O(m) step that rebuilds the Graph
-      // front-end — together they are the SweepCache reload path.
+      // Load = mmap + validation (checksum included) + the Graph's
+      // endpoint array and the senses copy: the whole SweepCache reload.
       const double load_ns = bench::measure_ns_per_iter(
-          [&] { benchmark::DoNotOptimize(Snapshot::load(path).num_edges()); }, min_iters,
-          min_ms);
-      const double thaw_ns = bench::measure_ns_per_iter(
-          [&] {
-            const Snapshot snapshot = Snapshot::load(path);
-            benchmark::DoNotOptimize(snapshot.thaw_instance().graph.num_edges());
-          },
+          [&] { benchmark::DoNotOptimize(Snapshot::load(path).instance().graph.num_edges()); },
           min_iters, min_ms);
 
       const Snapshot loaded = Snapshot::load(path);
       const bool same = loaded.csr().fingerprint() == csr.fingerprint() &&
+                        loaded.instance().graph == instance.graph &&
+                        loaded.instance().senses == instance.senses &&
                         loaded.destination() == instance.destination &&
                         loaded.name() == instance.name;
       identical &= same;
-      last_speedup = thaw_ns > 0.0 ? regen_ns / thaw_ns : 0.0;
+      last_speedup = load_ns > 0.0 ? regen_ns / load_ns : 0.0;
       table.add_row({topology_token(topology), bench::fmt_u(csr.num_nodes()),
                      bench::fmt_u(csr.num_edges()),
                      bench::fmt(static_cast<double>(loaded.file_bytes()) / (1024.0 * 1024.0)),
-                     bench::fmt(regen_ns), bench::fmt(load_ns), bench::fmt(thaw_ns),
-                     bench::fmt(last_speedup), same ? "yes" : "NO"});
+                     bench::fmt(regen_ns), bench::fmt(load_ns), bench::fmt(last_speedup),
+                     same ? "yes" : "NO"});
     }
   }
   bench::emit_csv(table);
@@ -328,7 +323,7 @@ bool print_deployment_series(bool smoke) {
   bench::print_header(
       "E10.4: deployment identity across snapshot modes and worker counts",
       "byte-identical sweep tables in-process, via cold/warm snapshot dirs "
-      "(owning vs mmap-borrowed instances), and at 2/4 worker processes");
+      "(in-memory vs mmap-bound instances), and at 2/4 worker processes");
 
   const auto fingerprint_of = [](const SweepReport& report) {
     return bench::fnv1a(bench::sweep_report_csv(report));
@@ -376,7 +371,7 @@ bool print_deployment_series(bool smoke) {
     }
     {
       // Cold: misses generate and save; warm: every churn-free workload
-      // must come back as an mmap reload (a borrowed CsrGraph).
+      // must come back as an mmap reload (a CsrGraph bound over the mapping).
       const ScenarioRunner runner({.threads = 1, .snapshot_dir = dir.path});
       const SweepReport cold = runner.run(sweep);
       add_row("snapshot-dir cold", fingerprint_of(cold), cold.cache.snapshot_loads);

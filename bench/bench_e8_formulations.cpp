@@ -99,8 +99,8 @@ void BM_FullScanSinkTracking(benchmark::State& state) {
     std::size_t sinks = 0;
     for (NodeId u = 0; u < o.graph().num_nodes(); ++u) {
       bool sink = true;
-      for (const Incidence& inc : o.graph().neighbors(u)) {
-        if (o.dir_from(u, inc.edge) == Dir::kOut) {
+      for (const EdgeId e : o.graph().incident_edges(u)) {
+        if (o.dir_from(u, e) == Dir::kOut) {
           sink = false;
           break;
         }

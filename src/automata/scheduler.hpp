@@ -126,10 +126,10 @@ class FarthestFirstScheduler {
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop();
-      for (const Incidence& inc : g.neighbors(u)) {
-        if (distance_[inc.neighbor] == std::numeric_limits<std::uint32_t>::max()) {
-          distance_[inc.neighbor] = distance_[u] + 1;
-          frontier.push(inc.neighbor);
+      for (const NodeId v : g.neighbors(u)) {
+        if (distance_[v] == std::numeric_limits<std::uint32_t>::max()) {
+          distance_[v] = distance_[u] + 1;
+          frontier.push(v);
         }
       }
     }

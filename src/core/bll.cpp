@@ -43,11 +43,8 @@ BLLAutomaton BLLAutomaton::all_marked_labeling(const Graph& g, Orientation initi
 
 std::size_t BLLAutomaton::incidence_index_of(NodeId u, NodeId v) const {
   const auto nbrs = graph().neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v,
-                                   [](const Incidence& inc, NodeId target) {
-                                     return inc.neighbor < target;
-                                   });
-  assert(it != nbrs.end() && it->neighbor == v);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  assert(it != nbrs.end() && *it == v);
   return static_cast<std::size_t>(it - nbrs.begin());
 }
 
@@ -55,7 +52,7 @@ std::vector<NodeId> BLLAutomaton::marked_neighbors(NodeId u) const {
   std::vector<NodeId> result;
   const auto nbrs = graph().neighbors(u);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (marked_[slot(u, i)]) result.push_back(nbrs[i].neighbor);
+    if (marked_[slot(u, i)]) result.push_back(nbrs[i]);
   }
   return result;
 }
@@ -65,15 +62,16 @@ void BLLAutomaton::apply(NodeId u) {
     throw std::logic_error("BLLAutomaton::apply: precondition violated (not a sink)");
   }
   const auto nbrs = graph().neighbors(u);
+  const auto edges = graph().incident_edges(u);
   const bool reverse_all = marked_count_[u] == nbrs.size();
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     if (!reverse_all && marked_[slot(u, i)]) continue;
-    const Incidence inc = nbrs[i];
-    orientation_.reverse_edge(inc.edge);
-    const std::size_t vslot = slot(inc.neighbor, incidence_index_of(inc.neighbor, u));
+    const NodeId v = nbrs[i];
+    orientation_.reverse_edge(edges[i]);
+    const std::size_t vslot = slot(v, incidence_index_of(v, u));
     if (!marked_[vslot]) {
       marked_[vslot] = 1;
-      ++marked_count_[inc.neighbor];
+      ++marked_count_[v];
     }
   }
   for (std::size_t i = 0; i < nbrs.size(); ++i) marked_[slot(u, i)] = 0;

@@ -8,9 +8,7 @@ void FullReversalAutomaton::apply(NodeId u) {
   if (!sink_enabled(u)) {
     throw std::logic_error("FullReversalAutomaton::apply: precondition violated (not a sink)");
   }
-  for (const Incidence& inc : graph().neighbors(u)) {
-    orientation_.reverse_edge(inc.edge);
-  }
+  for (const EdgeId e : graph().incident_edges(u)) orientation_.reverse_edge(e);
   ++count_[u];
 }
 
@@ -20,9 +18,7 @@ void FullReversalSetAutomaton::apply(const Action& s) {
       throw std::logic_error(
           "FullReversalSetAutomaton::apply: precondition violated (not a sink)");
     }
-    for (const Incidence& inc : graph().neighbors(u)) {
-      orientation_.reverse_edge(inc.edge);
-    }
+    for (const EdgeId e : graph().incident_edges(u)) orientation_.reverse_edge(e);
   }
 }
 

@@ -44,16 +44,14 @@ void GBPairHeightsAutomaton::apply(NodeId u) {
     throw std::logic_error("GBPairHeightsAutomaton::apply: precondition violated (not a sink)");
   }
   std::int64_t max_a = std::numeric_limits<std::int64_t>::min();
-  for (const Incidence& inc : graph().neighbors(u)) {
-    max_a = std::max(max_a, a_[inc.neighbor]);
-  }
+  const auto nbrs = graph().neighbors(u);
+  const auto edges = graph().incident_edges(u);
+  for (const NodeId v : nbrs) max_a = std::max(max_a, a_[v]);
   a_[u] = max_a + 1;
   // Re-derive directions of u's incident edges from the new heights: u now
   // exceeds every neighbor, so all edges flip outward.
-  for (const Incidence& inc : graph().neighbors(u)) {
-    if (height(u) > height(inc.neighbor)) {
-      orientation_.point_away_from(u, inc.edge);
-    }
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (height(u) > height(nbrs[i])) orientation_.point_away_from(u, edges[i]);
   }
 }
 
@@ -83,29 +81,25 @@ void GBTripleHeightsAutomaton::apply(NodeId u) {
     throw std::logic_error("GBTripleHeightsAutomaton::apply: precondition violated (not a sink)");
   }
   std::int64_t min_a = std::numeric_limits<std::int64_t>::max();
-  for (const Incidence& inc : graph().neighbors(u)) {
-    min_a = std::min(min_a, a_[inc.neighbor]);
-  }
+  const auto nbrs = graph().neighbors(u);
+  const auto edges = graph().incident_edges(u);
+  for (const NodeId v : nbrs) min_a = std::min(min_a, a_[v]);
   const std::int64_t new_a = min_a + 1;
   std::int64_t min_b_at_new_a = std::numeric_limits<std::int64_t>::max();
   bool tie = false;
-  for (const Incidence& inc : graph().neighbors(u)) {
-    if (a_[inc.neighbor] == new_a) {
+  for (const NodeId v : nbrs) {
+    if (a_[v] == new_a) {
       tie = true;
-      min_b_at_new_a = std::min(min_b_at_new_a, b_[inc.neighbor]);
+      min_b_at_new_a = std::min(min_b_at_new_a, b_[v]);
     }
   }
   a_[u] = new_a;
   if (tie) b_[u] = min_b_at_new_a - 1;
 
   // Re-derive directions of u's incident edges from the updated heights.
-  for (const Incidence& inc : graph().neighbors(u)) {
-    const NodeId v = inc.neighbor;
-    if (height(u) > height(v)) {
-      orientation_.point_away_from(u, inc.edge);
-    } else {
-      orientation_.point_away_from(v, inc.edge);
-    }
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const NodeId v = nbrs[i];
+    orientation_.point_away_from(height(u) > height(v) ? u : v, edges[i]);
   }
 }
 

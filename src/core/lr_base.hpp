@@ -65,20 +65,12 @@ class LinkReversalBase {
 
   /// The paper's in-nbrs_u (ascending order).
   std::vector<NodeId> initial_in_neighbors(NodeId u) const {
-    std::vector<NodeId> result;
-    for (const Incidence& inc : graph().neighbors(u)) {
-      if (initial_dir(u, inc.edge) == Dir::kIn) result.push_back(inc.neighbor);
-    }
-    return result;
+    return initial_neighbors(u, Dir::kIn);
   }
 
   /// The paper's out-nbrs_u (ascending order).
   std::vector<NodeId> initial_out_neighbors(NodeId u) const {
-    std::vector<NodeId> result;
-    for (const Incidence& inc : graph().neighbors(u)) {
-      if (initial_dir(u, inc.edge) == Dir::kOut) result.push_back(inc.neighbor);
-    }
-    return result;
+    return initial_neighbors(u, Dir::kOut);
   }
 
   /// Sinks other than the destination — the nodes with an enabled reverse
@@ -110,6 +102,19 @@ class LinkReversalBase {
   Orientation orientation_;                ///< the mutable directed version G'
   NodeId destination_;                     ///< the destination D
   std::vector<EdgeSense> initial_senses_;  ///< G'_init, for the constant sets
+
+ private:
+  /// The neighbours v of u (ascending) whose edge had direction `d` from u
+  /// in G'_init.
+  std::vector<NodeId> initial_neighbors(NodeId u, Dir d) const {
+    std::vector<NodeId> result;
+    const auto nbrs = graph().neighbors(u);
+    const auto edges = graph().incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (initial_dir(u, edges[i]) == d) result.push_back(nbrs[i]);
+    }
+    return result;
+  }
 };
 
 }  // namespace lr

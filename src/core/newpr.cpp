@@ -10,11 +10,11 @@ void NewPRAutomaton::apply(NodeId u) {
   }
   const Dir selected = parity(u) == Parity::kEven ? Dir::kIn : Dir::kOut;
   bool reversed_any = false;
-  for (const Incidence& inc : graph().neighbors(u)) {
-    if (initial_dir(u, inc.edge) == selected) {
+  for (const EdgeId e : graph().incident_edges(u)) {
+    if (initial_dir(u, e) == selected) {
       // dir[u, v] := out; dir[v, u] := in.  u is a sink, so every incident
       // edge currently points at u and this is a genuine reversal.
-      orientation_.reverse_edge(inc.edge);
+      orientation_.reverse_edge(e);
       reversed_any = true;
     }
   }

@@ -90,8 +90,8 @@ class NewPRAutomaton : public LinkReversalBase {
   std::size_t selected_set_size(NodeId u) const {
     // Count of initial in-nbrs (even parity) or out-nbrs (odd parity).
     std::size_t in_count = 0;
-    for (const Incidence& inc : graph().neighbors(u)) {
-      if (initial_dir(u, inc.edge) == Dir::kIn) ++in_count;
+    for (const EdgeId e : graph().incident_edges(u)) {
+      if (initial_dir(u, e) == Dir::kIn) ++in_count;
     }
     return parity(u) == Parity::kEven ? in_count : graph().degree(u) - in_count;
   }

@@ -21,11 +21,8 @@ PartialReversalState::PartialReversalState(const Instance& instance)
 
 std::size_t PartialReversalState::incidence_index_of(NodeId u, NodeId v) const {
   const auto nbrs = graph().neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v,
-                                   [](const Incidence& inc, NodeId target) {
-                                     return inc.neighbor < target;
-                                   });
-  assert(it != nbrs.end() && it->neighbor == v);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  assert(it != nbrs.end() && *it == v);
   return static_cast<std::size_t>(it - nbrs.begin());
 }
 
@@ -33,7 +30,7 @@ std::vector<NodeId> PartialReversalState::list(NodeId u) const {
   std::vector<NodeId> result;
   const auto nbrs = graph().neighbors(u);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (in_list_[slot(u, i)]) result.push_back(nbrs[i].neighbor);
+    if (in_list_[slot(u, i)]) result.push_back(nbrs[i]);
   }
   return result;  // ascending because adjacency is sorted
 }
@@ -48,13 +45,14 @@ void PartialReversalState::node_step_full(NodeId u) {
         "PartialReversalState::node_step_full: precondition violated (not a sink)");
   }
   const auto nbrs = graph().neighbors(u);
+  const auto edges = graph().incident_edges(u);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const Incidence inc = nbrs[i];
-    orientation_.reverse_edge(inc.edge);
-    const std::size_t vslot = slot(inc.neighbor, incidence_index_of(inc.neighbor, u));
+    const NodeId v = nbrs[i];
+    orientation_.reverse_edge(edges[i]);
+    const std::size_t vslot = slot(v, incidence_index_of(v, u));
     if (!in_list_[vslot]) {
       in_list_[vslot] = 1;
-      ++list_size_[inc.neighbor];
+      ++list_size_[v];
     }
   }
   for (std::size_t i = 0; i < nbrs.size(); ++i) in_list_[slot(u, i)] = 0;
@@ -67,16 +65,17 @@ void PartialReversalState::node_step(NodeId u) {
     throw std::logic_error("PartialReversalState::node_step: precondition violated (not a sink)");
   }
   const auto nbrs = graph().neighbors(u);
+  const auto edges = graph().incident_edges(u);
   const bool reverse_all = list_full(u);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     if (!reverse_all && in_list_[slot(u, i)]) continue;  // v ∈ list[u]: keep
-    const Incidence inc = nbrs[i];
+    const NodeId v = nbrs[i];
     // Effect: dir[u, v] := out; dir[v, u] := in; list[v] := list[v] ∪ {u}.
-    orientation_.reverse_edge(inc.edge);
-    const std::size_t vslot = slot(inc.neighbor, incidence_index_of(inc.neighbor, u));
+    orientation_.reverse_edge(edges[i]);
+    const std::size_t vslot = slot(v, incidence_index_of(v, u));
     if (!in_list_[vslot]) {
       in_list_[vslot] = 1;
-      ++list_size_[inc.neighbor];
+      ++list_size_[v];
     }
   }
   // list[u] := ∅

@@ -9,9 +9,9 @@ namespace {
 /// list[u] ⊆ {v : v's edge had direction `allowed` from u in G'_init}.
 bool list_within_initial(const PartialReversalState& s, NodeId u, Dir allowed) {
   const auto flags = s.list_flags(u);
-  const auto nbrs = s.graph().neighbors(u);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (flags[i] && s.initial_dir(u, nbrs[i].edge) != allowed) return false;
+  const auto edges = s.graph().incident_edges(u);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (flags[i] && s.initial_dir(u, edges[i]) != allowed) return false;
   }
   return true;
 }
@@ -40,8 +40,8 @@ bool clause_R_rev(const NewPRAutomaton& t, const PartialReversalState& s, NodeId
   // Cases (3) and (4): list[u] = nbrs_u and the constant set R would
   // confine it to is empty.
   if (!s.list_full(u)) return false;
-  for (const Incidence& inc : s.graph().neighbors(u)) {
-    if (s.initial_dir(u, inc.edge) == allowed) return false;
+  for (const EdgeId e : s.graph().incident_edges(u)) {
+    if (s.initial_dir(u, e) == allowed) return false;
   }
   return true;
 }

@@ -97,15 +97,14 @@ class ClauseRelation {
     const Orientation& ao = a.orientation();
     const Orientation& bo = b.orientation();
     for (const NodeId u : fired) {
-      const auto nbrs = a.graph().neighbors(u);
-      for (const Incidence& inc : nbrs) {
-        if (ao.sense(inc.edge) != bo.sense(inc.edge)) return false;
+      for (const EdgeId e : a.graph().incident_edges(u)) {
+        if (ao.sense(e) != bo.sense(e)) return false;
       }
       ++clause_checks;
       if (!Clause(a, b, u)) return false;
-      for (const Incidence& inc : nbrs) {
+      for (const NodeId v : a.graph().neighbors(u)) {
         ++clause_checks;
-        if (!Clause(a, b, inc.neighbor)) return false;
+        if (!Clause(a, b, v)) return false;
       }
     }
     return true;

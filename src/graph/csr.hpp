@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -13,38 +14,35 @@
 /// \file csr.hpp
 /// The immutable compressed-sparse-row (CSR) execution core.
 ///
-/// `Graph` is the *build/mutation front-end*: it validates edges, supports
-/// binary-searched lookups, and is the representation every constructor in
-/// the library accepts.  `CsrGraph` is the *execution back-end*: a frozen,
-/// fully flat snapshot of one graph plus one initial orientation, designed
-/// so that the reversal hot path (core/reversal_engine.hpp) touches nothing
-/// but contiguous integer arrays — no `Incidence` pairs, no per-step
-/// allocation, no binary searches inside kernels.
+/// `Graph` (graph/graph.hpp) and `CsrGraph` share one adjacency store:
+/// `offsets` (n+1 block boundaries), `nbr` and `edge` (2m positions, each
+/// block in ascending neighbour order).  `Graph` adds one endpoint pair per
+/// edge id, for validation-time construction and binary-searched lookups.
+/// `CsrGraph` is the *execution* form: the shared adjacency plus one
+/// initial orientation and the arrays derived from it, so the reversal hot
+/// path (core/reversal_engine.hpp) touches nothing but contiguous integer
+/// arrays — no per-step allocation, no binary searches inside kernels.
 ///
-/// Three flat views are precomputed at conversion time:
+/// On top of the shared adjacency, `CsrGraph(graph, senses)` builds:
 ///
-///  1. **Adjacency** — `neighbors(u)` / `incident_edges(u)` spans in
-///     ascending neighbor order (identical order to `Graph::neighbors`),
-///     addressed by a global *position* `p` in `[0, 2m)`.
-///  2. **Mirrors** — `mirror(p)` maps position `p` (edge `e` seen from `u`)
+///  1. **Mirrors** — `mirror(p)` maps position `p` (edge `e` seen from `u`)
 ///     to the position of the same edge in the other endpoint's adjacency
 ///     block.  This is what lets Partial Reversal update `list[v]` in O(1)
 ///     per reversed edge instead of re-binary-searching `v`'s adjacency.
-///  3. **Initial in/out partition** — per node, the positions (and neighbor
+///  2. **Initial in/out partition** — per node, the positions (and neighbor
 ///     ids) of its initial in-edges and initial out-edges with respect to
 ///     the *initial* orientation, as O(1) spans.  These are the paper's
 ///     constant sets `in-nbrs_u` / `out-nbrs_u` that NewPR reverses by
 ///     parity, so the NewPR kernel touches exactly the set it flips.
+///  3. **Initial senses** — the orientation itself, one byte per edge.
 ///
-/// Storage modes: a CsrGraph normally *owns* its eight arrays, but it can
-/// also be a non-owning *borrowed* view over externally owned memory —
-/// the zero-fixup reload mode of the mmap snapshot layer
-/// (graph/snapshot.hpp): every array is stored in the snapshot file
-/// exactly as it lives in memory, so loading is `mmap` + eight span
-/// bindings, no parsing and no per-element work.  All read accessors go
-/// through spans either way, so the engine cannot tell the modes apart.
-/// `materialize()` turns a borrowed snapshot into an owning one, for a
-/// caller that must keep it past the mapping's lifetime.
+/// Storage: every array is a read-only span behind one shared owner — a
+/// block of vectors (built here or by `CsrBuilder`, which fills offsets,
+/// neighbours and edges itself), or the mmap of a snapshot file
+/// (graph/snapshot.hpp), whose sections hold each array exactly as it
+/// lives in memory.  Copying a CsrGraph shares the arrays, and the copy
+/// keeps them alive, so a copy outlives the Graph or the Snapshot it came
+/// from.
 ///
 /// A `CsrGraph` never changes: mutable execution state (current edge
 /// senses, out-degrees, lists, parities) lives in the engine.  Topologies
@@ -53,9 +51,32 @@
 
 namespace lr {
 
-class CsrBuilder;
+/// The owning block behind the spans of every in-memory `Graph` and
+/// `CsrGraph`.  Each construction fills only the vectors it derives and
+/// keeps, in `shared`, the owner of the arrays it reuses instead:
+///
+///  * `Graph(n, edges)`: endpoints, offsets, nbr, edge;
+///  * `CsrGraph(graph, senses)`: mirror, part_nbr, part_pos, split,
+///    senses; `shared` is the graph's store;
+///  * `CsrBuilder`: the eight CSR arrays;
+///  * `Graph(csr)`: endpoints; `shared` is the CSR's owner (a store, or a
+///    snapshot's mapping).
+///
+/// Nothing writes a store once a Graph or CsrGraph is bound to it.
+struct AdjacencyStore {
+  std::shared_ptr<const void> shared;                ///< owner of reused arrays, or null
+  std::vector<std::pair<NodeId, NodeId>> endpoints;  ///< size m; by EdgeId, canonical
+  std::vector<CsrPos> offsets;                       ///< size n+1; block boundaries
+  std::vector<NodeId> nbr;                           ///< size 2m; ascending per block
+  std::vector<EdgeId> edge;                          ///< size 2m; aligned with nbr
+  std::vector<CsrPos> mirror;                        ///< size 2m; same edge, other endpoint
+  std::vector<NodeId> part_nbr;                      ///< size 2m; [in-block | out-block]
+  std::vector<CsrPos> part_pos;                      ///< size 2m; adjacency positions
+  std::vector<CsrPos> split;                         ///< size n; where the out-block starts
+  std::vector<EdgeSense> senses;                     ///< size m; the initial orientation
+};
 
-/// Flat, immutable CSR snapshot of a `Graph` plus an initial orientation.
+/// Flat, immutable CSR form of a `Graph` plus an initial orientation.
 class CsrGraph {
  public:
   /// An empty CSR graph (0 nodes); useful as a placeholder before assignment.
@@ -63,77 +84,60 @@ class CsrGraph {
 
   /// Converts `g` using the all-forward initial orientation (every edge
   /// pointing from its smaller to its larger endpoint, the canonical
-  /// sense).  `g` may be destroyed afterwards: the CSR form is self-owned.
+  /// sense).  Shares `g`'s adjacency arrays; `g` may be destroyed
+  /// afterwards.
   explicit CsrGraph(const Graph& g);
 
   /// Converts `g` with the given initial orientation (one sense per edge,
-  /// as stored by `Orientation::senses()` and `Instance::senses`).  Throws
+  /// as stored by `Orientation::senses()` and `Instance::senses`).  Shares
+  /// `g`'s offsets, neighbour and edge arrays and builds only the mirrors,
+  /// the partition, the splits and a copy of the senses.  Throws
   /// std::invalid_argument if `initial.size() != g.num_edges()`.
   CsrGraph(const Graph& g, std::span<const EdgeSense> initial);
 
-  /// Copying preserves the storage mode: an owning snapshot deep-copies
-  /// its arrays (views rebound to the copy), a borrowed one copies the
-  /// views (both copies alias the same external memory).
-  CsrGraph(const CsrGraph& other);
-  /// \copydoc CsrGraph(const CsrGraph&)
-  CsrGraph& operator=(const CsrGraph& other);
-  /// Moving transfers the arrays (or the borrowed views) wholesale; the
-  /// moved-from graph is left empty.
-  CsrGraph(CsrGraph&& other) noexcept;
-  /// \copydoc CsrGraph(CsrGraph&&)
-  CsrGraph& operator=(CsrGraph&& other) noexcept;
-  ~CsrGraph() = default;
-
-  /// The eight flat arrays of one snapshot as externally owned spans —
-  /// the input of `borrow()`.  Lifetime: the spans must outlive the
-  /// borrowed CsrGraph (the snapshot layer keeps the mmap alive for
-  /// exactly that reason).
-  struct BorrowedArrays {
-    std::size_t num_nodes = 0;           ///< n
-    std::span<const CsrPos> offsets;     ///< size n+1
-    std::span<const NodeId> nbr;         ///< size 2m
-    std::span<const EdgeId> edge;        ///< size 2m
-    std::span<const CsrPos> mirror;      ///< size 2m
-    std::span<const NodeId> part_nbr;    ///< size 2m
-    std::span<const CsrPos> part_pos;    ///< size 2m
-    std::span<const CsrPos> split;       ///< size n
-    std::span<const EdgeSense> senses;   ///< size m
+  /// The eight flat arrays of one CSR graph as read-only spans, plus the
+  /// owner that keeps their memory alive — the snapshot loader's input
+  /// (graph/snapshot.hpp binds the spans over its mapping and passes the
+  /// mapping as `owner`).
+  struct Arrays {
+    std::shared_ptr<const void> owner;  ///< keeps the spans' memory alive
+    std::size_t num_nodes = 0;          ///< n
+    std::span<const CsrPos> offsets;    ///< size n+1
+    std::span<const NodeId> nbr;        ///< size 2m
+    std::span<const EdgeId> edge;       ///< size 2m
+    std::span<const CsrPos> mirror;     ///< size 2m
+    std::span<const NodeId> part_nbr;   ///< size 2m
+    std::span<const CsrPos> part_pos;   ///< size 2m
+    std::span<const CsrPos> split;      ///< size n
+    std::span<const EdgeSense> senses;  ///< size m
   };
 
-  /// A non-owning snapshot over `arrays` (see the file comment's storage
-  /// modes).  Throws std::invalid_argument when the span sizes are
-  /// mutually inconsistent.  The arrays' *contents* are trusted — the
-  /// snapshot layer validates a checksum before borrowing.
-  static CsrGraph borrow(const BorrowedArrays& arrays);
-
-  /// True iff this snapshot is a non-owning view (see borrow()).
-  bool is_borrowed() const noexcept { return borrowed_; }
-
-  /// Converts a borrowed snapshot into an owning one by copying the
-  /// borrowed memory into fresh vectors; no-op on an owning snapshot.
-  /// After this the external memory may be unmapped.
-  void materialize();
+  /// A CsrGraph over `arrays`, sharing their owner.  Throws
+  /// std::invalid_argument when the span sizes are mutually inconsistent.
+  /// The arrays' *contents* are trusted — the snapshot layer validates a
+  /// checksum before binding them.
+  explicit CsrGraph(Arrays arrays);
 
   /// Number of nodes.
-  std::size_t num_nodes() const noexcept { return num_nodes_; }
+  std::size_t num_nodes() const noexcept { return a_.num_nodes; }
 
   /// Number of undirected edges.
-  std::size_t num_edges() const noexcept { return v_senses_.size(); }
+  std::size_t num_edges() const noexcept { return a_.senses.size(); }
 
   /// First flat position of node `u`'s adjacency block.
-  CsrPos adjacency_begin(NodeId u) const { return v_offsets_[u]; }
+  CsrPos adjacency_begin(NodeId u) const { return a_.offsets[u]; }
 
   /// One past the last flat position of node `u`'s adjacency block.
-  CsrPos adjacency_end(NodeId u) const { return v_offsets_[u + 1]; }
+  CsrPos adjacency_end(NodeId u) const { return a_.offsets[u + 1]; }
 
   /// Neighbor at flat position `p`.
-  NodeId neighbor_at(CsrPos p) const { return v_nbr_[p]; }
+  NodeId neighbor_at(CsrPos p) const { return a_.nbr[p]; }
 
   /// Edge id at flat position `p`.
-  EdgeId edge_at(CsrPos p) const { return v_edge_[p]; }
+  EdgeId edge_at(CsrPos p) const { return a_.edge[p]; }
 
   /// Position of the same edge inside the *other* endpoint's block.
-  CsrPos mirror(CsrPos p) const { return v_mirror_[p]; }
+  CsrPos mirror(CsrPos p) const { return a_.mirror[p]; }
 
   /// Flat position of neighbor `v` inside `u`'s adjacency block, or
   /// nullopt when `v` is not adjacent to `u`.  O(log deg(u)) over the
@@ -143,136 +147,112 @@ class CsrGraph {
     const auto nbrs = neighbors(u);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
     if (it == nbrs.end() || *it != v) return std::nullopt;
-    return v_offsets_[u] + static_cast<CsrPos>(it - nbrs.begin());
+    return a_.offsets[u] + static_cast<CsrPos>(it - nbrs.begin());
   }
 
   /// Degree of node `u`.
-  std::size_t degree(NodeId u) const { return v_offsets_[u + 1] - v_offsets_[u]; }
+  std::size_t degree(NodeId u) const { return a_.offsets[u + 1] - a_.offsets[u]; }
 
-  /// All neighbors of `u`, ascending (same order as `Graph::neighbors`).
+  /// All neighbors of `u`, ascending (the same memory as `Graph::neighbors`
+  /// of the graph this CSR was built from).
   std::span<const NodeId> neighbors(NodeId u) const {
-    return v_nbr_.subspan(v_offsets_[u], degree(u));
+    return a_.nbr.subspan(a_.offsets[u], degree(u));
   }
 
   /// Edge ids incident to `u`, aligned with `neighbors(u)`.
   std::span<const EdgeId> incident_edges(NodeId u) const {
-    return v_edge_.subspan(v_offsets_[u], degree(u));
+    return a_.edge.subspan(a_.offsets[u], degree(u));
   }
 
-  /// The initial orientation this CSR snapshot was built with.
-  std::span<const EdgeSense> initial_senses() const noexcept { return v_senses_; }
+  /// The initial orientation this CSR graph was built with.
+  std::span<const EdgeSense> initial_senses() const noexcept { return a_.senses; }
 
   /// The paper's constant set `in-nbrs_u` (ascending) as an O(1) slice.
   std::span<const NodeId> initial_in_neighbors(NodeId u) const {
-    return v_part_nbr_.subspan(v_offsets_[u], v_split_[u] - v_offsets_[u]);
+    return a_.part_nbr.subspan(a_.offsets[u], a_.split[u] - a_.offsets[u]);
   }
 
   /// The paper's constant set `out-nbrs_u` (ascending) as an O(1) slice.
   std::span<const NodeId> initial_out_neighbors(NodeId u) const {
-    return v_part_nbr_.subspan(v_split_[u], v_offsets_[u + 1] - v_split_[u]);
+    return a_.part_nbr.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
   }
 
   /// Flat adjacency positions of `u`'s initial in-edges (aligned with
   /// `initial_in_neighbors`); the NewPR even-parity reversal set.
   std::span<const CsrPos> initial_in_positions(NodeId u) const {
-    return v_part_pos_.subspan(v_offsets_[u], v_split_[u] - v_offsets_[u]);
+    return a_.part_pos.subspan(a_.offsets[u], a_.split[u] - a_.offsets[u]);
   }
 
   /// Flat adjacency positions of `u`'s initial out-edges (aligned with
   /// `initial_out_neighbors`); the NewPR odd-parity reversal set.
   std::span<const CsrPos> initial_out_positions(NodeId u) const {
-    return v_part_pos_.subspan(v_split_[u], v_offsets_[u + 1] - v_split_[u]);
+    return a_.part_pos.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
   }
 
   /// |in-nbrs_u| with respect to the initial orientation.
-  std::size_t initial_in_degree(NodeId u) const { return v_split_[u] - v_offsets_[u]; }
+  std::size_t initial_in_degree(NodeId u) const { return a_.split[u] - a_.offsets[u]; }
 
   /// |out-nbrs_u| with respect to the initial orientation.
-  std::size_t initial_out_degree(NodeId u) const { return v_offsets_[u + 1] - v_split_[u]; }
+  std::size_t initial_out_degree(NodeId u) const { return a_.offsets[u + 1] - a_.split[u]; }
 
   /// True iff the edge at position `p` points *out of* the block owner `u`
   /// under the given current senses.  Canonical endpoint order makes this a
   /// pure comparison: forward means smaller-id -> larger-id.
   bool points_out_of(CsrPos p, NodeId u, std::span<const EdgeSense> senses) const {
-    return (senses[v_edge_[p]] == EdgeSense::kForward) == (u < v_nbr_[p]);
+    return (senses[a_.edge[p]] == EdgeSense::kForward) == (u < a_.nbr[p]);
   }
 
   // -------------------------------------------------------------------------
   // Whole-array views (the snapshot writer's and the test suite's flat
-  // window into one snapshot; kernels use the per-node accessors above)
+  // window into one CSR graph; kernels use the per-node accessors above)
   // -------------------------------------------------------------------------
 
   /// Block-boundary offsets, size n+1.
-  std::span<const CsrPos> raw_offsets() const noexcept { return v_offsets_; }
+  std::span<const CsrPos> raw_offsets() const noexcept { return a_.offsets; }
   /// Neighbor ids by position, size 2m.
-  std::span<const NodeId> raw_neighbors() const noexcept { return v_nbr_; }
+  std::span<const NodeId> raw_neighbors() const noexcept { return a_.nbr; }
   /// Edge ids by position, size 2m.
-  std::span<const EdgeId> raw_edges() const noexcept { return v_edge_; }
+  std::span<const EdgeId> raw_edges() const noexcept { return a_.edge; }
   /// Mirror positions, size 2m.
-  std::span<const CsrPos> raw_mirrors() const noexcept { return v_mirror_; }
+  std::span<const CsrPos> raw_mirrors() const noexcept { return a_.mirror; }
   /// Partition neighbor ids, size 2m.
-  std::span<const NodeId> raw_partition_neighbors() const noexcept { return v_part_nbr_; }
+  std::span<const NodeId> raw_partition_neighbors() const noexcept { return a_.part_nbr; }
   /// Partition adjacency positions, size 2m.
-  std::span<const CsrPos> raw_partition_positions() const noexcept { return v_part_pos_; }
+  std::span<const CsrPos> raw_partition_positions() const noexcept { return a_.part_pos; }
   /// Out-block start per node, size n.
-  std::span<const CsrPos> raw_splits() const noexcept { return v_split_; }
+  std::span<const CsrPos> raw_splits() const noexcept { return a_.split; }
 
-  /// FNV-1a fingerprint over every array of the snapshot (offsets,
-  /// adjacency, mirrors, partition, splits, senses, node count).  Two
-  /// snapshots with equal fingerprints are byte-identical for every
-  /// accessor — the self-verification hook of the E10 bench and the
-  /// streaming-vs-batch identity tests.
+  /// FNV-1a fingerprint over every array (offsets, adjacency, mirrors,
+  /// partition, splits, senses, node count).  Two CSR graphs with equal
+  /// fingerprints are byte-identical for every accessor — the
+  /// self-verification hook of the E10 bench and the streaming-vs-batch
+  /// identity tests.
   std::uint64_t fingerprint() const;
 
  private:
+  friend class Graph;
   friend class CsrBuilder;
 
-  void build(const Graph& g, std::span<const EdgeSense> initial);
-  /// Derives part_nbr_ / part_pos_ / split_ from the completed adjacency
-  /// arrays and initial_senses_ (views must already be bound).
-  void fill_partition();
-  /// Points the read views at the owning vectors.
-  void rebind() noexcept;
+  /// Binds `a_` to `store`'s derived arrays over the given adjacency and
+  /// fills the initial in/out partition (the senses must be in place).
+  CsrGraph(std::shared_ptr<AdjacencyStore> store, std::size_t num_nodes,
+           std::span<const CsrPos> offsets, std::span<const NodeId> nbr,
+           std::span<const EdgeId> edge);
 
-  std::size_t num_nodes_ = 0;
-  bool borrowed_ = false;
-
-  // Owning storage; empty while borrowed (until materialize()).
-  std::vector<CsrPos> offsets_;            ///< size n+1; block boundaries
-  std::vector<NodeId> nbr_;                ///< size 2m; neighbors, ascending per block
-  std::vector<EdgeId> edge_;               ///< size 2m; edge ids, aligned with nbr_
-  std::vector<CsrPos> mirror_;             ///< size 2m; same edge, other endpoint
-  std::vector<NodeId> part_nbr_;           ///< size 2m; [in-block | out-block] per node
-  std::vector<CsrPos> part_pos_;           ///< size 2m; adjacency positions, aligned
-  std::vector<CsrPos> split_;              ///< size n; where the out-block starts
-  std::vector<EdgeSense> initial_senses_;  ///< size m; the frozen initial orientation
-
-  // Read views: every accessor indexes these, so owning and borrowed
-  // snapshots share one code path.  Bound to the vectors above (owning)
-  // or to external memory (borrowed).
-  std::span<const CsrPos> v_offsets_;
-  std::span<const NodeId> v_nbr_;
-  std::span<const EdgeId> v_edge_;
-  std::span<const CsrPos> v_mirror_;
-  std::span<const NodeId> v_part_nbr_;
-  std::span<const CsrPos> v_part_pos_;
-  std::span<const CsrPos> v_split_;
-  std::span<const EdgeSense> v_senses_;
+  Arrays a_;
 };
 
 /// Streaming two-pass CSR construction — the million-node build path.
 ///
-/// `CsrGraph(const Graph&)` is the *batch* converter: it requires the
-/// fully materialized `Graph` front-end, which itself holds an endpoint
-/// list, a sorted scratch copy for duplicate detection, and an `Incidence`
-/// CSR payload — three m-sized intermediates that exist only to be copied
-/// into the snapshot and thrown away.  `CsrBuilder` eliminates all of
-/// them: the caller replays its edge *stream* twice — once to count
-/// degrees, once to place both endpoints of each edge (mirrors are linked
-/// at placement, so the batch path's per-edge `first_pos` scratch array
-/// disappears too) — and the only allocations are the snapshot's own
-/// eight output arrays.  Work is O(V + E); peak memory is the finished
-/// snapshot, nothing else.
+/// `CsrGraph(const Graph&)` is the *batch* converter: it needs a finished
+/// `Graph`, whose endpoint array (8 B per edge, plus a 4 B-per-edge sort
+/// order for input that is not strictly ascending) exists beside the
+/// adjacency the CSR shares.  `CsrBuilder` needs neither: the caller
+/// replays its edge *stream* twice — once to count degrees, once to place
+/// both endpoints of each edge (mirrors are linked at placement) — and the
+/// only allocations are the CSR's own eight arrays, filled into the same
+/// `AdjacencyStore` a Graph's arrays live in.  Work is O(V + E); peak
+/// memory is the finished CSR graph, nothing else.
 ///
 /// Stream contract (checked, throws std::invalid_argument on violation):
 /// both passes must replay the *identical* sequence of edges in strictly
@@ -297,7 +277,7 @@ class CsrGraph {
 ///     for (auto [u, v] : stream) b.place_edge(u, v, s);   // pass 2
 ///     CsrGraph csr = b.finish();
 ///
-/// A streamed snapshot is byte-identical (CsrGraph::fingerprint) to the
+/// A streamed CSR graph is byte-identical (CsrGraph::fingerprint) to the
 /// batch conversion of a Graph over the same canonically sorted edge
 /// list; tests/csr_builder_test.cpp locks this in under randomized
 /// streams.
@@ -326,7 +306,7 @@ class CsrBuilder {
   std::size_t edges() const noexcept { return placing_ ? placed_ : counted_; }
 
   /// Finishes the build: restores the offset array, derives the initial
-  /// in/out partition, and returns the snapshot.  Throws
+  /// in/out partition, and returns the CSR graph.  Throws
   /// std::invalid_argument when pass 2 placed fewer edges than pass 1
   /// counted.  The builder is spent afterwards.
   CsrGraph finish();
@@ -337,7 +317,8 @@ class CsrBuilder {
   /// canonical (min, max) pair.  `index` is the edge's rank in its pass.
   std::pair<NodeId, NodeId> next_edge(NodeId u, NodeId v, std::size_t index);
 
-  CsrGraph out_;
+  std::shared_ptr<AdjacencyStore> store_;  ///< the arrays being filled
+  std::size_t num_nodes_;
   std::uint64_t position_limit_;
   std::size_t counted_ = 0;
   std::size_t placed_ = 0;

@@ -22,9 +22,11 @@ std::optional<std::vector<NodeId>> topological_order(const Orientation& o) {
     const NodeId u = ready.front();
     ready.pop();
     order.push_back(u);
-    for (const Incidence& inc : g.neighbors(u)) {
-      if (o.dir_from(u, inc.edge) == Dir::kOut) {
-        if (--remaining_in[inc.neighbor] == 0) ready.push(inc.neighbor);
+    const auto nbrs = g.neighbors(u);
+    const auto edges = g.incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (o.dir_from(u, edges[i]) == Dir::kOut && --remaining_in[nbrs[i]] == 0) {
+        ready.push(nbrs[i]);
       }
     }
   }
@@ -44,10 +46,12 @@ std::vector<bool> reaches_destination(const Orientation& o, NodeId destination) 
     const NodeId u = frontier.front();
     frontier.pop();
     // Traverse edges *into* u: their tails can reach the destination via u.
-    for (const Incidence& inc : g.neighbors(u)) {
-      if (o.dir_from(u, inc.edge) == Dir::kIn && !reaches[inc.neighbor]) {
-        reaches[inc.neighbor] = true;
-        frontier.push(inc.neighbor);
+    const auto nbrs = g.neighbors(u);
+    const auto edges = g.incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (o.dir_from(u, edges[i]) == Dir::kIn && !reaches[nbrs[i]]) {
+        reaches[nbrs[i]] = true;
+        frontier.push(nbrs[i]);
       }
     }
   }
@@ -93,11 +97,11 @@ std::optional<std::vector<NodeId>> find_cycle(const Orientation& o) {
     while (!stack.empty()) {
       auto& [u, idx] = stack.back();
       const auto nbrs = g.neighbors(u);
+      const auto edges = g.incident_edges(u);
       bool descended = false;
       while (idx < nbrs.size()) {
-        const Incidence inc = nbrs[idx++];
-        if (o.dir_from(u, inc.edge) != Dir::kOut) continue;
-        const NodeId v = inc.neighbor;
+        const NodeId v = nbrs[idx];
+        if (o.dir_from(u, edges[idx++]) != Dir::kOut) continue;
         if (mark[v] == Mark::kGray) {
           // Found a cycle: walk parents from u back to v.
           std::vector<NodeId> cycle{v};
@@ -134,11 +138,13 @@ std::optional<std::size_t> directed_distance(const Orientation& o, NodeId from, 
     const NodeId u = frontier.front();
     frontier.pop();
     if (u == to) return dist[u];
-    for (const Incidence& inc : g.neighbors(u)) {
-      if (o.dir_from(u, inc.edge) == Dir::kOut &&
-          dist[inc.neighbor] == std::numeric_limits<std::size_t>::max()) {
-        dist[inc.neighbor] = dist[u] + 1;
-        frontier.push(inc.neighbor);
+    const auto nbrs = g.neighbors(u);
+    const auto edges = g.incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (o.dir_from(u, edges[i]) == Dir::kOut &&
+          dist[nbrs[i]] == std::numeric_limits<std::size_t>::max()) {
+        dist[nbrs[i]] = dist[u] + 1;
+        frontier.push(nbrs[i]);
       }
     }
   }

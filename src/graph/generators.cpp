@@ -327,10 +327,10 @@ std::vector<std::uint32_t> destination_oriented_ranking(const Graph& g, NodeId d
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    for (const Incidence& inc : g.neighbors(u)) {
-      if (dist[inc.neighbor] == std::numeric_limits<std::uint32_t>::max()) {
-        dist[inc.neighbor] = dist[u] + 1;
-        frontier.push(inc.neighbor);
+    for (const NodeId v : g.neighbors(u)) {
+      if (dist[v] == std::numeric_limits<std::uint32_t>::max()) {
+        dist[v] = dist[u] + 1;
+        frontier.push(v);
       }
     }
   }

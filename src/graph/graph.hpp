@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -15,25 +17,26 @@
 /// topology is frozen at construction and only the *orientation* (see
 /// orientation.hpp) changes.  The routing layer (src/routing) models
 /// topology churn by constructing successive Graph values.
+///
+/// The adjacency is stored in the CSR layout that `CsrGraph` executes on
+/// (graph/csr.hpp): `offsets` (n+1 block boundaries), `nbr` and `edge` (2m
+/// positions, ascending neighbour order per block), plus one endpoint pair
+/// per edge id.  The arrays are read-only spans behind one shared owner —
+/// a block of vectors, or a snapshot's mmap (graph/snapshot.hpp) — so
+/// copying a Graph, or freezing it into a CsrGraph, shares the arrays
+/// instead of duplicating them.
 
 namespace lr {
 
-/// An incidence record: the neighbor reached through an edge, plus the
-/// edge's id so per-edge state can be looked up in O(1).
-struct Incidence {
-  NodeId neighbor = kNoNode;  ///< the node reached through the edge
-  EdgeId edge = kNoEdge;      ///< the edge's id (for per-edge state)
-
-  /// Member-wise equality.
-  friend bool operator==(const Incidence&, const Incidence&) = default;
-};
+class CsrGraph;
 
 /// Immutable undirected multigraph-free graph with dense node/edge ids.
 ///
 /// Invariants established at construction:
 ///  * no self loops,
 ///  * no parallel edges,
-///  * endpoints of edge e are stored canonically as (a, b) with a < b.
+///  * endpoints of edge e are stored canonically as (a, b) with a < b,
+///  * every adjacency block lists its neighbours in ascending order.
 class Graph {
  public:
   /// Builds a graph with `num_nodes` nodes and the given undirected edges;
@@ -47,27 +50,20 @@ class Graph {
   /// graph/types.hpp).
   Graph(std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 
-  /// Already-validated construction parts for the trusted fast path
-  /// (`from_trusted_parts`): the exact private representation of a Graph.
-  struct TrustedParts {
-    std::vector<std::pair<NodeId, NodeId>> endpoints;  ///< by EdgeId, canonical
-    std::vector<Incidence> adjacency;                  ///< CSR payload, ascending per node
-    std::vector<CsrPos> offsets;                       ///< CSR offsets, size n+1
-  };
-
-  /// Adopts `parts` without validation or sorting — the O(m) reload path
-  /// for representations whose invariants are already established (the
-  /// mmap snapshot loader reconstructs a Graph from a checksummed
-  /// `CsrGraph`, whose canonical order and dedup were validated when the
-  /// snapshot was first built).  Precondition: `parts` satisfies every
-  /// class invariant; passing unvalidated data breaks the graph silently.
-  static Graph from_trusted_parts(TrustedParts parts);
+  /// The Graph of a frozen CSR: shares `csr`'s offsets, neighbour and edge
+  /// arrays (and whatever owns them — for a loaded snapshot, the mapping)
+  /// and derives only the endpoint array, in O(n + m).  A CsrGraph is built
+  /// only by validated paths (a Graph, the checked `CsrBuilder` stream, a
+  /// checksummed snapshot), so no sorting or duplicate check is needed;
+  /// throws std::invalid_argument when an edge id or neighbour is out of
+  /// range.
+  explicit Graph(const CsrGraph& csr);
 
   /// An empty graph (0 nodes).  Useful as a placeholder before assignment.
   Graph() = default;
 
   /// Number of nodes.
-  std::size_t num_nodes() const noexcept { return adjacency_offsets_.empty() ? 0 : adjacency_offsets_.size() - 1; }
+  std::size_t num_nodes() const noexcept { return offsets_.size() - 1; }
   /// Number of undirected edges.
   std::size_t num_edges() const noexcept { return endpoints_.size(); }
 
@@ -87,17 +83,17 @@ class Graph {
     return endpoints_[e].first == n || endpoints_[e].second == n;
   }
 
-  /// The paper's `nbrs_u`: all incidences of node `u`, in ascending
-  /// neighbor order.  The returned span is valid as long as the graph lives.
-  std::span<const Incidence> neighbors(NodeId u) const {
-    return std::span<const Incidence>(adjacency_)
-        .subspan(adjacency_offsets_[u], adjacency_offsets_[u + 1] - adjacency_offsets_[u]);
+  /// The paper's `nbrs_u`: the neighbours of node `u`, ascending.  The
+  /// returned span is valid as long as the graph (or a copy of it) lives.
+  std::span<const NodeId> neighbors(NodeId u) const { return nbr_.subspan(offsets_[u], degree(u)); }
+
+  /// Edge ids incident to `u`, aligned with `neighbors(u)`.
+  std::span<const EdgeId> incident_edges(NodeId u) const {
+    return edge_.subspan(offsets_[u], degree(u));
   }
 
   /// Degree of node `u`.
-  std::size_t degree(NodeId u) const {
-    return adjacency_offsets_[u + 1] - adjacency_offsets_[u];
-  }
+  std::size_t degree(NodeId u) const { return offsets_[u + 1] - offsets_[u]; }
 
   /// Looks up the edge between `u` and `v`; returns kNoEdge if absent.
   /// O(log deg(u)) via binary search over the sorted adjacency of `u`.
@@ -111,21 +107,25 @@ class Graph {
   bool is_connected() const;
 
   /// All edges as canonical (u, v) pairs, indexed by EdgeId.
-  const std::vector<std::pair<NodeId, NodeId>>& edges() const noexcept { return endpoints_; }
+  std::span<const std::pair<NodeId, NodeId>> edges() const noexcept { return endpoints_; }
 
   /// Human-readable summary, e.g. "Graph(n=5, m=7)".
   std::string describe() const;
 
-  /// Structural equality: same node count and identical edge list.
-  friend bool operator==(const Graph&, const Graph&) = default;
+  /// Structural equality: same node count and identical edge list (the
+  /// adjacency is a function of the two).
+  friend bool operator==(const Graph& a, const Graph& b);
 
  private:
-  std::vector<std::pair<NodeId, NodeId>> endpoints_;   // by EdgeId, canonical
-  std::vector<Incidence> adjacency_;                   // CSR payload
-  /// CSR offsets, size n+1.  32-bit by the offset-width policy
-  /// (graph/types.hpp): half the memory of the historical std::size_t
-  /// offsets at large n, guarded against 2m >= 2^32 at construction.
-  std::vector<CsrPos> adjacency_offsets_;
+  friend class CsrGraph;
+
+  static constexpr CsrPos kNoOffsets[1] = {0};  // the empty graph's offsets
+
+  std::shared_ptr<const void> owner_;  // keeps every array below alive
+  std::span<const std::pair<NodeId, NodeId>> endpoints_;  // by EdgeId, canonical
+  std::span<const CsrPos> offsets_ = kNoOffsets;  // size n+1; CsrPos by graph/types.hpp
+  std::span<const NodeId> nbr_;      // size 2m; neighbours, ascending per block
+  std::span<const EdgeId> edge_;     // size 2m; edge ids, aligned with nbr_
 };
 
 }  // namespace lr

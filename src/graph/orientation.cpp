@@ -51,8 +51,10 @@ void Orientation::reverse_edge(EdgeId e) {
 std::vector<NodeId> Orientation::out_neighbors(NodeId u) const {
   std::vector<NodeId> result;
   result.reserve(out_degree_[u]);
-  for (const Incidence& inc : graph_->neighbors(u)) {
-    if (dir_from(u, inc.edge) == Dir::kOut) result.push_back(inc.neighbor);
+  const auto nbrs = graph_->neighbors(u);
+  const auto edges = graph_->incident_edges(u);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (dir_from(u, edges[i]) == Dir::kOut) result.push_back(nbrs[i]);
   }
   return result;
 }
@@ -60,8 +62,10 @@ std::vector<NodeId> Orientation::out_neighbors(NodeId u) const {
 std::vector<NodeId> Orientation::in_neighbors(NodeId u) const {
   std::vector<NodeId> result;
   result.reserve(in_degree(u));
-  for (const Incidence& inc : graph_->neighbors(u)) {
-    if (dir_from(u, inc.edge) == Dir::kIn) result.push_back(inc.neighbor);
+  const auto nbrs = graph_->neighbors(u);
+  const auto edges = graph_->incident_edges(u);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (dir_from(u, edges[i]) == Dir::kIn) result.push_back(nbrs[i]);
   }
   return result;
 }

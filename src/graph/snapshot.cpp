@@ -5,10 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -26,11 +28,22 @@ struct SnapshotHeader {
   std::uint64_t destination;   ///< Instance::destination
   std::uint64_t name_bytes;    ///< unpadded length of Instance::name
   std::uint64_t payload_bytes; ///< total bytes after the header
-  std::uint64_t checksum;      ///< FNV-1a over the payload bytes
+  std::uint64_t checksum;      ///< FNV-1a over this header (checksum 0) + payload
 };
 static_assert(sizeof(SnapshotHeader) == 64, "snapshot header layout drifted");
 
 constexpr char kSnapshotMagic[8] = {'L', 'R', 'S', 'N', 'A', 'P', '\n', '\0'};
+
+/// The file's mapping; unmapped when the last array reading it dies.
+struct Mapping {
+  Mapping(void* base, std::size_t bytes) : base(base), bytes(bytes) {}
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+  ~Mapping() { ::munmap(base, bytes); }
+
+  void* base;
+  std::size_t bytes;
+};
 
 /// Incremental FNV-1a, matching CsrGraph::fingerprint's constants.
 struct Fnv1a {
@@ -89,7 +102,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   const std::size_t n = csr.num_nodes();
   const std::size_t m = csr.num_edges();
   if (instance.graph.num_nodes() != n || instance.graph.num_edges() != m ||
-      instance.senses.size() != m) {
+      !std::ranges::equal(instance.senses, csr.initial_senses())) {
     throw std::invalid_argument("save_snapshot: instance and CSR snapshot disagree");
   }
 
@@ -111,6 +124,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
 
   Fnv1a sum;
+  sum.mix(&header, sizeof(header));  // checksum field still 0
   write_section(out, sum, instance.name.data(), instance.name.size());
   write_section(out, sum, csr.raw_offsets().data(), (n + 1) * sizeof(CsrPos));
   write_section(out, sum, csr.raw_splits().data(), n * sizeof(CsrPos));
@@ -136,7 +150,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   }
 }
 
-Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
+Snapshot Snapshot::load(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) reject(path, "cannot open");
   struct stat st = {};
@@ -152,12 +166,9 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
   void* map = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps its own reference to the file
   if (map == MAP_FAILED) reject(path, "mmap failed");
-
-  Snapshot snap;
-  snap.map_ = map;
-  snap.map_bytes_ = file_bytes;
-  // From here every rejection unmaps via ~Snapshot when the exception
-  // unwinds — validation failures must not leak the mapping.
+  // From here every rejection unmaps when `mapping` unwinds — validation
+  // failures must not leak the mapping.
+  const auto mapping = std::make_shared<const Mapping>(map, file_bytes);
 
   SnapshotHeader header;
   std::memcpy(&header, map, sizeof(header));
@@ -168,6 +179,8 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
 
   const std::uint64_t n = header.num_nodes;
   const std::uint64_t m = header.num_edges;
+  if (n > kNoNode) reject(path, "node count exceeds the NodeId range");
+  if (header.destination >= n) reject(path, "destination is not a node");
   if (2 * m >= kCsrPosLimit) reject(path, "edge count exceeds the 32-bit CSR position space");
   const Extents ext(n, m, header.name_bytes);
   if (header.name_bytes > header.payload_bytes || header.payload_bytes != ext.total()) {
@@ -178,19 +191,22 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
   }
 
   const char* payload = static_cast<const char*>(map) + sizeof(SnapshotHeader);
-  if (verify_checksum) {
-    Fnv1a sum;
-    sum.mix(payload, header.payload_bytes);
-    if (sum.h != header.checksum) reject(path, "payload checksum mismatch (corrupt file)");
-  }
+  SnapshotHeader unsealed = header;
+  unsealed.checksum = 0;
+  Fnv1a sum;
+  sum.mix(&unsealed, sizeof(unsealed));
+  sum.mix(payload, header.payload_bytes);
+  if (sum.h != header.checksum) reject(path, "checksum mismatch (corrupt file)");
 
-  // Bind the borrowed views.  Every section starts 8-byte aligned (the
-  // header is 64 bytes, sections are padded), so the reinterpret_casts
-  // below are aligned for their 4-byte element types.
+  // Bind the arrays.  Every section starts 8-byte aligned (the header is
+  // 64 bytes, sections are padded), so the reinterpret_casts below are
+  // aligned for their 4-byte element types.
   const char* p = payload;
-  snap.name_.assign(p, header.name_bytes);
+  Snapshot snap;
+  snap.instance_.name.assign(p, header.name_bytes);
   p += ext.name;
-  CsrGraph::BorrowedArrays arrays;
+  CsrGraph::Arrays arrays;
+  arrays.owner = mapping;
   arrays.num_nodes = n;
   arrays.offsets = {reinterpret_cast<const CsrPos*>(p), static_cast<std::size_t>(n + 1)};
   p += ext.offsets;
@@ -209,60 +225,18 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
   arrays.senses = {reinterpret_cast<const EdgeSense*>(p), static_cast<std::size_t>(m)};
 
   try {
-    snap.csr_ = CsrGraph::borrow(arrays);
+    snap.csr_ = CsrGraph(std::move(arrays));
+    snap.instance_.graph = Graph(snap.csr_);
   } catch (const std::invalid_argument&) {
-    // borrow() re-derives size consistency; a checksum-clean file can
-    // still fail it if offsets.back() != 2m (contents lie about extents).
+    // A checksum-clean file can still lie about its contents: offsets that
+    // do not end at 2m, or ids out of range.
     reject(path, "array contents are inconsistent with the header");
   }
-  snap.destination_ = static_cast<NodeId>(header.destination);
+  const auto senses = snap.csr_.initial_senses();
+  snap.instance_.senses.assign(senses.begin(), senses.end());
+  snap.instance_.destination = static_cast<NodeId>(header.destination);
+  snap.bytes_ = {static_cast<const std::byte*>(map), static_cast<std::size_t>(file_bytes)};
   return snap;
-}
-
-Snapshot::Snapshot(Snapshot&& other) noexcept { *this = std::move(other); }
-
-Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
-  if (this == &other) return *this;
-  if (map_ != nullptr) ::munmap(map_, map_bytes_);
-  map_ = std::exchange(other.map_, nullptr);
-  map_bytes_ = std::exchange(other.map_bytes_, 0);
-  csr_ = std::move(other.csr_);
-  destination_ = other.destination_;
-  name_ = std::move(other.name_);
-  return *this;
-}
-
-Snapshot::~Snapshot() {
-  if (map_ != nullptr) ::munmap(map_, map_bytes_);
-}
-
-Instance Snapshot::thaw_instance() const {
-  const std::size_t n = csr_.num_nodes();
-  const std::size_t m = csr_.num_edges();
-
-  Graph::TrustedParts parts;
-  parts.offsets.assign(csr_.raw_offsets().begin(), csr_.raw_offsets().end());
-  parts.adjacency.resize(2 * m);
-  const auto nbr = csr_.raw_neighbors();
-  const auto edge = csr_.raw_edges();
-  for (std::size_t p = 0; p < 2 * m; ++p) {
-    parts.adjacency[p] = Incidence{nbr[p], edge[p]};
-  }
-  // Endpoints by edge id: the canonical (min, max) pair appears exactly
-  // once as (u, nbr[p]) with u < nbr[p] while walking the blocks.
-  parts.endpoints.resize(m);
-  for (NodeId u = 0; u < n; ++u) {
-    for (CsrPos p = csr_.adjacency_begin(u); p < csr_.adjacency_end(u); ++p) {
-      if (u < nbr[p]) parts.endpoints[edge[p]] = {u, nbr[p]};
-    }
-  }
-
-  Instance inst;
-  inst.graph = Graph::from_trusted_parts(std::move(parts));
-  inst.senses.assign(csr_.initial_senses().begin(), csr_.initial_senses().end());
-  inst.destination = destination_;
-  inst.name = name_;
-  return inst;
 }
 
 }  // namespace lr

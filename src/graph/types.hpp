@@ -23,11 +23,13 @@ using EdgeId = std::uint32_t;
 /// Flat position index into a CSR adjacency layout; positions run over
 /// `[0, 2m)` with node `u`'s block at `[offsets[u], offsets[u+1])`.
 ///
-/// Offset-width policy (shared by `Graph` and `CsrGraph`): node and edge
+/// Offset-width policy (one adjacency store serves `Graph` and `CsrGraph`,
+/// so one `offsets` array of this type serves both): node and edge
 /// *counts* are `std::size_t` end-to-end, but adjacency *positions* are
-/// 32-bit on purpose — position arrays dominate graph memory (five
-/// 2m-sized arrays in a CsrGraph snapshot), so 32-bit positions halve the
-/// footprint of every million-node topology relative to `std::size_t`.
+/// 32-bit on purpose — position-indexed arrays dominate graph memory (five
+/// 2m-sized arrays in a CsrGraph, two of them shared with its Graph), so
+/// 32-bit positions and ids halve the footprint of every million-node
+/// topology relative to `std::size_t`.
 /// The width limits a graph to 2·E < 2^32 adjacency slots (~2.1 billion
 /// undirected edges); every CSR construction path guards that bound
 /// loudly (`std::overflow_error`) instead of wrapping silently.

@@ -29,11 +29,10 @@ DynamicHeightsDag::DynamicHeightsDag(const Graph& topology, NodeId destination)
   // Graph::neighbors is ascending, so the lists start sorted.  Initial
   // heights are (0, id): every link points from its larger id down.
   for (NodeId u = 0; u < num_nodes(); ++u) {
-    const auto incidences = topology.neighbors(u);
-    adj_[u].reserve(incidences.size());
-    for (const Incidence& inc : incidences) {
-      adj_[u].push_back(inc.neighbor);
-      if (inc.neighbor < u) ++out_degree_[u];
+    const auto nbrs = topology.neighbors(u);
+    adj_[u].assign(nbrs.begin(), nbrs.end());
+    for (const NodeId v : nbrs) {
+      if (v < u) ++out_degree_[u];
     }
   }
   absorb(destination_);

@@ -368,11 +368,10 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
   // serialize; a race on the same key wastes one duplicate build at most.
   //
   // With a snapshot directory, a churn-free workload tries the mmap file
-  // first: an O(1) zero-fixup reload (the borrowed CsrGraph views point
-  // straight into the checksum-verified mapping, kept alive by
-  // FrozenInstance::backing).  Any load failure — missing file, torn
-  // write, version skew — falls back to generating, after which the file
-  // is (re)written for the next sweep.  Workloads with churn schedules
+  // first: a zero-fixup reload (the Graph and the CsrGraph both read the
+  // checksum-verified mapping, which they keep alive).  Any load failure —
+  // missing file, torn write, version skew — falls back to generating,
+  // after which the file is (re)written for the next sweep.  Workloads with churn schedules
   // always generate: the schedule is derived state the file does not
   // carry.
   auto frozen = std::make_shared<FrozenInstance>();
@@ -383,10 +382,9 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
     snapshot_path = snapshot_dir_ + "/" + topology_token(spec.topology) + "-" +
                     std::to_string(spec.size) + "-s" + std::to_string(spec.seed) + ".lrsnap";
     try {
-      auto snap = std::make_shared<Snapshot>(Snapshot::load(snapshot_path));
-      frozen->instance = snap->thaw_instance();
-      frozen->csr = snap->csr();  // cheap view copy aliasing the mapping
-      frozen->backing = std::move(snap);
+      const Snapshot snap = Snapshot::load(snapshot_path);
+      frozen->instance = snap.instance();
+      frozen->csr = snap.csr();
       loaded = true;
     } catch (const std::exception&) {
       // fall through to generation (and persist below)

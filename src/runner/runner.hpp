@@ -68,20 +68,17 @@ struct RunRecord {
 };
 
 /// A workload generated once and frozen for reuse across every kernel of a
-/// sweep: the instance plus the CSR snapshot of its graph and initial
+/// sweep: the instance plus the CSR form of its graph and initial
 /// orientation (the execution form the engine, the sim layer, and the
-/// network all consume).
+/// network all consume).  `csr` shares `instance.graph`'s adjacency arrays;
+/// for a workload reloaded from a snapshot file both read the mapping,
+/// which lives as long as either does.
 struct FrozenInstance {
-  Instance instance;  ///< the generated workload
-  CsrGraph csr;       ///< snapshot of instance.graph + instance.senses
+  Instance instance;  ///< the generated (or reloaded) workload
+  CsrGraph csr;       ///< CSR form of instance.graph + instance.senses
   /// The churn schedule of a waypoint workload with churn_events > 0;
   /// empty otherwise (see RunSpec::churn_events).
   std::vector<LinkEvent> churn;
-  /// When the workload was reloaded from a snapshot file, the mmap the
-  /// borrowed `csr` views point into; null for generated workloads.
-  /// Runs share the FrozenInstance by shared_ptr, so the mapping lives
-  /// exactly as long as any run still reads it.
-  std::shared_ptr<const Snapshot> backing;
 };
 
 /// Thread-safe cache of (topology, size, seed) -> FrozenInstance shared by
@@ -113,10 +110,11 @@ class SweepCache {
 
   /// Same, additionally backed by a directory of mmap snapshot files
   /// (graph/snapshot.hpp): an in-memory miss on a churn-free workload
-  /// first tries `<snapshot_dir>/<topology>-<size>-s<seed>.lrsnap` — an
-  /// O(1) zero-fixup reload whose pages the kernel shares across every
-  /// sweep worker process mapping the same file — and falls back to
-  /// generating (then persisting) on a missing or invalid file.  Results
+  /// first tries `<snapshot_dir>/<topology>-<size>-s<seed>.lrsnap` — a
+  /// zero-fixup reload whose pages the kernel shares across every sweep
+  /// worker process mapping the same file — and falls back to generating
+  /// (then persisting) on a missing or invalid file, including a file of
+  /// an older format version.  Results
   /// are byte-identical either way: the file stores exactly the arrays a
   /// fresh generation would produce, checksum-verified on load.  An empty
   /// dir (the default) disables persistence.  The directory is created if

@@ -145,7 +145,7 @@ ServiceHarness::ServiceHarness(const Graph& topology, NodeId destination, Servic
       tora_(topology, destination),
       mutex_(topology, destination),
       leader_(topology),
-      live_links_(topology.edges()),
+      live_links_(topology.edges().begin(), topology.edges().end()),
       churn_rng_(splitmix64(options.seed ^ kChurnDomain)) {
   if (topology.num_nodes() == 0) {
     throw std::invalid_argument("ServiceHarness: topology has no nodes");

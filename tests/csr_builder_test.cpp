@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -24,7 +25,7 @@ namespace {
 
 /// Streams `edges` (already strictly ascending canonical pairs) through a
 /// CsrBuilder with one sense per edge.
-CsrGraph build_streamed(std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges,
+CsrGraph build_streamed(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges,
                         const std::vector<EdgeSense>& senses) {
   CsrBuilder builder(n);
   for (const auto& [u, v] : edges) builder.count_edge(u, v);

@@ -34,9 +34,8 @@ std::vector<Instance> test_instances() {
 }
 
 std::vector<NodeId> graph_neighbor_ids(const Graph& g, NodeId u) {
-  std::vector<NodeId> ids;
-  for (const Incidence& inc : g.neighbors(u)) ids.push_back(inc.neighbor);
-  return ids;
+  const auto nbrs = g.neighbors(u);
+  return {nbrs.begin(), nbrs.end()};
 }
 
 TEST(CsrGraphTest, RoundTripNeighborSetsEqualGraph) {
@@ -160,6 +159,35 @@ TEST(CsrGraphTest, RejectsSenseVectorOfWrongSize) {
   const Graph g = make_chain_graph(4);
   const std::vector<EdgeSense> too_short(g.num_edges() - 1, EdgeSense::kForward);
   EXPECT_THROW(CsrGraph(g, too_short), std::invalid_argument);
+}
+
+// One adjacency store: the CSR form reads the graph's own offsets,
+// neighbour and edge arrays, copies share every array, and the shared
+// arrays outlive the Graph they came from.
+TEST(CsrGraphTest, SharesTheGraphAdjacency) {
+  std::mt19937_64 rng(11);
+  const Instance instance = make_random_instance(40, 60, rng);
+  const auto edges = instance.graph.edges();
+  CsrGraph csr;
+  std::uint64_t fingerprint = 0;
+  {
+    const Graph g(instance.graph.num_nodes(), {edges.begin(), edges.end()});
+    const Graph g_copy = g;
+    EXPECT_EQ(g_copy.neighbors(0).data(), g.neighbors(0).data());
+    csr = CsrGraph(g, instance.senses);
+    EXPECT_EQ(csr.raw_neighbors().data(), g.neighbors(0).data());
+    EXPECT_EQ(csr.raw_edges().data(), g.incident_edges(0).data());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      EXPECT_EQ(csr.neighbors(u).data(), g.neighbors(u).data()) << "node " << u;
+      EXPECT_EQ(csr.incident_edges(u).data(), g.incident_edges(u).data()) << "node " << u;
+    }
+    const CsrGraph csr_copy = csr;
+    EXPECT_EQ(csr_copy.raw_mirrors().data(), csr.raw_mirrors().data());
+    EXPECT_EQ(csr_copy.raw_partition_positions().data(), csr.raw_partition_positions().data());
+    fingerprint = csr.fingerprint();
+  }  // both Graphs die here; the arrays live on in csr
+  EXPECT_EQ(csr.fingerprint(), fingerprint);
+  EXPECT_EQ(Graph(csr), instance.graph);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class DynamicHeightsDag {
 
   DynamicHeightsDag(const Graph& topology, NodeId destination)
       : DynamicHeightsDag(topology.num_nodes(), destination) {
-    links_ = topology.edges();
+    links_.assign(topology.edges().begin(), topology.edges().end());
     std::sort(links_.begin(), links_.end());
   }
 

@@ -119,8 +119,8 @@ TEST(GBHeightsTest, PairStepRaisesAboveAllNeighbors) {
   GBPairHeightsAutomaton gb(inst);
   LowestIdScheduler scheduler;
   run_to_quiescence(gb, scheduler, [](const GBPairHeightsAutomaton& a, NodeId fired) {
-    for (const Incidence& inc : a.graph().neighbors(fired)) {
-      EXPECT_GT(a.height(fired), a.height(inc.neighbor));
+    for (const NodeId v : a.graph().neighbors(fired)) {
+      EXPECT_GT(a.height(fired), a.height(v));
     }
   });
 }

@@ -62,18 +62,21 @@ TEST(GraphTest, NeighborsSortedAscending) {
   Graph g(5, {{4, 2}, {2, 0}, {2, 3}, {2, 1}});
   const auto nbrs = g.neighbors(2);
   ASSERT_EQ(nbrs.size(), 4u);
-  EXPECT_EQ(nbrs[0].neighbor, 0u);
-  EXPECT_EQ(nbrs[1].neighbor, 1u);
-  EXPECT_EQ(nbrs[2].neighbor, 3u);
-  EXPECT_EQ(nbrs[3].neighbor, 4u);
+  EXPECT_EQ(nbrs[0], 0u);
+  EXPECT_EQ(nbrs[1], 1u);
+  EXPECT_EQ(nbrs[2], 3u);
+  EXPECT_EQ(nbrs[3], 4u);
 }
 
 TEST(GraphTest, NeighborIncidenceEdgeIdsConsistent) {
   Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   for (NodeId u = 0; u < 4; ++u) {
-    for (const Incidence& inc : g.neighbors(u)) {
-      EXPECT_TRUE(g.is_endpoint(inc.edge, u));
-      EXPECT_EQ(g.other_endpoint(inc.edge, u), inc.neighbor);
+    const auto nbrs = g.neighbors(u);
+    const auto edges = g.incident_edges(u);
+    ASSERT_EQ(edges.size(), nbrs.size());
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      EXPECT_TRUE(g.is_endpoint(edges[i], u));
+      EXPECT_EQ(g.other_endpoint(edges[i], u), nbrs[i]);
     }
   }
 }
@@ -141,14 +144,14 @@ TEST(GraphTest, CanonicalInputBuildsWhatTheGeneralPathBuilds) {
 
   // Same order with every endpoint pair swapped: canonicalizes back to the
   // same ascending list, so the same graph, edge ids included.
-  std::vector<std::pair<NodeId, NodeId>> swapped(edges);
+  std::vector<std::pair<NodeId, NodeId>> swapped(edges.begin(), edges.end());
   for (auto& [a, b] : swapped) std::swap(a, b);
   EXPECT_EQ(Graph(300, swapped), canonical);
 
   // Shuffled, with every other pair swapped: the general path.  Edge ids
   // follow the input order, so compare each incidence through its edge's
   // endpoints.
-  std::vector<std::pair<NodeId, NodeId>> shuffled(edges);
+  std::vector<std::pair<NodeId, NodeId>> shuffled(edges.begin(), edges.end());
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
   for (std::size_t i = 0; i < shuffled.size(); i += 2) {
     std::swap(shuffled[i].first, shuffled[i].second);
@@ -160,8 +163,10 @@ TEST(GraphTest, CanonicalInputBuildsWhatTheGeneralPathBuilds) {
     const auto got = general.neighbors(u);
     ASSERT_EQ(got.size(), want.size()) << "node " << u;
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].neighbor, want[i].neighbor) << "node " << u;
-      EXPECT_EQ(general.edges()[got[i].edge], canonical.edges()[want[i].edge]) << "node " << u;
+      EXPECT_EQ(got[i], want[i]) << "node " << u;
+      EXPECT_EQ(general.edges()[general.incident_edges(u)[i]],
+                canonical.edges()[canonical.incident_edges(u)[i]])
+          << "node " << u;
     }
   }
 }

@@ -126,8 +126,7 @@ class BrokenSingleEdgeReversal : public LinkReversalBase {
 
   void apply(NodeId u) {
     // Broken on purpose: reverse only the first incident edge.
-    const auto nbrs = graph().neighbors(u);
-    orientation_.reverse_edge(nbrs.front().edge);
+    orientation_.reverse_edge(graph().incident_edges(u).front());
   }
 
   std::vector<std::uint8_t> state_fingerprint() const {

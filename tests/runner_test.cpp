@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -832,8 +833,19 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   SweepCache reader(0, dir.path);
   const auto reloaded = reader.get(spec);
   EXPECT_EQ(reader.snapshot_loads(), 1u);
-  EXPECT_NE(reloaded->backing, nullptr);
-  EXPECT_TRUE(reloaded->csr.is_borrowed());
+  // The reload reads the file's sections, which lie back to back (nbr,
+  // then edge, then mirror: 2m 4-byte entries each, no padding); separate
+  // heap vectors never do.  The Graph reads the same memory as the CSR.
+  const CsrGraph& csr = reloaded->csr;
+  const std::size_t positions = csr.raw_neighbors().size();
+  EXPECT_EQ(static_cast<const void*>(csr.raw_neighbors().data() + positions),
+            static_cast<const void*>(csr.raw_edges().data()));
+  EXPECT_EQ(static_cast<const void*>(csr.raw_edges().data() + positions),
+            static_cast<const void*>(csr.raw_mirrors().data()));
+  EXPECT_NE(static_cast<const void*>(generated->csr.raw_neighbors().data() + positions),
+            static_cast<const void*>(generated->csr.raw_edges().data()));
+  EXPECT_EQ(reloaded->instance.graph.neighbors(0).data(), csr.raw_neighbors().data());
+  EXPECT_EQ(reloaded->instance.graph.incident_edges(0).data(), csr.raw_edges().data());
   EXPECT_EQ(reloaded->csr.fingerprint(), generated->csr.fingerprint());
   EXPECT_EQ(reloaded->instance.graph, generated->instance.graph);
   EXPECT_EQ(reloaded->instance.senses, generated->instance.senses);
@@ -850,6 +862,36 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   EXPECT_GE(churned->churn.size(), 8u);
   EXPECT_EQ(churn_cache.snapshot_saves(), 0u);
   EXPECT_EQ(churn_cache.snapshot_loads(), 0u);
+}
+
+TEST(SweepCacheTest, OlderSnapshotVersionIsRegenerated) {
+  const ScratchDir dir;
+  RunSpec spec;
+  spec.topology = TopologyKind::kWideRandom;
+  spec.size = 40;
+  spec.seed = 2;
+  const std::string path = dir.path + "/widerandom-40-s2.lrsnap";
+
+  SweepCache writer(0, dir.path);
+  const auto generated = writer.get(spec);
+  ASSERT_EQ(writer.snapshot_saves(), 1u);
+  ASSERT_TRUE(std::filesystem::exists(path));
+
+  // Stamp the file as format version 1 (the u32 after the 8-byte magic).
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t v1 = 1;
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  EXPECT_THROW(Snapshot::load(path), std::runtime_error);
+
+  SweepCache reader(0, dir.path);
+  const auto regenerated = reader.get(spec);
+  EXPECT_EQ(reader.snapshot_loads(), 0u);
+  EXPECT_EQ(reader.snapshot_saves(), 1u);
+  EXPECT_EQ(regenerated->csr.fingerprint(), generated->csr.fingerprint());
+  EXPECT_EQ(Snapshot::load(path).csr().fingerprint(), generated->csr.fingerprint());
 }
 
 TEST(ScenarioRunnerTest, SnapshotDirSweepTablesAreByteIdentical) {

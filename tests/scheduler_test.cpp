@@ -227,10 +227,10 @@ struct ReferenceFarthestFirst {
       std::vector<NodeId> frontier{automaton.destination()};
       distance[automaton.destination()] = 0;
       for (std::size_t i = 0; i < frontier.size(); ++i) {
-        for (const Incidence& inc : g.neighbors(frontier[i])) {
-          if (distance[inc.neighbor] != std::numeric_limits<std::size_t>::max()) continue;
-          distance[inc.neighbor] = distance[frontier[i]] + 1;
-          frontier.push_back(inc.neighbor);
+        for (const NodeId v : g.neighbors(frontier[i])) {
+          if (distance[v] != std::numeric_limits<std::size_t>::max()) continue;
+          distance[v] = distance[frontier[i]] + 1;
+          frontier.push_back(v);
         }
       }
     }

@@ -1,8 +1,10 @@
 // Tests for the mmap-backed instance snapshots (graph/snapshot.hpp):
-// save -> load round-trip byte-identity of every CSR array, instance
-// thawing, borrowed-snapshot lifetime rules, and loud rejection of
-// corrupted files (bad magic, bad version, truncation, extent
-// disagreement, payload bit flips) in the style of shard_protocol_test.
+// save -> load round-trip byte-identity of every CSR array, the reloaded
+// instance, the one adjacency store (Graph and CsrGraph both read the
+// mapping, and copies outlive it), and loud rejection of corrupted files
+// (bad magic, bad version, truncation, extent disagreement, header and
+// payload bit flips, out-of-range header fields) in the style of
+// shard_protocol_test.
 
 #include "graph/snapshot.hpp"
 
@@ -13,9 +15,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +72,14 @@ bool spans_equal(std::span<const T> a, std::span<const T> b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
+/// True iff every element of `array` lies inside the mapped file.
+template <typename T>
+bool reads_mapping(const Snapshot& snapshot, std::span<const T> array) {
+  const auto* begin = reinterpret_cast<const std::byte*>(array.data());
+  const auto file = snapshot.bytes();
+  return begin >= file.data() && begin + array.size_bytes() <= file.data() + file.size();
+}
+
 TEST(Snapshot, RoundTripIsByteIdenticalPerArray) {
   const TempDir dir;
   const Instance instance = sample_instance();
@@ -76,7 +88,9 @@ TEST(Snapshot, RoundTripIsByteIdenticalPerArray) {
   save_snapshot(path, instance, csr);
 
   const Snapshot loaded = Snapshot::load(path);
-  EXPECT_TRUE(loaded.csr().is_borrowed());
+  EXPECT_TRUE(reads_mapping(loaded, loaded.csr().raw_offsets()));
+  EXPECT_TRUE(reads_mapping(loaded, loaded.csr().raw_partition_neighbors()));
+  EXPECT_TRUE(reads_mapping(loaded, loaded.csr().initial_senses()));
   EXPECT_EQ(loaded.num_nodes(), csr.num_nodes());
   EXPECT_EQ(loaded.num_edges(), csr.num_edges());
   EXPECT_EQ(loaded.destination(), instance.destination);
@@ -105,11 +119,11 @@ TEST(Snapshot, ThawReconstructsTheInstance) {
   save_snapshot(path, instance, csr);
 
   const Snapshot loaded = Snapshot::load(path);
-  const Instance thawed = loaded.thaw_instance();
-  EXPECT_EQ(thawed.graph, instance.graph);
-  EXPECT_EQ(thawed.senses, instance.senses);
-  EXPECT_EQ(thawed.destination, instance.destination);
-  EXPECT_EQ(thawed.name, instance.name);
+  const Instance& reloaded = loaded.instance();
+  EXPECT_EQ(reloaded.graph, instance.graph);
+  EXPECT_EQ(reloaded.senses, instance.senses);
+  EXPECT_EQ(reloaded.destination, instance.destination);
+  EXPECT_EQ(reloaded.name, instance.name);
 }
 
 TEST(Snapshot, MaterializedCopyOutlivesTheMapping) {
@@ -120,14 +134,50 @@ TEST(Snapshot, MaterializedCopyOutlivesTheMapping) {
   save_snapshot(path, instance, csr);
 
   CsrGraph copy;
+  Graph graph_copy;
   {
     const Snapshot loaded = Snapshot::load(path);
-    copy = loaded.csr();  // copies the borrowed views: still aliases the mapping
-    EXPECT_TRUE(copy.is_borrowed());
-    copy.materialize();  // now owns its bytes
-    EXPECT_FALSE(copy.is_borrowed());
-  }  // mapping unmapped here
+    copy = loaded.csr();  // shares the mapping, and keeps it mapped
+    graph_copy = loaded.instance().graph;
+    EXPECT_TRUE(reads_mapping(loaded, copy.raw_neighbors()));
+    EXPECT_TRUE(reads_mapping(loaded, graph_copy.neighbors(0)));
+  }  // the Snapshot dies here; its mapping does not
   EXPECT_EQ(copy.fingerprint(), csr.fingerprint());
+  EXPECT_EQ(graph_copy, instance.graph);
+  EXPECT_EQ(CsrGraph(graph_copy, instance.senses).fingerprint(), csr.fingerprint());
+}
+
+// One adjacency copy per reload: the instance's Graph and the CsrGraph
+// read the same mapped offsets, neighbour and edge sections.
+TEST(Snapshot, LoadedGraphAndCsrReadTheMapping) {
+  const TempDir dir;
+  const Instance instance = sample_instance();
+  const std::string path = dir.file("shared.lrsnap");
+  save_snapshot(path, instance, CsrGraph(instance.graph, instance.senses));
+
+  const Snapshot loaded = Snapshot::load(path);
+  const Graph& graph = loaded.instance().graph;
+  const CsrGraph& csr = loaded.csr();
+  EXPECT_TRUE(reads_mapping(loaded, csr.raw_neighbors()));
+  EXPECT_TRUE(reads_mapping(loaded, csr.raw_edges()));
+  ASSERT_EQ(graph.num_nodes(), csr.num_nodes());
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    EXPECT_EQ(graph.neighbors(u).data(), csr.neighbors(u).data()) << "node " << u;
+    EXPECT_EQ(graph.incident_edges(u).data(), csr.incident_edges(u).data()) << "node " << u;
+  }
+}
+
+TEST(Snapshot, SaveRejectsSensesThatDisagreeWithTheCsr) {
+  const TempDir dir;
+  const Instance instance = sample_instance();
+  std::vector<EdgeSense> flipped = instance.senses;
+  flipped[flipped.size() / 2] = flipped[flipped.size() / 2] == EdgeSense::kForward
+                                    ? EdgeSense::kBackward
+                                    : EdgeSense::kForward;
+  const CsrGraph csr(instance.graph, flipped);
+  const std::string path = dir.file("flipped.lrsnap");
+  EXPECT_THROW(save_snapshot(path, instance, csr), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(Snapshot, SaveIsAtomicAndIdempotent) {
@@ -152,8 +202,35 @@ TEST(Snapshot, SaveIsAtomicAndIdempotent) {
 // Corruption battery — every tampered file must be rejected loudly.
 // Header layout (snapshot.cpp): magic[8], version u32, reserved u32, then
 // u64 num_nodes / num_edges / destination / name_bytes / payload_bytes /
-// checksum; payload starts at byte 64.
+// checksum; payload starts at byte 64.  The checksum is FNV-1a over the
+// header with its checksum field zeroed, then the payload.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kNumNodesAt = 16;
+constexpr std::size_t kDestinationAt = 32;
+constexpr std::size_t kChecksumAt = 56;
+
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void write_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Recomputes the stored checksum, so a tampered header field reaches the
+/// loader's range checks instead of the checksum comparison.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  write_u64(bytes, kChecksumAt, 0);
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  write_u64(bytes, kChecksumAt, h);
+}
 
 class SnapshotCorruption : public ::testing::Test {
  protected:
@@ -218,20 +295,45 @@ TEST_F(SnapshotCorruption, PayloadBitFlipRejectedByChecksum) {
   std::vector<std::uint8_t> bytes = bytes_;
   bytes[64 + (bytes.size() - 64) / 2] ^= 0x01;
   expect_rejected(bytes, "checksum");
+}
 
-  // The bench knob skips exactly the checksum, nothing else: the same
-  // flipped file maps fine with verification off (contents are garbage,
-  // but the structural extents still agree).
-  const std::string tampered = dir_.file("tampered.lrsnap");
-  EXPECT_NO_THROW({
-    const Snapshot unchecked = Snapshot::load(tampered, /*verify_checksum=*/false);
-    EXPECT_EQ(unchecked.num_edges(), csr_.num_edges());
-  });
+TEST_F(SnapshotCorruption, ResealMatchesTheWriter) {
+  // The test's checksum recomputation matches the writer's, so the range
+  // checks below are reached with a valid checksum.
+  std::vector<std::uint8_t> bytes = bytes_;
+  reseal(bytes);
+  ASSERT_EQ(bytes, bytes_);
+}
+
+TEST_F(SnapshotCorruption, DestinationBitFlipRejected) {
+  // Flipping bit 0 of the destination keeps it a valid node (3 -> 2) but
+  // silently changes every run's workload: only the header checksum sees it.
+  std::vector<std::uint8_t> bytes = bytes_;
+  bytes[kDestinationAt] ^= 0x01;
+  expect_rejected(bytes, "destination bit flip");
+}
+
+TEST_F(SnapshotCorruption, DestinationOutOfRangeRejected) {
+  std::vector<std::uint8_t> bytes = bytes_;
+  write_u64(bytes, kDestinationAt, instance_.graph.num_nodes());
+  expect_rejected(bytes, "destination = n, stale checksum");
+  reseal(bytes);
+  expect_rejected(bytes, "destination = n, resealed");
+}
+
+TEST_F(SnapshotCorruption, NodeCountOutsideNodeIdRangeRejected) {
+  // Bit 62 of num_nodes: the (n + 1) * 4-byte offset extent wraps around to
+  // the true one, so only the NodeId range check and the checksum see it.
+  std::vector<std::uint8_t> bytes = bytes_;
+  write_u64(bytes, kNumNodesAt, read_u64(bytes, kNumNodesAt) ^ (std::uint64_t{1} << 62));
+  expect_rejected(bytes, "num_nodes bit 62, stale checksum");
+  reseal(bytes);
+  expect_rejected(bytes, "num_nodes bit 62, resealed");
 }
 
 TEST_F(SnapshotCorruption, ChecksumFieldTamperRejected) {
   std::vector<std::uint8_t> bytes = bytes_;
-  bytes[56] ^= 0x01;  // stored checksum itself
+  bytes[kChecksumAt] ^= 0x01;  // stored checksum itself
   expect_rejected(bytes, "stored checksum");
 }
 
