@@ -12,15 +12,20 @@ namespace {
 
 /// In-place neighbor updates for every serial execution path (single-step
 /// runs and un-sharded rounds): a decrement lands immediately and a node
-/// is requeued the instant its out-degree hits zero.
-template <typename PushSink>
+/// is requeued the instant its out-degree hits zero.  With `kClock` (the
+/// single-step FR/PR runs) each flip toward v also raises v's round clock
+/// to the firing's round `clock`.
+template <typename Slot, typename PushSink, bool kClock = false>
 struct SerialOps {
-  std::uint32_t* out_degree;
+  Slot* node;
   std::uint32_t* list_size;
   PushSink& push;
+  std::uint32_t clock = 0;  // round of the firing in progress (kClock only)
 
   void flipped(NodeId v) {
-    if (--out_degree[v] == 0) push(v);
+    Slot& slot = node[v];
+    if constexpr (kClock) slot.clock = std::max(slot.clock, clock);
+    if (--slot.out_degree == 0) push(v);
   }
   void listed(NodeId v) { ++list_size[v]; }
   void self_sink(NodeId u) { push(u); }
@@ -65,41 +70,37 @@ std::uint64_t senses_checksum(std::span<const EdgeSense> senses) {
   return hash;
 }
 
-void ReversalEngine::attach(const CsrGraph& csr, NodeId destination) {
-  csr_ = &csr;
-  destination_ = destination;
-  if (destination_ >= csr.num_nodes()) {
+ReversalEngine::ReversalEngine(const CsrGraph& csr, NodeId destination)
+    : csr_(csr), destination_(destination) {
+  if (destination_ >= csr_.num_nodes()) {
     throw std::invalid_argument("ReversalEngine: destination out of range");
   }
-  const std::size_t n = csr.num_nodes();
-  initial_out_degree_.resize(n);
+  reset(EngineAlgorithm::kFullReversal);
+}
+
+ReversalEngine::ReversalEngine(const Instance& instance)
+    : ReversalEngine(CsrGraph(instance.graph, instance.senses), instance.destination) {}
+
+void ReversalEngine::reset(EngineAlgorithm algorithm) {
+  const std::size_t n = csr_.num_nodes();
+  sense_.assign(csr_.initial_senses().begin(), csr_.initial_senses().end());
+  node_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    initial_out_degree_[u] = static_cast<std::uint32_t>(csr.initial_out_degree(u));
+    node_[u] = {static_cast<std::uint32_t>(csr_.initial_out_degree(u)), 0};
   }
-  reset();
-}
-
-ReversalEngine::ReversalEngine(const CsrGraph& csr, NodeId destination) {
-  attach(csr, destination);
-}
-
-ReversalEngine::ReversalEngine(const Instance& instance) {
-  owned_csr_.emplace_back(instance.graph, instance.senses);
-  attach(owned_csr_.back(), instance.destination);
-}
-
-void ReversalEngine::reset() {
-  const std::size_t n = csr_->num_nodes();
-  sense_.assign(csr_->initial_senses().begin(), csr_->initial_senses().end());
-  out_degree_.assign(initial_out_degree_.begin(), initial_out_degree_.end());
-  in_list_.assign(2 * csr_->num_edges(), 0);
-  list_size_.assign(n, 0);
-  parity_.assign(n, 0);
+  // FR reads nothing else; the PR lists and the NewPR parities are
+  // allocated only by the runs that read them.
+  if (algorithm == EngineAlgorithm::kOneStepPR) {
+    in_list_.assign(2 * csr_.num_edges(), 0);
+    list_size_.assign(n, 0);
+  } else if (algorithm == EngineAlgorithm::kNewPR) {
+    parity_.assign(n, 0);
+  }
   dummy_steps_ = 0;
 }
 
 void ReversalEngine::ensure_distances() {
-  const std::size_t n = csr_->num_nodes();
+  const std::size_t n = csr_.num_nodes();
   if (!distance_.empty()) return;  // the snapshot is immutable: compute once
   distance_.assign(n, std::numeric_limits<std::uint32_t>::max());
   bfs_queue_.clear();
@@ -107,7 +108,7 @@ void ReversalEngine::ensure_distances() {
   bfs_queue_.push_back(destination_);
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const NodeId x = bfs_queue_[head];
-    for (const NodeId v : csr_->neighbors(x)) {
+    for (const NodeId v : csr_.neighbors(x)) {
       if (distance_[v] == std::numeric_limits<std::uint32_t>::max()) {
         distance_[v] = distance_[x] + 1;
         bfs_queue_.push_back(v);
@@ -117,7 +118,7 @@ void ReversalEngine::ensure_distances() {
 }
 
 bool ReversalEngine::compute_destination_oriented() {
-  const std::size_t n = csr_->num_nodes();
+  const std::size_t n = csr_.num_nodes();
   visited_.assign(n, 0);
   bfs_queue_.clear();
   visited_[destination_] = 1;
@@ -125,11 +126,11 @@ bool ReversalEngine::compute_destination_oriented() {
   std::size_t reached = 1;
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const NodeId x = bfs_queue_[head];
-    const CsrPos end = csr_->adjacency_end(x);
-    for (CsrPos p = csr_->adjacency_begin(x); p < end; ++p) {
+    const CsrPos end = csr_.adjacency_end(x);
+    for (CsrPos p = csr_.adjacency_begin(x); p < end; ++p) {
       // Traverse edges *into* x: their tails route to D through x.
-      if (csr_->points_out_of(p, x, sense_)) continue;
-      const NodeId v = csr_->neighbor_at(p);
+      if (csr_.points_out_of(p, x, sense_)) continue;
+      const NodeId v = csr_.neighbor_at(p);
       if (!visited_[v]) {
         visited_[v] = 1;
         bfs_queue_.push_back(v);
@@ -142,29 +143,30 @@ bool ReversalEngine::compute_destination_oriented() {
 
 template <typename Ops>
 void ReversalEngine::flip(CsrPos p, Ops& ops) {
-  const EdgeId e = csr_->edge_at(p);
+  const EdgeId e = csr_.edge_at(p);
   sense_[e] = sense_[e] == EdgeSense::kForward ? EdgeSense::kBackward : EdgeSense::kForward;
-  ops.flipped(csr_->neighbor_at(p));
+  ops.flipped(csr_.neighbor_at(p));
 }
+
 
 template <typename Ops>
 std::uint32_t ReversalEngine::fire_full(NodeId u, Ops& ops) {
-  const CsrPos begin = csr_->adjacency_begin(u);
-  const CsrPos end = csr_->adjacency_end(u);
+  const CsrPos begin = csr_.adjacency_begin(u);
+  const CsrPos end = csr_.adjacency_end(u);
   for (CsrPos p = begin; p < end; ++p) flip(p, ops);
   const std::uint32_t flips = end - begin;
   // Plain store in the sharded kernel too: u's round peers are pairwise
   // non-adjacent to it and delta events only target non-firing nodes, so
-  // no other shard touches out_degree_[u] this round.
-  out_degree_[u] = flips;
+  // no other shard touches node_[u] this round.
+  node_[u].out_degree = flips;
   if (flips == 0) ops.self_sink(u);  // a degree-0 node stays a (vacuous) sink
   return flips;
 }
 
 template <typename Ops>
 std::uint32_t ReversalEngine::fire_pr(NodeId u, Ops& ops) {
-  const CsrPos begin = csr_->adjacency_begin(u);
-  const CsrPos end = csr_->adjacency_end(u);
+  const CsrPos begin = csr_.adjacency_begin(u);
+  const CsrPos end = csr_.adjacency_end(u);
   const bool reverse_all = list_size_[u] == end - begin;
   std::uint32_t flips = 0;
   for (CsrPos p = begin; p < end; ++p) {
@@ -176,15 +178,15 @@ std::uint32_t ReversalEngine::fire_pr(NodeId u, Ops& ops) {
     // the {u, v} edge from v's side and u is the only firing endpoint);
     // v's list-size counter is shared with u's round peers, which is why
     // the increment goes through ops (deferred to v's owner when sharded).
-    const CsrPos mp = csr_->mirror(p);
+    const CsrPos mp = csr_.mirror(p);
     if (!in_list_[mp]) {
       in_list_[mp] = 1;
-      ops.listed(csr_->neighbor_at(p));
+      ops.listed(csr_.neighbor_at(p));
     }
   }
   for (CsrPos p = begin; p < end; ++p) in_list_[p] = 0;  // list[u] := ∅
   list_size_[u] = 0;
-  out_degree_[u] = flips;
+  node_[u].out_degree = flips;
   if (flips == 0) ops.self_sink(u);
   return flips;
 }
@@ -192,10 +194,10 @@ std::uint32_t ReversalEngine::fire_pr(NodeId u, Ops& ops) {
 template <typename Ops>
 std::uint32_t ReversalEngine::fire_newpr(NodeId u, Ops& ops) {
   const std::span<const CsrPos> selected =
-      parity_[u] ? csr_->initial_out_positions(u) : csr_->initial_in_positions(u);
+      parity_[u] ? csr_.initial_out_positions(u) : csr_.initial_in_positions(u);
   for (const CsrPos p : selected) flip(p, ops);
   const std::uint32_t flips = static_cast<std::uint32_t>(selected.size());
-  out_degree_[u] = flips;
+  node_[u].out_degree = flips;
   if (flips == 0) {
     ++dummy_steps_;  // the selected constant set is empty: a dummy step
     ops.self_sink(u);
@@ -219,47 +221,96 @@ std::uint32_t ReversalEngine::fire(EngineAlgorithm algorithm, NodeId u, Ops& ops
 
 EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
                                  const EngineRunOptions& options) {
-  reset();
-  const std::size_t n = csr_->num_nodes();
+  // The clock runs only where it can be reported: NewPR has no rounds
+  // measure, and a clock never exceeds the step count, so a budget below
+  // 2^32 keeps it within 32 bits.
+  if (algorithm != EngineAlgorithm::kNewPR &&
+      options.max_steps <= std::numeric_limits<std::uint32_t>::max()) {
+    return run_steps<true>(algorithm, policy, options);
+  }
+  return run_steps<false>(algorithm, policy, options);
+}
+
+template <bool kClock>
+EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy policy,
+                                       const EngineRunOptions& options) {
+  reset(algorithm);
+  const std::size_t n = csr_.num_nodes();
   EngineResult result;
   if (options.record_node_costs) result.node_cost.assign(n, 0);
+  std::uint32_t rounds = 0;  // the largest round clock so far
 
-  const auto account = [&result](NodeId u, std::uint32_t flips) {
-    result.edge_reversals += flips;
+  // Fires u: a firing's round is one past u's clock, which `ops` carries
+  // to every neighbour the firing flips toward.
+  const auto step = [&](NodeId u, auto& ops) {
+    if constexpr (kClock) {
+      ops.clock = ++node_[u].clock;
+      rounds = std::max(rounds, ops.clock);
+    }
+    result.edge_reversals += fire(algorithm, u, ops);
     ++result.steps;
     if (!result.node_cost.empty()) ++result.node_cost[u];
   };
 
   if (policy != EnginePolicy::kFarthestFirst) {
-    // One step loop for the id-ordered policies: each choice is the sink
-    // index query its scheduler asks of the orientation's index (the same
-    // mt19937_64 draws for random).  This index never holds D: no skip.
+    // The id-ordered policies share one sink index, which never holds D.
+    // Random takes the k-th smallest sink for a uniform k: the same
+    // mt19937_64 draws and the same query RandomScheduler makes.
+    //
+    // Lowest-id is round-robin with the cursor pinned at 0: each choice is
+    // the smallest sink at or after `from` (u + 1 for round-robin), else
+    // the smallest sink.  No sink leaves the index while u fires, so that
+    // choice is the smaller of the sink after u that was there before the
+    // step (`ahead`, one query, made before u fires so its block can be
+    // prefetched) and the smallest sink at or after `from` that the step
+    // inserted (`inserted`, tracked by the push).  Only a round-robin wrap
+    // queries again.
     sink_index_.reset(n);
-    const auto push = [this](NodeId v) {
-      if (v != destination_) sink_index_.insert(v);
+    NodeId from = kNoNode;  // tracks no insertion until a lowest-id/rr step
+    NodeId inserted = kNoNode;
+    const auto push = [this, &from, &inserted](NodeId v) {
+      if (v == destination_) return;
+      sink_index_.insert(v);
+      if (v >= from && v < inserted) inserted = v;
     };
     for (NodeId u = 0; u < n; ++u) {
-      if (out_degree_[u] == 0) push(u);
+      if (node_[u].out_degree == 0) push(u);
     }
-    SerialOps ops{out_degree_.data(), list_size_.data(), push};
-    std::mt19937_64 rng(options.scheduler_seed);
-    NodeId cursor = 0;
-    while (result.steps < options.max_steps) {
-      if (sink_index_.size() == 0) {
-        result.quiescent = true;
-        break;
-      }
-      NodeId u = kNoNode;
-      if (policy == EnginePolicy::kRandom) {
+    SerialOps<NodeSlot, decltype(push), kClock> ops{node_.data(), list_size_.data(), push};
+    if (policy == EnginePolicy::kRandom) {
+      std::mt19937_64 rng(options.scheduler_seed);
+      while (result.steps < options.max_steps) {
+        if (sink_index_.size() == 0) {
+          result.quiescent = true;
+          break;
+        }
         std::uniform_int_distribution<std::size_t> pick(0, sink_index_.size() - 1);
-        u = sink_index_.select(pick(rng));
-      } else {  // lowest-id is round-robin with the cursor pinned at 0
-        u = sink_index_.next(cursor);
-        if (u == kNoNode) u = sink_index_.next(0);
-        if (policy == EnginePolicy::kRoundRobin) cursor = static_cast<NodeId>((u + 1) % n);
+        const NodeId u = sink_index_.select(pick(rng));
+        sink_index_.erase(u);  // a zero-flip step re-inserts it through ops
+        step(u, ops);
       }
-      sink_index_.erase(u);  // a zero-flip step re-inserts it through ops
-      account(u, fire(algorithm, u, ops));
+    } else {
+      const bool round_robin = policy == EnginePolicy::kRoundRobin;
+      NodeId u = sink_index_.next(0);
+      while (result.steps < options.max_steps) {
+        if (u == kNoNode) {
+          result.quiescent = true;
+          break;
+        }
+        sink_index_.erase(u);  // a zero-flip step re-inserts it through ops
+        const NodeId ahead = sink_index_.next(u);
+        if (ahead != kNoNode) {
+          // Its neighbour and edge ids name every other line it touches.
+          const CsrPos begin = csr_.adjacency_begin(ahead);
+          __builtin_prefetch(csr_.raw_neighbors().data() + begin);
+          __builtin_prefetch(csr_.raw_edges().data() + begin);
+        }
+        from = round_robin ? u + 1 : 0;
+        inserted = kNoNode;
+        step(u, ops);
+        u = std::min(ahead, inserted);
+        if (u == kNoNode && round_robin) u = sink_index_.next(0);
+      }
     }
   } else {
     // Lazy max-heap keyed (BFS distance to D, id), matching the max over
@@ -278,9 +329,9 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
       }
     };
     for (NodeId u = 0; u < n; ++u) {
-      if (out_degree_[u] == 0) push(u);  // keys are unique: the pop order is fixed
+      if (node_[u].out_degree == 0) push(u);  // keys are unique: the pop order is fixed
     }
-    SerialOps ops{out_degree_.data(), list_size_.data(), push};
+    SerialOps<NodeSlot, decltype(push), kClock> ops{node_.data(), list_size_.data(), push};
     while (result.steps < options.max_steps) {
       NodeId u = kNoNode;
       while (!key_heap_.empty()) {
@@ -288,7 +339,7 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
         const NodeId top = static_cast<NodeId>(key_heap_.back() & 0xffffffffu);
         key_heap_.pop_back();
         queued_[top] = 0;
-        if (top != destination_ && out_degree_[top] == 0) {
+        if (top != destination_ && node_[top].out_degree == 0) {
           u = top;
           break;
         }
@@ -297,12 +348,13 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
         result.quiescent = true;
         break;
       }
-      account(u, fire(algorithm, u, ops));
+      step(u, ops);
     }
   }
 
   result.dummy_steps = dummy_steps_;
   result.destination_oriented = compute_destination_oriented();
+  if (kClock && result.quiescent) result.greedy_rounds = rounds;
   return result;
 }
 
@@ -318,13 +370,13 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
         "ReversalEngine::run_greedy_rounds: greedy rounds are defined for FR and "
         "OneStepPR only (matching analysis/rounds.hpp)");
   }
-  reset();
-  const std::size_t n = csr_->num_nodes();
+  reset(algorithm);
+  const std::size_t n = csr_.num_nodes();
   EngineRoundsResult result;
 
   round_current_.clear();
   for (NodeId u = 0; u < n; ++u) {
-    if (u != destination_ && out_degree_[u] == 0) round_current_.push_back(u);
+    if (u != destination_ && node_[u].out_degree == 0) round_current_.push_back(u);
   }
   // Within a round, a non-firing node's out-degree only decreases and a
   // firing node's is rewritten once, so every node reaches zero at most
@@ -335,7 +387,7 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
   const auto push = [this](NodeId v) {
     if (v != destination_) round_next_.push_back(v);
   };
-  SerialOps serial_ops{out_degree_.data(), list_size_.data(), push};
+  SerialOps<NodeSlot, decltype(push)> serial_ops{node_.data(), list_size_.data(), push};
   const std::size_t shards = options.pool != nullptr ? options.pool->size() : 1;
   std::size_t width = 0;
   std::function<void(std::size_t)> fire_job;
@@ -354,7 +406,7 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
                    list_events_.data() + shard * shards,
                    &shard_next_[shard],
                    shards,
-                   csr_->num_nodes()};
+                   csr_.num_nodes()};
       std::uint64_t reversals = 0;
       for (std::size_t i = begin; i < end; ++i) {
         reversals += fire(algorithm, round_current_[i], ops);
@@ -370,7 +422,7 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
       for (std::size_t firer = 0; firer < shards; ++firer) {
         std::vector<NodeId>& degree = degree_events_[firer * shards + owner];
         for (const NodeId v : degree) {
-          if (--out_degree_[v] == 0 && v != destination_) next.push_back(v);
+          if (--node_[v].out_degree == 0 && v != destination_) next.push_back(v);
         }
         degree.clear();
         std::vector<NodeId>& list = list_events_[firer * shards + owner];
@@ -392,8 +444,8 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
       std::size_t max_degree = 0;
       for (const NodeId u : round_current_) {
         max_degree = std::max(max_degree,
-                              static_cast<std::size_t>(csr_->adjacency_end(u) -
-                                                       csr_->adjacency_begin(u)));
+                              static_cast<std::size_t>(csr_.adjacency_end(u) -
+                                                       csr_.adjacency_begin(u)));
       }
       work = width * max_degree;
     }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,7 +33,10 @@
 ///    just a slice of positions to flip),
 ///  * O(1) `list[v]` updates in the PR kernel via CSR mirror positions, and
 ///  * O(1) dummy-step detection in the NewPR kernel via the precomputed
-///    initial in/out partition.
+///    initial in/out partition, and
+///  * a round clock per node in FR and OneStepPR runs, from which one
+///    single-step run also reports its greedy-rounds count (see
+///    `EngineResult::greedy_rounds`).
 ///
 /// Equivalence contract: for every (algorithm, policy, seed, step budget),
 /// `run()` performs the *identical action sequence* as the corresponding
@@ -65,6 +69,8 @@ enum class EnginePolicy : std::uint8_t {
 /// Execution limits and instrumentation switches for `ReversalEngine::run`.
 struct EngineRunOptions {
   /// Hard step budget, matching `RunOptions::max_steps` on the legacy path.
+  /// A budget of 2^32 or more also turns the 32-bit round clock off (see
+  /// `EngineResult::greedy_rounds`).
   std::uint64_t max_steps = 10'000'000;
 
   /// Seed of the scheduling RNG (used by `EnginePolicy::kRandom` only);
@@ -85,6 +91,17 @@ struct EngineResult {
   bool quiescent = false;             ///< no enabled sink remained
   bool destination_oriented = false;  ///< final G' routes every node to D
   std::vector<std::uint64_t> node_cost;  ///< per-node fires; empty unless recorded
+
+  /// The greedy (maximal-set) rounds count of the same instance, equal to
+  /// `run_greedy_rounds(...).rounds`, read off the run's round clocks: a
+  /// firing of u gets c = clock[u] + 1, stored back in clock[u], and every
+  /// edge it flips toward v raises clock[v] to at least c; the count is the
+  /// largest c.  It holds whatever the policy, because every complete
+  /// execution fires the same partial order (docs/ARCHITECTURE.md,
+  /// "Greedy rounds from one single-step run").  Engaged only for
+  /// quiescent FR and OneStepPR runs with `max_steps < 2^32`; never for
+  /// NewPR (which has no rounds measure) or a budget-cut run.
+  std::optional<std::uint64_t> greedy_rounds;
 };
 
 /// Result of a batched greedy-rounds execution (`run_greedy_rounds`).
@@ -145,23 +162,17 @@ std::uint64_t senses_checksum(std::span<const EdgeSense> senses);
 /// `run_greedy_rounds` call first resets to the snapshot's initial
 /// orientation, so one engine amortizes its allocations across a whole
 /// benchmark or sweep loop (zero per-step and per-run allocation after the
-/// first call).
+/// first call).  A run allocates only the arrays its algorithm reads.
 class ReversalEngine {
  public:
-  /// Creates an engine over `csr` with the given destination.  The CsrGraph
-  /// must outlive the engine.  Throws std::invalid_argument if the
-  /// destination is out of range.
+  /// Creates an engine over `csr` with the given destination.  The engine
+  /// holds a copy of `csr`, which shares its arrays.  Throws
+  /// std::invalid_argument if the destination is out of range.
   ReversalEngine(const CsrGraph& csr, NodeId destination);
 
   /// Convenience: engine over a fresh snapshot of `instance` (graph +
-  /// initial senses + destination).  The snapshot is owned by the engine.
+  /// initial senses + destination).
   explicit ReversalEngine(const Instance& instance);
-
-  /// Engines hold an internal pointer to their snapshot; copying or moving
-  /// would dangle it for the owning constructor, so both are disabled.
-  ReversalEngine(const ReversalEngine&) = delete;
-  /// \copydoc ReversalEngine(const ReversalEngine&)
-  ReversalEngine& operator=(const ReversalEngine&) = delete;
 
   /// Runs `algorithm` to quiescence (or budget exhaustion) under `policy`,
   /// resetting to the initial orientation first.
@@ -181,7 +192,7 @@ class ReversalEngine {
                                        const EngineRoundsOptions& options);
 
   /// The CSR snapshot this engine executes over.
-  const CsrGraph& csr() const noexcept { return *csr_; }
+  const CsrGraph& csr() const noexcept { return csr_; }
 
   /// The destination node D.
   NodeId destination() const noexcept { return destination_; }
@@ -194,11 +205,19 @@ class ReversalEngine {
 
   /// True iff `u` currently has no outgoing edge (degree-0 nodes included,
   /// matching `Orientation::is_sink`).
-  bool is_sink(NodeId u) const { return out_degree_[u] == 0; }
+  bool is_sink(NodeId u) const { return node_[u].out_degree == 0; }
 
  private:
-  void attach(const CsrGraph& csr, NodeId destination);
-  void reset();
+  /// One node's hot counters, side by side so a flip touches one line.
+  struct NodeSlot {
+    std::uint32_t out_degree;  ///< current out-degree
+    std::uint32_t clock;       ///< round clock (single-step FR/PR runs)
+  };
+
+  void reset(EngineAlgorithm algorithm);
+  template <bool kClock>
+  EngineResult run_steps(EngineAlgorithm algorithm, EnginePolicy policy,
+                         const EngineRunOptions& options);
   void ensure_distances();
   bool compute_destination_oriented();
 
@@ -223,14 +242,12 @@ class ReversalEngine {
   template <typename Ops>
   [[gnu::always_inline]] inline void flip(CsrPos p, Ops& ops);
 
-  const CsrGraph* csr_ = nullptr;
-  std::vector<CsrGraph> owned_csr_;  // non-empty only for the Instance ctor
+  CsrGraph csr_;
   NodeId destination_ = 0;
 
   // Mutable G' state (reset per run).
-  std::vector<EdgeSense> sense_;            // current sense per edge
-  std::vector<std::uint32_t> out_degree_;   // current out-degree per node
-  std::vector<std::uint32_t> initial_out_degree_;
+  std::vector<EdgeSense> sense_;  // current sense per edge
+  std::vector<NodeSlot> node_;    // out-degree and round clock per node
 
   // PR list state: flag per adjacency position, size per node.
   std::vector<std::uint8_t> in_list_;

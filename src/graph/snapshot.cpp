@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -107,9 +108,11 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   }
 
   // Same-directory temp file so the final rename is atomic (rename across
-  // filesystems is not); pid-suffixed so racing sweep shards never share
-  // a temp path.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // filesystems is not), named by pid and a per-process call number so
+  // racing sweep shards and racing threads of one sweep never share one.
+  static std::atomic<std::uint64_t> calls{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(calls.fetch_add(1, std::memory_order_relaxed));
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) reject(path, "cannot open temp file for writing");
 

@@ -36,10 +36,10 @@
 /// file as long as sizes disagree, and the checksum catches the rest).
 ///
 /// Write path: `save_snapshot` streams the sections through the checksum
-/// into `path + ".tmp.<pid>"` and renames into place, so concurrent
-/// writers (two sweep shards racing to warm the same cache entry) and
-/// crashes mid-write leave either the old file or a complete new one —
-/// never a torn snapshot.
+/// into `path + ".tmp.<pid>.<call>"`, a name no other call uses, and
+/// renames into place, so concurrent writers (two sweep threads or shards
+/// racing to warm the same cache entry) and crashes mid-write leave either
+/// the old file or a complete new one — never a torn snapshot.
 
 namespace lr {
 

@@ -47,11 +47,6 @@ const char* relation_verdict_token(RelationVerdict verdict) {
 
 namespace {
 
-void fill_instance_shape(RunRecord& record, const Instance& instance) {
-  record.nodes = instance.graph.num_nodes();
-  record.bad_nodes = count_bad_nodes(instance);
-}
-
 /// Engine-side names of the strategy and scheduler axes (the CSR path).
 EngineAlgorithm engine_algorithm(Strategy strategy) {
   switch (strategy) {
@@ -92,10 +87,8 @@ void run_strategy_kernel(RunRecord& record, const Instance& instance, const CsrG
                          Strategy strategy, WorkerPoolCache* pools) {
   const RunSpec& spec = record.spec;
   if (spec.path == ExecutionPath::kCsr) {
-    const CsrGraph local =
-        frozen != nullptr ? CsrGraph() : CsrGraph(instance.graph, instance.senses);
-    const CsrGraph& csr = frozen != nullptr ? *frozen : local;
-    ReversalEngine engine(csr, instance.destination);
+    ReversalEngine engine(frozen != nullptr ? *frozen : CsrGraph(instance.graph, instance.senses),
+                          instance.destination);
     const EngineResult result =
         engine.run(engine_algorithm(strategy), engine_policy(spec.scheduler),
                    {.max_steps = spec.max_steps, .scheduler_seed = spec.scheduler_seed()});
@@ -103,31 +96,33 @@ void run_strategy_kernel(RunRecord& record, const Instance& instance, const CsrG
     record.edge_reversals = result.edge_reversals;
     record.dummy_steps = result.dummy_steps;
     record.converged = result.quiescent && result.destination_oriented;
-    if (strategy != Strategy::kNewPR) {
-      const EngineAlgorithm rounds_algorithm = strategy == Strategy::kFullReversal
-                                                   ? EngineAlgorithm::kFullReversal
-                                                   : EngineAlgorithm::kOneStepPR;
-      // engine_threads != 1 shards the rounds across a worker pool (0 =
-      // hardware concurrency).  The record is byte-identical either way;
-      // only the wall clock moves (docs/PERFORMANCE.md).  With a
-      // WorkerPoolCache the pool is borrowed (spawned once per sweep
-      // worker); without one a short-lived local pool is spawned, but only
-      // when the instance could plausibly clear the engine's work
-      // threshold — 2|E| caps the *total* degree any round's sinks can
-      // carry, so instances below it never shard (the cap is a heuristic:
-      // width x max-degree can exceed it on skewed graphs, which at worst
-      // keeps such a run serial, never changes its record).
-      EngineRoundsOptions rounds_options{.max_rounds = spec.max_steps};
-      std::optional<ThreadPool> local_pool;
-      if (spec.engine_threads != 1) {
-        if (pools != nullptr) {
-          rounds_options.pool = pools->get(spec.engine_threads);
-        } else if (2 * csr.num_edges() >= rounds_options.min_parallel_work) {
-          rounds_options.pool = &local_pool.emplace(spec.engine_threads);
-        }
-      }
-      record.rounds = engine.run_greedy_rounds(rounds_algorithm, rounds_options).rounds;
+    if (strategy == Strategy::kNewPR) return;
+    // A quiescent run reports its greedy rounds from its round clocks; only
+    // a budget-cut run needs the rounds pass, under the same budget.
+    if (result.greedy_rounds) {
+      record.rounds = *result.greedy_rounds;
+      return;
     }
+    // engine_threads != 1 shards the rounds across a worker pool (0 =
+    // hardware concurrency).  The record is byte-identical either way;
+    // only the wall clock moves (docs/PERFORMANCE.md).  With a
+    // WorkerPoolCache the pool is borrowed (spawned once per sweep
+    // worker); without one a short-lived local pool is spawned, but only
+    // when the instance could plausibly clear the engine's work
+    // threshold — 2|E| caps the *total* degree any round's sinks can
+    // carry, so instances below it never shard (the cap is a heuristic:
+    // width x max-degree can exceed it on skewed graphs, which at worst
+    // keeps such a run serial, never changes its record).
+    EngineRoundsOptions rounds_options{.max_rounds = spec.max_steps};
+    std::optional<ThreadPool> local_pool;
+    if (spec.engine_threads != 1) {
+      if (pools != nullptr) {
+        rounds_options.pool = pools->get(spec.engine_threads);
+      } else if (2 * engine.csr().num_edges() >= rounds_options.min_parallel_work) {
+        rounds_options.pool = &local_pool.emplace(spec.engine_threads);
+      }
+    }
+    record.rounds = engine.run_greedy_rounds(engine_algorithm(strategy), rounds_options).rounds;
     return;
   }
   const CostProfile profile = measure_cost(instance, strategy, spec.scheduler,
@@ -405,6 +400,7 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
       }
     }
   }
+  frozen->bad_nodes = count_bad_nodes(frozen->instance);
   const std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;
   if (loaded) ++snapshot_loads_;
@@ -489,14 +485,16 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
       shared = cache->get(spec);
       instance = &shared->instance;
       frozen = &shared->csr;
+      record.bad_nodes = shared->bad_nodes;
       // A snapshot-file reload carries no schedule; leave churn null so
       // the tora kernel derives it from the spec (same bytes either way).
       if (!shared->churn.empty() || spec.churn_events == 0) churn = &shared->churn;
     } else {
       local = make_instance(spec);
       instance = &local;
+      record.bad_nodes = count_bad_nodes(local);
     }
-    fill_instance_shape(record, *instance);
+    record.nodes = instance->graph.num_nodes();
     switch (spec.algorithm) {
       case AlgorithmKind::kFullReversal:
         run_strategy_kernel(record, *instance, frozen, Strategy::kFullReversal, pools);

@@ -76,6 +76,9 @@ struct RunRecord {
 struct FrozenInstance {
   Instance instance;  ///< the generated (or reloaded) workload
   CsrGraph csr;       ///< CSR form of instance.graph + instance.senses
+  /// `count_bad_nodes(instance)`, counted once when the workload is
+  /// generated or reloaded rather than once per run.
+  std::uint64_t bad_nodes = 0;
   /// The churn schedule of a waypoint workload with churn_events > 0;
   /// empty otherwise (see RunSpec::churn_events).
   std::vector<LinkEvent> churn;

@@ -113,8 +113,10 @@ struct SpecScalars {
   /// greedy-rounds kernel (CSR path, fr/pr kernels only): 1 = serial
   /// (default), 0 = hardware concurrency, N = a pool of N.  The parallel
   /// engine is deterministic and byte-identical to the serial one at every
-  /// value (tests/reversal_engine_test.cpp).  A value > 1 borrows a pool
-  /// per worker; worth it on large topologies, overhead on tiny ones.
+  /// value (tests/reversal_engine_test.cpp).  A converged run reads its
+  /// rounds off the single-step run's round clocks, so only runs cut by
+  /// max_steps reach the kernel; there a value > 1 borrows a pool per
+  /// worker, worth it on large topologies, overhead on tiny ones.
   std::size_t engine_threads = 1;
 
   /// `sim_scheduler =` (`heap` default, `wheel`): the event-scheduler

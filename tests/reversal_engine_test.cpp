@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -102,6 +103,15 @@ TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
   for (const Instance& instance : instances) {
     ReversalEngine engine(instance);
     for (const Strategy strategy : kStrategies) {
+      // The analysis layer's rounds count, which every fr/pr run's round
+      // clocks must reproduce whatever the policy.
+      std::optional<std::uint64_t> legacy_rounds;
+      if (strategy != Strategy::kNewPR) {
+        legacy_rounds = run_greedy_rounds(instance, strategy == Strategy::kFullReversal
+                                                        ? RoundStrategy::kFullReversal
+                                                        : RoundStrategy::kPartialReversal)
+                            .total_rounds();
+      }
       for (const NamedPolicy& pair : kPolicies) {
         const CostProfile profile = measure_cost(instance, strategy, pair.scheduler, seed);
         const EngineResult result =
@@ -114,6 +124,8 @@ TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
         EXPECT_EQ(result.dummy_steps, profile.dummy_steps) << context;
         EXPECT_EQ(result.quiescent && result.destination_oriented, profile.converged) << context;
         EXPECT_EQ(result.node_cost, profile.node_cost) << context;
+        ASSERT_TRUE(result.quiescent) << context;
+        EXPECT_EQ(result.greedy_rounds, legacy_rounds) << context;
 
         const std::vector<EdgeSense> expected =
             legacy_final_senses(instance, strategy, pair.scheduler, seed);
@@ -141,6 +153,69 @@ TEST(ReversalEngineTest, GreedyRoundsMatchLegacyRounds) {
       EXPECT_EQ(result.converged, history.converged) << instance.name;
     }
   }
+}
+
+TEST(ReversalEngineTest, RoundClocksMatchTheRoundsPassOnEverySweepTopology) {
+  // A greedy round is a firing's depth in the one partial order every
+  // complete FR or OneStepPR execution fires, so the round clocks of each
+  // policy's single-step run must give the rounds pass's count, and the
+  // run must fire as many steps and flips as the pass.
+  std::size_t converged = 0;
+  for (const TopologyKind topology :
+       {TopologyKind::kChain, TopologyKind::kRandom, TopologyKind::kGrid, TopologyKind::kLayered,
+        TopologyKind::kStar, TopologyKind::kUnitDisk, TopologyKind::kTorus,
+        TopologyKind::kWideRandom, TopologyKind::kWaypoint}) {
+    for (const std::size_t size : {1u, 2u, 3u, 9u, 40u, 300u, 1000u, 3000u}) {
+      if (topology == TopologyKind::kStar && size < 2) continue;  // a star needs 3 nodes
+      // The chain is one instance whatever the seed, and its FR work is
+      // quadratic: above 300 nodes it would take most of the test's time.
+      if (topology == TopologyKind::kChain && size > 300) continue;
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        RunSpec spec;
+        spec.topology = topology;
+        spec.size = size;
+        spec.seed = seed;
+        ReversalEngine engine(make_instance(spec));
+        for (const EngineAlgorithm algorithm :
+             {EngineAlgorithm::kFullReversal, EngineAlgorithm::kOneStepPR}) {
+          const EngineRoundsResult pass = engine.run_greedy_rounds(algorithm, 10'000'000);
+          for (const NamedPolicy& pair : kPolicies) {
+            const EngineResult result =
+                engine.run(algorithm, pair.policy, {.scheduler_seed = seed});
+            const std::string context =
+                std::string(topology_token(topology)) + "-" + std::to_string(size) + " seed " +
+                std::to_string(seed) +
+                (algorithm == EngineAlgorithm::kFullReversal ? " fr " : " pr ") +
+                scheduler_token(pair.scheduler);
+            ASSERT_EQ(result.quiescent, pass.converged) << context;
+            if (!result.quiescent) continue;
+            ASSERT_TRUE(result.greedy_rounds.has_value()) << context;
+            EXPECT_EQ(*result.greedy_rounds, pass.rounds) << context;
+            EXPECT_EQ(result.steps, pass.node_steps) << context;
+            EXPECT_EQ(result.edge_reversals, pass.edge_reversals) << context;
+            ++converged;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(converged, 3312u);  // every instance is connected, so every run converges
+}
+
+TEST(ReversalEngineTest, RoundClockNeedsABudgetBelowTwoToTheThirtyTwo) {
+  const Instance instance = make_worst_case_chain(9);
+  ReversalEngine engine(instance);
+  const EngineResult clocked = engine.run(EngineAlgorithm::kFullReversal, EnginePolicy::kLowestId,
+                                          {.max_steps = (std::uint64_t{1} << 32) - 1});
+  ASSERT_TRUE(clocked.greedy_rounds.has_value());
+  EXPECT_EQ(*clocked.greedy_rounds, run_greedy_rounds(instance, RoundStrategy::kFullReversal)
+                                        .total_rounds());
+  const EngineResult unclocked = engine.run(EngineAlgorithm::kFullReversal,
+                                            EnginePolicy::kLowestId,
+                                            {.max_steps = std::uint64_t{1} << 32});
+  EXPECT_TRUE(unclocked.quiescent);
+  EXPECT_EQ(unclocked.steps, clocked.steps);
+  EXPECT_FALSE(unclocked.greedy_rounds.has_value());
 }
 
 TEST(ReversalEngineTest, RunToQuiescenceBridgeMatchesAutomatonRun) {
@@ -193,6 +268,7 @@ TEST(ReversalEngineTest, DisconnectedGraphMatchesLegacyBudgetExhaustion) {
       EXPECT_EQ(result.node_cost, profile.node_cost) << context;
       EXPECT_FALSE(result.quiescent) << context;
       EXPECT_FALSE(result.destination_oriented) << context;
+      EXPECT_FALSE(result.greedy_rounds.has_value()) << context;
       EXPECT_FALSE(profile.converged) << context;
     }
   }
@@ -409,7 +485,9 @@ TEST(ReversalEngineTest, ExecuteRunShardsWideTopologiesIdentically) {
   // star-2049 (spec size 2048 -> n = 2049, round width 1024) both spawns
   // the per-run pool and clears the sharding threshold, so this is the
   // one ctest case where execute_run's engine_threads plumbing drives the
-  // sharded kernel end to end.
+  // sharded kernel end to end.  Only a budget-cut run takes the rounds
+  // pass: 1,000 steps cut the single-step pass (2,048 or 3,072 steps) but
+  // not the rounds pass (3 rounds).
   for (const AlgorithmKind algorithm :
        {AlgorithmKind::kFullReversal, AlgorithmKind::kOneStepPR}) {
     RunSpec spec;
@@ -417,9 +495,11 @@ TEST(ReversalEngineTest, ExecuteRunShardsWideTopologiesIdentically) {
     spec.size = 2048;
     spec.algorithm = algorithm;
     spec.seed = 1;
+    spec.max_steps = 1000;
     spec.engine_threads = 1;
     const RunRecord baseline = execute_run(spec);
     ASSERT_GE(baseline.nodes, 1024u);
+    ASSERT_FALSE(baseline.converged);
     ASSERT_GT(baseline.rounds, 0u);
     for (const std::size_t threads : {2u, 4u}) {
       spec.engine_threads = threads;

@@ -345,6 +345,53 @@ TEST(ExecuteRunTest, ChainWorkMatchesClosedForms) {
   EXPECT_GT(pr.rounds, 0u);
 }
 
+TEST(ExecuteRunTest, BudgetCutStrategyRecordsMatchTheLegacyPath) {
+  // A run cut by max_steps reports no rounds from its round clocks, so the
+  // CSR path falls back to the rounds pass under the same budget, as the
+  // legacy path does; every field of the record must agree.
+  std::size_t cut = 0;
+  for (const TopologyKind topology : {TopologyKind::kChain, TopologyKind::kRandom,
+                                      TopologyKind::kLayered, TopologyKind::kGrid}) {
+    for (const AlgorithmKind algorithm :
+         {AlgorithmKind::kFullReversal, AlgorithmKind::kOneStepPR}) {
+      for (const SchedulerKind scheduler : {SchedulerKind::kLowestId, SchedulerKind::kRandom,
+                                            SchedulerKind::kRoundRobin,
+                                            SchedulerKind::kFarthestFirst}) {
+        for (const std::uint64_t max_steps : {1u, 40u, 150u}) {
+          RunSpec spec;
+          spec.topology = topology;
+          spec.size = 64;
+          spec.algorithm = algorithm;
+          spec.scheduler = scheduler;
+          spec.seed = 4;
+          spec.max_steps = max_steps;
+          SweepCache cache;
+          const RunRecord csr = execute_run(spec, &cache);
+          spec.path = ExecutionPath::kLegacy;
+          const RunRecord legacy = execute_run(spec);
+          const std::string context = std::string(topology_token(topology)) + "/" +
+                                      algorithm_token(algorithm) + "/" +
+                                      scheduler_token(scheduler) + " max_steps " +
+                                      std::to_string(max_steps);
+          EXPECT_EQ(csr.bad_nodes, legacy.bad_nodes) << context;
+          EXPECT_EQ(csr.work, legacy.work) << context;
+          EXPECT_EQ(csr.edge_reversals, legacy.edge_reversals) << context;
+          EXPECT_EQ(csr.rounds, legacy.rounds) << context;
+          EXPECT_EQ(csr.dummy_steps, legacy.dummy_steps) << context;
+          EXPECT_EQ(csr.converged, legacy.converged) << context;
+          EXPECT_EQ(csr.error, legacy.error) << context;
+          if (!csr.converged) {
+            EXPECT_EQ(csr.work, max_steps) << context;
+            EXPECT_GT(csr.rounds, 0u) << context;
+            ++cut;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cut, 48u);
+}
+
 TEST(ExecuteRunTest, SimulationKernelsReportVerdicts) {
   RunSpec spec;
   spec.topology = TopologyKind::kRandom;
@@ -862,6 +909,36 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   EXPECT_GE(churned->churn.size(), 8u);
   EXPECT_EQ(churn_cache.snapshot_saves(), 0u);
   EXPECT_EQ(churn_cache.snapshot_loads(), 0u);
+}
+
+TEST(SweepCacheTest, CachedBadNodeCountMatchesACountOfTheInstance) {
+  // FrozenInstance counts the bad nodes once per workload, whether it was
+  // generated or reloaded from a snapshot file; the count must be the one
+  // count_bad_nodes gives for the instance, which every record reports.
+  const ScratchDir dir;
+  for (const TopologyKind topology : {TopologyKind::kChain, TopologyKind::kRandom,
+                                      TopologyKind::kLayered, TopologyKind::kWideRandom}) {
+    RunSpec spec;
+    spec.topology = topology;
+    spec.size = 200;
+    spec.seed = 5;
+    const std::size_t expected = count_bad_nodes(make_instance(spec));
+    SweepCache writer(0, dir.path);
+    const auto generated = writer.get(spec);
+    SweepCache reader(0, dir.path);
+    const auto reloaded = reader.get(spec);
+    ASSERT_EQ(reader.snapshot_loads(), 1u) << topology_token(topology);
+    EXPECT_EQ(generated->bad_nodes, expected) << topology_token(topology);
+    EXPECT_EQ(reloaded->bad_nodes, expected) << topology_token(topology);
+    EXPECT_EQ(count_bad_nodes(reloaded->instance), expected) << topology_token(topology);
+    spec.algorithm = AlgorithmKind::kOneStepPR;
+    EXPECT_EQ(execute_run(spec, &reader).bad_nodes, expected) << topology_token(topology);
+  }
+  RunSpec chain;
+  chain.topology = TopologyKind::kChain;
+  chain.size = 200;
+  SweepCache cache;
+  EXPECT_EQ(cache.get(chain)->bad_nodes, 199u);  // every node but D routes away from it
 }
 
 TEST(SweepCacheTest, OlderSnapshotVersionIsRegenerated) {

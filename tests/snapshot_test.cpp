@@ -13,15 +13,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -192,6 +195,41 @@ TEST(Snapshot, SaveIsAtomicAndIdempotent) {
   EXPECT_EQ(loaded.csr().fingerprint(), csr.fingerprint());
 
   // No temp files may survive a completed save.
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << entry.path();
+  }
+}
+
+TEST(Snapshot, ConcurrentSavesOfOnePathAllSucceed) {
+  // Threads of one sweep that miss the same workload save the same path at
+  // once.  Each save writes a temp file of its own, so every save succeeds,
+  // the published file is one complete snapshot, and no temp file is left.
+  // The instance is a few MiB, so the writes overlap.
+  const TempDir dir;
+  std::mt19937_64 rng(11);
+  const Instance instance = make_random_instance(20000, 30000, rng);
+  const CsrGraph csr(instance.graph, instance.senses);
+  const std::string path = dir.file("raced.lrsnap");
+  constexpr int kThreads = 6;
+  for (int round = 0; round < 4; ++round) {
+    std::latch start(kThreads);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        try {
+          save_snapshot(path, instance, csr);
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+    EXPECT_EQ(Snapshot::load(path).csr().fingerprint(), csr.fingerprint()) << "round " << round;
+  }
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
         << entry.path();
