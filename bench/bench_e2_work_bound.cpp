@@ -215,8 +215,10 @@ std::uint64_t csr_checksum(const RunSpec& spec) {
   return engine.state_checksum();
 }
 
-/// Times execute_run (instance construction + kernel + greedy rounds, the
-/// exact per-run work of a sweep) on both paths for one scenario.  The
+/// Times execute_run (instance construction + kernel, the exact per-run
+/// work of a sweep) on both paths for one scenario.  A converged fr/pr run
+/// on the CSR path reads its greedy rounds off the single-step run's round
+/// clocks; the legacy path still runs its rounds pass.  The
 /// checksum helpers above verify the lowest-id configuration, so that is
 /// the only scheduler this harness accepts.
 bench::AbSample measure_ab(const std::string& topology_label, RunSpec spec, bool smoke) {
@@ -363,35 +365,51 @@ bool print_parallel_rounds_series(bool smoke) {
       "rounds scale with cores (docs/PERFORMANCE.md records the table)");
 
   // Runner-level A/B over the chain + layered stock scenarios: the rounds
-  // measure is the only engine_threads consumer, so tables must be
-  // byte-identical across thread counts.  The stock sizes all sit below
-  // the engine's work threshold (round width x max firing degree >=
-  // min_parallel_work), so two wide specs ride along: chain-4096 (peak
-  // width 2048 at degree 2 — work 4096, shards) and star-4097 (leaf
-  // rounds are 2048 x degree 1 — work 2048, and the hub fires alone —
-  // the negative control that must stay on the inline path even with a
-  // pool in hand); without chain-4096 the A/B would compare serial
-  // against serial.
+  // pass is the only engine_threads consumer, so tables must be
+  // byte-identical across thread counts.  A converged fr/pr run reads its
+  // rounds off the single-step run's round clocks and never reaches the
+  // pass, and the stock sizes all sit below the engine's work threshold
+  // (round width x max firing degree >= min_parallel_work) anyway, so two
+  // wide specs ride along with step budgets that cut the single-step run
+  // but not the rounds pass: chain-4096 (8,390,656 FR steps cut at 10^6;
+  // 8,191 rounds, peak width 2048 at degree 2 — work 4096, shards) and
+  // star-4097 (6,144 steps cut at 1,000; 3 rounds whose leaf rounds are
+  // 2048 x degree 1 — work 2048, and the hub fires alone — the negative
+  // control that must stay on the inline path even with a pool in hand).
+  // Without a cut chain-4096 the A/B would compare serial against serial,
+  // so the harness fails if either wide spec converges.
   std::vector<RunSpec> specs;
   for (std::size_t nb = 4; nb <= max_chain_nb(smoke); nb *= 2) {
     specs.push_back(chain_spec(nb + 1, AlgorithmKind::kFullReversal));
     specs.push_back(chain_spec(nb + 1, AlgorithmKind::kOneStepPR));
   }
   for (const RunSpec& spec : layered_specs(smoke)) specs.push_back(spec);
-  specs.push_back(chain_spec(4097, AlgorithmKind::kFullReversal));
+  const std::size_t wide_begin = specs.size();
+  RunSpec wide_chain = chain_spec(4097, AlgorithmKind::kFullReversal);
+  wide_chain.max_steps = 1'000'000;
+  specs.push_back(wide_chain);
   RunSpec wide_star;
   wide_star.topology = TopologyKind::kStar;
   wide_star.size = 4097;
   wide_star.algorithm = AlgorithmKind::kFullReversal;
+  wide_star.max_steps = 1'000;
   specs.push_back(wide_star);
-  const auto tables_at = [&specs](std::size_t engine_threads) {
+  const auto records_at = [&specs](std::size_t engine_threads) {
     std::vector<RunSpec> configured = specs;
     for (RunSpec& spec : configured) spec.engine_threads = engine_threads;
-    return bench::sweep_report_csv(SweepReport{ScenarioRunner().run_all(configured), {}});
+    return ScenarioRunner().run_all(configured);
   };
-  const bool tables_ok = tables_at(1) == tables_at(4);
+  const std::vector<RunRecord> serial = records_at(1);
+  const bool tables_ok = bench::sweep_report_csv(SweepReport{serial, {}}) ==
+                         bench::sweep_report_csv(SweepReport{records_at(4), {}});
   std::printf("engine_threads 1 vs 4 over %zu stock scenarios: %s\n", specs.size(),
               tables_ok ? "byte-identical tables" : "TABLE MISMATCH");
+  bool wide_cut = true;
+  for (std::size_t i = wide_begin; i < serial.size(); ++i) {
+    wide_cut &= !serial[i].converged && serial[i].rounds > 0;
+  }
+  std::printf("wide specs cut by their step budgets, rounds from the rounds pass: %s\n",
+              wide_cut ? "yes" : "NO (the engine_threads A/B compared serial against serial)");
 
   // Engine-level scaling: narrow-round worst case (chain), mixed-width
   // (grid, random), and maximally wide rounds (star).
@@ -436,7 +454,7 @@ bool print_parallel_rounds_series(bool smoke) {
   bench::emit_csv(table);
   std::printf("parallel-vs-serial and legacy-vs-engine results: %s\n",
               checksums_ok ? "all identical" : "MISMATCH");
-  return tables_ok && checksums_ok;
+  return tables_ok && wide_cut && checksums_ok;
 }
 
 void BM_FRChain(benchmark::State& state) {

@@ -13,8 +13,8 @@ namespace {
 /// In-place neighbor updates for every serial execution path (single-step
 /// runs and un-sharded rounds): a decrement lands immediately and a node
 /// is requeued the instant its out-degree hits zero.  With `kClock` (the
-/// single-step FR/PR runs) each flip toward v also raises v's round clock
-/// to the firing's round `clock`.
+/// single-step runs) each flip toward v also raises v's round clock to the
+/// firing's round `clock`.
 template <typename Slot, typename PushSink, bool kClock = false>
 struct SerialOps {
   Slot* node;
@@ -221,19 +221,6 @@ std::uint32_t ReversalEngine::fire(EngineAlgorithm algorithm, NodeId u, Ops& ops
 
 EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
                                  const EngineRunOptions& options) {
-  // The clock runs only where it can be reported: NewPR has no rounds
-  // measure, and a clock never exceeds the step count, so a budget below
-  // 2^32 keeps it within 32 bits.
-  if (algorithm != EngineAlgorithm::kNewPR &&
-      options.max_steps <= std::numeric_limits<std::uint32_t>::max()) {
-    return run_steps<true>(algorithm, policy, options);
-  }
-  return run_steps<false>(algorithm, policy, options);
-}
-
-template <bool kClock>
-EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy policy,
-                                       const EngineRunOptions& options) {
   reset(algorithm);
   const std::size_t n = csr_.num_nodes();
   EngineResult result;
@@ -243,10 +230,8 @@ EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy p
   // Fires u: a firing's round is one past u's clock, which `ops` carries
   // to every neighbour the firing flips toward.
   const auto step = [&](NodeId u, auto& ops) {
-    if constexpr (kClock) {
-      ops.clock = ++node_[u].clock;
-      rounds = std::max(rounds, ops.clock);
-    }
+    ops.clock = ++node_[u].clock;
+    rounds = std::max(rounds, ops.clock);
     result.edge_reversals += fire(algorithm, u, ops);
     ++result.steps;
     if (!result.node_cost.empty()) ++result.node_cost[u];
@@ -276,7 +261,7 @@ EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy p
     for (NodeId u = 0; u < n; ++u) {
       if (node_[u].out_degree == 0) push(u);
     }
-    SerialOps<NodeSlot, decltype(push), kClock> ops{node_.data(), list_size_.data(), push};
+    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), list_size_.data(), push};
     if (policy == EnginePolicy::kRandom) {
       std::mt19937_64 rng(options.scheduler_seed);
       while (result.steps < options.max_steps) {
@@ -331,7 +316,7 @@ EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy p
     for (NodeId u = 0; u < n; ++u) {
       if (node_[u].out_degree == 0) push(u);  // keys are unique: the pop order is fixed
     }
-    SerialOps<NodeSlot, decltype(push), kClock> ops{node_.data(), list_size_.data(), push};
+    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), list_size_.data(), push};
     while (result.steps < options.max_steps) {
       NodeId u = kNoNode;
       while (!key_heap_.empty()) {
@@ -354,7 +339,12 @@ EngineResult ReversalEngine::run_steps(EngineAlgorithm algorithm, EnginePolicy p
 
   result.dummy_steps = dummy_steps_;
   result.destination_oriented = compute_destination_oriented();
-  if (kClock && result.quiescent) result.greedy_rounds = rounds;
+  // NewPR has no rounds measure.  A clock never exceeds the step count,
+  // so no 32-bit clock of a run of at most 2^32 - 1 steps has wrapped.
+  if (algorithm != EngineAlgorithm::kNewPR && result.quiescent &&
+      result.steps <= std::numeric_limits<std::uint32_t>::max()) {
+    result.greedy_rounds = rounds;
+  }
   return result;
 }
 

@@ -69,8 +69,6 @@ enum class EnginePolicy : std::uint8_t {
 /// Execution limits and instrumentation switches for `ReversalEngine::run`.
 struct EngineRunOptions {
   /// Hard step budget, matching `RunOptions::max_steps` on the legacy path.
-  /// A budget of 2^32 or more also turns the 32-bit round clock off (see
-  /// `EngineResult::greedy_rounds`).
   std::uint64_t max_steps = 10'000'000;
 
   /// Seed of the scheduling RNG (used by `EnginePolicy::kRandom` only);
@@ -99,8 +97,10 @@ struct EngineResult {
   /// largest c.  It holds whatever the policy, because every complete
   /// execution fires the same partial order (docs/ARCHITECTURE.md,
   /// "Greedy rounds from one single-step run").  Engaged only for
-  /// quiescent FR and OneStepPR runs with `max_steps < 2^32`; never for
-  /// NewPR (which has no rounds measure) or a budget-cut run.
+  /// quiescent FR and OneStepPR runs of at most 2^32 - 1 steps (a clock
+  /// never exceeds the step count, so none of their 32-bit clocks has
+  /// wrapped); never for NewPR (which has no rounds measure) or a
+  /// budget-cut run.
   std::optional<std::uint64_t> greedy_rounds;
 };
 
@@ -211,13 +211,10 @@ class ReversalEngine {
   /// One node's hot counters, side by side so a flip touches one line.
   struct NodeSlot {
     std::uint32_t out_degree;  ///< current out-degree
-    std::uint32_t clock;       ///< round clock (single-step FR/PR runs)
+    std::uint32_t clock;       ///< round clock (single-step runs)
   };
 
   void reset(EngineAlgorithm algorithm);
-  template <bool kClock>
-  EngineResult run_steps(EngineAlgorithm algorithm, EnginePolicy policy,
-                         const EngineRunOptions& options);
   void ensure_distances();
   bool compute_destination_oriented();
 

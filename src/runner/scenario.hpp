@@ -116,7 +116,9 @@ struct SpecScalars {
   /// value (tests/reversal_engine_test.cpp).  A converged run reads its
   /// rounds off the single-step run's round clocks, so only runs cut by
   /// max_steps reach the kernel; there a value > 1 borrows a pool per
-  /// worker, worth it on large topologies, overhead on tiny ones.
+  /// worker, worth it on large topologies (docs/PERFORMANCE.md measures
+  /// torus-2.5e5, whose fr and pr runs the default budget cuts), overhead
+  /// on tiny ones.
   std::size_t engine_threads = 1;
 
   /// `sim_scheduler =` (`heap` default, `wheel`): the event-scheduler
