@@ -1,16 +1,13 @@
 /// \file bench_e10_scale.cpp
-/// E10: the million-node CSR core — streaming construction, mmap-backed
-/// snapshots, and churn at scale (docs/EXPERIMENTS.md §E10).
+/// E10: the million-node CSR core — mmap-backed snapshots and churn at
+/// scale (docs/EXPERIMENTS.md §E10).
 ///
 /// The paper's target regime is large mobile ad-hoc networks under
-/// sustained link churn; this harness measures the three mechanisms that
-/// carry the repo from 4k-node instances to 10^6+:
+/// sustained link churn; this harness measures the mechanisms that carry
+/// the repo from 4k-node instances to 10^6+.  The series keep their
+/// numbers, which the docs cite (E10.1, a construction A/B, is retired;
+/// docs/PERFORMANCE.md).
 ///
-///  E10.1  Streaming CSR construction: `CsrBuilder` (two counting passes
-///         over a canonical edge stream, two allocations) vs the batch
-///         `Graph` -> `CsrGraph` conversion, fingerprint-verified
-///         byte-identical.  The torus row also streams straight off the
-///         generator with *no Graph at all* — the zero-intermediate path.
 ///  E10.2  mmap snapshot reload vs regeneration: `save_snapshot` once,
 ///         then `Snapshot::load` (the SweepCache production path: the
 ///         Graph and the CsrGraph bound over the mapping) against
@@ -78,99 +75,6 @@ struct TempDir {
   TempDir(const TempDir&) = delete;
   TempDir& operator=(const TempDir&) = delete;
 };
-
-std::size_t torus_side_for(std::size_t n) {
-  std::size_t side = 3;
-  while ((side + 1) * (side + 1) <= n) ++side;
-  return side;
-}
-
-// ---------------------------------------------------------------------------
-// E10.1: streaming CsrBuilder vs batch Graph -> CsrGraph conversion
-// ---------------------------------------------------------------------------
-
-/// E10.1 driver; returns false when any streamed snapshot's fingerprint
-/// diverges from the batch conversion's.
-bool print_build_series(bool smoke) {
-  bench::print_header(
-      "E10.1: CSR construction, batch conversion vs streaming CsrBuilder",
-      "byte-identical snapshots (FNV fingerprints); streaming needs no "
-      "intermediate per-node state (docs/PERFORMANCE.md records the table)");
-
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{16'384}
-            : std::vector<std::size_t>{100'000, 1'000'000};
-  const double min_ms = smoke ? 0.0 : 200.0;
-  const std::uint64_t min_iters = smoke ? 1 : 3;
-
-  Table table;
-  table.columns = {"topology",  "n",         "m",        "batch_ns",
-                   "stream_ns", "stream_speedup", "medges_per_sec", "identical"};
-  bool identical = true;
-
-  const auto add_row = [&](const std::string& topology, std::size_t n, std::size_t m,
-                           double batch_ns, double stream_ns, bool same) {
-    identical &= same;
-    const double medges = stream_ns > 0.0 ? static_cast<double>(m) * 1e3 / stream_ns : 0.0;
-    table.add_row({topology, bench::fmt_u(n), bench::fmt_u(m), bench::fmt(batch_ns),
-                   bench::fmt(stream_ns), bench::fmt(batch_ns / stream_ns),
-                   bench::fmt(medges), same ? "yes" : "NO"});
-  };
-
-  for (const std::size_t size : sizes) {
-    // Torus: the generator streams canonically sorted edges, so the
-    // builder can run with no materialized Graph (and no edge vector) at
-    // all — generation itself is replayed for each of the two passes,
-    // which is the honest end-to-end cost of the zero-intermediate path.
-    {
-      const std::size_t side = torus_side_for(size);
-      const Graph g = make_torus_graph(side, side);
-      const CsrGraph batch(g);
-      const double batch_ns = bench::measure_ns_per_iter(
-          [&] { benchmark::DoNotOptimize(CsrGraph(g).num_edges()); }, min_iters, min_ms);
-      CsrGraph streamed;
-      const auto stream_build = [&] {
-        CsrBuilder builder(g.num_nodes());
-        stream_torus_edges(side, side, [&builder](NodeId u, NodeId v) {
-          builder.count_edge(u, v);
-        });
-        builder.begin_placement();
-        stream_torus_edges(side, side, [&builder](NodeId u, NodeId v) {
-          builder.place_edge(u, v);
-        });
-        streamed = builder.finish();
-      };
-      const double stream_ns = bench::measure_ns_per_iter(stream_build, min_iters, min_ms);
-      add_row("torus-" + std::to_string(side) + "x" + std::to_string(side), g.num_nodes(),
-              g.num_edges(), batch_ns, stream_ns,
-              streamed.fingerprint() == batch.fingerprint());
-    }
-    // Wide random graph: both paths consume the same canonical edge list
-    // (generation is identical work either way and stays outside the
-    // timer), so the row isolates pure conversion cost.
-    {
-      std::mt19937_64 rng(71);
-      const Graph g = make_wide_random_graph(size, 8.0, rng);
-      const CsrGraph batch(g);
-      const double batch_ns = bench::measure_ns_per_iter(
-          [&] { benchmark::DoNotOptimize(CsrGraph(g).num_edges()); }, min_iters, min_ms);
-      CsrGraph streamed;
-      const auto stream_build = [&] {
-        CsrBuilder builder(g.num_nodes());
-        for (const auto& [u, v] : g.edges()) builder.count_edge(u, v);
-        builder.begin_placement();
-        for (const auto& [u, v] : g.edges()) builder.place_edge(u, v);
-        streamed = builder.finish();
-      };
-      const double stream_ns = bench::measure_ns_per_iter(stream_build, min_iters, min_ms);
-      add_row("widerandom-" + std::to_string(size), g.num_nodes(), g.num_edges(), batch_ns,
-              stream_ns, streamed.fingerprint() == batch.fingerprint());
-    }
-  }
-  bench::emit_csv(table);
-  std::printf("batch vs streamed fingerprints: %s\n", identical ? "all identical" : "MISMATCH");
-  return identical;
-}
 
 // ---------------------------------------------------------------------------
 // E10.2: mmap snapshot reload vs regeneration
@@ -401,20 +305,6 @@ bool print_deployment_series(bool smoke) {
 // Micro-benchmarks (full mode only, via google-benchmark)
 // ---------------------------------------------------------------------------
 
-void BM_StreamTorusBuild(benchmark::State& state) {
-  const std::size_t side = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    CsrBuilder builder(side * side);
-    stream_torus_edges(side, side,
-                       [&builder](NodeId u, NodeId v) { builder.count_edge(u, v); });
-    builder.begin_placement();
-    stream_torus_edges(side, side,
-                       [&builder](NodeId u, NodeId v) { builder.place_edge(u, v); });
-    benchmark::DoNotOptimize(builder.finish().num_edges());
-  }
-}
-BENCHMARK(BM_StreamTorusBuild)->Arg(64)->Arg(256);
-
 void BM_SnapshotLoad(benchmark::State& state) {
   const std::size_t side = static_cast<std::size_t>(state.range(0));
   std::mt19937_64 rng(5);
@@ -440,10 +330,6 @@ int main(int argc, char** argv) {
   }
   const bool smoke = lr::bench::consume_smoke_flag(argc, argv);
   bool ok = true;
-  if (!lr::print_build_series(smoke)) {
-    std::fprintf(stderr, "E10.1 build verification FAILED\n");
-    ok = false;
-  }
   if (!lr::print_snapshot_series(smoke)) {
     std::fprintf(stderr, "E10.2 snapshot verification FAILED\n");
     ok = false;

@@ -6,21 +6,19 @@
 /// Expected shape: route and leader lookups are cheap (latency ~ 1 +
 /// hops on a stabilized DAG); lock cycles pay the grant's reversal
 /// steps on top, so their tail stretches with contention and churn; p99
-/// grows with topology diameter while throughput scales with the read
-/// phase's worker count.
+/// grows with topology diameter.
 ///
 /// E9.1 is the SLO table: the mixed reference workload per topology,
 /// reporting p50/p99/p999, mean latency, and wall-clock req/s for each
 /// request kind (docs/EXPERIMENTS.md).
 ///
-/// E9.2 is the deployment A/B: the same workloads replayed serial vs
-/// pooled (2 and 4 read workers) and heap vs timing-wheel event
-/// scheduler.  Every configuration must reproduce the serial-heap
-/// report fingerprint exactly — per-kind histograms, counters, churn
-/// and reversal totals — before the req/s figures are trusted; the
-/// harness exits non-zero otherwise.  `--smoke` shrinks the series to
-/// seconds and skips the google-benchmark micro-timings; CI runs it to
-/// keep the A/B equivalence from bit-rotting.
+/// E9.2 is the deployment A/B: the same workloads replayed under the
+/// heap and the timing-wheel event scheduler.  The wheel must reproduce
+/// the heap's report fingerprint exactly — per-kind histograms,
+/// counters, churn and reversal totals — before the req/s figures are
+/// trusted; the harness exits non-zero otherwise.  `--smoke` shrinks the
+/// series to seconds and skips the google-benchmark micro-timings; CI
+/// runs it to keep the A/B equivalence from bit-rotting.
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "runner/thread_pool.hpp"
 #include "service/service_harness.hpp"
 
 #include "bench_util.hpp"
@@ -91,34 +88,27 @@ void print_slo_series(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// E9.2: the deployment A/B — serial vs pooled, heap vs timing wheel
+// E9.2: the deployment A/B — heap vs timing wheel
 // ---------------------------------------------------------------------------
 
-/// E9.2 driver; returns false if any deployment's report fingerprint
-/// diverges from the serial-heap baseline.  Throughput is issued
-/// requests per wall-clock second of the whole run loop (the figure a
-/// service operator would quote; docs/PERFORMANCE.md), measured with a
-/// pre-built borrowed pool so pool construction is not billed to the
-/// deployment.
+/// Runs E9.2; returns false if the wheel's report fingerprint diverges
+/// from the heap baseline.  Throughput is issued requests per
+/// wall-clock second of the whole run loop (the figure a service
+/// operator would quote; docs/PERFORMANCE.md).
 bool print_deployment_ab(bool smoke) {
-  bench::print_header("E9.2: service deployment A/B, serial vs pooled, heap vs wheel",
-                      "identical report fingerprints at every worker count x scheduler; "
+  bench::print_header("E9.2: service deployment A/B, heap vs wheel",
+                      "identical report fingerprints under both schedulers; "
                       "issued requests/sec per deployment (docs/PERFORMANCE.md)");
   const std::size_t n = smoke ? 24 : 96;
   const Instance inst = e9_instance(TopologyKind::kRandom, n);
-  ThreadPool pool2(2);
-  ThreadPool pool4(4);
 
   struct Deployment {
     const char* label;
     EventSchedulerKind scheduler;
-    ThreadPool* pool;  // nullptr: serial read phase
   };
   const Deployment deployments[] = {
-      {"heap t=1", EventSchedulerKind::kHeap, nullptr},
-      {"wheel t=1", EventSchedulerKind::kWheel, nullptr},
-      {"heap t=2", EventSchedulerKind::kHeap, &pool2},
-      {"wheel t=4", EventSchedulerKind::kWheel, &pool4},
+      {"heap", EventSchedulerKind::kHeap},
+      {"wheel", EventSchedulerKind::kWheel},
   };
 
   Table table;
@@ -134,13 +124,10 @@ bool print_deployment_ab(bool smoke) {
       options.duration = smoke ? 128 : 1024;
       options.workload = workload;
       options.scheduler = deployment.scheduler;
-      options.workers = deployment.pool == nullptr ? 1 : deployment.pool->size();
-      options.pool = deployment.pool;
 
       const ServiceReport probe = run_service(inst, options);
       const std::uint64_t fingerprint = probe.fingerprint();
-      if (deployment.pool == nullptr && deployment.scheduler == EventSchedulerKind::kHeap)
-        reference = fingerprint;
+      if (deployment.scheduler == EventSchedulerKind::kHeap) reference = fingerprint;
       identical &= fingerprint == reference;
 
       LatencyHistogram all;

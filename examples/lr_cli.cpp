@@ -64,14 +64,14 @@
 ///       its shape and CSR fingerprint.
 ///
 ///   lr_cli serve <topology> <size> [--workload route|lock|leader|mixed]
-///              [--clients N] [--duration T] [--seed S] [--threads N]
+///              [--clients N] [--duration T] [--seed S]
 ///              [--scheduler heap|wheel] [--churn T] [--json out.json]
 ///       Runs the request-serving harness (service/service_harness.hpp)
 ///       over the named sweep topology under random link churn and prints
 ///       the latency report (p50/p99/p999, per request kind) as CSV on
-///       stdout.  stdout is byte-identical at every --threads value and
-///       under both --scheduler backends (the determinism contract);
-///       wall-clock throughput goes to stderr.
+///       stdout.  stdout is byte-identical under both --scheduler
+///       backends (the determinism contract); wall-clock throughput goes
+///       to stderr.
 ///
 ///   lr_cli sweep-worker (internal)
 ///       Child-process entry point spawned by `sweep --processes N`: serves
@@ -139,10 +139,10 @@ int usage() {
                "  lr_cli serve <chain|random|grid|layered|star|unitdisk|torus|"
                "widerandom|waypoint> <n>"
                " [--workload route|lock|leader|mixed]\n"
-               "               [--clients N] [--duration T] [--seed S] [--threads N]\n"
+               "               [--clients N] [--duration T] [--seed S]\n"
                "               [--scheduler heap|wheel] [--churn T] [--json out.json]\n"
-               "      latency CSV on stdout is byte-identical at every --threads value\n"
-               "      and under both --scheduler backends; throughput goes to stderr\n");
+               "      latency CSV on stdout is byte-identical under both --scheduler\n"
+               "      backends; throughput goes to stderr\n");
   return 2;
 }
 
@@ -413,9 +413,9 @@ int cmd_sweep(int argc, char** argv) {
                report.cache.entries, static_cast<unsigned long long>(report.cache.hits),
                static_cast<unsigned long long>(report.cache.misses),
                static_cast<unsigned long long>(report.cache.evictions));
-  if (!options.snapshot_dir.empty() && options.process_workers == 0) {
-    // Worker processes keep their own counters (the shard protocol carries
-    // only the four cache counters), so this line is in-process only.
+  if (!options.snapshot_dir.empty()) {
+    // --hosts rejects --snapshot-dir above, so these are the in-process
+    // cache's counters or the sum of the worker processes'.
     std::fprintf(stderr, "snapshots: %llu mmap reload(s), %llu save(s) in %s\n",
                  static_cast<unsigned long long>(report.cache.snapshot_loads),
                  static_cast<unsigned long long>(report.cache.snapshot_saves),
@@ -536,7 +536,7 @@ int cmd_serve(int argc, char** argv) {
     } else if (flag == "--json") {
       json_path = value;
     } else if (flag == "--clients" || flag == "--duration" || flag == "--seed" ||
-               flag == "--threads" || flag == "--churn") {
+               flag == "--churn") {
       char* end = nullptr;
       const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
       // Same rejection rule as sweep: non-numeric or negative input fails
@@ -549,8 +549,6 @@ int cmd_serve(int argc, char** argv) {
         options.duration = parsed;
       } else if (flag == "--seed") {
         seed = parsed;
-      } else if (flag == "--threads") {
-        options.workers = static_cast<std::size_t>(parsed);
       } else {
         options.churn_interval = parsed;
       }

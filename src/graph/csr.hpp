@@ -37,10 +37,10 @@
 ///  3. **Initial senses** — the orientation itself, one byte per edge.
 ///
 /// Storage: every array is a read-only span behind one shared owner — a
-/// block of vectors (built here or by `CsrBuilder`, which fills offsets,
-/// neighbours and edges itself), or the mmap of a snapshot file
-/// (graph/snapshot.hpp), whose sections hold each array exactly as it
-/// lives in memory.  Copying a CsrGraph shares the arrays, and the copy
+/// block of vectors (the graph's adjacency plus the arrays built here), or
+/// the mmap of a snapshot file (graph/snapshot.hpp), whose sections hold
+/// each array exactly as it lives in memory.  Every CsrGraph is thus the
+/// freeze of a Graph, or a snapshot of one.  Copying a CsrGraph shares the arrays, and the copy
 /// keeps them alive, so a copy outlives the Graph or the Snapshot it came
 /// from.
 ///
@@ -58,7 +58,6 @@ namespace lr {
 ///  * `Graph(n, edges)`: endpoints, offsets, nbr, edge;
 ///  * `CsrGraph(graph, senses)`: mirror, part_nbr, part_pos, split,
 ///    senses; `shared` is the graph's store;
-///  * `CsrBuilder`: the eight CSR arrays;
 ///  * `Graph(csr)`: endpoints; `shared` is the CSR's owner (a store, or a
 ///    snapshot's mapping).
 ///
@@ -225,106 +224,14 @@ class CsrGraph {
   /// FNV-1a fingerprint over every array (offsets, adjacency, mirrors,
   /// partition, splits, senses, node count).  Two CSR graphs with equal
   /// fingerprints are byte-identical for every accessor — the
-  /// self-verification hook of the E10 bench and the streaming-vs-batch
-  /// identity tests.
+  /// self-verification hook of the E10 bench, the snapshot round trips
+  /// and the generators' golden fingerprints.
   std::uint64_t fingerprint() const;
 
  private:
   friend class Graph;
-  friend class CsrBuilder;
-
-  /// Binds `a_` to `store`'s derived arrays over the given adjacency and
-  /// fills the initial in/out partition (the senses must be in place).
-  CsrGraph(std::shared_ptr<AdjacencyStore> store, std::size_t num_nodes,
-           std::span<const CsrPos> offsets, std::span<const NodeId> nbr,
-           std::span<const EdgeId> edge);
 
   Arrays a_;
-};
-
-/// Streaming two-pass CSR construction — the million-node build path.
-///
-/// `CsrGraph(const Graph&)` is the *batch* converter: it needs a finished
-/// `Graph`, whose endpoint array (8 B per edge, plus a 4 B-per-edge sort
-/// order for input that is not strictly ascending) exists beside the
-/// adjacency the CSR shares.  `CsrBuilder` needs neither: the caller
-/// replays its edge *stream* twice — once to count degrees, once to place
-/// both endpoints of each edge (mirrors are linked at placement) — and the
-/// only allocations are the CSR's own eight arrays, filled into the same
-/// `AdjacencyStore` a Graph's arrays live in.  Work is O(V + E); peak
-/// memory is the finished CSR graph, nothing else.
-///
-/// Stream contract (checked, throws std::invalid_argument on violation):
-/// both passes must replay the *identical* sequence of edges in strictly
-/// ascending canonical (min, max) lexicographic order — which generators
-/// emit naturally, and which makes validation free: strict ascent implies
-/// no duplicates, and self-loops/range are checked per edge.  Edge ids
-/// are stream ranks.  Per-block neighbor ascent falls out
-/// of the stream order: node `w`'s block receives its smaller neighbors
-/// (from edges `(x, w)`, `x` ascending) before its larger ones (from
-/// edges `(w, y)`, `y` ascending).
-///
-/// The 32-bit position space (graph/types.hpp offset-width policy) is
-/// guarded at `begin_placement()`: 2·E >= 2^32 throws std::overflow_error
-/// before any position array is allocated.  `position_limit` exists so
-/// tests can exercise the guard without allocating 2^31 edges.
-///
-/// Usage:
-///
-///     CsrBuilder b(n);
-///     for (auto [u, v] : stream) b.count_edge(u, v);      // pass 1
-///     b.begin_placement();
-///     for (auto [u, v] : stream) b.place_edge(u, v, s);   // pass 2
-///     CsrGraph csr = b.finish();
-///
-/// A streamed CSR graph is byte-identical (CsrGraph::fingerprint) to the
-/// batch conversion of a Graph over the same canonically sorted edge
-/// list; tests/csr_builder_test.cpp locks this in under randomized
-/// streams.
-class CsrBuilder {
- public:
-  /// Starts a build over `num_nodes` nodes.  `position_limit` caps the
-  /// adjacency position space (default: the 32-bit CsrPos limit); it is a
-  /// test hook, not a tuning knob.
-  explicit CsrBuilder(std::size_t num_nodes, std::uint64_t position_limit = kCsrPosLimit);
-
-  /// Pass 1: counts one edge.  Validates range, self-loops, and strict
-  /// canonical ascent against the previous counted edge.
-  void count_edge(NodeId u, NodeId v);
-
-  /// Ends pass 1: checks the position-space bound (std::overflow_error
-  /// when 2·E >= the limit), prefix-sums the degree counts, and allocates
-  /// the position arrays.
-  void begin_placement();
-
-  /// Pass 2: places both endpoints of the next edge and links their
-  /// mirror positions.  The sequence must replay pass 1 exactly (same
-  /// edges, same order); `sense` is the edge's initial orientation.
-  void place_edge(NodeId u, NodeId v, EdgeSense sense = EdgeSense::kForward);
-
-  /// Number of edges counted so far (pass 1) / placed so far (pass 2).
-  std::size_t edges() const noexcept { return placing_ ? placed_ : counted_; }
-
-  /// Finishes the build: restores the offset array, derives the initial
-  /// in/out partition, and returns the CSR graph.  Throws
-  /// std::invalid_argument when pass 2 placed fewer edges than pass 1
-  /// counted.  The builder is spent afterwards.
-  CsrGraph finish();
-
- private:
-  /// Validates the next streamed edge of either pass (range, self-loop,
-  /// strict canonical ascent), updates the ascent state, and returns the
-  /// canonical (min, max) pair.  `index` is the edge's rank in its pass.
-  std::pair<NodeId, NodeId> next_edge(NodeId u, NodeId v, std::size_t index);
-
-  std::shared_ptr<AdjacencyStore> store_;  ///< the arrays being filled
-  std::size_t num_nodes_;
-  std::uint64_t position_limit_;
-  std::size_t counted_ = 0;
-  std::size_t placed_ = 0;
-  bool placing_ = false;
-  NodeId prev_a_ = 0;  ///< last canonical pair seen (ascent check)
-  NodeId prev_b_ = 0;
 };
 
 }  // namespace lr

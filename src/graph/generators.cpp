@@ -416,14 +416,15 @@ Instance make_sink_source_instance(std::size_t n) {
   return inst;
 }
 
-void stream_torus_edges(std::size_t rows, std::size_t cols,
-                        const std::function<void(NodeId, NodeId)>& emit) {
+Graph make_torus_graph(std::size_t rows, std::size_t cols) {
   if (rows < 3 || cols < 3) {
     throw std::invalid_argument("make_torus_graph: need rows, cols >= 3");
   }
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  edges.reserve(2 * rows * cols);
   // Every edge is emitted once, by its smaller endpoint; the <= 4 larger
-  // partners of each node are sorted, so the whole stream ascends in
-  // canonical (min, max) lex order (the CsrBuilder contract).
+  // partners of each node are sorted, so the whole list ascends in
+  // canonical (min, max) lex order (Graph's O(n + m) input path).
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const auto u = static_cast<NodeId>(r * cols + c);
@@ -445,15 +446,9 @@ void stream_torus_edges(std::size_t rows, std::size_t cols,
           std::swap(larger[j], larger[j - 1]);
         }
       }
-      for (std::size_t i = 0; i < k; ++i) emit(u, larger[i]);
+      for (std::size_t i = 0; i < k; ++i) edges.emplace_back(u, larger[i]);
     }
   }
-}
-
-Graph make_torus_graph(std::size_t rows, std::size_t cols) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(2 * rows * cols);
-  stream_torus_edges(rows, cols, [&edges](NodeId u, NodeId v) { edges.emplace_back(u, v); });
   return Graph(rows * cols, std::move(edges));
 }
 

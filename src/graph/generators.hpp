@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -90,21 +89,14 @@ Graph make_barbell_graph(std::size_t clique_size, std::size_t bridge_length);
 // ---------------------------------------------------------------------------
 //
 // The families in this section emit their edges in strictly ascending
-// canonical (min, max) lexicographic order, which is exactly the
-// `CsrBuilder` stream contract (graph/csr.hpp): a snapshot can be built
-// by streaming the generator twice with no intermediate edge vector, and
-// is byte-identical to the batch conversion of the corresponding Graph.
+// canonical (min, max) lexicographic order, which `Graph` accepts in
+// O(n + m) without sorting or a duplicate check (graph/graph.hpp).
 
-/// Streams the edges of a `rows x cols` torus (grid with wraparound; node
-/// (r, c) has id r*cols + c, every node has degree 4) to `emit` in
-/// strictly ascending canonical order.  Requires rows, cols >= 3 (smaller
-/// wraps would create parallel edges).  The constant-degree, huge-diameter
-/// regular topology for million-node sweeps: 10^6 nodes cost exactly
-/// 2*10^6 edges.
-void stream_torus_edges(std::size_t rows, std::size_t cols,
-                        const std::function<void(NodeId, NodeId)>& emit);
-
-/// The torus of `stream_torus_edges` as a materialized Graph.
+/// A `rows x cols` torus (grid with wraparound; node (r, c) has id
+/// r*cols + c, every node has degree 4), its edges in strictly ascending
+/// canonical order.  Requires rows, cols >= 3 (smaller wraps would create
+/// parallel edges).  The constant-degree, huge-diameter regular topology
+/// for million-node sweeps: 10^6 nodes cost exactly 2*10^6 edges.
 Graph make_torus_graph(std::size_t rows, std::size_t cols);
 
 /// Wide random connected graph: a random-attachment spanning tree (low
@@ -113,7 +105,7 @@ Graph make_torus_graph(std::size_t rows, std::size_t cols);
 /// Deduplicated through a flat EdgeKeyTable (graph/edge_key_table.hpp)
 /// and ordered by a counting sort, with no heap node per edge, so a
 /// million-node instance takes about a second.  The edge list is
-/// canonically sorted (CsrBuilder-streamable, see above).
+/// canonically sorted (see above).
 Graph make_wide_random_graph(std::size_t n, double avg_degree, std::mt19937_64& rng);
 
 // ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ struct ChurnInstance {
 /// spatial grid, O(local density) per step).  The schedule ends with a
 /// healing suffix that returns every node's links to the initial
 /// topology, so replaying the whole schedule restores the starting link
-/// set exactly (tests/csr_builder_test.cpp checks it by CSR fingerprint).
+/// set exactly (tests/generators_test.cpp checks it by CSR fingerprint).
 ///
 /// The instance's initial orientation is the canonical all-forward one
 /// (every edge min -> max).  This is a churn/scale workload; use the

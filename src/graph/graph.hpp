@@ -52,11 +52,10 @@ class Graph {
 
   /// The Graph of a frozen CSR: shares `csr`'s offsets, neighbour and edge
   /// arrays (and whatever owns them — for a loaded snapshot, the mapping)
-  /// and derives only the endpoint array, in O(n + m).  A CsrGraph is built
-  /// only by validated paths (a Graph, the checked `CsrBuilder` stream, a
-  /// checksummed snapshot), so no sorting or duplicate check is needed;
-  /// throws std::invalid_argument when an edge id or neighbour is out of
-  /// range.
+  /// and derives only the endpoint array, in O(n + m).  A CsrGraph is
+  /// either the freeze of a validated Graph or a checksummed snapshot of
+  /// one, so no sorting or duplicate check is needed; throws
+  /// std::invalid_argument when an edge id or neighbour is out of range.
   explicit Graph(const CsrGraph& csr);
 
   /// An empty graph (0 nodes).  Useful as a placeholder before assignment.

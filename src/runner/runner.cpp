@@ -206,9 +206,9 @@ void run_tora_kernel(RunRecord& record, const Instance& instance,
 
 /// dist-fr / dist-pr: the message-passing protocol over the simulated
 /// asynchronous network, driven to convergence with resync rounds.  On the
-/// CSR path with a warm sweep cache, both the network and the protocol
-/// borrow the cached frozen snapshot instead of freezing their own; the
-/// snapshot's contents are identical either way, so records are too.
+/// CSR path with a warm sweep cache, the network shares the cached frozen
+/// snapshot instead of freezing its own, and the protocol reads the
+/// network's; the adjacency is identical either way, so records are too.
 void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph* frozen,
                      ReversalRule rule, WorkerPoolCache* pools) {
   const RunSpec& spec = record.spec;
@@ -223,20 +223,14 @@ void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph
   if (spec.sim_threads != 1 && pools != nullptr) {
     config.sim_pool = pools->get(spec.sim_threads);
   }
-  std::optional<Network> network;
-  std::optional<DistLinkReversal> protocol;
-  if (frozen != nullptr) {
-    network.emplace(instance.graph, config, *frozen);
-    protocol.emplace(instance, rule, *network, *frozen);
-  } else {
-    network.emplace(instance.graph, config);
-    protocol.emplace(instance, rule, *network);
-  }
-  const auto resync_rounds = protocol->run_with_resync();
-  record.work = protocol->total_steps();
-  record.messages = network->messages_sent();
+  Network network(instance.graph, config,
+                  frozen != nullptr ? *frozen : CsrGraph(instance.graph));
+  DistLinkReversal protocol(instance, rule, network);
+  const auto resync_rounds = protocol.run_with_resync();
+  record.work = protocol.total_steps();
+  record.messages = network.messages_sent();
   record.rounds = resync_rounds.value_or(0);
-  record.converged = resync_rounds.has_value() && protocol->converged();
+  record.converged = resync_rounds.has_value() && protocol.converged();
 }
 
 /// service: the request-serving harness (service/service_harness.hpp)
@@ -245,11 +239,9 @@ void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph
 /// edge_reversals = reversal steps, abstract_steps = failed requests,
 /// dummy_steps = the report fingerprint (so cross-process and
 /// cross-thread byte-identity checks pin the full latency histograms,
-/// not just the scalar counters).  `sim_threads` is the harness's
-/// parallel read-phase worker count; with a WorkerPoolCache the pool is
-/// borrowed (spawned once per sweep worker), satisfying the pool-reuse
-/// contract the pool-construction-counting test pins.
-void run_service_kernel(RunRecord& record, const Instance& instance, WorkerPoolCache* pools) {
+/// not just the scalar counters).  The harness runs serially, so the
+/// run borrows no pool and ignores `sim_threads`.
+void run_service_kernel(RunRecord& record, const Instance& instance) {
   const RunSpec& spec = record.spec;
   ServiceOptions options;
   options.clients = spec.service_clients;
@@ -257,10 +249,6 @@ void run_service_kernel(RunRecord& record, const Instance& instance, WorkerPoolC
   options.workload = spec.service_workload;
   options.seed = spec.network_seed();
   options.scheduler = spec.sim_scheduler;
-  options.workers = spec.sim_threads;
-  if (spec.sim_threads != 1 && pools != nullptr) {
-    options.pool = pools->get(spec.sim_threads);
-  }
   ServiceHarness harness(instance.graph, instance.destination, options);
   const ServiceReport report = harness.run();
   record.work = report.total_completed();
@@ -461,12 +449,6 @@ ThreadPool* WorkerPoolCache::get(std::size_t threads) {
   return pools_.back().second.get();
 }
 
-RunRecord execute_run(const RunSpec& spec) { return execute_run(spec, nullptr, nullptr); }
-
-RunRecord execute_run(const RunSpec& spec, SweepCache* cache) {
-  return execute_run(spec, cache, nullptr);
-}
-
 RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* pools) {
   RunRecord record;
   record.spec = spec;
@@ -527,7 +509,7 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
         run_sim_rrev_kernel(record, *instance);
         break;
       case AlgorithmKind::kService:
-        run_service_kernel(record, *instance, pools);
+        run_service_kernel(record, *instance);
         break;
     }
   } catch (const std::exception& error) {

@@ -203,30 +203,26 @@ class WorkerPoolCache {
 /// Executes one RunSpec synchronously and returns its record.  Exceptions
 /// become RunRecord::error instead of propagating, so one failing scenario
 /// cannot take down a sweep.  This is the shared single-run code path.
-RunRecord execute_run(const RunSpec& spec);
-
-/// Same, drawing the workload from `cache` when the spec runs on the CSR
-/// path (the legacy path regenerates per run, preserving the historical
-/// cost model the A/B harness compares against).  `cache` may be null.
-/// Records are byte-identical with and without a cache.
-RunRecord execute_run(const RunSpec& spec, SweepCache* cache);
-
-/// Same, additionally borrowing sharded-kernel pools from `pools` (may be
-/// null: the run then spawns short-lived pools itself when its spec asks
-/// for parallelism that looks worth the spawn).  Records are
-/// byte-identical with and without a pool cache.
-RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* pools);
+///
+/// A CSR-path run draws its workload from `cache` when one is given (the
+/// legacy path regenerates per run, preserving the historical cost model
+/// the A/B harness compares against), and its sharded kernels borrow
+/// their pools from `pools` when one is given (else they spawn
+/// short-lived pools when the spec asks for parallelism that looks worth
+/// the spawn).  Records are byte-identical with and without either.
+RunRecord execute_run(const RunSpec& spec, SweepCache* cache = nullptr,
+                      WorkerPoolCache* pools = nullptr);
 
 /// Counters of the SweepCache one sweep ran over, surfaced so callers
 /// (e.g. `lr_cli sweep`) can report cache effectiveness next to timing.
 struct SweepCacheStats {
   std::size_t entries = 0;       ///< distinct workloads resident at sweep end
   std::uint64_t hits = 0;        ///< get() calls served from the cache
-  std::uint64_t misses = 0;      ///< get() calls that generated the workload
+  std::uint64_t misses = 0;      ///< get() calls that generated or reloaded the workload
   std::uint64_t evictions = 0;   ///< workloads dropped by the LRU bound
   /// Misses served by mmap snapshot reloads / workloads persisted as
-  /// snapshot files (snapshot_dir mode; in-process sweeps only — the
-  /// multi-process shard protocol reports the four counters above).
+  /// snapshot files (snapshot_dir mode; a sharded sweep sums its
+  /// workers' counters, like the four above).
   std::uint64_t snapshot_loads = 0;
   std::uint64_t snapshot_saves = 0;
 };

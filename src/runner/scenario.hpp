@@ -131,9 +131,8 @@ struct SpecScalars {
   /// event loop (dist-fr / dist-pr kernels): 1 = the serial event queue
   /// (default), 0 = hardware concurrency, N = a pool of N per-node event
   /// lanes (sim/sharded_loop.hpp).  Byte-identical to the serial loop at
-  /// every value, like engine_threads.  The service kernel reuses this
-  /// knob as the harness's parallel read-phase worker count (same
-  /// contract: reports are byte-identical at every value).
+  /// every value, like engine_threads.  Every other kernel ignores it
+  /// (the service harness runs serially).
   std::size_t sim_threads = 1;
 
   /// `service_workload =` (`mixed` default): the client-request mix of the

@@ -18,6 +18,17 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kNoEndpoint = static_cast<std::size_t>(-1);
 
+/// Budget for establishing one attempt (fork or connect, then request
+/// shipping), in milliseconds.
+constexpr int kStartTimeoutMs = 5'000;
+
+/// Coordinator -> worker beacon interval: the inactivity watchdog / 4,
+/// floored at this many milliseconds.
+constexpr int kMinHeartbeatMs = 10;
+
+/// Consecutive failures after which an endpoint is declared dead.
+constexpr std::size_t kEndpointFailureThreshold = 2;
+
 /// One endpoint the coordinator can dispatch to, with its liveness score.
 struct Endpoint {
   std::shared_ptr<ShardTransport> transport;
@@ -98,8 +109,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   if (const char* env = std::getenv("LR_TEST_WORKER_TIMEOUT_MS")) {
     timeout_ms = std::max(1, std::atoi(env));
   }
-  const int heartbeat_ms =
-      options_.heartbeat_ms > 0 ? options_.heartbeat_ms : std::max(10, timeout_ms / 4);
+  const int heartbeat_ms = std::max(kMinHeartbeatMs, timeout_ms / 4);
   const std::size_t max_attempts = std::max<std::size_t>(1, options_.retry.max_attempts);
 
   std::vector<Endpoint> endpoints;
@@ -139,7 +149,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
                                 cause, elapsed_ms_since(attempt.started), attempt.backoff_ms});
     if (attempt.endpoint != kNoEndpoint) {
       Endpoint& endpoint = endpoints[attempt.endpoint];
-      if (++endpoint.consecutive_failures >= options_.endpoint_failure_threshold) {
+      if (++endpoint.consecutive_failures >= kEndpointFailureThreshold) {
         endpoint.dead = true;
       }
     }
@@ -280,7 +290,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
       attempt.started = Clock::now();
       attempt.backoff_ms = job.backoff_ms;
       ShardStart started =
-          endpoints[chosen].transport->start(request, options_.start_timeout_ms);
+          endpoints[chosen].transport->start(request, kStartTimeoutMs);
       if (started.channel == nullptr) {
         record_failure(attempt, started.error);
         continue;  // re-scan from the same index (erase shifted the rest)
@@ -418,6 +428,8 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     report.cache.hits += cache.hits;
     report.cache.misses += cache.misses;
     report.cache.evictions += cache.evictions;
+    report.cache.snapshot_loads += cache.snapshot_loads;
+    report.cache.snapshot_saves += cache.snapshot_saves;
   }
   return report;
 }

@@ -35,7 +35,7 @@
 /// the deadline is an unresponsive worker, aborted and charged.
 /// Failures (crash, EOF, protocol violation, stall, refused connect,
 /// heartbeat-write failure) increment the serving endpoint's
-/// consecutive-failure count; at the threshold the endpoint
+/// consecutive-failure count; at two in a row the endpoint
 /// is declared dead and receives no new work, and its shards are
 /// reassigned to surviving endpoints (preferring an endpoint other than
 /// the one that just failed).  An endpoint that later completes a shard
@@ -56,16 +56,6 @@ struct CoordinatorOptions {
   /// channel yields no frame for this long is aborted and charged.  The
   /// LR_TEST_WORKER_TIMEOUT_MS environment variable overrides it.
   int timeout_ms = 30'000;
-
-  /// Budget for establishing one attempt (fork or connect, then request
-  /// shipping).
-  int start_timeout_ms = 5'000;
-
-  /// Coordinator -> worker beacon interval; 0 derives timeout_ms / 4.
-  int heartbeat_ms = 0;
-
-  /// Consecutive failures after which an endpoint is declared dead.
-  std::size_t endpoint_failure_threshold = 2;
 
   /// Error-message prefix naming the backend ("multi-process sweep",
   /// "multi-host sweep").

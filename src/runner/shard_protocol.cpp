@@ -227,6 +227,8 @@ void encode_payload(std::vector<std::uint8_t>& out, const ShardDoneFrame& done) 
   put_u64(out, done.cache.hits);
   put_u64(out, done.cache.misses);
   put_u64(out, done.cache.evictions);
+  put_u64(out, done.cache.snapshot_loads);
+  put_u64(out, done.cache.snapshot_saves);
 }
 
 ShardDoneFrame decode_done(Cursor& cursor) {
@@ -236,6 +238,8 @@ ShardDoneFrame decode_done(Cursor& cursor) {
   done.cache.hits = cursor.u64();
   done.cache.misses = cursor.u64();
   done.cache.evictions = cursor.u64();
+  done.cache.snapshot_loads = cursor.u64();
+  done.cache.snapshot_saves = cursor.u64();
   cursor.expect_exhausted();
   return done;
 }

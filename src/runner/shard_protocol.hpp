@@ -74,8 +74,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x4853524cu;
 /// hosts — a situation to reject loudly, never to paper over).
 /// Version 3 added the heartbeat / shard-request / shard-error frames;
 /// version 4 added the request's snapshot_dir and replaced the record
-/// frame's spec fields with spec_digest().
-inline constexpr std::uint32_t kShardProtocolVersion = 4;
+/// frame's spec fields with spec_digest(); version 5 added the done
+/// frame's snapshot load and save counters.
+inline constexpr std::uint32_t kShardProtocolVersion = 5;
 
 /// Upper bound on a frame payload.  Records are a few hundred bytes;
 /// anything near this limit is garbage (e.g. random bytes read as a
@@ -112,7 +113,7 @@ struct RecordFrame {
 /// from a worker that died after its last record but before finishing.
 struct ShardDoneFrame {
   std::uint64_t records_emitted = 0;  ///< must equal end - begin
-  SweepCacheStats cache;              ///< the worker's private cache counters
+  SweepCacheStats cache;              ///< the worker's private cache and snapshot counters
 };
 
 /// Liveness beacon.  Either end sends one whenever it has produced

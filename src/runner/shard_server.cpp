@@ -381,7 +381,8 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
     if (emitted == request.end - request.begin && !cancelled.load()) {
       ShardDoneFrame done;
       done.records_emitted = emitted;
-      done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
+      done.cache = {cache.entries(),   cache.hits(),           cache.misses(),
+                    cache.evictions(), cache.snapshot_loads(), cache.snapshot_saves()};
       completed = send_bytes(encode_frame(done));
     }
   }

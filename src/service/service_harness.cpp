@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 
 #include "runner/scenario.hpp"
@@ -119,25 +118,6 @@ Table ServiceReport::latency_table() const {
   return table;
 }
 
-/// One drawn-but-unprocessed request of the current tick's batch.
-struct ServiceHarness::PendingRequest {
-  std::uint64_t id = 0;
-  RequestKind kind = RequestKind::kRoute;
-  NodeId source = 0;
-  std::uint64_t think = 1;
-  std::uint32_t client = 0;
-  // Filled by the processing phase (lock serially, reads in parallel).
-  std::uint64_t latency = 1;
-  std::uint64_t hops = 0;
-  RequestStatus status = RequestStatus::kOk;
-};
-
-/// Private measurement block of one parallel read-phase worker; merged
-/// into the report with the histogram's exact merge.
-struct ServiceHarness::WorkerAccumulator {
-  ServiceKindStats kinds[kRequestKinds];
-};
-
 ServiceHarness::ServiceHarness(const Graph& topology, NodeId destination, ServiceOptions options)
     : topology_(topology),
       destination_(destination),
@@ -195,19 +175,47 @@ void ServiceHarness::apply_churn_until(SimTime now) {
   }
 }
 
+void ServiceHarness::serve(ServiceRequest& request) {
+  const NodeId source = request.source;
+  if (request.kind == RequestKind::kLock) {
+    // Lock cycle: the request routes to the holder and the release
+    // re-targets the mutex DAG at `source` (the queue held only it).
+    if (source == mutex_.holder()) return;  // already holds the token
+    if (!mutex_.dag().route(source)) {
+      request.status = RequestStatus::kPartitioned;
+      return;
+    }
+    const std::uint64_t before = mutex_.stats().total_reversals;
+    request.hops = mutex_.request(source);
+    mutex_.release();
+    request.latency = 1 + request.hops + (mutex_.stats().total_reversals - before);
+    return;
+  }
+  // Route query or leader lookup: a read of the tora / leader DAG.
+  NodeId target = tora_.destination();
+  const DynamicHeightsDag* dag = &tora_.dag();
+  if (request.kind == RequestKind::kLeader) {
+    const auto elected = leader_.leader();
+    if (!elected) {
+      request.status = RequestStatus::kNoLeader;
+      return;
+    }
+    target = *elected;
+    dag = &leader_.dag();
+  }
+  if (source == target) return;
+  const auto path = dag->route(source);
+  if (!path) {
+    request.status = RequestStatus::kPartitioned;
+    return;
+  }
+  request.hops = path->size() - 1;
+  request.latency = 1 + request.hops;
+}
+
 ServiceReport ServiceHarness::run() {
   ServiceReport report;
   const std::size_t nodes = topology_.num_nodes();
-
-  // Resolve the parallel read phase's worker pool: a borrowed pool wins,
-  // `workers != 1` without one spawns a short-lived local pool, and
-  // workers == 1 stays serial (no pool at all).  Reports are identical
-  // in every case — sharding only moves pure reads between threads.
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr && options_.workers != 1) pool = &local_pool.emplace(options_.workers);
-  const std::size_t workers = pool != nullptr ? pool->size() : 1;
-  std::vector<WorkerAccumulator> accumulators(workers);
 
   // Per-client RNG streams: a client's request sequence depends only on
   // (seed, client index), never on interleaving, which is half of the
@@ -226,8 +234,7 @@ ServiceReport ServiceHarness::run() {
   }
 
   std::uint64_t next_id = 0;
-  std::vector<PendingRequest> pending;
-  std::vector<std::size_t> reads;  // pending indices of the parallel phase
+  std::vector<std::uint32_t> batch;  // the clients woken this tick, in seq order
 
   const auto start = std::chrono::steady_clock::now();
   TimeIndexEntry entry;
@@ -235,23 +242,23 @@ ServiceReport ServiceHarness::run() {
   while (index.peek_min_time(now) && now <= options_.duration) {
     // Drain the whole tick: entries pop in (time, seq) order, so the
     // batch order is the issue order regardless of backend.
-    pending.clear();
+    batch.clear();
     SimTime peek = 0;
     while (index.peek_min_time(peek) && peek == now) {
       index.pop_min(entry);
-      PendingRequest request;
-      request.client = entry.slot;
-      pending.push_back(request);
+      batch.push_back(entry.slot);
     }
 
-    // Phase 1 — churn due at or before this tick, applied serially to
-    // all three services.
+    // Churn due at or before this tick, applied to all three services
+    // before the tick's first request.
     apply_churn_until(now);
 
-    // Phase 2 — draw this tick's requests serially, one per woken
-    // client, in batch (= seq) order.
-    for (PendingRequest& request : pending) {
-      std::mt19937_64& rng = client_rng[request.client];
+    // One serial pass in issue order: draw the client's request, serve
+    // it, tally it, and schedule the client's next wake (latency then
+    // think time).
+    for (const std::uint32_t client : batch) {
+      std::mt19937_64& rng = client_rng[client];
+      ServiceRequest request;
       switch (options_.workload) {
         case ServiceWorkload::kRoute:
           request.kind = RequestKind::kRoute;
@@ -270,33 +277,12 @@ ServiceReport ServiceHarness::run() {
         }
       }
       request.source = static_cast<NodeId>(rng() % nodes);
-      request.think = 1 + rng() % 8;
+      const std::uint64_t think = 1 + rng() % 8;
       request.id = next_id++;
-    }
+      request.issued = now;
+      serve(request);
 
-    // Phase 3 — lock cycles, serially in issue order (they mutate the
-    // mutex DAG: request routes to the holder, release re-targets it).
-    reads.clear();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      PendingRequest& request = pending[i];
-      if (request.kind != RequestKind::kLock) {
-        reads.push_back(i);
-        continue;
-      }
-      const NodeId source = request.source;
-      if (source == mutex_.holder()) {
-        request.latency = 1;  // already holds the token
-      } else if (!mutex_.dag().route(source)) {
-        request.status = RequestStatus::kPartitioned;
-        request.latency = 1;
-      } else {
-        const std::uint64_t before = mutex_.stats().total_reversals;
-        request.hops = mutex_.request(source);
-        mutex_.release();  // grants to `source`: the queue held only it
-        const std::uint64_t reversals = mutex_.stats().total_reversals - before;
-        request.latency = 1 + request.hops + reversals;
-      }
-      ServiceKindStats& stats = accumulators[0].kinds[static_cast<std::size_t>(request.kind)];
+      ServiceKindStats& stats = report.kinds[static_cast<std::size_t>(request.kind)];
       ++stats.issued;
       if (request.status == RequestStatus::kOk) {
         ++stats.completed;
@@ -305,101 +291,14 @@ ServiceReport ServiceHarness::run() {
       } else {
         ++stats.failed;
       }
-    }
-
-    // Phase 4 — route queries and leader lookups: pure reads over the
-    // tora / leader DAGs (const and cache-free), sharded contiguously
-    // across the pool.
-    const auto process_read = [this](PendingRequest& request) {
-      const NodeId source = request.source;
-      if (request.kind == RequestKind::kRoute) {
-        if (source == tora_.destination()) {
-          request.latency = 1;
-          return;
-        }
-        const auto path = tora_.dag().route(source);
-        if (!path) {
-          request.status = RequestStatus::kPartitioned;
-          request.latency = 1;
-          return;
-        }
-        request.hops = path->size() - 1;
-        request.latency = 1 + request.hops;
-        return;
-      }
-      const auto elected = leader_.leader();
-      if (!elected) {
-        request.status = RequestStatus::kNoLeader;
-        request.latency = 1;
-        return;
-      }
-      if (source == *elected) {
-        request.latency = 1;
-        return;
-      }
-      const auto path = leader_.dag().route(source);
-      if (!path) {
-        request.status = RequestStatus::kPartitioned;
-        request.latency = 1;
-        return;
-      }
-      request.hops = path->size() - 1;
-      request.latency = 1 + request.hops;
-    };
-    const auto account = [&pending, &reads, &accumulators](std::size_t worker, std::size_t begin,
-                                                           std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        PendingRequest& request = pending[reads[r]];
-        ServiceKindStats& stats =
-            accumulators[worker].kinds[static_cast<std::size_t>(request.kind)];
-        ++stats.issued;
-        if (request.status == RequestStatus::kOk) {
-          ++stats.completed;
-          stats.hops += request.hops;
-          stats.histogram.record(request.latency);
-        } else {
-          ++stats.failed;
-        }
-      }
-    };
-    if (pool != nullptr && reads.size() > 1) {
-      pool->run([&pending, &reads, &process_read, &account, workers](std::size_t worker) {
-        const std::size_t begin = reads.size() * worker / workers;
-        const std::size_t end = reads.size() * (worker + 1) / workers;
-        for (std::size_t r = begin; r < end; ++r) process_read(pending[reads[r]]);
-        account(worker, begin, end);
-      });
-    } else {
-      for (const std::size_t i : reads) process_read(pending[i]);
-      account(0, 0, reads.size());
-    }
-
-    // Phase 5 — completion, serially in issue order: trace append and
-    // the next closed-loop wake (latency then think time).
-    for (const PendingRequest& request : pending) {
-      if (options_.keep_trace) {
-        report.trace.push_back({request.id, request.kind, request.source, now, request.latency,
-                                request.hops, request.status});
-      }
-      const SimTime next = now + request.latency + request.think;
-      if (next <= options_.duration) index.push(next, seq++, request.client);
+      if (options_.keep_trace) report.trace.push_back(request);
+      const SimTime next = now + request.latency + think;
+      if (next <= options_.duration) index.push(next, seq++, client);
     }
   }
   const auto stop = std::chrono::steady_clock::now();
   report.wall_seconds = std::chrono::duration<double>(stop - start).count();
 
-  // Exact, order-independent merge of the per-worker measurement blocks
-  // (ascending worker order by convention; any order yields identical
-  // bytes — tests/latency_histogram_test.cpp proves it).
-  for (const WorkerAccumulator& accumulator : accumulators) {
-    for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
-      report.kinds[kind].histogram.merge(accumulator.kinds[kind].histogram);
-      report.kinds[kind].issued += accumulator.kinds[kind].issued;
-      report.kinds[kind].completed += accumulator.kinds[kind].completed;
-      report.kinds[kind].failed += accumulator.kinds[kind].failed;
-      report.kinds[kind].hops += accumulator.kinds[kind].hops;
-    }
-  }
   report.churn_events = churn_events_;
   report.reversal_steps = tora_.dag().total_reversals() + mutex_.dag().total_reversals() +
                           leader_.dag().total_reversals();

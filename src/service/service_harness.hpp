@@ -11,7 +11,6 @@
 #include "routing/leader_election.hpp"
 #include "routing/mutex.hpp"
 #include "routing/tora.hpp"
-#include "runner/thread_pool.hpp"
 #include "service/latency_histogram.hpp"
 #include "service/workload.hpp"
 #include "sim/time_index.hpp"
@@ -41,15 +40,15 @@
 /// (requests_per_sec) is reported separately and is explicitly outside
 /// that contract.
 ///
-/// Parallel execution: each tick's read-only requests (route queries,
-/// leader lookups) are sharded across a borrowed ThreadPool, each
-/// worker recording into a private LatencyHistogram; the per-worker
-/// histograms are summed with the histogram's exact merge.  All
-/// mutation (churn, lock grant cycles, RNG draws, trace appends)
-/// happens serially in popped-event order.  Together these make the
-/// report — traces, histograms, fingerprint — byte-identical at every
-/// worker count and under both event-scheduler backends
-/// (tests/service_harness_test.cpp pins 1/2/4/8 workers x heap/wheel).
+/// Execution is serial: each tick applies its due churn, then serves
+/// its batch of requests in issue order, tallying each one straight
+/// into the report.  Lock grants mutate only the mutex DAG and reads
+/// only touch the tora and leader DAGs, and every tally is an
+/// order-free sum, so the report — traces, histograms, fingerprint — is
+/// a function of the options alone and byte-identical under both
+/// event-scheduler backends (tests/service_harness_test.cpp pins
+/// heap/wheel).  Serial is deliberate: sharding the reads over a thread
+/// pool measured no faster up to 10^6 nodes (docs/PERFORMANCE.md §E9.2).
 
 namespace lr {
 
@@ -108,14 +107,6 @@ struct ServiceOptions {
   /// Event-scheduler backend of the virtual-time loop.  Purely a
   /// performance switch: reports are byte-identical across backends.
   EventSchedulerKind scheduler = EventSchedulerKind::kHeap;
-  /// Worker count of the parallel read phase: 1 = serial (default),
-  /// 0 = hardware concurrency.  Reports are byte-identical at every
-  /// value (the determinism contract).
-  std::size_t workers = 1;
-  /// Borrowed pool for the parallel read phase (e.g. from a sweep
-  /// worker's WorkerPoolCache).  May be null: `workers != 1` then
-  /// spawns a short-lived local pool.  Never owned.
-  ThreadPool* pool = nullptr;
   /// Random link-churn cadence in virtual ticks (0 = no random churn).
   /// Ignored when `churn_script` is set.
   SimTime churn_interval = 16;
@@ -163,8 +154,7 @@ struct ServiceReport {
 
   /// FNV-1a over every deterministic field (per-kind histograms and
   /// counters, churn and reversal totals) — the single number the
-  /// worker-count / scheduler / process-count invariance checks
-  /// compare.
+  /// scheduler / process-count invariance checks compare.
   std::uint64_t fingerprint() const noexcept;
 
   /// The latency report: one row per kind plus an "all" row merging
@@ -186,11 +176,11 @@ class ServiceHarness {
   ServiceReport run();
 
  private:
-  struct PendingRequest;   // one tick's request, pre-drawn serially
-  struct WorkerAccumulator;  // per-worker histograms + counters
-
   void apply_churn_until(SimTime now);
   void apply_link_event(const LinkEvent& event);
+  /// Serves one request against the current DAGs: fills its latency,
+  /// hops and status (a lock request runs its grant cycle).
+  void serve(ServiceRequest& request);
 
   Graph topology_;
   NodeId destination_;

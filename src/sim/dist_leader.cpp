@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 namespace lr {
 
 DistLeaderElection::DistLeaderElection(const Graph& topology, Network& network)
-    : graph_(&topology), network_(&network), csr_(topology) {
+    : graph_(&topology), network_(&network), csr_(network.csr()) {
+  if (&network.graph() != graph_) {
+    throw std::invalid_argument("DistLeaderElection: network must be built over the topology");
+  }
   const std::size_t n = graph_->num_nodes();
   candidate_.resize(n);
   a_.assign(n, 0);

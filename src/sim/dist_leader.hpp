@@ -39,7 +39,9 @@ namespace lr {
 class DistLeaderElection {
  public:
   /// Builds the election over `topology` (which must outlive this object)
-  /// and installs every node's delivery handler on `network`.
+  /// and installs every node's delivery handler on `network`, which must
+  /// be built over `topology` (else std::invalid_argument); the election
+  /// reads the network's CSR.
   DistLeaderElection(const Graph& topology, Network& network);
 
   /// Starts the election: every node announces its initial candidate.
@@ -79,9 +81,10 @@ class DistLeaderElection {
 
   const Graph* graph_;
   Network* network_;
-  // Flat CSR snapshot of the topology: every hot loop (candidate adoption,
-  // sink test, PR update, broadcast, view refresh) iterates its contiguous
-  // id arrays, and the view slots below are addressed by CSR position.
+  // Flat CSR snapshot of the topology (the network's, shared): every hot
+  // loop (candidate adoption, sink test, partial-reversal update,
+  // broadcast, view refresh) iterates its contiguous id arrays, and the
+  // view slots below are addressed by CSR position.
   CsrGraph csr_;
   std::vector<NodeId> candidate_;
   std::vector<std::int64_t> a_;

@@ -28,21 +28,24 @@ std::vector<std::int64_t> initial_levels(const Orientation& o) {
 }  // namespace
 
 DistLinkReversal::DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network)
-    : DistLinkReversal(instance, rule, network, nullptr) {}
+    : DistLinkReversal(instance, rule, network, network.csr()) {}
 
 DistLinkReversal::DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network,
                                    const CsrGraph& frozen)
-    : DistLinkReversal(instance, rule, network, &frozen) {}
-
-DistLinkReversal::DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network,
-                                   const CsrGraph* frozen)
-    : graph_(&instance.graph), network_(&network), rule_(rule), destination_(instance.destination) {
+    : graph_(&instance.graph),
+      network_(&network),
+      rule_(rule),
+      destination_(instance.destination),
+      csr_(frozen) {
   if (&network.graph() != graph_) {
     throw std::invalid_argument("DistLinkReversal: network must be built over the instance graph");
   }
   const std::size_t n = graph_->num_nodes();
-  const Orientation initial = instance.make_orientation();
-  const auto levels = initial_levels(initial);
+  if (csr_.num_nodes() != n || csr_.num_edges() != graph_->num_edges()) {
+    throw std::invalid_argument(
+        "DistLinkReversal: frozen CSR snapshot does not match the instance");
+  }
+  const auto levels = initial_levels(instance.make_orientation());
 
   if (rule_ == ReversalRule::kFull) {
     a_ = levels;
@@ -52,23 +55,13 @@ DistLinkReversal::DistLinkReversal(const Instance& instance, ReversalRule rule, 
     b_ = levels;
   }
 
-  if (frozen != nullptr) {
-    if (frozen->num_nodes() != n || frozen->num_edges() != graph_->num_edges()) {
-      throw std::invalid_argument(
-          "DistLinkReversal: frozen CSR snapshot does not match the instance");
-    }
-    csr_ = frozen;
-  } else {
-    owned_csr_.emplace(*graph_, initial.senses());
-    csr_ = &*owned_csr_;
-  }
-  view_a_.resize(2 * csr_->num_edges());
-  view_b_.resize(2 * csr_->num_edges());
+  view_a_.resize(2 * csr_.num_edges());
+  view_b_.resize(2 * csr_.num_edges());
   for (NodeId u = 0; u < n; ++u) {
-    const CsrPos end = csr_->adjacency_end(u);
-    for (CsrPos p = csr_->adjacency_begin(u); p < end; ++p) {
-      view_a_[p] = a_[csr_->neighbor_at(p)];
-      view_b_[p] = b_[csr_->neighbor_at(p)];
+    const CsrPos end = csr_.adjacency_end(u);
+    for (CsrPos p = csr_.adjacency_begin(u); p < end; ++p) {
+      view_a_[p] = a_[csr_.neighbor_at(p)];
+      view_b_[p] = b_[csr_.neighbor_at(p)];
     }
   }
   steps_.assign(n, 0);
@@ -84,20 +77,20 @@ void DistLinkReversal::start() {
 
 bool DistLinkReversal::locally_sink(NodeId u) const {
   // All neighbor heights (as viewed by u) are lexicographically above u's.
-  const CsrPos begin = csr_->adjacency_begin(u);
-  const CsrPos end = csr_->adjacency_end(u);
+  const CsrPos begin = csr_.adjacency_begin(u);
+  const CsrPos end = csr_.adjacency_end(u);
   if (begin == end) return false;
   const auto own = std::tuple(a_[u], b_[u], u);
   for (CsrPos p = begin; p < end; ++p) {
-    if (std::tuple(view_a_[p], view_b_[p], csr_->neighbor_at(p)) < own) return false;
+    if (std::tuple(view_a_[p], view_b_[p], csr_.neighbor_at(p)) < own) return false;
   }
   return true;
 }
 
 void DistLinkReversal::maybe_step(NodeId u) {
   if (u == destination_ || !locally_sink(u)) return;
-  const CsrPos begin = csr_->adjacency_begin(u);
-  const CsrPos end = csr_->adjacency_end(u);
+  const CsrPos begin = csr_.adjacency_begin(u);
+  const CsrPos end = csr_.adjacency_end(u);
 
   if (rule_ == ReversalRule::kFull) {
     std::int64_t max_a = std::numeric_limits<std::int64_t>::min();
@@ -123,7 +116,7 @@ void DistLinkReversal::maybe_step(NodeId u) {
 }
 
 void DistLinkReversal::broadcast_height(NodeId u) {
-  for (const NodeId v : csr_->neighbors(u)) {
+  for (const NodeId v : csr_.neighbors(u)) {
     network_->send(u, v, {a_[u], b_[u]});
   }
 }
@@ -157,7 +150,7 @@ void DistLinkReversal::notify_link_restored(EdgeId e) {
 void DistLinkReversal::on_message(const NetMessage& message) {
   const NodeId u = message.to;
   const NodeId from = message.from;
-  const auto position = csr_->position_of(u, from);
+  const auto position = csr_.position_of(u, from);
   if (!position) return;  // not a neighbor: ignore
   const std::size_t slot = *position;
 
@@ -182,11 +175,11 @@ std::optional<NodeId> DistLinkReversal::best_out_neighbor_view(NodeId u) const {
   const auto own = std::tuple(a_[u], b_[u], u);
   std::optional<NodeId> best;
   std::tuple<std::int64_t, std::int64_t, NodeId> best_height{};
-  const CsrPos end = csr_->adjacency_end(u);
-  for (CsrPos p = csr_->adjacency_begin(u); p < end; ++p) {
-    const auto viewed = std::tuple(view_a_[p], view_b_[p], csr_->neighbor_at(p));
+  const CsrPos end = csr_.adjacency_end(u);
+  for (CsrPos p = csr_.adjacency_begin(u); p < end; ++p) {
+    const auto viewed = std::tuple(view_a_[p], view_b_[p], csr_.neighbor_at(p));
     if (viewed < own && (!best || viewed < best_height)) {
-      best = csr_->neighbor_at(p);
+      best = csr_.neighbor_at(p);
       best_height = viewed;
     }
   }

@@ -46,14 +46,15 @@ class DistLinkReversal {
   /// Heights are initialized from the instance's initial orientation (a
   /// topological-level assignment), and each node starts with an exact view
   /// of its neighbors' initial heights.  The network must outlive this
-  /// object and be built over `instance.graph`.
+  /// object and be built over `instance.graph` (else
+  /// std::invalid_argument); the protocol reads the network's CSR.
   DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network);
 
-  /// Same, but borrows `frozen` — a CSR snapshot of `instance.graph` (e.g.
-  /// the sweep cache's) — instead of building one per run.  `frozen` must
-  /// outlive this object and match the instance's node and edge counts
-  /// (else std::invalid_argument); only its adjacency arrays are read, so
-  /// its initial orientation need not match the instance's.
+  /// Same, but reads `frozen` — a CSR snapshot of `instance.graph` (e.g.
+  /// the sweep cache's) — instead of the network's.  `frozen` must match
+  /// the instance's node and edge counts (else std::invalid_argument);
+  /// only its adjacency arrays are read, so its initial orientation need
+  /// not match the instance's.
   DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network,
                    const CsrGraph& frozen);
 
@@ -109,9 +110,6 @@ class DistLinkReversal {
   std::optional<NodeId> best_out_neighbor_view(NodeId u) const;
 
  private:
-  DistLinkReversal(const Instance& instance, ReversalRule rule, Network& network,
-                   const CsrGraph* frozen);
-
   bool locally_sink(NodeId u) const;
   void maybe_step(NodeId u);
   void broadcast_height(NodeId u);
@@ -125,10 +123,9 @@ class DistLinkReversal {
   // Flat CSR snapshot of the topology: the event-loop hot path (sink test,
   // height update, broadcast, view refresh on every delivered message)
   // iterates its contiguous id arrays, and neighbor-view slots below are
-  // addressed by CSR position.  Borrowed from the sweep cache when a frozen
-  // snapshot is supplied, owned otherwise.
-  const CsrGraph* csr_ = nullptr;
-  std::optional<CsrGraph> owned_csr_;
+  // addressed by CSR position.  Shares the network's (or the supplied
+  // snapshot's) arrays.
+  CsrGraph csr_;
 
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;

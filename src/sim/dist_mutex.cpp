@@ -8,7 +8,10 @@
 namespace lr {
 
 DistMutex::DistMutex(const Graph& topology, NodeId initial_holder, Network& network)
-    : graph_(&topology), network_(&network), csr_(topology) {
+    : graph_(&topology), network_(&network), csr_(network.csr()) {
+  if (&network.graph() != graph_) {
+    throw std::invalid_argument("DistMutex: network must be built over the topology");
+  }
   const std::size_t n = graph_->num_nodes();
   if (initial_holder >= n) {
     throw std::invalid_argument("DistMutex: initial holder out of range");

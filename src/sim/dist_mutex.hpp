@@ -42,7 +42,8 @@ class DistMutex {
  public:
   /// Builds the service over `topology` (which must outlive this object),
   /// seats the token at `initial_holder`, and installs every node's
-  /// delivery handler on `network`.
+  /// delivery handler on `network`, which must be built over `topology`
+  /// (else std::invalid_argument); the service reads the network's CSR.
   DistMutex(const Graph& topology, NodeId initial_holder, Network& network);
 
   /// Node u asks for the critical section.  No-op if u already holds the
@@ -94,10 +95,10 @@ class DistMutex {
 
   const Graph* graph_;
   Network* network_;
-  // Flat CSR snapshot of the topology: the event-loop hot path (downhill
-  // scan, request-driven reversal, broadcast, view refresh) iterates its
-  // contiguous id arrays, and the view slots below are addressed by CSR
-  // position.
+  // Flat CSR snapshot of the topology (the network's, shared): the
+  // event-loop hot path (downhill scan, request-driven reversal,
+  // broadcast, view refresh) iterates its contiguous id arrays, and the
+  // view slots below are addressed by CSR position.
   CsrGraph csr_;
 
   // Sharded-loop discipline: every member a delivery handler touches is

@@ -24,26 +24,11 @@ bool wants_sharded(const NetworkConfig& config) {
 
 }  // namespace
 
-Network::Network(const Graph& g, NetworkConfig config)
-    : graph_(&g),
-      csr_(nullptr),
-      owned_csr_(std::in_place, g),
-      config_(config),
-      queue_(config.scheduler),
-      rng_(config.seed),
-      handlers_(g.num_nodes()),
-      link_up_(g.num_edges(), 1) {
-  validate_delays(config_);
-  csr_ = &*owned_csr_;
-  if (wants_sharded(config_)) {
-    sharded_ = std::make_unique<ShardedEventLoop>(*this, config_.sim_threads, config_.scheduler,
-                                                  config_.sim_pool);
-  }
-}
+Network::Network(const Graph& g, NetworkConfig config) : Network(g, config, CsrGraph(g)) {}
 
 Network::Network(const Graph& g, NetworkConfig config, const CsrGraph& frozen)
     : graph_(&g),
-      csr_(&frozen),
+      csr_(frozen),
       config_(config),
       queue_(config.scheduler),
       rng_(config.seed),
@@ -83,11 +68,11 @@ void Network::deliver(std::uint32_t index) {
 }
 
 std::size_t Network::plan_send(NodeId from, NodeId to, SimTime (&delays)[2]) {
-  const auto position = csr_->position_of(from, to);
+  const auto position = csr_.position_of(from, to);
   if (!position) {
     throw std::invalid_argument("Network::send: nodes are not adjacent");
   }
-  const EdgeId e = csr_->edge_at(*position);
+  const EdgeId e = csr_.edge_at(*position);
   ++messages_sent_;
   if (!link_up_[e]) {
     ++messages_dropped_;

@@ -4,7 +4,6 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <random>
 #include <span>
 #include <vector>
@@ -25,8 +24,9 @@
 /// topology"; docs/ARCHITECTURE.md, sim layer): the algorithms only
 /// require eventual delivery on up links, which the simulator provides.
 ///
-/// Hot-path layout (docs/PERFORMANCE.md): adjacency checks run over a
-/// `CsrGraph` snapshot (borrowed from the sweep cache when available), and
+/// Hot-path layout (docs/PERFORMANCE.md): adjacency checks run over the
+/// network's `CsrGraph` (shared with the sweep cache when available, and
+/// read by the protocols built over the network), and
 /// every in-flight message lives in a pooled slot whose payload vector is
 /// recycled — combined with the pooled `EventQueue`, a warmed-up simulation
 /// sends, delivers, and re-sends messages with zero heap allocation.
@@ -87,14 +87,15 @@ class Network {
   /// the duration of the call (its slot is recycled afterwards).
   using Handler = std::function<void(const NetMessage&)>;
 
-  /// Builds the network over `g`, which must outlive it.  A private
-  /// `CsrGraph` snapshot is built for adjacency lookups.
+  /// Builds the network over `g`, which must outlive it, and freezes `g`
+  /// once into the `CsrGraph` its adjacency lookups (and the protocols
+  /// built over it) read.
   Network(const Graph& g, NetworkConfig config);
 
-  /// Same, but borrows `frozen` — a CSR snapshot of `g` (e.g. the sweep
-  /// cache's) — instead of building one.  `frozen` must outlive the
-  /// network and match `g`'s node and edge counts (else
-  /// std::invalid_argument).
+  /// Same, but shares `frozen` — a CSR snapshot of `g` (e.g. the sweep
+  /// cache's) — instead of freezing `g` again.  `frozen` must match `g`'s
+  /// node and edge counts (else std::invalid_argument); only its
+  /// adjacency is read, so its initial orientation is irrelevant.
   Network(const Graph& g, NetworkConfig config, const CsrGraph& frozen);
 
   /// Handlers and in-flight events capture `this`; copying or moving would
@@ -108,6 +109,10 @@ class Network {
 
   /// The topology graph the network was built over.
   const Graph& graph() const noexcept { return *graph_; }
+
+  /// The frozen adjacency of `graph()` (positions, neighbours, edge ids)
+  /// — the one CSR the protocols over this network read.
+  const CsrGraph& csr() const noexcept { return csr_; }
 
   /// The underlying event queue (for co-scheduling application events;
   /// serial mode only — see NetworkConfig::sim_threads).
@@ -174,8 +179,7 @@ class Network {
   std::size_t plan_send(NodeId from, NodeId to, SimTime (&delays)[2]);
 
   const Graph* graph_;
-  const CsrGraph* csr_;               ///< adjacency snapshot (owned or borrowed)
-  std::optional<CsrGraph> owned_csr_; ///< engaged iff the snapshot is owned
+  CsrGraph csr_;  ///< frozen adjacency of *graph_ (arrays shared, never copied)
   NetworkConfig config_;
   EventQueue queue_;
   std::mt19937_64 rng_;

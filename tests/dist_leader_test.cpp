@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.hpp"
 
 namespace lr {
@@ -143,6 +145,15 @@ TEST(DistLeaderTest, TwoNodeEdgeCase) {
   net.run_until_idle();
   EXPECT_EQ(election.agreed_leader(), std::optional<NodeId>{1});
   EXPECT_TRUE(election.leader_is_unique_sink());
+}
+
+TEST(DistLeaderTest, RejectsANetworkOverAnotherGraph) {
+  // The election reads the network's frozen adjacency, so both must be
+  // built over the same graph.
+  const Graph ring = make_ring_graph(6);
+  const Graph chain = make_chain_graph(6);
+  Network net(chain, {.min_delay = 1, .max_delay = 2, .seed = 9});
+  EXPECT_THROW({ DistLeaderElection election(ring, net); }, std::invalid_argument);
 }
 
 }  // namespace

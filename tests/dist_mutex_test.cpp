@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.hpp"
 
 namespace lr {
@@ -216,6 +218,15 @@ TEST(DistMutexTest, HeavyContentionOnUnitDisk) {
   }
   EXPECT_EQ(mutex.grants(), expected_grants);
   EXPECT_TRUE(mutex.holder().has_value());
+}
+
+TEST(DistMutexTest, RejectsANetworkOverAnotherGraph) {
+  // The service reads the network's frozen adjacency, so both must be
+  // built over the same graph.
+  const Graph ring = make_ring_graph(6);
+  const Graph chain = make_chain_graph(6);
+  Network net(chain, {.min_delay = 1, .max_delay = 2, .seed = 14});
+  EXPECT_THROW({ DistMutex mutex(ring, 0, net); }, std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "graph/csr.hpp"
 #include "graph/digraph_algos.hpp"
@@ -315,6 +320,58 @@ TEST(GeneratorsTest, SweepTopologiesEmitStrictlyAscendingCanonicalEdges) {
               edges.end())
         << topology_token(topology);
   }
+}
+
+// Golden CSR fingerprints of the torus (all-forward senses) pin its edge
+// list, which no randomized golden above covers; every node has degree 4
+// and m = 2 * rows * cols.
+TEST(GeneratorsTest, TorusMatchesGoldenFingerprints) {
+  struct Golden {
+    std::size_t rows;
+    std::size_t cols;
+    std::uint64_t fingerprint;
+  };
+  const Golden golden[] = {
+      {3, 3, 0xa9f43ac964fb18eeull},
+      {3, 5, 0x7d79277692f47690ull},
+      {8, 13, 0x97b136d113f62370ull},
+      {100, 100, 0x552cf47fe15f2ee0ull},
+  };
+  for (const Golden& g : golden) {
+    const Graph torus = make_torus_graph(g.rows, g.cols);
+    EXPECT_EQ(torus.num_edges(), 2 * g.rows * g.cols) << g.rows << "x" << g.cols;
+    for (NodeId u = 0; u < torus.num_nodes(); ++u) ASSERT_EQ(torus.degree(u), 4u);
+    EXPECT_EQ(CsrGraph(torus).fingerprint(), g.fingerprint) << g.rows << "x" << g.cols;
+  }
+  EXPECT_THROW(make_torus_graph(2, 5), std::invalid_argument);
+}
+
+TEST(GeneratorsTest, WaypointChurnReplayRestoresInitialFingerprint) {
+  // The random-waypoint schedule's healing suffix guarantees full replay
+  // returns to the initial link set, so the snapshot frozen from the
+  // replayed links is byte-identical to the initial one.
+  std::mt19937_64 rng(4242);
+  const ChurnInstance churned = make_waypoint_churn_instance(200, 0.18, 400, rng);
+  ASSERT_GE(churned.churn.size(), 400u);
+
+  const Graph& initial = churned.instance.graph;
+  std::set<std::pair<NodeId, NodeId>> links(initial.edges().begin(), initial.edges().end());
+  const auto initial_links = links;
+  bool diverged = false;
+  for (const LinkEvent& event : churned.churn) {
+    const std::pair<NodeId, NodeId> link = std::minmax(event.u, event.v);
+    ASSERT_EQ(links.count(link), event.up ? 0u : 1u) << "event must flip the link";
+    if (event.up) {
+      links.insert(link);
+    } else {
+      links.erase(link);
+    }
+    diverged = diverged || links != initial_links;
+  }
+  EXPECT_TRUE(diverged) << "schedule never changed the topology";
+  const Graph replayed(initial.num_nodes(), {links.begin(), links.end()});
+  EXPECT_EQ(CsrGraph(replayed, churned.instance.senses).fingerprint(),
+            CsrGraph(initial, churned.instance.senses).fingerprint());
 }
 
 }  // namespace

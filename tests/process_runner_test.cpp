@@ -243,10 +243,22 @@ TEST(ProcessShardRunner, WorkersShareTheSnapshotDir) {
     return files;
   };
 
-  EXPECT_EQ(tables_of(process_coordinator(options).run(sweep)), baseline);
+  // The workers' done frames carry their snapshot counters.  Three shards
+  // of 8 runs cover the 8 workloads, and two workloads straddle a shard
+  // boundary, so the workers miss 12 times.  A cold miss generates and
+  // saves, or reloads a file another worker saved first; a warm miss
+  // always reloads.
+  const SweepReport cold = process_coordinator(options).run(sweep);
+  EXPECT_EQ(tables_of(cold), baseline);
+  EXPECT_EQ(cold.cache.misses, 12u);
+  EXPECT_EQ(cold.cache.snapshot_loads + cold.cache.snapshot_saves, cold.cache.misses);
+  EXPECT_GE(cold.cache.snapshot_saves, 8u);
   const auto saved = inodes();
   EXPECT_EQ(saved.size(), 8u);  // one file per (topology, size, seed): 2 x 2 x 2
-  EXPECT_EQ(tables_of(process_coordinator(options).run(sweep)), baseline);
+  const SweepReport warm = process_coordinator(options).run(sweep);
+  EXPECT_EQ(tables_of(warm), baseline);
+  EXPECT_EQ(warm.cache.snapshot_loads, warm.cache.misses);
+  EXPECT_EQ(warm.cache.snapshot_saves, 0u);
   EXPECT_EQ(inodes(), saved) << "a warm sweep rewrote a snapshot instead of reloading it";
   std::filesystem::remove_all(dir);
 }

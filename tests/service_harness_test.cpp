@@ -1,11 +1,11 @@
 /// Pins the ServiceHarness contract (src/service/service_harness.hpp):
-/// byte-identical traces and histograms at every worker count and under
-/// both event-scheduler backends, exactly-once request accounting
-/// through partition-and-heal fault injection, patch-only (rebuild-free)
-/// churn through the DAGs' in-place link updates, and sweep integration — the
-/// service kernel rides WorkerPoolCache instead of spawning a pool per
-/// run, and its records are invariant across sim_threads / scheduler /
-/// process sharding.
+/// byte-identical traces and histograms under both event-scheduler
+/// backends, exactly-once request accounting through partition-and-heal
+/// fault injection, patch-only (rebuild-free) churn through the DAGs'
+/// in-place link updates, and sweep integration — the service kernel
+/// runs serially (no ThreadPool, with or without a WorkerPoolCache), and
+/// its records are invariant across sim_threads / scheduler / process
+/// sharding.
 
 #include "service/service_harness.hpp"
 
@@ -39,7 +39,7 @@ ServiceReport run_harness(const Instance& inst, ServiceOptions options) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism battery: 1/2/4/8 workers x heap/wheel
+// Determinism battery: heap/wheel
 // ---------------------------------------------------------------------------
 
 TEST(ServiceHarnessDeterminism, WorkerCountAndSchedulerNeverChangeTheReport) {
@@ -55,53 +55,36 @@ TEST(ServiceHarnessDeterminism, WorkerCountAndSchedulerNeverChangeTheReport) {
   ASSERT_GT(reference.total_issued(), 0u);
   ASSERT_FALSE(reference.trace.empty());
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    for (const EventSchedulerKind scheduler :
-         {EventSchedulerKind::kHeap, EventSchedulerKind::kWheel}) {
-      ServiceOptions options = base;
-      options.workers = workers;
-      options.scheduler = scheduler;
-      const ServiceReport report = run_harness(inst, options);
-      SCOPED_TRACE(testing::Message() << "workers=" << workers << " scheduler="
-                                      << (scheduler == EventSchedulerKind::kHeap ? "heap"
-                                                                                 : "wheel"));
-      // Trace: field-by-field identical, in the same issue order.
-      ASSERT_EQ(report.trace.size(), reference.trace.size());
-      for (std::size_t i = 0; i < report.trace.size(); ++i) {
-        EXPECT_EQ(report.trace[i].id, reference.trace[i].id);
-        EXPECT_EQ(report.trace[i].kind, reference.trace[i].kind);
-        EXPECT_EQ(report.trace[i].source, reference.trace[i].source);
-        EXPECT_EQ(report.trace[i].issued, reference.trace[i].issued);
-        EXPECT_EQ(report.trace[i].latency, reference.trace[i].latency);
-        EXPECT_EQ(report.trace[i].hops, reference.trace[i].hops);
-        EXPECT_EQ(report.trace[i].status, reference.trace[i].status);
-      }
-      // Histograms and counters: structurally equal, same fingerprint.
-      for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
-        EXPECT_EQ(report.kinds[kind].histogram, reference.kinds[kind].histogram);
-        EXPECT_EQ(report.kinds[kind].issued, reference.kinds[kind].issued);
-        EXPECT_EQ(report.kinds[kind].completed, reference.kinds[kind].completed);
-        EXPECT_EQ(report.kinds[kind].failed, reference.kinds[kind].failed);
-        EXPECT_EQ(report.kinds[kind].hops, reference.kinds[kind].hops);
-      }
-      EXPECT_EQ(report.churn_events, reference.churn_events);
-      EXPECT_EQ(report.reversal_steps, reference.reversal_steps);
-      EXPECT_EQ(report.fingerprint(), reference.fingerprint());
+  for (const EventSchedulerKind scheduler :
+       {EventSchedulerKind::kHeap, EventSchedulerKind::kWheel}) {
+    ServiceOptions options = base;
+    options.scheduler = scheduler;
+    const ServiceReport report = run_harness(inst, options);
+    SCOPED_TRACE(testing::Message()
+                 << "scheduler=" << (scheduler == EventSchedulerKind::kHeap ? "heap" : "wheel"));
+    // Trace: field-by-field identical, in the same issue order.
+    ASSERT_EQ(report.trace.size(), reference.trace.size());
+    for (std::size_t i = 0; i < report.trace.size(); ++i) {
+      EXPECT_EQ(report.trace[i].id, reference.trace[i].id);
+      EXPECT_EQ(report.trace[i].kind, reference.trace[i].kind);
+      EXPECT_EQ(report.trace[i].source, reference.trace[i].source);
+      EXPECT_EQ(report.trace[i].issued, reference.trace[i].issued);
+      EXPECT_EQ(report.trace[i].latency, reference.trace[i].latency);
+      EXPECT_EQ(report.trace[i].hops, reference.trace[i].hops);
+      EXPECT_EQ(report.trace[i].status, reference.trace[i].status);
     }
+    // Histograms and counters: structurally equal, same fingerprint.
+    for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
+      EXPECT_EQ(report.kinds[kind].histogram, reference.kinds[kind].histogram);
+      EXPECT_EQ(report.kinds[kind].issued, reference.kinds[kind].issued);
+      EXPECT_EQ(report.kinds[kind].completed, reference.kinds[kind].completed);
+      EXPECT_EQ(report.kinds[kind].failed, reference.kinds[kind].failed);
+      EXPECT_EQ(report.kinds[kind].hops, reference.kinds[kind].hops);
+    }
+    EXPECT_EQ(report.churn_events, reference.churn_events);
+    EXPECT_EQ(report.reversal_steps, reference.reversal_steps);
+    EXPECT_EQ(report.fingerprint(), reference.fingerprint());
   }
-}
-
-TEST(ServiceHarnessDeterminism, BorrowedPoolMatchesLocalPool) {
-  const Instance inst = random_instance(24);
-  ServiceOptions options;
-  options.clients = 6;
-  options.duration = 96;
-  options.workers = 4;
-  const std::uint64_t local = run_harness(inst, options).fingerprint();
-  ThreadPool pool(4);
-  options.pool = &pool;
-  EXPECT_EQ(run_harness(inst, options).fingerprint(), local);
 }
 
 TEST(ServiceHarnessDeterminism, EveryWorkloadMixIsSchedulerInvariant) {
@@ -114,7 +97,6 @@ TEST(ServiceHarnessDeterminism, EveryWorkloadMixIsSchedulerInvariant) {
     options.workload = workload;
     const std::uint64_t heap = run_harness(inst, options).fingerprint();
     options.scheduler = EventSchedulerKind::kWheel;
-    options.workers = 2;
     EXPECT_EQ(run_harness(inst, options).fingerprint(), heap)
         << service_workload_token(workload);
   }
@@ -223,7 +205,7 @@ TEST(ServiceHarnessFaults, ChurnRidesTheIncrementalPatchPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep integration: WorkerPoolCache reuse and record invariance
+// Sweep integration: no pool, and record invariance
 // ---------------------------------------------------------------------------
 
 RunSpec service_spec(std::size_t sim_threads) {
@@ -238,24 +220,19 @@ RunSpec service_spec(std::size_t sim_threads) {
   return spec;
 }
 
-TEST(ServicePoolCache, SharedCacheSpawnsOnePoolAcrossManyRuns) {
+TEST(ServicePoolCache, ServiceRunsConstructNoThreadPool) {
+  // The harness serves every request serially, so sim_threads = 4 must
+  // spawn no pool and borrow none from the cache.
   const RunSpec spec = service_spec(4);
-  // Warm-up outside the measured window (first-use lazies).
-  (void)execute_run(spec, nullptr, nullptr);
-
   WorkerPoolCache pools;
-  const std::uint64_t before_cached = ThreadPool::total_constructed();
-  for (int i = 0; i < 4; ++i) {
-    const RunRecord record = execute_run(spec, nullptr, &pools);
-    EXPECT_TRUE(record.error.empty()) << record.error;
+  const std::uint64_t before = ThreadPool::total_constructed();
+  for (int i = 0; i < 2; ++i) {
+    const RunRecord uncached = execute_run(spec);
+    EXPECT_TRUE(uncached.error.empty()) << uncached.error;
+    const RunRecord cached = execute_run(spec, nullptr, &pools);
+    EXPECT_TRUE(cached.error.empty()) << cached.error;
   }
-  const std::uint64_t cached_delta = ThreadPool::total_constructed() - before_cached;
-  EXPECT_EQ(cached_delta, 1u) << "4 cached service runs must share one pool";
-
-  const std::uint64_t before_uncached = ThreadPool::total_constructed();
-  for (int i = 0; i < 4; ++i) (void)execute_run(spec, nullptr, nullptr);
-  const std::uint64_t uncached_delta = ThreadPool::total_constructed() - before_uncached;
-  EXPECT_EQ(uncached_delta, 4u) << "uncached service runs spawn one pool each";
+  EXPECT_EQ(ThreadPool::total_constructed() - before, 0u);
 }
 
 TEST(ServicePoolCache, CachedAndUncachedRecordsAreIdentical) {

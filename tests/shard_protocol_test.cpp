@@ -97,7 +97,7 @@ TEST(ShardProtocol, RecordRoundTripPreservesEveryField) {
 TEST(ShardProtocol, ShardDoneRoundTrip) {
   ShardDoneFrame done;
   done.records_emitted = 40;
-  done.cache = {5, 100, 6, 1};
+  done.cache = {5, 100, 6, 1, 4, 2};
   const Frame frame = decode_single(encode_frame(done));
   ASSERT_EQ(frame.type, FrameType::kShardDone);
   EXPECT_EQ(frame.done.records_emitted, 40u);
@@ -105,6 +105,8 @@ TEST(ShardProtocol, ShardDoneRoundTrip) {
   EXPECT_EQ(frame.done.cache.hits, 100u);
   EXPECT_EQ(frame.done.cache.misses, 6u);
   EXPECT_EQ(frame.done.cache.evictions, 1u);
+  EXPECT_EQ(frame.done.cache.snapshot_loads, 4u);
+  EXPECT_EQ(frame.done.cache.snapshot_saves, 2u);
 }
 
 TEST(ShardProtocol, HeartbeatRoundTripBothDirections) {
