@@ -15,16 +15,17 @@
 ///       Exhaustively explores ALL schedules and checks acyclicity in
 ///       every reachable state (small instances only).
 ///
-///   lr_cli sweep <spec.sweep> [--threads N] [--cache-cap N] [--records out.csv]
+///   lr_cli sweep <spec.sweep> [--threads N] [--records out.csv]
 ///              [--json out.json] [--processes N] [--retries N]
 ///              [--snapshot-dir DIR] [--hosts host:port[*W],...]
 ///              [--shard-log PATH|-]
 ///       Expands the declarative sweep spec (topology x size x algorithm x
 ///       scheduler x seed; see docs/EXPERIMENTS.md) and executes every run
-///       on a fixed-size thread pool.  Prints the aggregate table as CSV on
-///       stdout — byte-identical for every --threads and --cache-cap value
-///       (the cap LRU-bounds the sweep's frozen-instance cache; 0 =
-///       unbounded, the default).  --processes N shards the sweep across N
+///       on a fixed-size thread pool, which builds each workload once and
+///       holds it only while its runs execute.  Prints the aggregate table
+///       as CSV on stdout — byte-identical for every --threads value
+///       (at most 256; 0 = hardware concurrency).
+///       --processes N shards the sweep across N
 ///       shared-nothing `sweep-worker` child processes, each serving the
 ///       same shard session as `shard-server` over a socketpair, with
 ///       heartbeats both ways and crash-isolated retries (--retries,
@@ -45,7 +46,7 @@
 ///       the survivors, and --processes N arms a local N-worker fallback
 ///       engaged only if every host dies.  Tables stay byte-identical to
 ///       the in-process run at every host and worker count.  --hosts
-///       composes with --retries/--threads/--cache-cap but not with
+///       composes with --retries/--threads but not with
 ///       --snapshot-dir (remote hosts do not share this filesystem).
 ///       --shard-log PATH writes a per-attempt CSV log (shard, attempt,
 ///       endpoint, outcome, elapsed_ms, backoff_ms) after a sharded
@@ -117,7 +118,7 @@ int usage() {
                "  lr_cli info <in.lri>\n"
                "  lr_cli run <in.lri> <pr|newpr|fr> <lowest|random|rr|farthest> [seed]\n"
                "  lr_cli modelcheck <in.lri> <pr|newpr|fr>\n"
-               "  lr_cli sweep <spec.sweep> [--threads N] [--cache-cap N]"
+               "  lr_cli sweep <spec.sweep> [--threads N]"
                " [--records out.csv] [--json out.json]\n"
                "               [--processes N] [--retries N] [--snapshot-dir DIR]\n"
                "               [--hosts host:port[*W],...] [--shard-log PATH|-]\n"
@@ -298,18 +299,16 @@ int cmd_sweep(int argc, char** argv) {
     } else if (flag == "--shard-log") {
       if (value.empty()) return usage();
       shard_log_path = value;
-    } else if (flag == "--threads" || flag == "--cache-cap" || flag == "--processes" ||
-        flag == "--retries") {
+    } else if (flag == "--threads" || flag == "--processes" || flag == "--retries") {
       char* end = nullptr;
       const std::size_t parsed = std::strtoull(value.c_str(), &end, 10);
       // Reject non-numeric or negative input instead of silently wrapping
       // ("-1" would otherwise become a 2^64-sized thread pool).
       if (value.empty() || *end != '\0' || value[0] == '-') return usage();
       if (flag == "--threads") {
+        if (parsed > kMaxThreads) return usage();  // sizes a pool: capped like a spec's counts
         options.threads = parsed;
         threads_given = true;
-      } else if (flag == "--cache-cap") {
-        options.cache_max_entries = parsed;
       } else if (flag == "--processes") {
         // 0 is rejected: "no worker processes" is spelled by omitting the
         // flag, and silently falling back in-process would misreport the
@@ -404,15 +403,14 @@ int cmd_sweep(int argc, char** argv) {
     if (!record.error.empty()) ++errors;
   }
   // Wall-clock and cache stats only on stderr: stdout must be identical
-  // across thread counts, process counts, and cache bounds.
+  // across thread and process counts.  "resident" is the most workloads
+  // held at once, summed over the worker processes of a sharded sweep.
   std::fprintf(stderr, "sweep: %zu runs on %s in %lld ms, %llu error(s)\n",
                report.records.size(), deployment.c_str(), static_cast<long long>(elapsed_ms),
                static_cast<unsigned long long>(errors));
-  std::fprintf(stderr,
-               "cache: %zu workload(s) resident, %llu hit(s), %llu miss(es), %llu eviction(s)\n",
-               report.cache.entries, static_cast<unsigned long long>(report.cache.hits),
-               static_cast<unsigned long long>(report.cache.misses),
-               static_cast<unsigned long long>(report.cache.evictions));
+  std::fprintf(stderr, "cache: %zu workload(s) resident, %llu hit(s), %llu miss(es)\n",
+               report.cache.peak_entries, static_cast<unsigned long long>(report.cache.hits),
+               static_cast<unsigned long long>(report.cache.misses));
   if (!options.snapshot_dir.empty()) {
     // --hosts rejects --snapshot-dir above, so these are the in-process
     // cache's counters or the sum of the worker processes'.

@@ -9,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "analysis/bounds.hpp"
@@ -84,7 +83,7 @@ EnginePolicy engine_policy(SchedulerKind kind) {
 /// paper-shaped automata through the analysis layer's measure_cost.  The
 /// bench_e2 A/B mode times one against the other.
 void run_strategy_kernel(RunRecord& record, const Instance& instance, const CsrGraph* frozen,
-                         Strategy strategy, WorkerPoolCache* pools) {
+                         Strategy strategy, WorkerPoolCache& pools) {
   const RunSpec& spec = record.spec;
   if (spec.path == ExecutionPath::kCsr) {
     ReversalEngine engine(frozen != nullptr ? *frozen : CsrGraph(instance.graph, instance.senses),
@@ -103,25 +102,11 @@ void run_strategy_kernel(RunRecord& record, const Instance& instance, const CsrG
       record.rounds = *result.greedy_rounds;
       return;
     }
-    // engine_threads != 1 shards the rounds across a worker pool (0 =
-    // hardware concurrency).  The record is byte-identical either way;
-    // only the wall clock moves (docs/PERFORMANCE.md).  With a
-    // WorkerPoolCache the pool is borrowed (spawned once per sweep
-    // worker); without one a short-lived local pool is spawned, but only
-    // when the instance could plausibly clear the engine's work
-    // threshold — 2|E| caps the *total* degree any round's sinks can
-    // carry, so instances below it never shard (the cap is a heuristic:
-    // width x max-degree can exceed it on skewed graphs, which at worst
-    // keeps such a run serial, never changes its record).
+    // engine_threads != 1 shards the rounds across a borrowed worker pool
+    // (0 = hardware concurrency).  The record is byte-identical either
+    // way; only the wall clock moves (docs/PERFORMANCE.md).
     EngineRoundsOptions rounds_options{.max_rounds = spec.max_steps};
-    std::optional<ThreadPool> local_pool;
-    if (spec.engine_threads != 1) {
-      if (pools != nullptr) {
-        rounds_options.pool = pools->get(spec.engine_threads);
-      } else if (2 * engine.csr().num_edges() >= rounds_options.min_parallel_work) {
-        rounds_options.pool = &local_pool.emplace(spec.engine_threads);
-      }
-    }
+    if (spec.engine_threads != 1) rounds_options.pool = pools.get(spec.engine_threads);
     record.rounds = engine.run_greedy_rounds(engine_algorithm(strategy), rounds_options).rounds;
     return;
   }
@@ -210,19 +195,16 @@ void run_tora_kernel(RunRecord& record, const Instance& instance,
 /// snapshot instead of freezing its own, and the protocol reads the
 /// network's; the adjacency is identical either way, so records are too.
 void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph* frozen,
-                     ReversalRule rule, WorkerPoolCache* pools) {
+                     ReversalRule rule, WorkerPoolCache& pools) {
   const RunSpec& spec = record.spec;
   NetworkConfig config;
   config.seed = spec.network_seed();
   // Event-core knobs: the time-index backend and the sharded event loop's
   // worker count (both byte-identical to the defaults by construction;
-  // tests/sim_test.cpp pins it).  With a pool cache the loop borrows the
-  // worker's pool instead of spawning its own per run.
+  // tests/sim_test.cpp pins it).  The sharded loop borrows its pool.
   config.scheduler = spec.sim_scheduler;
   config.sim_threads = spec.sim_threads;
-  if (spec.sim_threads != 1 && pools != nullptr) {
-    config.sim_pool = pools->get(spec.sim_threads);
-  }
+  if (spec.sim_threads != 1) config.sim_pool = pools.get(spec.sim_threads);
   Network network(instance.graph, config,
                   frozen != nullptr ? *frozen : CsrGraph(instance.graph));
   DistLinkReversal protocol(instance, rule, network);
@@ -329,27 +311,63 @@ void run_sim_rrev_kernel(RunRecord& record, const Instance& instance) {
 
 }  // namespace
 
-SweepCache::SweepCache(std::size_t max_entries, std::string snapshot_dir)
-    : max_entries_(max_entries), snapshot_dir_(std::move(snapshot_dir)) {
+WorkloadKey workload_key(const RunSpec& spec) {
+  return {spec.topology, spec.size, spec.seed, spec.churn_events};
+}
+
+std::vector<std::vector<std::size_t>> group_by_workload(const std::vector<RunSpec>& runs) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<WorkloadKey, std::size_t> group_of;
+  for (std::size_t index = 0; index < runs.size(); ++index) {
+    const auto [it, inserted] = group_of.try_emplace(workload_key(runs[index]), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(index);
+  }
+  return groups;
+}
+
+SweepCache::SweepCache(const std::vector<RunSpec>& runs, std::string snapshot_dir)
+    : snapshot_dir_(std::move(snapshot_dir)) {
+  for (const std::vector<std::size_t>& group : group_by_workload(runs)) {
+    planned_gets_.emplace(workload_key(runs[group.front()]), group.size());
+  }
   if (!snapshot_dir_.empty()) {
     ::mkdir(snapshot_dir_.c_str(), 0755);  // EEXIST is the common case
   }
 }
 
 std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
-  const Key key{spec.topology, spec.size, spec.seed, spec.churn_events};
+  const WorkloadKey key = workload_key(spec);
+  std::optional<std::promise<std::shared_ptr<const FrozenInstance>>> builder;
+  Build shared;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_position);  // mark most recent
-      return it->second.frozen;
+    const auto [it, inserted] = entries_.try_emplace(key);
+    if (inserted) {
+      it->second = builder.emplace().get_future().share();
+      ++stats_.misses;
+      stats_.peak_entries = std::max(stats_.peak_entries, entries_.size());
+    } else {
+      ++stats_.hits;
+    }
+    shared = it->second;
+    const auto planned = planned_gets_.find(key);
+    if (planned != planned_gets_.end() && --planned->second == 0) {
+      planned_gets_.erase(planned);
+      entries_.erase(it);  // the last planned get: the runs hold it from here
     }
   }
-  // Build outside the lock so concurrent misses on different keys do not
-  // serialize; a race on the same key wastes one duplicate build at most.
-  //
+  if (builder) {
+    try {
+      builder->set_value(build(spec));
+    } catch (...) {
+      builder->set_exception(std::current_exception());
+    }
+  }
+  return shared.get();  // waits for the build; rethrows its exception
+}
+
+std::shared_ptr<const FrozenInstance> SweepCache::build(const RunSpec& spec) {
   // With a snapshot directory, a churn-free workload tries the mmap file
   // first: a zero-fixup reload (the Graph and the CsrGraph both read the
   // checksum-verified mapping, which they keep alive).  Any load failure —
@@ -390,55 +408,14 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
   }
   frozen->bad_nodes = count_bad_nodes(frozen->instance);
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++misses_;
-  if (loaded) ++snapshot_loads_;
-  if (saved) ++snapshot_saves_;
-  const auto [it, inserted] = entries_.try_emplace(key);
-  if (!inserted) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);  // lost the build race
-    return it->second.frozen;
-  }
-  it->second.frozen = std::move(frozen);
-  lru_.push_front(key);
-  it->second.lru_position = lru_.begin();
-  if (max_entries_ != 0 && entries_.size() > max_entries_) {
-    // Evict the least recently used entry (never the one just inserted:
-    // max_entries_ >= 1, so the list has at least two entries here).
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return it->second.frozen;
+  if (loaded) ++stats_.snapshot_loads;
+  if (saved) ++stats_.snapshot_saves;
+  return frozen;
 }
 
-std::size_t SweepCache::entries() const {
+SweepCacheStats SweepCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t SweepCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SweepCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t SweepCache::evictions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::uint64_t SweepCache::snapshot_loads() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_loads_;
-}
-
-std::uint64_t SweepCache::snapshot_saves() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_saves_;
+  return stats_;
 }
 
 ThreadPool* WorkerPoolCache::get(std::size_t threads) {
@@ -453,6 +430,8 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
   RunRecord record;
   record.spec = spec;
   record.run_seed = spec.instance_seed();
+  WorkerPoolCache local_pools;  // spawns nothing unless a kernel asks for a pool
+  WorkerPoolCache& run_pools = pools != nullptr ? *pools : local_pools;
   try {
     // The CSR path draws the frozen workload from the sweep cache; the
     // legacy path regenerates per run (the historical cost model the A/B
@@ -479,13 +458,13 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
     record.nodes = instance->graph.num_nodes();
     switch (spec.algorithm) {
       case AlgorithmKind::kFullReversal:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kFullReversal, pools);
+        run_strategy_kernel(record, *instance, frozen, Strategy::kFullReversal, run_pools);
         break;
       case AlgorithmKind::kOneStepPR:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kPartialReversal, pools);
+        run_strategy_kernel(record, *instance, frozen, Strategy::kPartialReversal, run_pools);
         break;
       case AlgorithmKind::kNewPR:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kNewPR, pools);
+        run_strategy_kernel(record, *instance, frozen, Strategy::kNewPR, run_pools);
         break;
       case AlgorithmKind::kHybrid:
         run_hybrid_kernel(record, *instance);
@@ -494,10 +473,10 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
         run_tora_kernel(record, *instance, churn);
         break;
       case AlgorithmKind::kDistFR:
-        run_dist_kernel(record, *instance, frozen, ReversalRule::kFull, pools);
+        run_dist_kernel(record, *instance, frozen, ReversalRule::kFull, run_pools);
         break;
       case AlgorithmKind::kDistPR:
-        run_dist_kernel(record, *instance, frozen, ReversalRule::kPartial, pools);
+        run_dist_kernel(record, *instance, frozen, ReversalRule::kPartial, run_pools);
         break;
       case AlgorithmKind::kSimRPrime:
         run_sim_rprime_kernel(record, *instance);
@@ -609,22 +588,18 @@ Table SweepReport::aggregate_table() const {
 }
 
 ScenarioRunner::ScenarioRunner(RunnerOptions options)
-    : cache_max_entries_(options.cache_max_entries),
-      snapshot_dir_(std::move(options.snapshot_dir)),
-      pool_(options.threads) {
+    : snapshot_dir_(std::move(options.snapshot_dir)), pool_(options.threads) {
   worker_pools_.resize(pool_.size());
 }
 
 SweepReport ScenarioRunner::run(const SweepSpec& spec) const {
-  SweepCache cache(cache_max_entries_, snapshot_dir_);  // dies with the sweep
-  SweepReport report{run_all(spec.expand(), cache), {}};
-  report.cache = {cache.entries(),       cache.hits(),           cache.misses(),
-                  cache.evictions(),     cache.snapshot_loads(), cache.snapshot_saves()};
-  return report;
+  const std::vector<RunSpec> runs = spec.expand();
+  SweepCache cache(runs, snapshot_dir_);  // dies with the sweep
+  return {run_all(runs, cache), cache.stats()};
 }
 
 std::vector<RunRecord> ScenarioRunner::run_all(const std::vector<RunSpec>& specs) const {
-  SweepCache cache(cache_max_entries_, snapshot_dir_);
+  SweepCache cache(specs, snapshot_dir_);
   return run_all(specs, cache);
 }
 
@@ -632,15 +607,25 @@ std::vector<RunRecord> ScenarioRunner::run_all(const std::vector<RunSpec>& specs
                                                SweepCache& cache) const {
   std::vector<RunRecord> records(specs.size());
   if (specs.empty()) return records;
-  std::atomic<std::size_t> cursor{0};
-  const std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
-  pool_.run([this, &specs, &records, &cursor, &cache](std::size_t worker) {
-    WorkerPoolCache& pools = worker_pools_[worker];
-    while (true) {
-      const std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (index >= specs.size()) return;
-      records[index] = execute_run(specs[index], &cache, &pools);
+  const std::vector<std::vector<std::size_t>> groups = group_by_workload(specs);
+  std::atomic<std::size_t> next_workload{0};
+  std::vector<std::atomic<std::size_t>> next_run(groups.size());  // per workload
+  const auto claim = [](std::atomic<std::size_t>& cursor) {
+    return cursor.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto run_workload = [&](std::size_t w, WorkerPoolCache& pools) {
+    for (std::size_t k = claim(next_run[w]); k < groups[w].size(); k = claim(next_run[w])) {
+      records[groups[w][k]] = execute_run(specs[groups[w][k]], &cache, &pools);
     }
+  };
+  const std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
+  pool_.run([&](std::size_t worker) {
+    WorkerPoolCache& pools = worker_pools_[worker];
+    for (std::size_t w = claim(next_workload); w < groups.size(); w = claim(next_workload)) {
+      run_workload(w, pools);
+    }
+    // No workload left to claim: help finish the ones still in progress.
+    for (std::size_t w = 0; w < groups.size(); ++w) run_workload(w, pools);
   });
   return records;
 }

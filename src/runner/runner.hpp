@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -84,110 +84,89 @@ struct FrozenInstance {
   std::vector<LinkEvent> churn;
 };
 
-/// Thread-safe cache of (topology, size, seed) -> FrozenInstance shared by
-/// the runs of one sweep.
+/// The workload a run measures: (topology, size, seed, churn_events), the
+/// only fields its instance and churn schedule depend on.
+using WorkloadKey = std::tuple<TopologyKind, std::size_t, std::uint64_t, std::size_t>;
+
+/// The key of `spec`'s workload; the one place the key is spelled.
+WorkloadKey workload_key(const RunSpec& spec);
+
+/// Groups a run list by workload, the unit a sweep schedules, caches and
+/// shards: one list of run indexes per distinct workload_key(), workloads
+/// in order of first appearance, each workload's runs in list order.
+std::vector<std::vector<std::size_t>> group_by_workload(const std::vector<RunSpec>& runs);
+
+/// Counters of a SweepCache, reported next to a sweep's timing (a sharded
+/// sweep sums its workers').
+struct SweepCacheStats {
+  std::size_t peak_entries = 0;  ///< most workloads the cache held at once
+  std::uint64_t hits = 0;        ///< get() calls served from the cache or a build in flight
+  std::uint64_t misses = 0;      ///< get() calls that generated or reloaded the workload
+  /// Misses served by mmap snapshot reloads / workloads persisted as
+  /// snapshot files (snapshot_dir mode only).
+  std::uint64_t snapshot_loads = 0;
+  std::uint64_t snapshot_saves = 0;
+};
+
+/// Thread-safe cache of workload_key() -> FrozenInstance shared by the runs
+/// of one sweep, so the CSR path generates and freezes each workload once
+/// instead of once per kernel (docs/PERFORMANCE.md measures the effect).
+/// Results are unaffected by construction: generation is deterministic in
+/// the key, so a hit returns byte-identical data to a rebuild.
 ///
-/// `RunSpec::instance_seed()` is algorithm- and scheduler-independent by
-/// design, so every kernel of a sweep measures the same instances; without
-/// a cache each run still *regenerates* its instance and re-freezes the
-/// CSR snapshot.  A ScenarioRunner gives each sweep a cache so that work
-/// happens once per (topology, size, seed) on the CSR path
-/// (docs/PERFORMANCE.md measures the effect).  Results are unaffected by
-/// construction — generation is deterministic in the key, so a hit returns
-/// byte-identical data to a rebuild, and an *evicted* entry is simply
-/// regenerated on its next use.
+/// get() is single-flight: the first caller of a key builds it outside
+/// the lock, concurrent callers of that key wait for that build, and a
+/// build that throws throws in every one of them.
 ///
-/// Memory bound: by default entries live until the cache dies with its
-/// sweep, but very large topology×size×seed products can pin every
-/// distinct workload at once; construct with `max_entries > 0` to keep an
-/// LRU bound instead.  Eviction only drops the cache's own reference —
-/// runs still holding the shared_ptr keep their snapshot alive.
+/// A planned cache is built over the runs it will serve and holds each
+/// workload only while those runs need it: every run of the plan makes
+/// one get(), and the last planned get() of a key drops the cache's
+/// reference (the runs still holding the shared_ptr keep the workload
+/// alive until they finish).  Keys outside the plan, and every key of an
+/// unplanned cache, stay until the cache dies.
 class SweepCache {
  public:
-  /// Unbounded cache (the historical default).
-  SweepCache() = default;
+  /// A cache planned over `runs` (none: an unplanned cache), optionally
+  /// backed by a directory of mmap snapshot files (graph/snapshot.hpp,
+  /// created if absent): a miss on a churn-free workload first tries
+  /// `<snapshot_dir>/<topology>-<size>-s<seed>.lrsnap`, a zero-fixup
+  /// reload whose pages every worker process mapping the file shares, and
+  /// generates (then persists) on a missing or invalid file.  The file
+  /// holds exactly the arrays a generation produces, checksum-verified on
+  /// load, so results are byte-identical either way.  Churn workloads
+  /// bypass the files (schedules are not persisted).
+  explicit SweepCache(const std::vector<RunSpec>& runs = {}, std::string snapshot_dir = {});
 
-  /// Cache holding at most `max_entries` workloads, evicting the least
-  /// recently used beyond that; 0 means unbounded.
-  explicit SweepCache(std::size_t max_entries) : max_entries_(max_entries) {}
-
-  /// Same, additionally backed by a directory of mmap snapshot files
-  /// (graph/snapshot.hpp): an in-memory miss on a churn-free workload
-  /// first tries `<snapshot_dir>/<topology>-<size>-s<seed>.lrsnap` — a
-  /// zero-fixup reload whose pages the kernel shares across every sweep
-  /// worker process mapping the same file — and falls back to generating
-  /// (then persisting) on a missing or invalid file, including a file of
-  /// an older format version.  Results
-  /// are byte-identical either way: the file stores exactly the arrays a
-  /// fresh generation would produce, checksum-verified on load.  An empty
-  /// dir (the default) disables persistence.  The directory is created if
-  /// absent.  Workloads with a churn schedule bypass the files (schedules
-  /// are not persisted) but still key on churn_events so they can never
-  /// alias a static workload.
-  SweepCache(std::size_t max_entries, std::string snapshot_dir);
-
-  /// Returns the frozen workload of `spec`'s (topology, size, seed,
-  /// churn_events), generating and freezing it on first use.  Concurrent
-  /// misses on the same key may build duplicates; exactly one wins the
-  /// map slot and the others are discarded, so callers always share one
-  /// snapshot.
+  /// Returns the frozen workload of `spec`, generating and freezing it on
+  /// first use (see the class comment for waiting and dropping).
   std::shared_ptr<const FrozenInstance> get(const RunSpec& spec);
 
-  /// Number of distinct workloads currently cached.
-  std::size_t entries() const;
-
-  /// get() calls served from the cache.
-  std::uint64_t hits() const;
-
-  /// get() calls that generated (or raced to generate) the workload.
-  std::uint64_t misses() const;
-
-  /// Workloads dropped by the LRU bound (0 for an unbounded cache).
-  std::uint64_t evictions() const;
-
-  /// Misses served by mmap-reloading a snapshot file instead of
-  /// generating (snapshot_dir mode only).
-  std::uint64_t snapshot_loads() const;
-
-  /// Generated workloads persisted as snapshot files (snapshot_dir mode
-  /// only; save failures are non-fatal and simply do not count).
-  std::uint64_t snapshot_saves() const;
-
-  /// The configured LRU bound (0 = unbounded).
-  std::size_t max_entries() const noexcept { return max_entries_; }
-
-  /// The snapshot directory (empty = persistence disabled).
-  const std::string& snapshot_dir() const noexcept { return snapshot_dir_; }
+  /// The cache's counters so far.
+  SweepCacheStats stats() const;
 
  private:
-  using Key = std::tuple<TopologyKind, std::size_t, std::uint64_t, std::size_t>;
-  struct Entry {
-    std::shared_ptr<const FrozenInstance> frozen;  ///< the shared workload
-    std::list<Key>::iterator lru_position;         ///< this entry in lru_
-  };
+  /// One build, shared by every get() of its key.
+  using Build = std::shared_future<std::shared_ptr<const FrozenInstance>>;
+
+  /// Generates or reloads `spec`'s workload (outside the lock).
+  std::shared_ptr<const FrozenInstance> build(const RunSpec& spec);
 
   mutable std::mutex mutex_;
-  std::map<Key, Entry> entries_;
-  std::list<Key> lru_;  ///< most recently used first
-  std::size_t max_entries_ = 0;
+  std::map<WorkloadKey, Build> entries_;
+  std::map<WorkloadKey, std::size_t> planned_gets_;  ///< planned get() calls still to come
   std::string snapshot_dir_;  ///< empty = no snapshot files
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t snapshot_loads_ = 0;
-  std::uint64_t snapshot_saves_ = 0;
+  SweepCacheStats stats_;
 };
 
 /// Per-worker cache of the ThreadPools a run's sharded kernels borrow —
 /// the engine's greedy rounds (`engine_threads`) and the network's
-/// sharded event loop (`sim_threads`).  Historically every such run
-/// spawned and joined a short-lived pool; a sweep worker now keeps one
-/// pool per requested size alive across all the runs it claims, so the
-/// spawn cost is paid once per (worker, size) instead of once per run.
-/// Records are byte-identical either way (pools carry no run state).
+/// sharded event loop (`sim_threads`).  A sweep worker keeps one pool per
+/// requested size alive across all the runs it claims, so the spawn cost
+/// is paid once per (worker, size).  Records are byte-identical either way
+/// (pools carry no run state).
 ///
 /// NOT thread-safe: each ScenarioRunner worker owns a private cache, and
-/// standalone callers may hold a local one next to their execute_run loop.
+/// execute_run makes a local one when its caller passes none.
 class WorkerPoolCache {
  public:
   /// The cached pool of `threads` logical workers (0 = hardware
@@ -206,26 +185,11 @@ class WorkerPoolCache {
 ///
 /// A CSR-path run draws its workload from `cache` when one is given (the
 /// legacy path regenerates per run, preserving the historical cost model
-/// the A/B harness compares against), and its sharded kernels borrow
-/// their pools from `pools` when one is given (else they spawn
-/// short-lived pools when the spec asks for parallelism that looks worth
-/// the spawn).  Records are byte-identical with and without either.
+/// the A/B harness compares against).  Its sharded kernels borrow their
+/// pools from `pools`, or from a WorkerPoolCache local to the call when
+/// none is given.  Records are byte-identical with and without either.
 RunRecord execute_run(const RunSpec& spec, SweepCache* cache = nullptr,
                       WorkerPoolCache* pools = nullptr);
-
-/// Counters of the SweepCache one sweep ran over, surfaced so callers
-/// (e.g. `lr_cli sweep`) can report cache effectiveness next to timing.
-struct SweepCacheStats {
-  std::size_t entries = 0;       ///< distinct workloads resident at sweep end
-  std::uint64_t hits = 0;        ///< get() calls served from the cache
-  std::uint64_t misses = 0;      ///< get() calls that generated or reloaded the workload
-  std::uint64_t evictions = 0;   ///< workloads dropped by the LRU bound
-  /// Misses served by mmap snapshot reloads / workloads persisted as
-  /// snapshot files (snapshot_dir mode; a sharded sweep sums its
-  /// workers' counters, like the four above).
-  std::uint64_t snapshot_loads = 0;
-  std::uint64_t snapshot_saves = 0;
-};
 
 /// A finished sweep: per-run records in expansion order plus table views.
 struct SweepReport {
@@ -251,10 +215,6 @@ struct RunnerOptions {
   /// Worker threads in the pool; 0 means std::thread::hardware_concurrency
   /// (at least 1).  Results are identical for every value by construction.
   std::size_t threads = 0;
-
-  /// LRU bound of the per-sweep SweepCache (0 = unbounded, the default).
-  /// Purely a memory knob: records are byte-identical at every value.
-  std::size_t cache_max_entries = 0;
 
   /// Worker *processes* of a sharded sweep (make_shard_coordinator in
   /// runner/shard_coordinator.hpp): 0 = in-process execution on this
@@ -290,8 +250,10 @@ struct RunnerOptions {
 /// Executes sweeps on a fixed-size `ThreadPool` (runner/thread_pool.hpp,
 /// the pool the reversal engine's sharded greedy rounds share).
 ///
-/// Work distribution is an atomic cursor over the expanded run list, so
-/// threads self-balance across runs of very different cost; determinism is
+/// Workers claim whole workloads (group_by_workload) in order, and a
+/// worker that finds none left takes the unclaimed runs of the workloads
+/// still in progress.  Distinct workloads thus build in parallel, and a
+/// sweep holds at most threads() workloads at once.  Determinism is
 /// unaffected because records are written to their expansion slot and
 /// never depend on claim order.
 class ScenarioRunner {
@@ -308,17 +270,18 @@ class ScenarioRunner {
   SweepReport run(const SweepSpec& spec) const;
 
   /// Executes an explicit run list (already expanded or hand-built);
-  /// records are returned in input order.  The runs share one SweepCache,
-  /// so CSR-path kernels over the same (topology, size, seed) reuse one
-  /// frozen instance instead of regenerating it per kernel.
+  /// records are returned in input order.  The runs share one SweepCache
+  /// planned over them, so CSR-path kernels over the same workload reuse
+  /// one frozen instance instead of regenerating it per kernel.
   std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs) const;
 
   /// run_all() over an externally owned cache (reported through `run()`'s
   /// SweepReport::cache); the building block the two calls above share.
+  /// A cache planned over more runs than `specs` (a shard session's,
+  /// across its chunks) keeps what the later runs need.
   std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs, SweepCache& cache) const;
 
  private:
-  std::size_t cache_max_entries_;
   std::string snapshot_dir_;  ///< forwarded to the caches run()/run_all() build
   /// Serializes dispatches onto the shared pool: a ThreadPool runs one
   /// fork/join job at a time, and the historical spawn-per-call runner was

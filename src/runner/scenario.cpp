@@ -384,9 +384,13 @@ bool parse_line(const std::string& key, const std::string& values, SweepSpec& sp
       parse_scalar(key, values, field);
     });
     if (!known) return false;
-    // The one scalar with a floor: a service with no clients is meaningless.
+    // A service with no clients is meaningless; a thread count sizes a pool.
     if (spec.service_clients == 0) {
       throw std::invalid_argument("service_clients takes a single value >= 1");
+    }
+    if (spec.engine_threads > kMaxThreads || spec.sim_threads > kMaxThreads) {
+      throw std::invalid_argument(key + " takes at most " + std::to_string(kMaxThreads) +
+                                  " threads");
     }
   }
   return true;

@@ -90,6 +90,11 @@ const char* path_token(ExecutionPath path);
 /// unknown.
 ExecutionPath parse_path(const std::string& token);
 
+/// The most threads a spec's engine_threads or sim_threads, or a shard
+/// request, may ask for.  Larger counts are refused before any pool is
+/// sized, so no spec file or protocol peer can start millions of threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// The nine scalar options of a sweep, declared once: a SweepSpec holds
 /// one value of each and stamps it on every RunSpec it expands to, so both
 /// derive from this struct.  Every place that names the fields one by one
@@ -111,9 +116,9 @@ struct SpecScalars {
 
   /// `engine_threads =`: worker threads of the reversal engine's sharded
   /// greedy-rounds kernel (CSR path, fr/pr kernels only): 1 = serial
-  /// (default), 0 = hardware concurrency, N = a pool of N.  The parallel
-  /// engine is deterministic and byte-identical to the serial one at every
-  /// value (tests/reversal_engine_test.cpp).  A converged run reads its
+  /// (default), 0 = hardware concurrency, N <= kMaxThreads = a pool of N.
+  /// The parallel engine is deterministic and byte-identical to the serial
+  /// one at every value (tests/reversal_engine_test.cpp).  A converged run reads its
   /// rounds off the single-step run's round clocks, so only runs cut by
   /// max_steps reach the kernel; there a value > 1 borrows a pool per
   /// worker, worth it on large topologies (docs/PERFORMANCE.md measures
@@ -129,10 +134,10 @@ struct SpecScalars {
 
   /// `sim_threads =`: worker threads of the simulated network's sharded
   /// event loop (dist-fr / dist-pr kernels): 1 = the serial event queue
-  /// (default), 0 = hardware concurrency, N = a pool of N per-node event
-  /// lanes (sim/sharded_loop.hpp).  Byte-identical to the serial loop at
-  /// every value, like engine_threads.  Every other kernel ignores it
-  /// (the service harness runs serially).
+  /// (default), 0 = hardware concurrency, N <= kMaxThreads = a pool of N
+  /// per-node event lanes (sim/sharded_loop.hpp).  Byte-identical to the
+  /// serial loop at every value, like engine_threads.  Every other kernel
+  /// ignores it (the service harness runs serially).
   std::size_t sim_threads = 1;
 
   /// `service_workload =` (`mixed` default): the client-request mix of the
@@ -279,7 +284,8 @@ struct SweepSpec : SpecScalars {
 
   /// Parses the text form.  Throws std::invalid_argument on unknown keys,
   /// unknown tokens, duplicate keys, a list for a scalar, an integer out
-  /// of range, or a missing required axis; errors on a line name it.
+  /// of range (including a thread count above kMaxThreads), or a missing
+  /// required axis; errors on a line name it.
   static SweepSpec parse(std::istream& is);
 
   /// Convenience overload of parse() taking the spec text directly.

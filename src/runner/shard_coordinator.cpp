@@ -41,7 +41,7 @@ struct LiveAttempt {
   std::size_t shard = 0;
   std::size_t endpoint = kNoEndpoint;
   std::unique_ptr<ShardChannel> channel;
-  std::size_t next_index = 0;  ///< next global run index the shard owes
+  std::size_t next_position = 0;  ///< workload-order position of the next record owed
   bool hello_seen = false;
   bool done_seen = false;
   FrameParser parser;
@@ -90,6 +90,7 @@ std::size_t ShardCoordinator::total_capacity() const noexcept {
 SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   const std::vector<RunSpec> runs = spec.expand();
   const std::size_t total = runs.size();
+  const std::vector<std::size_t> order = workload_order(runs);
   diagnostics_.clear();
   fallback_engaged_ = false;
   SweepReport report;
@@ -199,9 +200,10 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     if (attempt.done_seen) return "frame after shard-done";
     if (frame.type == FrameType::kRecord) {
       const RecordFrame& record = frame.record;
-      if (record.global_index != attempt.next_index || record.global_index >= range.end) {
+      if (attempt.next_position == range.end ||
+          record.global_index != order[attempt.next_position]) {
         return "out-of-order record (got run #" + std::to_string(record.global_index) +
-               ", expected #" + std::to_string(attempt.next_index) + ")";
+               " at shard position " + std::to_string(attempt.next_position) + ")";
       }
       const RunSpec& spec = runs[record.global_index];
       if (record.spec_digest != spec_digest(spec)) {
@@ -210,13 +212,13 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
       }
       report.records[record.global_index] = record.record;
       report.records[record.global_index].spec = spec;
-      ++attempt.next_index;
+      ++attempt.next_position;
       return {};
     }
     // Shard done: every run must be accounted for, exactly once.
-    if (attempt.next_index != range.end || frame.done.records_emitted != range.size()) {
+    if (attempt.next_position != range.end || frame.done.records_emitted != range.size()) {
       return "shard-done before all records arrived (" +
-             std::to_string(attempt.next_index - range.begin) + "/" +
+             std::to_string(attempt.next_position - range.begin) + "/" +
              std::to_string(range.size()) + ")";
     }
     attempt.done_seen = true;
@@ -276,7 +278,6 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
       request.total = total;
       request.attempt = diag.attempts - 1;
       request.threads = options_.threads;
-      request.cache_cap = options_.cache_cap;
       request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
       // The worker tolerates a few missed coordinator beacons before
       // declaring the coordinator gone and unwinding its session.
@@ -296,7 +297,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         continue;  // re-scan from the same index (erase shifted the rest)
       }
       attempt.channel = std::move(started.channel);
-      attempt.next_index = ranges[job.shard].begin;
+      attempt.next_position = ranges[job.shard].begin;
       attempt.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
       live.push_back(std::move(attempt));
     }
@@ -415,7 +416,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
                   std::to_string(max_attempts) + " attempt(s) per shard)";
     for (const ShardDiagnostics& diag : diagnostics_) {
       if (diag.failures.empty()) continue;
-      message += "\n  shard " + std::to_string(diag.shard) + " (runs [" +
+      message += "\n  shard " + std::to_string(diag.shard) + " (positions [" +
                  std::to_string(diag.range.begin) + ", " + std::to_string(diag.range.end) +
                  "), " + (diag.completed ? "completed" : "INCOMPLETE") + "):";
       for (const std::string& failure : diag.failures) message += "\n    " + failure;
@@ -424,10 +425,9 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   }
 
   for (const SweepCacheStats& cache : shard_cache) {
-    report.cache.entries += cache.entries;
+    report.cache.peak_entries += cache.peak_entries;
     report.cache.hits += cache.hits;
     report.cache.misses += cache.misses;
-    report.cache.evictions += cache.evictions;
     report.cache.snapshot_loads += cache.snapshot_loads;
     report.cache.snapshot_saves += cache.snapshot_saves;
   }
@@ -470,7 +470,6 @@ ShardCoordinator make_shard_coordinator(const RunnerOptions& options,
   coordinator_options.timeout_ms = options.worker_timeout_ms;
   coordinator_options.label = hosts.empty() ? "multi-process sweep" : "multi-host sweep";
   coordinator_options.threads = options.threads;
-  coordinator_options.cache_cap = options.cache_max_entries;
   if (hosts.empty()) coordinator_options.snapshot_dir = options.snapshot_dir;
   return ShardCoordinator(std::move(coordinator_options), std::move(transports),
                           std::move(fallback));

@@ -22,12 +22,15 @@
 /// make_shard_coordinator() builds the one coordinator `lr_cli sweep`
 /// shards through: one ProcessShardTransport for `--processes`, or one
 /// TcpShardTransport per `--hosts` entry plus an optional process
-/// fallback.  The merge contract is owned here, once: every record's spec
-/// digest is checked against the coordinator's own expansion and the
-/// record is written to its global slot with the spec taken from that
-/// expansion, so the merged tables are byte-identical to the in-process
-/// runner's at every transport mix, worker count, and fault schedule —
-/// retries and reassignments simply overwrite slots with identical bytes.
+/// fallback.  Shards are equal-count ranges of the sweep's workload order
+/// (workload_order()), so at most shards - 1 workloads straddle a
+/// boundary.  The merge contract is owned here, once: each shard's records
+/// must arrive in that order, every record's spec digest is checked
+/// against the coordinator's own expansion, and the record is written to
+/// its global (expansion) slot with the spec taken from that expansion, so
+/// the merged tables are byte-identical to the in-process runner's at
+/// every transport mix, worker count, and fault schedule — retries and
+/// reassignments simply overwrite slots with identical bytes.
 ///
 /// Liveness state machine (docs/ARCHITECTURE.md §"The shard dataplane"):
 /// every live attempt carries a deadline that any received frame —
@@ -62,7 +65,6 @@ struct CoordinatorOptions {
   std::string label = "sweep";
 
   std::size_t threads = 1;      ///< worker-internal thread count
-  std::size_t cache_cap = 0;    ///< worker SweepCache LRU bound
   std::string snapshot_dir;     ///< worker SweepCache snapshot dir (empty = none)
 };
 

@@ -185,7 +185,6 @@ void encode_payload(std::vector<std::uint8_t>& out, const ShardRequestFrame& req
   put_u64(out, request.total);
   put_u64(out, request.attempt);
   put_u64(out, request.threads);
-  put_u64(out, request.cache_cap);
   put_u32(out, request.heartbeat_ms);
   put_u32(out, request.liveness_timeout_ms);
   put_string(out, request.spec_text);
@@ -195,13 +194,15 @@ void encode_payload(std::vector<std::uint8_t>& out, const ShardRequestFrame& req
 ShardRequestFrame decode_request(Cursor& cursor) {
   ShardRequestFrame request;
   request.version = cursor.u32();
+  // Another version may lay its fields out differently: keep the version
+  // for the worker's refusal, which names both versions, and skip the rest.
+  if (request.version != kShardProtocolVersion) return request;
   request.shard = cursor.u64();
   request.begin = cursor.u64();
   request.end = cursor.u64();
   request.total = cursor.u64();
   request.attempt = cursor.u64();
   request.threads = cursor.u64();
-  request.cache_cap = cursor.u64();
   request.heartbeat_ms = cursor.u32();
   request.liveness_timeout_ms = cursor.u32();
   request.spec_text = cursor.string();
@@ -223,10 +224,9 @@ ShardErrorFrame decode_error(Cursor& cursor) {
 
 void encode_payload(std::vector<std::uint8_t>& out, const ShardDoneFrame& done) {
   put_u64(out, done.records_emitted);
-  put_u64(out, done.cache.entries);
+  put_u64(out, done.cache.peak_entries);
   put_u64(out, done.cache.hits);
   put_u64(out, done.cache.misses);
-  put_u64(out, done.cache.evictions);
   put_u64(out, done.cache.snapshot_loads);
   put_u64(out, done.cache.snapshot_saves);
 }
@@ -234,10 +234,9 @@ void encode_payload(std::vector<std::uint8_t>& out, const ShardDoneFrame& done) 
 ShardDoneFrame decode_done(Cursor& cursor) {
   ShardDoneFrame done;
   done.records_emitted = cursor.u64();
-  done.cache.entries = static_cast<std::size_t>(cursor.u64());
+  done.cache.peak_entries = static_cast<std::size_t>(cursor.u64());
   done.cache.hits = cursor.u64();
   done.cache.misses = cursor.u64();
-  done.cache.evictions = cursor.u64();
   done.cache.snapshot_loads = cursor.u64();
   done.cache.snapshot_saves = cursor.u64();
   cursor.expect_exhausted();

@@ -23,18 +23,19 @@
 ///
 /// Coordinator -> worker: one kShardRequest opening the attempt, then
 /// kHeartbeat frames proving the coordinator is still alive.  Worker ->
-/// coordinator: one kHello (handshake: protocol version, shard index, run
-/// range, attempt), then one kRecord per run of the shard in ascending
-/// global run-index order, then one kShardDone (record count + the
-/// worker's cache counters), with kHeartbeat frames interleaved at any
-/// point after the hello.  A worker that cannot start the shard (bad
-/// spec, version skew) answers with a single kShardError instead of a
-/// hello.
+/// coordinator: one kHello (handshake: protocol version, shard index,
+/// range, attempt), then one kRecord per run of the shard in the sweep's
+/// workload order (workload_order() in runner/shard_transport.hpp; a
+/// shard is a range of positions in that order), then one kShardDone
+/// (record count + the worker's cache counters), with kHeartbeat frames
+/// interleaved at any point after the hello.  A worker that cannot start
+/// the shard (bad spec, version skew) answers with a single kShardError
+/// instead of a hello.
 ///
-/// A record frame carries the run's global index and spec_digest() of
-/// its RunSpec, not the spec itself: the coordinator holds the expansion,
-/// checks the digest against its own run #k, and takes the spec from
-/// there.
+/// A record frame carries the run's global (expansion) index and
+/// spec_digest() of its RunSpec, not the spec itself: the coordinator
+/// holds the expansion, checks the digest against its own run #k, and
+/// takes the spec from there.
 ///
 /// Everything else — wrong magic, a payload over kMaxFramePayload, a
 /// checksum mismatch, an unknown enum value inside a record, trailing
@@ -58,7 +59,7 @@ namespace lr {
 /// Frame discriminator on the wire.
 enum class FrameType : std::uint8_t {
   kHello = 1,         ///< worker handshake, first frame of every attempt
-  kRecord = 2,        ///< one finished run, in ascending global-index order
+  kRecord = 2,        ///< one finished run, in the shard's workload order
   kShardDone = 3,     ///< shard complete: record count + cache counters
   kHeartbeat = 4,     ///< liveness beacon, either direction
   kShardRequest = 5,  ///< coordinator -> worker shard assignment
@@ -75,8 +76,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4853524cu;
 /// Version 3 added the heartbeat / shard-request / shard-error frames;
 /// version 4 added the request's snapshot_dir and replaced the record
 /// frame's spec fields with spec_digest(); version 5 added the done
-/// frame's snapshot load and save counters.
-inline constexpr std::uint32_t kShardProtocolVersion = 5;
+/// frame's snapshot load and save counters; version 6 cut shards from the
+/// workload order instead of the expansion order and dropped the request's
+/// cache cap and the done frame's eviction count.
+inline constexpr std::uint32_t kShardProtocolVersion = 6;
 
 /// Upper bound on a frame payload.  Records are a few hundred bytes;
 /// anything near this limit is garbage (e.g. random bytes read as a
@@ -94,8 +97,8 @@ class ShardProtocolError : public std::runtime_error {
 struct HelloFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the coordinator's
   std::uint64_t shard = 0;    ///< shard index the worker was assigned
-  std::uint64_t begin = 0;    ///< first global run index of the shard
-  std::uint64_t end = 0;      ///< one past the last global run index
+  std::uint64_t begin = 0;    ///< first workload-order position of the shard
+  std::uint64_t end = 0;      ///< one past the last position
   std::uint64_t attempt = 0;  ///< 0 = first try, +1 per retry
 };
 
@@ -127,17 +130,16 @@ struct HeartbeatFrame {
 };
 
 /// Shard assignment, coordinator -> worker.  Opens every session:
-/// everything a worker needs to execute global runs [begin, end) of the
-/// sweep `spec_text` expands to.
+/// everything a worker needs to execute the runs at positions
+/// [begin, end) of the workload order of the sweep `spec_text` expands to.
 struct ShardRequestFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the worker's
   std::uint64_t shard = 0;        ///< shard index being assigned
-  std::uint64_t begin = 0;        ///< first global run index of the shard
-  std::uint64_t end = 0;          ///< one past the last global run index
+  std::uint64_t begin = 0;        ///< first workload-order position of the shard
+  std::uint64_t end = 0;          ///< one past the last position
   std::uint64_t total = 0;        ///< the full sweep's run count (cross-check)
   std::uint64_t attempt = 0;      ///< 0 = first try, +1 per retry
-  std::uint64_t threads = 1;      ///< worker-internal thread count
-  std::uint64_t cache_cap = 0;    ///< worker SweepCache LRU bound (0 = unbounded)
+  std::uint64_t threads = 1;      ///< worker-internal thread count (at most kMaxThreads)
   std::uint32_t heartbeat_ms = 0;       ///< worker beacon interval (0 = default)
   std::uint32_t liveness_timeout_ms = 0;  ///< worker-side coordinator watchdog
   std::string spec_text;          ///< canonical sweep spec (format_sweep_spec)

@@ -20,6 +20,7 @@
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_protocol.hpp"
+#include "runner/shard_transport.hpp"
 
 namespace lr {
 
@@ -261,6 +262,10 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
                   std::to_string(request.end) + ") exceeds the sweep's " +
                   std::to_string(runs.size()) + " runs";
       }
+      if (refusal.empty() && request.threads > kMaxThreads) {
+        refusal = "request asks for " + std::to_string(request.threads) +
+                  " worker threads; the limit is " + std::to_string(kMaxThreads);
+      }
     }
   }
   if (!refusal.empty() || !request_frame) {
@@ -358,31 +363,34 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
     }
   });
 
-  // Shared-nothing execution with this session's own runner and cache,
-  // chunked so records flow long before the shard finishes.
+  // Shared-nothing execution of the shard's runs, in the workload order it
+  // was cut from, with this session's own runner and one cache planned on
+  // them; chunked so records flow long before the shard finishes.
   constexpr std::size_t kChunk = 16;
   bool completed = false;
   {
-    const std::size_t cache_cap = static_cast<std::size_t>(request.cache_cap);
-    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads),
-                                 .cache_max_entries = cache_cap});
-    SweepCache cache(cache_cap, request.snapshot_dir);
+    const std::vector<std::size_t> order = workload_order(runs);
+    std::vector<RunSpec> shard;
+    for (std::uint64_t position = request.begin; position < request.end; ++position) {
+      shard.push_back(runs[order[position]]);
+    }
+    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads)});
+    SweepCache cache(shard, request.snapshot_dir);
     std::size_t emitted = 0;
-    for (std::uint64_t offset = request.begin; offset < request.end && !cancelled.load();
-         offset += kChunk) {
-      const std::uint64_t stop = std::min<std::uint64_t>(offset + kChunk, request.end);
-      const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(offset),
-                                       runs.begin() + static_cast<std::ptrdiff_t>(stop));
+    for (std::size_t offset = 0; offset < shard.size() && !cancelled.load(); offset += kChunk) {
+      const std::size_t stop = std::min(offset + kChunk, shard.size());
+      const std::vector<RunSpec> slice(shard.begin() + static_cast<std::ptrdiff_t>(offset),
+                                       shard.begin() + static_cast<std::ptrdiff_t>(stop));
       const std::vector<RunRecord> records = runner.run_all(slice, cache);
       for (std::size_t i = 0; i < records.size() && !cancelled.load(); ++i) {
-        if (send_bytes(encode_frame(RecordFrame{offset + i, records[i]}))) ++emitted;
+        const std::uint64_t index = order[request.begin + offset + i];
+        if (send_bytes(encode_frame(RecordFrame{index, records[i]}))) ++emitted;
       }
     }
-    if (emitted == request.end - request.begin && !cancelled.load()) {
+    if (emitted == shard.size() && !cancelled.load()) {
       ShardDoneFrame done;
       done.records_emitted = emitted;
-      done.cache = {cache.entries(),   cache.hits(),           cache.misses(),
-                    cache.evictions(), cache.snapshot_loads(), cache.snapshot_saves()};
+      done.cache = cache.stats();
       completed = send_bytes(encode_frame(done));
     }
   }

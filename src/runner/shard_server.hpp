@@ -18,9 +18,10 @@
 ///
 /// Session contract: the coordinator opens with one kShardRequest; the
 /// worker validates it (protocol version, parseable spec, run-count and
-/// range cross-checks) and either answers with a single loud kShardError
-/// and ends, or replies kHello and executes the shard with its own
-/// ScenarioRunner + SweepCache in chunks, streaming kRecord frames and
+/// range cross-checks, at most kMaxThreads threads) and either answers
+/// with a single loud kShardError and ends, or replies kHello and executes
+/// the shard's runs in workload order with its own ScenarioRunner and one
+/// SweepCache planned on them, in chunks, streaming kRecord frames and
 /// interleaving kHeartbeat beacons so a long-running chunk never looks
 /// like a dead worker, then kShardDone.  A watchdog thread reads the
 /// coordinator's own beacons; a coordinator silent past the request's

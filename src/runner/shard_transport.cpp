@@ -20,6 +20,15 @@
 
 namespace lr {
 
+std::vector<std::size_t> workload_order(const std::vector<RunSpec>& runs) {
+  std::vector<std::size_t> order;
+  order.reserve(runs.size());
+  for (const std::vector<std::size_t>& group : group_by_workload(runs)) {
+    order.insert(order.end(), group.begin(), group.end());
+  }
+  return order;
+}
+
 std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t shards) {
   std::vector<ShardRange> ranges;
   if (runs == 0 || shards == 0) return ranges;

@@ -29,11 +29,11 @@
 
 namespace lr {
 
-/// One contiguous shard of the expanded run list: global indexes
-/// [begin, end).
+/// One contiguous shard of a sweep's workload order (workload_order()
+/// below): positions [begin, end) of that order.
 struct ShardRange {
-  std::size_t begin = 0;  ///< first global run index of the shard
-  std::size_t end = 0;    ///< one past the last global run index
+  std::size_t begin = 0;  ///< first position of the shard
+  std::size_t end = 0;    ///< one past the last position
 
   /// Number of runs in the shard.
   std::size_t size() const noexcept { return end - begin; }
@@ -42,11 +42,16 @@ struct ShardRange {
   friend bool operator==(const ShardRange&, const ShardRange&) = default;
 };
 
-/// Deterministically partitions `runs` global run indexes into `shards`
-/// contiguous, maximally balanced ranges (sizes differ by at most one,
-/// larger shards first).  `shards` is clamped to `runs` so no shard is
-/// empty; runs = 0 yields no shards.  This is fixed merge contract: run
-/// #k lives in the same shard on every machine and every invocation.
+/// A sweep's workload order: its run indexes, workload by workload
+/// (group_by_workload).  Shards are ranges of positions in this order.
+std::vector<std::size_t> workload_order(const std::vector<RunSpec>& runs);
+
+/// Deterministically partitions the `runs` positions of a sweep's workload
+/// order into `shards` contiguous, maximally balanced ranges (sizes differ
+/// by at most one, larger shards first), so at most shards - 1 workloads
+/// straddle a boundary.  `shards` is clamped to `runs` so no shard is
+/// empty; runs = 0 yields no shards.  This is fixed merge contract: each
+/// run lives in the same shard on every machine and every invocation.
 std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t shards);
 
 /// One dispatched attempt of a shard, as the coordinator logs it —
@@ -65,7 +70,7 @@ struct ShardAttemptLog {
 /// one can report the retries and reassignments it absorbed.
 struct ShardDiagnostics {
   std::size_t shard = 0;              ///< shard index
-  ShardRange range;                   ///< the shard's run range
+  ShardRange range;                   ///< the shard's workload-order positions
   std::size_t attempts = 0;           ///< attempts dispatched for this shard
   bool completed = false;             ///< shard delivered all its records
   std::vector<std::string> failures;  ///< one human-readable line per failed attempt

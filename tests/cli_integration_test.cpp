@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -112,10 +113,10 @@ TEST_F(CliIntegrationTest, SweepIsDeterministicAcrossThreadCounts) {
   const auto parallel = run_command("sweep " + spec_path + " --threads 4 --records " + records4);
   EXPECT_EQ(parallel.exit_code, 0) << parallel.output;
 
-  // Identical aggregate CSV modulo the stderr progress lines, which are
-  // excluded from the contract: "sweep:" reports thread count and wall
-  // time, and "cache:" reports hit/miss counters that legitimately vary
-  // with thread count (concurrent misses on one key race to build it).
+  // Identical aggregate CSV modulo the stderr progress lines: "sweep:"
+  // reports thread count and wall time, and "cache:" the most workloads
+  // held at once, which depends on the thread count.  Its hit and miss
+  // counts do not: every workload is built once (12 workloads, 72 runs).
   const auto strip_progress = [](const std::string& output) {
     std::string kept;
     std::istringstream iss(output);
@@ -126,6 +127,13 @@ TEST_F(CliIntegrationTest, SweepIsDeterministicAcrossThreadCounts) {
     return kept;
   };
   EXPECT_EQ(strip_progress(serial.output), strip_progress(parallel.output));
+  const auto hits_and_misses = [](const std::string& output) {
+    std::smatch match;
+    const std::regex counts(R"(cache: \d+ workload\(s\) resident, (\d+ hit\(s\), \d+ miss\(es\)))");
+    return std::regex_search(output, match, counts) ? match[1].str() : "no cache line";
+  };
+  EXPECT_EQ(hits_and_misses(serial.output), "60 hit(s), 12 miss(es)") << serial.output;
+  EXPECT_EQ(hits_and_misses(parallel.output), hits_and_misses(serial.output)) << parallel.output;
   EXPECT_NE(serial.output.find("72 runs"), std::string::npos) << serial.output;
   EXPECT_NE(serial.output.find("topology,size,algorithm,scheduler,runs"), std::string::npos);
 
@@ -167,6 +175,8 @@ TEST_F(CliIntegrationTest, SweepWritesJsonAndRejectsBadSpec) {
   EXPECT_NE(contents.str().find("\"algorithm\": \"pr\""), std::string::npos) << contents.str();
   EXPECT_EQ(run_command("sweep /definitely/not/here.sweep").exit_code, 1);
   EXPECT_EQ(run_command("sweep " + spec_path + " --bogus 1").exit_code, 2);
+  EXPECT_EQ(run_command("sweep " + spec_path + " --cache-cap 1").exit_code, 2);  // no such flag
+  EXPECT_EQ(run_command("sweep " + spec_path + " --threads 1000000").exit_code, 2);  // > 256
   std::filesystem::remove(spec_path);
   std::filesystem::remove(json_path);
 }

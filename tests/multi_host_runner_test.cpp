@@ -472,6 +472,46 @@ TEST(MultiHostRunner, ServerRejectsSkewedRequestVersionLoudly) {
   ::close(fd);
 }
 
+TEST(MultiHostRunner, ServerRefusesThreadCountsAboveTheLimit) {
+  // A request for a million worker threads.  The session runs on this
+  // thread over a socketpair, so the test itself starts no thread; the
+  // session must refuse by name before it sizes any pool.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  ShardRequestFrame request;
+  request.begin = 0;
+  request.end = 1;
+  request.total = 1;
+  request.threads = 1'000'000;
+  request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
+  const std::vector<std::uint8_t> bytes = encode_frame(request);
+  ASSERT_EQ(::send(fds[0], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  const std::uint64_t pools_before = ThreadPool::total_constructed();
+  std::atomic<bool> cancelled{false};
+  EXPECT_FALSE(serve_shard_session(fds[1], 5'000, cancelled));
+  EXPECT_EQ(ThreadPool::total_constructed(), pools_before);
+  ::close(fds[1]);
+
+  FrameParser parser;
+  std::string refusal;
+  std::uint8_t buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fds[0], buffer, sizeof(buffer), 0);
+    ASSERT_GE(n, 0);
+    if (n == 0) break;
+    parser.feed(buffer, static_cast<std::size_t>(n));
+    while (auto frame = parser.next()) {
+      ASSERT_EQ(frame->type, FrameType::kShardError);
+      refusal = frame->error.message;
+    }
+  }
+  ::close(fds[0]);
+  EXPECT_NE(refusal.find("1000000"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("limit is " + std::to_string(kMaxThreads)), std::string::npos)
+      << refusal;
+}
+
 TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
   // A fake "old worker" answers with a version-2 hello.  The coordinator
   // must classify the skew by name.
@@ -495,18 +535,19 @@ TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
 }
 
 TEST(MultiHostRunner, CoordinatorRejectsRecordOfAnotherRun) {
-  // A fake worker whose first record carries the digest of run #1 in
-  // slot #0: a worker that expanded the spec differently.  The
-  // coordinator must refuse to merge it, by name.
+  // A fake worker whose first record names the shard's first run but
+  // carries the digest of its second: a worker that expanded the spec
+  // differently.  The coordinator must refuse to merge it, by name.
   const SweepSpec sweep = small_sweep();
   const std::vector<RunSpec> runs = sweep.expand();
+  const std::vector<std::size_t> order = workload_order(runs);
   HelloFrame hello;
   hello.begin = 0;
   hello.end = runs.size();
   RunRecord record;
-  record.spec = runs[1];
+  record.spec = runs[order[1]];
   std::vector<std::uint8_t> reply = encode_frame(hello);
-  const std::vector<std::uint8_t> foreign = encode_frame(RecordFrame{0, record});
+  const std::vector<std::uint8_t> foreign = encode_frame(RecordFrame{order[0], record});
   reply.insert(reply.end(), foreign.begin(), foreign.end());
   const FakeWorker fake(reply);
 
@@ -518,7 +559,9 @@ TEST(MultiHostRunner, CoordinatorRejectsRecordOfAnotherRun) {
     FAIL() << "a record of another run must fail the attempt";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
-    EXPECT_NE(what.find("record #0 carries a spec that differs"), std::string::npos) << what;
+    const std::string expected =
+        "record #" + std::to_string(order[0]) + " carries a spec that differs";
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
   }
 }
 

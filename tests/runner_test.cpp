@@ -3,9 +3,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -129,6 +131,27 @@ TEST(SweepSpecTest, RejectsBadEventCoreOptions) {
                std::invalid_argument);
   EXPECT_THROW(SweepSpec::parse_string(base + "sim_threads = 1, 2\n"),
                std::invalid_argument);
+}
+
+TEST(SweepSpecTest, RejectsThreadCountsAboveTheLimit) {
+  const std::string base =
+      "topology = chain\n"
+      "size = 8\n"
+      "algorithm = pr\n";
+  const std::uint64_t pools_before = ThreadPool::total_constructed();
+  for (const char* key : {"engine_threads", "sim_threads"}) {
+    try {
+      SweepSpec::parse_string(base + key + " = 1000000\n");
+      ADD_FAILURE() << key << " = 1000000 must be rejected";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::to_string(kMaxThreads)), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(SweepSpec::parse_string(base + key + " = " + std::to_string(kMaxThreads) + "\n")
+                  .run_count(),
+              1u);
+  }
+  EXPECT_EQ(ThreadPool::total_constructed(), pools_before);
 }
 
 TEST(SweepSpecTest, ParsesServiceScalarsAndStampsEveryRun) {
@@ -475,96 +498,14 @@ TEST(SweepCacheTest, GeneratesOncePerTopologySizeSeed) {
   spec.scheduler = SchedulerKind::kRandom;  // neither must the scheduler
   const auto second = cache.get(spec);
   EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
   spec.seed = 6;
   const auto third = cache.get(spec);
   EXPECT_NE(first.get(), third.get());
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(SweepCacheTest, LruBoundEvictsLeastRecentlyUsed) {
-  SweepCache cache(2);
-  RunSpec spec;
-  spec.topology = TopologyKind::kRandom;
-  spec.size = 12;
-
-  spec.seed = 1;
-  cache.get(spec);  // cache: {1}
-  spec.seed = 2;
-  cache.get(spec);  // cache: {2, 1}
-  spec.seed = 1;
-  cache.get(spec);  // touch 1 -> cache: {1, 2}
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  spec.seed = 3;
-  cache.get(spec);  // evicts 2 (least recently used), not 1
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-
-  const std::uint64_t misses_before = cache.misses();
-  spec.seed = 1;
-  cache.get(spec);  // still resident: a hit
-  EXPECT_EQ(cache.misses(), misses_before);
-  spec.seed = 2;
-  cache.get(spec);  // evicted earlier: regenerated
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  EXPECT_EQ(cache.evictions(), 2u);  // seed 3 was the LRU this time
-}
-
-TEST(SweepCacheTest, UnboundedCacheNeverEvicts) {
-  SweepCache cache;
-  EXPECT_EQ(cache.max_entries(), 0u);
-  RunSpec spec;
-  spec.topology = TopologyKind::kRandom;
-  spec.size = 12;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    spec.seed = seed;
-    cache.get(spec);
-  }
-  EXPECT_EQ(cache.entries(), 16u);
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(SweepCacheTest, EvictedWorkloadsRegenerateIdentically) {
-  SweepCache bounded(1);
-  SweepCache unbounded;
-  RunSpec spec;
-  spec.topology = TopologyKind::kRandom;
-  spec.size = 12;
-  spec.algorithm = AlgorithmKind::kDistPR;
-  for (const std::uint64_t seed : {1u, 2u, 1u, 2u}) {  // every get after the
-    spec.seed = seed;                                  // first two is a miss
-    const RunRecord squeezed = execute_run(spec, &bounded);
-    const RunRecord roomy = execute_run(spec, &unbounded);
-    EXPECT_EQ(squeezed.work, roomy.work) << seed;
-    EXPECT_EQ(squeezed.messages, roomy.messages) << seed;
-    EXPECT_EQ(squeezed.converged, roomy.converged) << seed;
-  }
-  EXPECT_GE(bounded.evictions(), 3u);
-  EXPECT_EQ(unbounded.evictions(), 0u);
-}
-
-TEST(ScenarioRunnerTest, CacheBoundDoesNotChangeSweepTables) {
-  SweepSpec sweep;
-  sweep.topologies = {TopologyKind::kRandom};
-  sweep.sizes = {8, 12};
-  sweep.algorithms = {AlgorithmKind::kTora, AlgorithmKind::kDistFR};
-  sweep.schedulers = {SchedulerKind::kLowestId};
-  sweep.seeds = {1, 2, 3};
-
-  const auto csv_of = [&sweep](std::size_t cache_cap) {
-    const SweepReport report =
-        ScenarioRunner(RunnerOptions{.threads = 2, .cache_max_entries = cache_cap}).run(sweep);
-    std::ostringstream oss;
-    write_table_csv(oss, report.records_table());
-    write_table_csv(oss, report.aggregate_table());
-    return oss.str();
-  };
-  EXPECT_EQ(csv_of(0), csv_of(1));
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().peak_entries, 2u);
 }
 
 TEST(ScenarioRunnerTest, SweepReportSurfacesCacheCounters) {
@@ -575,10 +516,142 @@ TEST(ScenarioRunnerTest, SweepReportSurfacesCacheCounters) {
   sweep.schedulers = {SchedulerKind::kLowestId};
   sweep.seeds = {1, 2};
   const SweepReport report = ScenarioRunner(RunnerOptions{.threads = 1}).run(sweep);
-  EXPECT_EQ(report.cache.entries, 2u);
+  EXPECT_EQ(report.cache.peak_entries, 1u);  // one workload at a time on one thread
   EXPECT_EQ(report.cache.misses, 2u);
   EXPECT_EQ(report.cache.hits, 2u);  // the second kernel hits both workloads
-  EXPECT_EQ(report.cache.evictions, 0u);
+}
+
+std::string tables_of(const SweepReport& report) {
+  std::ostringstream oss;
+  write_table_csv(oss, report.records_table());
+  write_table_csv(oss, report.aggregate_table());
+  return oss.str();
+}
+
+/// 4 seeds x fr, pr, newpr: 12 runs over 4 workloads, seed innermost.
+SweepSpec four_workload_sweep() {
+  return SweepSpec::parse_string(
+      "topology = random\n"
+      "size = 64\n"
+      "algorithm = fr, pr, newpr\n"
+      "seed = 1..4\n");
+}
+
+TEST(ScenarioRunnerTest, OneThreadHoldsOneWorkloadAtATime) {
+  // The expansion interleaves the seeds, but the runner runs each workload's
+  // three runs together, so one thread builds each workload once and drops
+  // it before the next.
+  const SweepSpec sweep = four_workload_sweep();
+  const SweepReport serial = ScenarioRunner({.threads = 1}).run(sweep);
+  EXPECT_EQ(serial.cache.misses, 4u);
+  EXPECT_EQ(serial.cache.hits, 8u);
+  EXPECT_EQ(serial.cache.peak_entries, 1u);
+  for (const std::size_t threads : {2u, 4u}) {
+    const SweepReport parallel = ScenarioRunner({.threads = threads}).run(sweep);
+    EXPECT_EQ(parallel.cache.misses, serial.cache.misses) << threads;
+    EXPECT_EQ(parallel.cache.hits, serial.cache.hits) << threads;
+    EXPECT_LE(parallel.cache.peak_entries, threads) << threads;
+    EXPECT_EQ(tables_of(parallel), tables_of(serial)) << threads;
+  }
+}
+
+TEST(WorkloadGroupsTest, GroupsByFirstAppearanceAndKeepsExpansionOrder) {
+  const std::vector<RunSpec> runs = four_workload_sweep().expand();  // fr s1..s4, pr s1..s4, ...
+  const std::vector<std::vector<std::size_t>> groups = group_by_workload(runs);
+  EXPECT_EQ(groups, (std::vector<std::vector<std::size_t>>{
+                        {0, 4, 8}, {1, 5, 9}, {2, 6, 10}, {3, 7, 11}}));
+  for (const std::vector<std::size_t>& group : groups) {
+    for (const std::size_t index : group) {
+      EXPECT_EQ(workload_key(runs[index]), workload_key(runs[group.front()]));
+    }
+  }
+  EXPECT_TRUE(group_by_workload({}).empty());
+}
+
+TEST(SweepCacheTest, ConcurrentGetsOfOneKeyShareOneBuild) {
+  RunSpec spec;
+  spec.topology = TopologyKind::kWideRandom;
+  spec.size = 20'000;  // a build long enough for the callers to overlap it
+  SweepCache cache;
+  constexpr std::size_t kCallers = 8;
+  std::vector<const FrozenInstance*> seen(kCallers, nullptr);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[i] = cache.get(spec).get();
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, kCallers - 1);
+  for (const FrozenInstance* frozen : seen) EXPECT_EQ(frozen, seen[0]);
+  EXPECT_NE(seen[0], nullptr);
+}
+
+TEST(SweepCacheTest, FailedBuildReachesEveryConcurrentCaller) {
+  RunSpec spec;
+  spec.topology = TopologyKind::kRandom;
+  spec.size = 0;  // the generator refuses an empty graph
+  ASSERT_THROW(make_instance(spec), std::invalid_argument);
+  SweepCache cache;
+  constexpr std::size_t kCallers = 8;
+  std::vector<std::string> errors(kCallers);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      try {
+        cache.get(spec);
+      } catch (const std::exception& error) {
+        errors[i] = error.what();
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();  // none hangs
+  EXPECT_EQ(cache.stats().misses, 1u);
+  for (const std::string& error : errors) {
+    EXPECT_NE(error.find("must be positive"), std::string::npos) << error;
+  }
+  spec.algorithm = AlgorithmKind::kDistFR;
+  EXPECT_NE(execute_run(spec, &cache).error.find("must be positive"), std::string::npos);
+}
+
+TEST(SweepCacheTest, PlannedCacheDropsEachWorkloadAfterItsLastPlannedGet) {
+  RunSpec spec;
+  spec.topology = TopologyKind::kRandom;
+  spec.size = 12;
+  std::vector<RunSpec> plan;
+  for (const std::uint64_t seed : {1u, 2u, 1u}) {
+    spec.seed = seed;
+    plan.push_back(spec);
+  }
+  // use_count() counts the cache's reference next to the ones held here.
+  SweepCache cache(plan);
+  spec.seed = 1;
+  const auto first = cache.get(spec);
+  EXPECT_EQ(first.use_count(), 2);
+  spec.seed = 2;
+  const auto only = cache.get(spec);  // seed 2's one planned get: dropped at once
+  EXPECT_EQ(only.use_count(), 1);
+  spec.seed = 1;
+  EXPECT_EQ(cache.get(spec).get(), first.get());  // seed 1's last planned get
+  EXPECT_EQ(first.use_count(), 1);
+
+  spec.seed = 3;  // outside the plan: stays until the cache dies
+  const auto unplanned = cache.get(spec);
+  EXPECT_EQ(cache.get(spec).get(), unplanned.get());
+  EXPECT_EQ(unplanned.use_count(), 2);
+  spec.seed = 1;  // beyond its plan: built again, and kept
+  const auto again = cache.get(spec);
+  EXPECT_NE(again.get(), first.get());
+  EXPECT_EQ(again.use_count(), 2);
+  const SweepCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.peak_entries, 2u);
 }
 
 TEST(SweepCacheTest, FrozenInstanceMatchesFreshGeneration) {
@@ -860,7 +933,7 @@ TEST(SweepCacheTest, ChurnLengthIsPartOfTheKey) {
   const auto long_schedule = cache.get(spec);
   EXPECT_NE(short_schedule.get(), long_schedule.get());
   EXPECT_GE(long_schedule->churn.size(), 32u);
-  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
   // Same static workload underneath, regardless of schedule length.
   EXPECT_EQ(short_schedule->csr.fingerprint(), long_schedule->csr.fingerprint());
 }
@@ -872,14 +945,14 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   spec.size = 48;
   spec.seed = 9;
 
-  SweepCache writer(0, dir.path);
+  SweepCache writer({}, dir.path);
   const auto generated = writer.get(spec);
-  EXPECT_EQ(writer.snapshot_saves(), 1u);
-  EXPECT_EQ(writer.snapshot_loads(), 0u);
+  EXPECT_EQ(writer.stats().snapshot_saves, 1u);
+  EXPECT_EQ(writer.stats().snapshot_loads, 0u);
 
-  SweepCache reader(0, dir.path);
+  SweepCache reader({}, dir.path);
   const auto reloaded = reader.get(spec);
-  EXPECT_EQ(reader.snapshot_loads(), 1u);
+  EXPECT_EQ(reader.stats().snapshot_loads, 1u);
   // The reload reads the file's sections, which lie back to back (nbr,
   // then edge, then mirror: 2m 4-byte entries each, no padding); separate
   // heap vectors never do.  The Graph reads the same memory as the CSR.
@@ -904,11 +977,11 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   churny.size = 32;
   churny.seed = 9;
   churny.churn_events = 8;
-  SweepCache churn_cache(0, dir.path);
+  SweepCache churn_cache({}, dir.path);
   const auto churned = churn_cache.get(churny);
   EXPECT_GE(churned->churn.size(), 8u);
-  EXPECT_EQ(churn_cache.snapshot_saves(), 0u);
-  EXPECT_EQ(churn_cache.snapshot_loads(), 0u);
+  EXPECT_EQ(churn_cache.stats().snapshot_saves, 0u);
+  EXPECT_EQ(churn_cache.stats().snapshot_loads, 0u);
 }
 
 TEST(SweepCacheTest, CachedBadNodeCountMatchesACountOfTheInstance) {
@@ -923,11 +996,11 @@ TEST(SweepCacheTest, CachedBadNodeCountMatchesACountOfTheInstance) {
     spec.size = 200;
     spec.seed = 5;
     const std::size_t expected = count_bad_nodes(make_instance(spec));
-    SweepCache writer(0, dir.path);
+    SweepCache writer({}, dir.path);
     const auto generated = writer.get(spec);
-    SweepCache reader(0, dir.path);
+    SweepCache reader({}, dir.path);
     const auto reloaded = reader.get(spec);
-    ASSERT_EQ(reader.snapshot_loads(), 1u) << topology_token(topology);
+    ASSERT_EQ(reader.stats().snapshot_loads, 1u) << topology_token(topology);
     EXPECT_EQ(generated->bad_nodes, expected) << topology_token(topology);
     EXPECT_EQ(reloaded->bad_nodes, expected) << topology_token(topology);
     EXPECT_EQ(count_bad_nodes(reloaded->instance), expected) << topology_token(topology);
@@ -949,9 +1022,9 @@ TEST(SweepCacheTest, OlderSnapshotVersionIsRegenerated) {
   spec.seed = 2;
   const std::string path = dir.path + "/widerandom-40-s2.lrsnap";
 
-  SweepCache writer(0, dir.path);
+  SweepCache writer({}, dir.path);
   const auto generated = writer.get(spec);
-  ASSERT_EQ(writer.snapshot_saves(), 1u);
+  ASSERT_EQ(writer.stats().snapshot_saves, 1u);
   ASSERT_TRUE(std::filesystem::exists(path));
 
   // Stamp the file as format version 1 (the u32 after the 8-byte magic).
@@ -963,10 +1036,10 @@ TEST(SweepCacheTest, OlderSnapshotVersionIsRegenerated) {
   }
   EXPECT_THROW(Snapshot::load(path), std::runtime_error);
 
-  SweepCache reader(0, dir.path);
+  SweepCache reader({}, dir.path);
   const auto regenerated = reader.get(spec);
-  EXPECT_EQ(reader.snapshot_loads(), 0u);
-  EXPECT_EQ(reader.snapshot_saves(), 1u);
+  EXPECT_EQ(reader.stats().snapshot_loads, 0u);
+  EXPECT_EQ(reader.stats().snapshot_saves, 1u);
   EXPECT_EQ(regenerated->csr.fingerprint(), generated->csr.fingerprint());
   EXPECT_EQ(Snapshot::load(path).csr().fingerprint(), generated->csr.fingerprint());
 }

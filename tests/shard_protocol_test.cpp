@@ -58,6 +58,26 @@ void expect_records_equal(const RunRecord& a, const RunRecord& b) {
   EXPECT_EQ(a.error, b.error);
 }
 
+/// Wraps a raw payload in a frame header and a matching checksum, so a
+/// test can hand the parser payloads the encoders never produce.
+std::vector<std::uint8_t> frame_payload(FrameType type, const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> bytes;
+  for (int byte = 0; byte < 4; ++byte) bytes.push_back((kFrameMagic >> (8 * byte)) & 0xffu);
+  bytes.push_back(static_cast<std::uint8_t>(type));
+  const std::uint32_t len = static_cast<std::uint32_t>(body.size());
+  for (int byte = 0; byte < 4; ++byte) bytes.push_back((len >> (8 * byte)) & 0xffu);
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 1099511628211ULL;
+  };
+  mix(static_cast<std::uint8_t>(type));
+  for (const std::uint8_t byte : body) mix(byte);
+  for (int byte = 0; byte < 8; ++byte) bytes.push_back((hash >> (8 * byte)) & 0xffu);
+  return bytes;
+}
+
 /// Feeds a byte stream in one gulp and pops one frame.
 Frame decode_single(const std::vector<std::uint8_t>& bytes) {
   FrameParser parser;
@@ -77,6 +97,7 @@ TEST(ShardProtocol, HelloRoundTrip) {
   const Frame frame = decode_single(encode_frame(hello));
   ASSERT_EQ(frame.type, FrameType::kHello);
   EXPECT_EQ(frame.hello.version, kShardProtocolVersion);
+  EXPECT_EQ(kShardProtocolVersion, 6u);  // v6: shards are ranges of the workload order
   EXPECT_EQ(frame.hello.shard, 3u);
   EXPECT_EQ(frame.hello.begin, 120u);
   EXPECT_EQ(frame.hello.end, 160u);
@@ -97,14 +118,13 @@ TEST(ShardProtocol, RecordRoundTripPreservesEveryField) {
 TEST(ShardProtocol, ShardDoneRoundTrip) {
   ShardDoneFrame done;
   done.records_emitted = 40;
-  done.cache = {5, 100, 6, 1, 4, 2};
+  done.cache = {5, 100, 6, 4, 2};
   const Frame frame = decode_single(encode_frame(done));
   ASSERT_EQ(frame.type, FrameType::kShardDone);
   EXPECT_EQ(frame.done.records_emitted, 40u);
-  EXPECT_EQ(frame.done.cache.entries, 5u);
+  EXPECT_EQ(frame.done.cache.peak_entries, 5u);
   EXPECT_EQ(frame.done.cache.hits, 100u);
   EXPECT_EQ(frame.done.cache.misses, 6u);
-  EXPECT_EQ(frame.done.cache.evictions, 1u);
   EXPECT_EQ(frame.done.cache.snapshot_loads, 4u);
   EXPECT_EQ(frame.done.cache.snapshot_saves, 2u);
 }
@@ -129,7 +149,6 @@ TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   request.total = 4000;
   request.attempt = 3;
   request.threads = 16;
-  request.cache_cap = 512;
   request.heartbeat_ms = 750;
   request.liveness_timeout_ms = 30000;
   request.spec_text = "topology = chain\nsize = 8, 16\nseed = 1\nalgorithm = fr\n";
@@ -143,7 +162,6 @@ TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   EXPECT_EQ(frame.request.total, 4000u);
   EXPECT_EQ(frame.request.attempt, 3u);
   EXPECT_EQ(frame.request.threads, 16u);
-  EXPECT_EQ(frame.request.cache_cap, 512u);
   EXPECT_EQ(frame.request.heartbeat_ms, 750u);
   EXPECT_EQ(frame.request.liveness_timeout_ms, 30000u);
   EXPECT_EQ(frame.request.spec_text, request.spec_text);
@@ -174,6 +192,22 @@ TEST(ShardProtocol, SkewedVersionsDecodeFaithfullyForLoudRejection) {
   request.version = 2;
   request.spec_text = "topology = chain\n";
   EXPECT_EQ(decode_single(encode_frame(request)).request.version, 2u);
+}
+
+TEST(ShardProtocol, OlderRequestLayoutStillDecodesItsVersion) {
+  // A version-5 request carried a cache cap after the thread count.  Its
+  // payload is 8 bytes longer than a version-6 one, so only the version is
+  // decoded, for the worker to refuse by name rather than as a parse error.
+  ShardRequestFrame request;
+  request.spec_text = "topology = chain\n";
+  const std::vector<std::uint8_t> encoded = encode_frame(request);
+  std::vector<std::uint8_t> body(encoded.begin() + 9, encoded.end() - 8);
+  body[0] = 5;  // the version's low byte
+  const std::size_t after_threads = 4 + 6 * 8;  // version, then six u64 fields
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(after_threads), 8, 0);
+  const Frame frame = decode_single(frame_payload(FrameType::kShardRequest, body));
+  ASSERT_EQ(frame.type, FrameType::kShardRequest);
+  EXPECT_EQ(frame.request.version, 5u);
 }
 
 TEST(ShardProtocol, TruncatedFrameIsIncompleteNotAFrame) {
@@ -262,20 +296,7 @@ TEST(ShardProtocol, TrailingPayloadBytesRejected) {
     body.assign(encoded.begin() + 9, encoded.end() - 8);
   }
   body.push_back(0x77);
-  std::vector<std::uint8_t> bytes;
-  for (int byte = 0; byte < 4; ++byte) bytes.push_back((kFrameMagic >> (8 * byte)) & 0xffu);
-  bytes.push_back(static_cast<std::uint8_t>(FrameType::kHello));
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-  for (int byte = 0; byte < 4; ++byte) bytes.push_back((len >> (8 * byte)) & 0xffu);
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint8_t byte) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  };
-  mix(static_cast<std::uint8_t>(FrameType::kHello));
-  for (const std::uint8_t byte : body) mix(byte);
-  for (int byte = 0; byte < 8; ++byte) bytes.push_back((hash >> (8 * byte)) & 0xffu);
+  const std::vector<std::uint8_t> bytes = frame_payload(FrameType::kHello, body);
   FrameParser parser;
   parser.feed(bytes.data(), bytes.size());
   EXPECT_THROW(parser.next(), ShardProtocolError);
