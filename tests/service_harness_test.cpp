@@ -270,6 +270,53 @@ TEST(ServiceRunner, RecordIsInvariantAcrossThreadsAndScheduler) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Golden pins: route maintenance on a churned MANET instance
+// ---------------------------------------------------------------------------
+
+TEST(RouteMaintenanceGolden, WaypointChurnServiceAndToraMatchPins) {
+  // waypoint-2000 with a 100-event churn schedule, seeds 1-3: the service
+  // report (default mixed load: 8 clients, 256 ticks) and the tora churn
+  // record.  Any change to the partial-reversal step, its queue order or
+  // the services' start-up orientation moves one of these.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t service_fingerprint;
+    std::uint64_t service_reversal_steps;
+    std::uint64_t tora_work;
+    std::uint64_t tora_rounds;
+    std::uint64_t tora_messages;
+  };
+  const Golden golden[] = {
+      {1, 0x0c3029e8397c97a1ull, 43791, 2566, 204, 204},
+      {2, 0x5eba680951e31e85ull, 47246, 3592, 208, 208},
+      {3, 0x1d0c6d4a51d286e7ull, 55758, 3018, 268, 268},
+  };
+  for (const Golden& pin : golden) {
+    RunSpec spec;
+    spec.topology = TopologyKind::kWaypoint;
+    spec.size = 2000;
+    spec.seed = pin.seed;
+    spec.churn_events = 100;
+    const Instance inst = make_instance(spec);
+    ServiceOptions options;
+    options.clients = spec.service_clients;
+    options.duration = spec.service_duration;
+    options.workload = spec.service_workload;
+    options.seed = spec.network_seed();
+    const ServiceReport report = run_harness(inst, options);
+    EXPECT_EQ(report.fingerprint(), pin.service_fingerprint) << "seed " << pin.seed;
+    EXPECT_EQ(report.reversal_steps, pin.service_reversal_steps) << "seed " << pin.seed;
+
+    spec.algorithm = AlgorithmKind::kTora;
+    const RunRecord tora = execute_run(spec);
+    ASSERT_TRUE(tora.error.empty()) << tora.error;
+    EXPECT_EQ(tora.work, pin.tora_work) << "seed " << pin.seed;
+    EXPECT_EQ(tora.rounds, pin.tora_rounds) << "seed " << pin.seed;
+    EXPECT_EQ(tora.messages, pin.tora_messages) << "seed " << pin.seed;
+  }
+}
+
 TEST(ServiceRunner, SweepShipsServiceScalarsToEveryRecord) {
   SweepSpec sweep;
   sweep.topologies = {TopologyKind::kChain};
