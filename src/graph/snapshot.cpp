@@ -29,7 +29,7 @@ struct SnapshotHeader {
   std::uint64_t destination;   ///< Instance::destination
   std::uint64_t name_bytes;    ///< unpadded length of Instance::name
   std::uint64_t payload_bytes; ///< total bytes after the header
-  std::uint64_t checksum;      ///< FNV-1a over this header (checksum 0) + payload
+  std::uint64_t checksum;      ///< Checksum of this header (checksum 0) + payload
 };
 static_assert(sizeof(SnapshotHeader) == 64, "snapshot header layout drifted");
 
@@ -46,16 +46,55 @@ struct Mapping {
   std::size_t bytes;
 };
 
-/// Incremental FNV-1a, matching CsrGraph::fingerprint's constants.
-struct Fnv1a {
-  std::uint64_t h = 14695981039346656037ull;
+/// The file checksum: FNV-1a over host-endian 8-byte words in four lanes.
+/// Word i of the checksummed stream (header, then payload) folds into lane
+/// i mod 4, and the digest folds the four lanes in order.  Every step is a
+/// bijection of its lane's state, so a change confined to one word always
+/// changes the digest.  The lanes are independent multiply chains, which
+/// is what lets a load hash the file at memory speed instead of one byte
+/// per multiply.  Callers mix whole words: the header is 64 bytes and
+/// every section is padded to 8.
+class Checksum {
+ public:
   void mix(const void* data, std::size_t bytes) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
+    std::size_t words = bytes / 8;
+    const auto next_word = [&p] {
+      std::uint64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      p += sizeof(word);
+      return word;
+    };
+    for (; words > 0 && next_ != 0; --words) step(next_word());
+    std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    for (; words >= kLanes; words -= kLanes) {
+      a = (a ^ next_word()) * kPrime;
+      b = (b ^ next_word()) * kPrime;
+      c = (c ^ next_word()) * kPrime;
+      d = (d ^ next_word()) * kPrime;
     }
+    lanes_[0] = a, lanes_[1] = b, lanes_[2] = c, lanes_[3] = d;
+    for (; words > 0; --words) step(next_word());
   }
+
+  std::uint64_t digest() const {
+    std::uint64_t h = kBasis;
+    for (const std::uint64_t lane : lanes_) h = (h ^ lane) * kPrime;
+    return h;
+  }
+
+ private:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+
+  void step(std::uint64_t word) {
+    lanes_[next_] = (lanes_[next_] ^ word) * kPrime;
+    next_ = (next_ + 1) % kLanes;
+  }
+
+  std::uint64_t lanes_[kLanes] = {kBasis, kBasis, kBasis, kBasis};
+  std::size_t next_ = 0;  ///< lane of the next word
 };
 
 /// Rounds `bytes` up to the file format's 8-byte section alignment.
@@ -87,14 +126,19 @@ struct Extents {
   throw std::runtime_error("snapshot: " + path + ": " + why);
 }
 
-/// Streams one padded section into `out` while folding it into `sum`.
-void write_section(std::ofstream& out, Fnv1a& sum, const void* data, std::uint64_t bytes) {
+/// Streams one padded section into `out` while folding it into `sum`: the
+/// whole words as they are, then the last partial word with its zero
+/// padding, exactly as the loader reads the file.
+void write_section(std::ofstream& out, Checksum& sum, const void* data, std::uint64_t bytes) {
   static constexpr char kZeros[8] = {};
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
-  sum.mix(data, bytes);
-  const std::uint64_t padding = pad8(bytes) - bytes;
-  out.write(kZeros, static_cast<std::streamsize>(padding));
-  sum.mix(kZeros, padding);
+  const std::uint64_t whole = bytes & ~std::uint64_t{7};
+  sum.mix(data, whole);
+  if (whole == bytes) return;
+  char last[8] = {};
+  std::memcpy(last, static_cast<const char*>(data) + whole, bytes - whole);
+  sum.mix(last, sizeof(last));
+  out.write(kZeros, static_cast<std::streamsize>(pad8(bytes) - bytes));
 }
 
 }  // namespace
@@ -126,7 +170,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   header.payload_bytes = Extents(n, m, instance.name.size()).total();
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
 
-  Fnv1a sum;
+  Checksum sum;
   sum.mix(&header, sizeof(header));  // checksum field still 0
   write_section(out, sum, instance.name.data(), instance.name.size());
   write_section(out, sum, csr.raw_offsets().data(), (n + 1) * sizeof(CsrPos));
@@ -139,7 +183,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   write_section(out, sum, csr.initial_senses().data(), m * sizeof(EdgeSense));
 
   // Patch the now-known checksum into the header and publish.
-  header.checksum = sum.h;
+  header.checksum = sum.digest();
   out.seekp(0);
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
   out.close();
@@ -196,10 +240,10 @@ Snapshot Snapshot::load(const std::string& path) {
   const char* payload = static_cast<const char*>(map) + sizeof(SnapshotHeader);
   SnapshotHeader unsealed = header;
   unsealed.checksum = 0;
-  Fnv1a sum;
+  Checksum sum;
   sum.mix(&unsealed, sizeof(unsealed));
   sum.mix(payload, header.payload_bytes);
-  if (sum.h != header.checksum) reject(path, "checksum mismatch (corrupt file)");
+  if (sum.digest() != header.checksum) reject(path, "checksum mismatch (corrupt file)");
 
   // Bind the arrays.  Every section starts 8-byte aligned (the header is
   // 64 bytes, sections are padded), so the reinterpret_casts below are

@@ -25,15 +25,17 @@
 /// sweep, runner/shard_coordinator.hpp).
 ///
 /// Integrity over portability: the header carries a magic, a version, the
-/// array extents, and an FNV-1a checksum over the header (checksum field
-/// zeroed) and the payload, and `load` rejects any mismatch loudly (wrong
-/// magic, wrong version, truncation, extent/size disagreement, a node
-/// count outside the NodeId range, a destination that is not a node,
-/// checksum failure).  The byte order is the writing host's — a snapshot
-/// is a *cache artifact* regenerable from (topology, size, seed), not an
-/// interchange format, so cross-endian portability is explicitly out of
-/// scope (the version field guards against silently misreading a foreign
-/// file as long as sizes disagree, and the checksum catches the rest).
+/// array extents, and a checksum over the header (checksum field zeroed)
+/// and the payload: FNV-1a over 8-byte words in four interleaved lanes,
+/// so a single changed word always changes it.  `load` rejects any
+/// mismatch loudly (wrong magic, wrong version, truncation, extent/size
+/// disagreement, a node count outside the NodeId range, a destination that
+/// is not a node, checksum failure).  The byte order is the writing
+/// host's — a snapshot is a *cache artifact* regenerable from (topology,
+/// size, seed), not an interchange format, so cross-endian portability is
+/// explicitly out of scope (the version field guards against silently
+/// misreading a foreign file as long as sizes disagree, and the checksum
+/// catches the rest).
 ///
 /// Write path: `save_snapshot` streams the sections through the checksum
 /// into `path + ".tmp.<pid>.<call>"`, a name no other call uses, and
@@ -43,9 +45,10 @@
 
 namespace lr {
 
-/// Snapshot file format version; bumped on any layout change.  Version 2
-/// extended the checksum over the header.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Snapshot file format version; bumped on any layout or checksum change.
+/// Version 2 extended the checksum over the header; version 3 hashes 8-byte
+/// words in four lanes instead of single bytes.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Writes `instance` + its frozen CSR form to `path` (atomically, via a
 /// same-directory temp file + rename).  Throws std::runtime_error on I/O
@@ -61,7 +64,7 @@ class Snapshot {
  public:
   /// Maps `path` read-only and validates it: magic, version, header/array
   /// extent consistency against the file size, the node and destination
-  /// ranges, and the FNV-1a checksum over header and payload.  Throws
+  /// ranges, and the checksum over header and payload.  Throws
   /// std::runtime_error naming the failure on any rejection.
   static Snapshot load(const std::string& path);
 

@@ -1,7 +1,6 @@
 #include "routing/dynamic_heights.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace lr {
@@ -171,37 +170,48 @@ void DynamicHeightsDag::split_search(NodeId u, NodeId v) {
 }
 
 void DynamicHeightsDag::partial_reversal_step(NodeId u) {
+  // u is a sink: every neighbour is higher and counts u among its
+  // out-links.  The Gafni-Bertsekas update sets a(u) to one above the
+  // lowest neighbour level `low`, and b(u) to one below the smallest b at
+  // level low + 1 when some neighbour sits there.
   const std::span<const NodeId> slice = adj_[u];
-  // Retract u's links from the out-degree counters under the old height...
-  for (const NodeId v : slice) {
-    if (directed_from(u, v)) {
-      --out_degree_[u];
-    } else {
-      --out_degree_[v];
+  // Scan 1: `low`, the smallest b at `low`, and the smallest b at `low + 1`.
+  // A neighbour one level below `low` demotes the minimum at `low` to the
+  // level above the new one.  (`low - 1` and `a - 1` are formed only where
+  // they cannot overflow.)
+  std::int64_t low = a_[slice.front()];
+  std::int64_t b_low = b_[slice.front()];
+  std::int64_t b_next = 0;
+  bool has_next = false;
+  for (const NodeId v : slice.subspan(1)) {
+    const std::int64_t a = a_[v];
+    const std::int64_t b = b_[v];
+    if (a < low) {
+      has_next = a == low - 1;
+      b_next = b_low;
+      low = a;
+      b_low = b;
+    } else if (a == low) {
+      b_low = std::min(b_low, b);
+    } else if (a - 1 == low && (!has_next || b < b_next)) {
+      has_next = true;
+      b_next = b;
     }
   }
-  std::int64_t min_a = std::numeric_limits<std::int64_t>::max();
-  for (const NodeId v : slice) min_a = std::min(min_a, a_[v]);
-  const std::int64_t new_a = min_a + 1;
-  std::int64_t min_b = std::numeric_limits<std::int64_t>::max();
-  bool tie = false;
+  a_[u] = low + 1;
+  if (has_next) b_[u] = b_next - 1;
+  // Scan 2: u now sits above exactly the neighbours at `low` and below the
+  // rest, so only the links to `low` flip.  Each moves one out-degree from
+  // its neighbour to u, and a neighbour left with none is a new sink,
+  // queued in ascending id order.  u keeps those out-links, so it is no
+  // sink after its step.
+  std::uint32_t flipped = 0;
   for (const NodeId v : slice) {
-    if (a_[v] == new_a) {
-      tie = true;
-      min_b = std::min(min_b, b_[v]);
-    }
+    if (a_[v] != low) continue;
+    ++flipped;
+    if (--out_degree_[v] == 0 && v != destination_ && routable(v)) work_.push(v);
   }
-  a_[u] = new_a;
-  if (tie) b_[u] = min_b - 1;
-  // ...and re-admit them under the new one (only u's height moved, so only
-  // u's incident links can have flipped).
-  for (const NodeId v : slice) {
-    if (directed_from(u, v)) {
-      ++out_degree_[u];
-    } else {
-      ++out_degree_[v];
-    }
-  }
+  out_degree_[u] += flipped;
   ++total_reversals_;
 }
 
@@ -209,7 +219,9 @@ std::uint64_t DynamicHeightsDag::stabilize() {
   // Seed with the pending candidates in ascending id order, filtered like
   // an all-n sink scan: pending_ holds every non-destination sink of the
   // component (and perhaps some stale entries), so the work-list and hence
-  // the reversal sequence are the ones that scan would produce.
+  // the reversal sequence are the ones that scan would produce.  From
+  // there each step queues the sinks it makes among its neighbours, the
+  // only nodes it can sink.
   std::sort(pending_.begin(), pending_.end());
   pending_.erase(std::unique(pending_.begin(), pending_.end()), pending_.end());
   maintenance_visits_ += pending_.size();
@@ -217,8 +229,6 @@ std::uint64_t DynamicHeightsDag::stabilize() {
     if (u != destination_ && routable(u) && is_sink(u)) work_.push(u);
   }
   pending_.clear();
-  // A step can only create new sinks among the stepping node's neighbors,
-  // so chase them.  Sink tests are O(1) through the out-degree counters.
   std::uint64_t steps = 0;
   while (!work_.empty()) {
     const NodeId u = work_.front();
@@ -226,10 +236,6 @@ std::uint64_t DynamicHeightsDag::stabilize() {
     if (u == destination_ || !is_sink(u)) continue;
     partial_reversal_step(u);
     ++steps;
-    for (const NodeId v : adj_[u]) {
-      if (v != destination_ && routable(v) && is_sink(v)) work_.push(v);
-    }
-    if (is_sink(u)) work_.push(u);  // defensive; cannot normally happen
   }
   oriented_ = true;
   return steps;

@@ -53,7 +53,9 @@
 ///     the old destination into one.  Those candidates wait in a pending
 ///     list; `stabilize()` sorts it ascending and filters it exactly like
 ///     an all-n sink scan would, so the reversal sequence is the one a
-///     whole-graph scan produces.
+///     whole-graph scan produces.  Each reversal step reads u's neighbours
+///     twice: once for the new height, once to flip the links that now
+///     point down and queue the neighbours left without an out-link.
 ///
 /// `maintenance_visits()` counts the nodes the component searches and the
 /// seeding visit, which is how the tests pin this cost model.
@@ -146,6 +148,8 @@ class DynamicHeightsDag {
   std::span<const NodeId> neighbors(NodeId u) const { return adj_[u]; }
 
  private:
+  /// One partial-reversal height update at the sink `u`, in two scans of
+  /// its neighbours; queues on `work_` the neighbours it turns into sinks.
   void partial_reversal_step(NodeId u);
   /// Queues `u` for the next stabilize() if it is a non-destination sink
   /// in the destination's component.

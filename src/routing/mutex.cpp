@@ -1,11 +1,15 @@
 #include "routing/mutex.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace lr {
 
 LinkReversalMutex::LinkReversalMutex(const Graph& topology, NodeId initial_holder)
-    : dag_(topology, initial_holder), pending_(topology.num_nodes(), false) {
+    : LinkReversalMutex(DynamicHeightsDag(topology, initial_holder)) {}
+
+LinkReversalMutex::LinkReversalMutex(DynamicHeightsDag dag)
+    : dag_(std::move(dag)), pending_(dag_.num_nodes(), false) {
   dag_.stabilize();
 }
 

@@ -39,6 +39,13 @@ class LinkReversalMutex {
   /// for global liveness.
   LinkReversalMutex(const Graph& topology, NodeId initial_holder);
 
+  /// The token starts at `dag`'s destination, and the service takes over
+  /// `dag` (stabilizing it if it is not).  A DAG that another service
+  /// already stabilized over the same topology and holder, such as a
+  /// ToraRouter's, skips the start-up reversals that constructor would
+  /// repeat; its reversal count carries over with it.
+  explicit LinkReversalMutex(DynamicHeightsDag dag);
+
   /// The node currently holding the token.
   NodeId holder() const noexcept { return dag_.destination(); }
 

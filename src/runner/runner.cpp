@@ -309,6 +309,26 @@ void run_sim_rrev_kernel(RunRecord& record, const Instance& instance) {
   fill_simulation_result(record, result, concrete.orientation(), concrete.destination());
 }
 
+/// True iff `algorithm`'s kernel reads the workload's CSR on the CSR path.
+bool reads_csr(AlgorithmKind algorithm) {
+  switch (algorithm) {
+    case AlgorithmKind::kFullReversal:
+    case AlgorithmKind::kOneStepPR:
+    case AlgorithmKind::kNewPR:
+    case AlgorithmKind::kDistFR:
+    case AlgorithmKind::kDistPR:
+      return true;
+    case AlgorithmKind::kHybrid:
+    case AlgorithmKind::kTora:
+    case AlgorithmKind::kSimRPrime:
+    case AlgorithmKind::kSimR:
+    case AlgorithmKind::kSimRRev:
+    case AlgorithmKind::kService:
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 WorkloadKey workload_key(const RunSpec& spec) {
@@ -328,8 +348,10 @@ std::vector<std::vector<std::size_t>> group_by_workload(const std::vector<RunSpe
 
 SweepCache::SweepCache(const std::vector<RunSpec>& runs, std::string snapshot_dir)
     : snapshot_dir_(std::move(snapshot_dir)) {
-  for (const std::vector<std::size_t>& group : group_by_workload(runs)) {
-    planned_gets_.emplace(workload_key(runs[group.front()]), group.size());
+  for (const RunSpec& run : runs) {
+    Plan& plan = plan_[workload_key(run)];
+    ++plan.gets;
+    plan.reads_csr = plan.reads_csr || reads_csr(run.algorithm);
   }
   if (!snapshot_dir_.empty()) {
     ::mkdir(snapshot_dir_.c_str(), 0755);  // EEXIST is the common case
@@ -340,6 +362,7 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
   const WorkloadKey key = workload_key(spec);
   std::optional<std::promise<std::shared_ptr<const FrozenInstance>>> builder;
   Build shared;
+  bool freeze = true;  // a key outside the plan is always frozen
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = entries_.try_emplace(key);
@@ -351,15 +374,18 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
       ++stats_.hits;
     }
     shared = it->second;
-    const auto planned = planned_gets_.find(key);
-    if (planned != planned_gets_.end() && --planned->second == 0) {
-      planned_gets_.erase(planned);
-      entries_.erase(it);  // the last planned get: the runs hold it from here
+    const auto planned = plan_.find(key);
+    if (planned != plan_.end()) {
+      freeze = planned->second.reads_csr;
+      if (--planned->second.gets == 0) {
+        plan_.erase(planned);
+        entries_.erase(it);  // the last planned get: the runs hold it from here
+      }
     }
   }
   if (builder) {
     try {
-      builder->set_value(build(spec));
+      builder->set_value(build(spec, freeze));
     } catch (...) {
       builder->set_exception(std::current_exception());
     }
@@ -367,7 +393,7 @@ std::shared_ptr<const FrozenInstance> SweepCache::get(const RunSpec& spec) {
   return shared.get();  // waits for the build; rethrows its exception
 }
 
-std::shared_ptr<const FrozenInstance> SweepCache::build(const RunSpec& spec) {
+std::shared_ptr<const FrozenInstance> SweepCache::build(const RunSpec& spec, bool freeze) {
   // With a snapshot directory, a churn-free workload tries the mmap file
   // first: a zero-fixup reload (the Graph and the CsrGraph both read the
   // checksum-verified mapping, which they keep alive).  Any load failure —
@@ -386,6 +412,7 @@ std::shared_ptr<const FrozenInstance> SweepCache::build(const RunSpec& spec) {
       const Snapshot snap = Snapshot::load(snapshot_path);
       frozen->instance = snap.instance();
       frozen->csr = snap.csr();
+      frozen->has_csr = true;
       loaded = true;
     } catch (const std::exception&) {
       // fall through to generation (and persist below)
@@ -395,7 +422,10 @@ std::shared_ptr<const FrozenInstance> SweepCache::build(const RunSpec& spec) {
     ChurnInstance churn = make_churn_instance(spec);
     frozen->instance = std::move(churn.instance);
     frozen->churn = std::move(churn.churn);
-    frozen->csr = CsrGraph(frozen->instance.graph, frozen->instance.senses);
+    if (freeze || !snapshot_path.empty()) {  // the file holds the CSR arrays
+      frozen->csr = CsrGraph(frozen->instance.graph, frozen->instance.senses);
+      frozen->has_csr = true;
+    }
     if (!snapshot_path.empty()) {
       try {
         save_snapshot(snapshot_path, frozen->instance, frozen->csr);
@@ -445,7 +475,7 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
     if (cache != nullptr && spec.path == ExecutionPath::kCsr) {
       shared = cache->get(spec);
       instance = &shared->instance;
-      frozen = &shared->csr;
+      if (shared->has_csr) frozen = &shared->csr;  // else a kernel freezes its own
       record.bad_nodes = shared->bad_nodes;
       // A snapshot-file reload carries no schedule; leave churn null so
       // the tora kernel derives it from the spec (same bytes either way).

@@ -76,6 +76,9 @@ struct RunRecord {
 struct FrozenInstance {
   Instance instance;  ///< the generated (or reloaded) workload
   CsrGraph csr;       ///< CSR form of instance.graph + instance.senses
+  /// True iff `csr` holds the freeze.  A SweepCache leaves it empty for a
+  /// workload whose planned runs all skip the CSR (see SweepCache).
+  bool has_csr = false;
   /// `count_bad_nodes(instance)`, counted once when the workload is
   /// generated or reloaded rather than once per run.
   std::uint64_t bad_nodes = 0;
@@ -124,6 +127,12 @@ struct SweepCacheStats {
 /// reference (the runs still holding the shared_ptr keep the workload
 /// alive until they finish).  Keys outside the plan, and every key of an
 /// unplanned cache, stay until the cache dies.
+///
+/// The plan also decides the CSR freeze: a planned workload is frozen
+/// only if one of its planned runs reads the CSR (fr, pr, newpr, dist-fr,
+/// dist-pr) or a snapshot file is written for it.  tora, service, hybrid
+/// and sim-* runs read the instance alone.  A key outside the plan is
+/// always frozen.  `FrozenInstance::has_csr` tells which happened.
 class SweepCache {
  public:
   /// A cache planned over `runs` (none: an unplanned cache), optionally
@@ -148,12 +157,19 @@ class SweepCache {
   /// One build, shared by every get() of its key.
   using Build = std::shared_future<std::shared_ptr<const FrozenInstance>>;
 
-  /// Generates or reloads `spec`'s workload (outside the lock).
-  std::shared_ptr<const FrozenInstance> build(const RunSpec& spec);
+  /// What the plan says of one workload.
+  struct Plan {
+    std::size_t gets = 0;    ///< planned get() calls still to come
+    bool reads_csr = false;  ///< some planned run's kernel reads the CSR
+  };
+
+  /// Generates or reloads `spec`'s workload (outside the lock), freezing
+  /// its CSR when `freeze` is set or a snapshot file is written.
+  std::shared_ptr<const FrozenInstance> build(const RunSpec& spec, bool freeze);
 
   mutable std::mutex mutex_;
   std::map<WorkloadKey, Build> entries_;
-  std::map<WorkloadKey, std::size_t> planned_gets_;  ///< planned get() calls still to come
+  std::map<WorkloadKey, Plan> plan_;  ///< planned workloads not yet fully served
   std::string snapshot_dir_;  ///< empty = no snapshot files
   SweepCacheStats stats_;
 };

@@ -123,7 +123,7 @@ ServiceHarness::ServiceHarness(const Graph& topology, NodeId destination, Servic
       destination_(destination),
       options_(options),
       tora_(topology, destination),
-      mutex_(topology, destination),
+      mutex_(tora_.dag()),  // the router's stabilized DAG: same topology and holder
       leader_(topology),
       live_links_(topology.edges().begin(), topology.edges().end()),
       churn_rng_(splitmix64(options.seed ^ kChurnDomain)) {

@@ -186,6 +186,8 @@ class ServiceHarness {
   NodeId destination_;
   ServiceOptions options_;
   ToraRouter tora_;
+  /// Starts from a copy of `tora_`'s stabilized DAG: same topology, same
+  /// destination, so the same heights without repeating the reversals.
   LinkReversalMutex mutex_;
   LeaderElectionService leader_;
   /// Live / down undirected link lists for random churn (swap-pop

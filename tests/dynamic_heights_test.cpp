@@ -226,6 +226,51 @@ TEST(DynamicHeightsDifferential, MutexMatchesTheOracleMutex) {
   }
 }
 
+/// Asserts two DAGs agree on every height, route and work counter.
+void expect_same_dag(const DynamicHeightsDag& a, const DynamicHeightsDag& b,
+                     const std::string& context) {
+  ASSERT_EQ(a.destination(), b.destination()) << context;
+  ASSERT_EQ(a.total_reversals(), b.total_reversals()) << context;
+  ASSERT_EQ(a.maintenance_visits(), b.maintenance_visits()) << context;
+  for (NodeId u = 0; u < a.num_nodes(); ++u) {
+    ASSERT_EQ(a.height(u), b.height(u)) << context << " node " << u;
+    ASSERT_EQ(a.route(u), b.route(u)) << context << " node " << u;
+  }
+}
+
+TEST(DynamicHeightsDifferential, MutexFromTheRoutersDagMatchesAMutexFromTheTopology) {
+  for (const Family& family : families()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::mt19937_64 rng(seed * 104729);
+      const Graph g = family.make(rng);
+      const NodeId holder = static_cast<NodeId>(rng() % g.num_nodes());
+      const ToraRouter router(g, holder);
+      LinkReversalMutex shared(router.dag());
+      LinkReversalMutex fresh(g, holder);
+      const std::string where = std::string(family.name) + " seed " + std::to_string(seed);
+      ASSERT_NO_FATAL_FAILURE(expect_same_dag(shared.dag(), fresh.dag(), where + " built"));
+      ASSERT_NO_FATAL_FAILURE(expect_same_dag(shared.dag(), router.dag(), where + " router"));
+      for (int op = 0; op < 120; ++op) {
+        const std::string at = where + " op " + std::to_string(op);
+        if (rng() % 3 == 0) {
+          ASSERT_EQ(shared.release(), fresh.release()) << at;
+        } else {
+          const NodeId u = static_cast<NodeId>(rng() % g.num_nodes());
+          if (!fresh.dag().route(u)) continue;
+          ASSERT_EQ(shared.request(u), fresh.request(u)) << at;
+        }
+        ASSERT_EQ(shared.holder(), fresh.holder()) << at;
+        ASSERT_EQ(shared.stats().grants, fresh.stats().grants) << at;
+        ASSERT_EQ(shared.stats().total_reversals, fresh.stats().total_reversals) << at;
+        ASSERT_NO_FATAL_FAILURE(expect_same_dag(shared.dag(), fresh.dag(), at));
+      }
+      if (g.num_edges() > 0) {
+        EXPECT_GT(fresh.stats().grants, 0u) << where;
+      }
+    }
+  }
+}
+
 TEST(DynamicHeightsDifferential, LeaderElectionMatchesTheOracleService) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     std::mt19937_64 rng(seed + 200);

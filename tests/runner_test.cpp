@@ -670,25 +670,43 @@ TEST(SweepCacheTest, FrozenInstanceMatchesFreshGeneration) {
 }
 
 TEST(SweepCacheTest, CachedAndUncachedRecordsAgreeForEveryKernel) {
+  // Each kernel runs uncached, from an unplanned cache (always frozen),
+  // from a cache planned over the run itself (frozen iff the kernel reads
+  // the CSR), and from a cache planned over a tora run of the same
+  // workload (never frozen, so a CSR reader falls back to its own freeze).
   for (const AlgorithmKind algorithm :
        {AlgorithmKind::kFullReversal, AlgorithmKind::kOneStepPR, AlgorithmKind::kNewPR,
         AlgorithmKind::kHybrid, AlgorithmKind::kTora, AlgorithmKind::kDistFR,
-        AlgorithmKind::kDistPR, AlgorithmKind::kSimR}) {
-    SweepCache cache;
+        AlgorithmKind::kDistPR, AlgorithmKind::kSimRPrime, AlgorithmKind::kSimR,
+        AlgorithmKind::kSimRRev, AlgorithmKind::kService}) {
     RunSpec spec;
     spec.topology = TopologyKind::kRandom;
     spec.size = 12;
     spec.seed = 2;
     spec.algorithm = algorithm;
-    const RunRecord cached = execute_run(spec, &cache);
+    spec.service_duration = 64;
+    RunSpec tora = spec;
+    tora.algorithm = AlgorithmKind::kTora;
     const RunRecord uncached = execute_run(spec);
-    const std::string context = algorithm_token(algorithm);
-    EXPECT_EQ(cached.work, uncached.work) << context;
-    EXPECT_EQ(cached.edge_reversals, uncached.edge_reversals) << context;
-    EXPECT_EQ(cached.rounds, uncached.rounds) << context;
-    EXPECT_EQ(cached.messages, uncached.messages) << context;
-    EXPECT_EQ(cached.converged, uncached.converged) << context;
-    EXPECT_EQ(cached.error, uncached.error) << context;
+    SweepCache unplanned;
+    SweepCache planned({spec});
+    SweepCache planned_tora({tora});
+    const std::pair<const char*, SweepCache*> caches[] = {
+        {"unplanned", &unplanned}, {"planned", &planned}, {"planned over tora", &planned_tora}};
+    for (const auto& [name, cache] : caches) {
+      const RunRecord cached = execute_run(spec, cache);
+      const std::string context = std::string(algorithm_token(algorithm)) + ", " + name;
+      EXPECT_EQ(cached.bad_nodes, uncached.bad_nodes) << context;
+      EXPECT_EQ(cached.work, uncached.work) << context;
+      EXPECT_EQ(cached.edge_reversals, uncached.edge_reversals) << context;
+      EXPECT_EQ(cached.rounds, uncached.rounds) << context;
+      EXPECT_EQ(cached.dummy_steps, uncached.dummy_steps) << context;
+      EXPECT_EQ(cached.abstract_steps, uncached.abstract_steps) << context;
+      EXPECT_EQ(cached.messages, uncached.messages) << context;
+      EXPECT_EQ(cached.converged, uncached.converged) << context;
+      EXPECT_EQ(cached.relation, uncached.relation) << context;
+      EXPECT_EQ(cached.error, uncached.error) << context;
+    }
   }
 }
 
@@ -1027,21 +1045,86 @@ TEST(SweepCacheTest, OlderSnapshotVersionIsRegenerated) {
   ASSERT_EQ(writer.stats().snapshot_saves, 1u);
   ASSERT_TRUE(std::filesystem::exists(path));
 
-  // Stamp the file as format version 1 (the u32 after the 8-byte magic).
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    const std::uint32_t v1 = 1;
-    file.seekp(8);
-    file.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
-  }
-  EXPECT_THROW(Snapshot::load(path), std::runtime_error);
+  // Stamp the file as each older format version (the u32 after the 8-byte
+  // magic); the cache regenerates and rewrites it every time.
+  for (std::uint32_t version = 1; version < kSnapshotVersion; ++version) {
+    {
+      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    EXPECT_THROW(Snapshot::load(path), std::runtime_error) << "version " << version;
 
-  SweepCache reader({}, dir.path);
-  const auto regenerated = reader.get(spec);
-  EXPECT_EQ(reader.stats().snapshot_loads, 0u);
-  EXPECT_EQ(reader.stats().snapshot_saves, 1u);
-  EXPECT_EQ(regenerated->csr.fingerprint(), generated->csr.fingerprint());
-  EXPECT_EQ(Snapshot::load(path).csr().fingerprint(), generated->csr.fingerprint());
+    SweepCache reader({}, dir.path);
+    const auto regenerated = reader.get(spec);
+    EXPECT_EQ(reader.stats().snapshot_loads, 0u) << "version " << version;
+    EXPECT_EQ(reader.stats().snapshot_saves, 1u) << "version " << version;
+    EXPECT_EQ(regenerated->csr.fingerprint(), generated->csr.fingerprint());
+    EXPECT_EQ(Snapshot::load(path).csr().fingerprint(), generated->csr.fingerprint());
+  }
+}
+
+TEST(SweepCacheTest, FreezesTheCsrOnlyForWorkloadsThatReadIt) {
+  RunSpec spec;
+  spec.topology = TopologyKind::kWaypoint;
+  spec.size = 64;
+  spec.seed = 3;
+  spec.churn_events = 4;
+  const auto with = [&spec](AlgorithmKind algorithm) {
+    RunSpec run = spec;
+    run.algorithm = algorithm;
+    return run;
+  };
+  const Instance fresh = make_instance(spec);
+  const std::uint64_t expected = CsrGraph(fresh.graph, fresh.senses).fingerprint();
+  const auto expect_frozen = [expected](const FrozenInstance& frozen, const std::string& context) {
+    EXPECT_TRUE(frozen.has_csr) << context;
+    EXPECT_EQ(frozen.csr.fingerprint(), expected) << context;
+  };
+  const std::vector<RunSpec> skippers = {
+      with(AlgorithmKind::kTora),  with(AlgorithmKind::kService), with(AlgorithmKind::kSimRPrime),
+      with(AlgorithmKind::kSimR),  with(AlgorithmKind::kSimRRev), with(AlgorithmKind::kHybrid)};
+
+  // A workload whose planned runs all read the instance alone: no freeze.
+  SweepCache skipping(skippers);
+  const auto bare = skipping.get(skippers.front());
+  EXPECT_FALSE(bare->has_csr);
+  EXPECT_EQ(bare->csr.num_nodes(), 0u);
+  EXPECT_EQ(bare->instance.graph, fresh.graph);
+  EXPECT_GE(bare->churn.size(), spec.churn_events);
+
+  // One CSR reader among the planned runs is enough.
+  for (const AlgorithmKind reader :
+       {AlgorithmKind::kFullReversal, AlgorithmKind::kOneStepPR, AlgorithmKind::kNewPR,
+        AlgorithmKind::kDistFR, AlgorithmKind::kDistPR}) {
+    std::vector<RunSpec> plan = skippers;
+    plan.push_back(with(reader));
+    SweepCache cache(plan);
+    expect_frozen(*cache.get(skippers.front()), algorithm_token(reader));
+  }
+
+  // An unplanned cache, and a key outside the plan, always freeze.
+  SweepCache unplanned;
+  expect_frozen(*unplanned.get(with(AlgorithmKind::kTora)), "unplanned cache");
+  RunSpec other = with(AlgorithmKind::kTora);
+  other.seed = 4;
+  SweepCache outside({other});
+  expect_frozen(*outside.get(with(AlgorithmKind::kTora)), "key outside the plan");
+
+  // A snapshot file holds the CSR arrays, so writing one freezes; reading
+  // one binds them.  Churn workloads write no file.
+  const ScratchDir dir;
+  RunSpec still = with(AlgorithmKind::kTora);
+  still.churn_events = 0;
+  SweepCache writer({still}, dir.path);
+  expect_frozen(*writer.get(still), "snapshot written");
+  EXPECT_EQ(writer.stats().snapshot_saves, 1u);
+  SweepCache reader({still}, dir.path);
+  expect_frozen(*reader.get(still), "snapshot read");
+  EXPECT_EQ(reader.stats().snapshot_loads, 1u);
+  SweepCache churn_dir(skippers, dir.path);
+  EXPECT_FALSE(churn_dir.get(skippers.front())->has_csr);
+  EXPECT_EQ(churn_dir.stats().snapshot_saves, 0u);
 }
 
 TEST(ScenarioRunnerTest, SnapshotDirSweepTablesAreByteIdentical) {

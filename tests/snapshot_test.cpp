@@ -241,7 +241,8 @@ TEST(Snapshot, ConcurrentSavesOfOnePathAllSucceed) {
 // Header layout (snapshot.cpp): magic[8], version u32, reserved u32, then
 // u64 num_nodes / num_edges / destination / name_bytes / payload_bytes /
 // checksum; payload starts at byte 64.  The checksum is FNV-1a over the
-// header with its checksum field zeroed, then the payload.
+// 8-byte words of the header (checksum field zeroed) and the payload, word
+// i into lane i mod 4, then over the four lanes in order.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kNumNodesAt = 16;
@@ -261,12 +262,16 @@ void write_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v
 /// Recomputes the stored checksum, so a tampered header field reaches the
 /// loader's range checks instead of the checksum comparison.
 void reseal(std::vector<std::uint8_t>& bytes) {
+  constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
   write_u64(bytes, kChecksumAt, 0);
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t byte : bytes) {
-    h ^= byte;
-    h *= 1099511628211ull;
+  std::uint64_t lanes[4] = {kBasis, kBasis, kBasis, kBasis};
+  for (std::size_t at = 0; at < bytes.size(); at += 8) {
+    std::uint64_t& lane = lanes[(at / 8) % 4];
+    lane = (lane ^ read_u64(bytes, at)) * kPrime;
   }
+  std::uint64_t h = kBasis;
+  for (const std::uint64_t lane : lanes) h = (h ^ lane) * kPrime;
   write_u64(bytes, kChecksumAt, h);
 }
 
@@ -333,6 +338,29 @@ TEST_F(SnapshotCorruption, PayloadBitFlipRejectedByChecksum) {
   std::vector<std::uint8_t> bytes = bytes_;
   bytes[64 + (bytes.size() - 64) / 2] ^= 0x01;
   expect_rejected(bytes, "checksum");
+}
+
+TEST_F(SnapshotCorruption, EveryBitOfAPayloadWordIsCovered) {
+  // The checksum reads whole words: a flip of any of a word's 64 bits, in
+  // the middle of the payload or in the file's last (padded) word, and two
+  // swapped words, must all be rejected.
+  ASSERT_EQ(bytes_.size() % 8, 0u);
+  const std::size_t middle = 64 + ((bytes_.size() - 64) / 16) * 8;
+  for (const std::size_t word : {middle, bytes_.size() - 8}) {
+    for (int bit = 0; bit < 64; ++bit) {
+      std::vector<std::uint8_t> bytes = bytes_;
+      write_u64(bytes, word, read_u64(bytes, word) ^ (std::uint64_t{1} << bit));
+      expect_rejected(bytes, ("word at " + std::to_string(word) + ", bit " +
+                              std::to_string(bit)).c_str());
+    }
+  }
+  std::size_t at = 64;
+  while (at + 16 <= bytes_.size() && read_u64(bytes_, at) == read_u64(bytes_, at + 8)) at += 8;
+  ASSERT_LE(at + 16, bytes_.size());
+  std::vector<std::uint8_t> swapped = bytes_;
+  write_u64(swapped, at, read_u64(bytes_, at + 8));
+  write_u64(swapped, at + 8, read_u64(bytes_, at));
+  expect_rejected(swapped, "two adjacent words swapped");
 }
 
 TEST_F(SnapshotCorruption, ResealMatchesTheWriter) {
