@@ -40,10 +40,10 @@ class LinkReversalMutex {
   LinkReversalMutex(const Graph& topology, NodeId initial_holder);
 
   /// The token starts at `dag`'s destination, and the service takes over
-  /// `dag` (stabilizing it if it is not).  A DAG that another service
-  /// already stabilized over the same topology and holder, such as a
-  /// ToraRouter's, skips the start-up reversals that constructor would
-  /// repeat; its reversal count carries over with it.
+  /// `dag` (stabilizing it if it is not).  A copy of a DAG that another
+  /// service already stabilized over the same topology and holder, such
+  /// as a ToraRouter's, skips the start-up reversals the topology
+  /// constructor would repeat; its reversal count comes with it.
   explicit LinkReversalMutex(DynamicHeightsDag dag);
 
   /// The node currently holding the token.
