@@ -25,13 +25,16 @@
 ///       holds it only while its runs execute.  Prints the aggregate table
 ///       as CSV on stdout — byte-identical for every --threads value
 ///       (at most 256; 0 = hardware concurrency).
-///       --processes N shards the sweep across N
+///       --processes N (at most 256) shards the sweep across N
 ///       shared-nothing `sweep-worker` child processes, each serving the
-///       same shard session as `shard-server` over a socketpair, with
-///       heartbeats both ways and crash-isolated retries (--retries,
-///       default 2); tables stay byte-identical to the in-process run at
-///       every worker count.  With --processes, --threads sets each
-///       worker's internal thread count (default 1).
+///       same worker session as `shard-server` over a socketpair for the
+///       whole sweep: the sweep is cut into claims of whole workloads,
+///       largest first, and each session takes the next claim as soon as
+///       it finishes one, with heartbeats both ways and crash-isolated
+///       retries of the lost claim (--retries, default 2); tables stay
+///       byte-identical to the in-process run at every worker count.
+///       With --processes, --threads sets each worker's internal thread
+///       count (default 1).
 ///       --snapshot-dir DIR persists each generated workload as an
 ///       mmap-reloadable snapshot file in DIR (created if absent) and
 ///       reloads it on later sweeps — and, with --processes, in every
@@ -40,21 +43,23 @@
 ///       it.
 ///       --hosts shards the sweep across remote `lr_cli shard-server`
 ///       daemons over TCP instead of local child processes (entries are
-///       host:port with an optional *W concurrent-connection count, W
+///       host:port with an optional *W concurrent-session count, W
 ///       default 1).  Heartbeats in both directions bound every partial
-///       failure; dead hosts have their unfinished shards reassigned to
+///       failure; dead hosts have their unfinished claims reassigned to
 ///       the survivors, and --processes N arms a local N-worker fallback
 ///       engaged only if every host dies.  Tables stay byte-identical to
 ///       the in-process run at every host and worker count.  --hosts
 ///       composes with --retries/--threads but not with
 ///       --snapshot-dir (remote hosts do not share this filesystem).
 ///       --shard-log PATH writes a per-attempt CSV log (shard, attempt,
-///       endpoint, outcome, elapsed_ms, backoff_ms) after a sharded
-///       sweep; `-` logs to stderr.  Requires --processes or --hosts.
+///       endpoint, outcome, elapsed_ms, backoff_ms, shard_completed,
+///       session; `shard` is the claim) after a sharded sweep; `-` logs to
+///       stderr.  Requires --processes or --hosts.
 ///
 ///   lr_cli shard-server --listen <port> [--bind <address>]
 ///       The worker daemon of `sweep --hosts`: serves shard-protocol
-///       sessions (one shard per connection) until SIGINT/SIGTERM.
+///       sessions (one per connection, any number of claims each) until
+///       SIGINT/SIGTERM.
 ///       Prints "shard-server listening on <address>:<port>" when ready.
 ///
 ///   lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>
@@ -76,7 +81,7 @@
 ///
 ///   lr_cli sweep-worker (internal)
 ///       Child-process entry point spawned by `sweep --processes N`: serves
-///       one shard session over the socketpair end it inherits as stdin
+///       one worker session over the socketpair end it inherits as stdin
 ///       and stdout.  Not for direct invocation.
 
 #include <algorithm>
@@ -123,16 +128,18 @@ int usage() {
                "               [--processes N] [--retries N] [--snapshot-dir DIR]\n"
                "               [--hosts host:port[*W],...] [--shard-log PATH|-]\n"
                "      --processes shards the sweep across N local worker processes\n"
-               "      (>= 1), each serving the shard-server session over a socketpair;\n"
-               "      tables are byte-identical to the in-process run at every N\n"
+               "      (1..256), each serving the shard-server session over a socketpair\n"
+               "      and claiming whole workloads on demand; tables are byte-identical\n"
+               "      to the in-process run at every N\n"
                "      --snapshot-dir persists workloads as mmap snapshot files and\n"
                "      reloads them on later sweeps and in every worker process\n"
                "      --hosts shards across remote `lr_cli shard-server` daemons over\n"
                "      TCP (dead hosts are reassigned; with --processes N a local\n"
                "      N-worker fallback engages if every host dies); not combinable\n"
                "      with --snapshot-dir\n"
-               "      --shard-log writes a per-attempt CSV log (requires --processes\n"
-               "      or --hosts); `-` logs to stderr\n"
+               "      --shard-log writes a per-attempt CSV log, one row per claim attempt\n"
+               "      with the serving session (requires --processes or --hosts); `-`\n"
+               "      logs to stderr\n"
                "  lr_cli shard-server --listen <port> [--bind <address>]\n"
                "      serves sweep shards to a remote `sweep --hosts` coordinator\n"
                "  lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>\n"
@@ -246,8 +253,9 @@ int cmd_modelcheck(int argc, char** argv) {
 }
 
 /// Writes the per-attempt shard log (`sweep --shard-log`) as CSV: one
-/// row per dispatched attempt, outcomes quoted.  `-` logs to stderr so
-/// stdout stays byte-identical to an unlogged sweep.
+/// row per dispatched attempt of a claim, outcomes quoted, the serving
+/// session last.  `-` logs to stderr so stdout stays byte-identical to an
+/// unlogged sweep.
 int write_shard_log(const std::string& path, const std::vector<ShardDiagnostics>& diagnostics) {
   std::ofstream file;
   std::ostream* os = &std::cerr;
@@ -259,7 +267,7 @@ int write_shard_log(const std::string& path, const std::vector<ShardDiagnostics>
     }
     os = &file;
   }
-  *os << "shard,attempt,endpoint,outcome,elapsed_ms,backoff_ms,shard_completed\n";
+  *os << "shard,attempt,endpoint,outcome,elapsed_ms,backoff_ms,shard_completed,session\n";
   for (const ShardDiagnostics& diag : diagnostics) {
     for (const ShardAttemptLog& entry : diag.attempt_log) {
       std::string outcome;
@@ -270,7 +278,7 @@ int write_shard_log(const std::string& path, const std::vector<ShardDiagnostics>
       }
       *os << diag.shard << ',' << entry.attempt << ',' << entry.endpoint << ",\"" << outcome
           << "\"," << entry.elapsed_ms << ',' << entry.backoff_ms << ','
-          << (diag.completed ? "yes" : "no") << '\n';
+          << (diag.completed ? "yes" : "no") << ',' << entry.session << '\n';
     }
   }
   return 0;
@@ -312,8 +320,9 @@ int cmd_sweep(int argc, char** argv) {
       } else if (flag == "--processes") {
         // 0 is rejected: "no worker processes" is spelled by omitting the
         // flag, and silently falling back in-process would misreport the
-        // deployment the user asked to measure.
-        if (parsed == 0) return usage();
+        // deployment the user asked to measure.  The cap keeps a typo from
+        // forking thousands of workers.
+        if (parsed == 0 || parsed > kMaxThreads) return usage();
         options.process_workers = parsed;
       } else {
         options.worker_retries = parsed;
@@ -361,19 +370,19 @@ int cmd_sweep(int argc, char** argv) {
     // to 1 (not hardware concurrency, which would oversubscribe N-fold).
     if (!threads_given) options.threads = 1;
     ShardCoordinator coordinator = make_shard_coordinator(options, hosts);
+    report = coordinator.run(spec);
+    shard_diagnostics = coordinator.shard_diagnostics();
     const std::size_t capacity = coordinator.total_capacity();
-    const std::size_t workers = std::min(capacity, spec.run_count());
+    const std::size_t workers = std::min(capacity, shard_diagnostics.size());
     if (workers < capacity) {
       if (hosts.empty()) {
-        std::fprintf(stderr, "note: --processes %zu clamped to %zu (one shard per run)\n",
+        std::fprintf(stderr, "note: --processes %zu clamped to %zu (one worker per claim)\n",
                      capacity, workers);
       } else {
-        std::fprintf(stderr, "note: %zu remote worker(s) clamped to %zu (one shard per run)\n",
+        std::fprintf(stderr, "note: %zu remote worker(s) clamped to %zu (one worker per claim)\n",
                      capacity, workers);
       }
     }
-    report = coordinator.run(spec);
-    shard_diagnostics = coordinator.shard_diagnostics();
     std::size_t retries = 0;
     for (const ShardDiagnostics& diag : shard_diagnostics) {
       retries += diag.failures.size();

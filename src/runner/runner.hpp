@@ -235,15 +235,16 @@ struct RunnerOptions {
   /// Worker *processes* of a sharded sweep (make_shard_coordinator in
   /// runner/shard_coordinator.hpp): 0 = in-process execution on this
   /// runner's thread pool (the default), N >= 1 = shard the expanded run
-  /// list across N shared-nothing `sweep-worker` child processes (clamped
-  /// to the run count).  Like `threads`, a pure deployment knob: the
-  /// merged tables are byte-identical at every value by construction.
+  /// list across N shared-nothing `sweep-worker` child processes, which
+  /// claim its workloads on demand (at most one process per claim).
+  /// Like `threads`, a pure deployment knob: the merged tables are
+  /// byte-identical at every value by construction.
   std::size_t process_workers = 0;
 
-  /// How many times a crashed / unresponsive / protocol-violating
-  /// worker's shard is retried before the whole sweep fails loudly
-  /// (sharded sweeps only).  Total attempts per shard is
-  /// 1 + worker_retries.
+  /// How many times the claim a crashed / unresponsive /
+  /// protocol-violating worker was serving is retried before the whole
+  /// sweep fails loudly (sharded sweeps only).  Total attempts per claim
+  /// is 1 + worker_retries.
   std::size_t worker_retries = 2;
 
   /// Inactivity watchdog per worker in milliseconds: a worker that sends
@@ -255,10 +256,10 @@ struct RunnerOptions {
 
   /// Directory of mmap-backed instance snapshot files shared by the
   /// sweep's caches (see SweepCache's snapshot_dir constructor); empty =
-  /// disabled.  With process_workers > 0 the shard request carries the
-  /// directory to every `sweep-worker` child, so all shards mmap the same
-  /// files and the kernel shares one physical copy of each workload's
-  /// pages across the whole worker fleet.  Purely a performance knob:
+  /// disabled.  With process_workers > 0 the session request carries the
+  /// directory to every `sweep-worker` child, so all workers mmap the
+  /// same files and the kernel shares one physical copy of each
+  /// workload's pages across the whole worker fleet.  Purely a performance knob:
   /// tables are byte-identical with and without it.
   std::string snapshot_dir;
 };
@@ -293,8 +294,8 @@ class ScenarioRunner {
 
   /// run_all() over an externally owned cache (reported through `run()`'s
   /// SweepReport::cache); the building block the two calls above share.
-  /// A cache planned over more runs than `specs` (a shard session's,
-  /// across its chunks) keeps what the later runs need.
+  /// A cache planned over more runs than `specs` (a worker session's
+  /// claim, across its chunks) keeps what the later runs need.
   std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs, SweepCache& cache) const;
 
  private:

@@ -90,9 +90,11 @@ const char* path_token(ExecutionPath path);
 /// unknown.
 ExecutionPath parse_path(const std::string& token);
 
-/// The most threads a spec's engine_threads or sim_threads, or a shard
-/// request, may ask for.  Larger counts are refused before any pool is
-/// sized, so no spec file or protocol peer can start millions of threads.
+/// The most threads a spec's engine_threads or sim_threads, or a session
+/// request, may ask for, and the most worker processes `lr_cli sweep
+/// --processes` accepts.  Larger counts are refused before any pool is
+/// sized or worker forked, so no spec file, protocol peer or typo can
+/// start millions of threads or processes.
 inline constexpr std::size_t kMaxThreads = 256;
 
 /// The nine scalar options of a sweep, declared once: a SweepSpec holds

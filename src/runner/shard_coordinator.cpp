@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,8 +19,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kNoEndpoint = static_cast<std::size_t>(-1);
 
-/// Budget for establishing one attempt (fork or connect, then request
-/// shipping), in milliseconds.
+/// Budget for opening one session (fork or connect, then shipping the
+/// request and the first claim), in milliseconds.
 constexpr int kStartTimeoutMs = 5'000;
 
 /// Coordinator -> worker beacon interval: the inactivity watchdog / 4,
@@ -36,23 +37,27 @@ struct Endpoint {
   bool dead = false;
 };
 
-/// One live shard attempt, as the coordinator tracks it.
-struct LiveAttempt {
-  std::size_t shard = 0;
-  std::size_t endpoint = kNoEndpoint;
-  std::unique_ptr<ShardChannel> channel;
+/// One attempt of a claim, as the session serving it tracks it.
+struct Attempt {
+  std::size_t shard = 0;          ///< claim index
   std::size_t next_position = 0;  ///< workload-order position of the next record owed
   bool hello_seen = false;
-  bool done_seen = false;
-  FrameParser parser;
   Clock::time_point started;
-  Clock::time_point deadline;  ///< inactivity watchdog expiry
-  long long backoff_ms = 0;    ///< delay the retry policy imposed before dispatch
-  SweepCacheStats cache;       ///< from the shard-done frame
+  long long backoff_ms = 0;  ///< delay the retry policy imposed before dispatch
 };
 
-/// A shard awaiting (re)dispatch.
-struct PendingShard {
+/// One open worker session: serving a claim, or idle between claims.
+struct Session {
+  std::size_t index = 0;  ///< opening order: the shard log's `session`
+  std::size_t endpoint = kNoEndpoint;
+  std::unique_ptr<ShardChannel> channel;
+  FrameParser parser;
+  Clock::time_point deadline;      ///< inactivity watchdog expiry
+  std::optional<Attempt> attempt;  ///< the claim being served; empty = idle
+};
+
+/// A claim awaiting (re)dispatch.
+struct PendingClaim {
   std::size_t shard = 0;
   Clock::time_point not_before;        ///< retry-policy gate
   std::size_t avoid_endpoint = kNoEndpoint;  ///< endpoint of the last failure
@@ -97,15 +102,13 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   report.records.resize(total);
   if (total == 0) return report;
 
-  const std::vector<ShardRange> ranges = shard_ranges(total, total_capacity());
-  const std::size_t shards = ranges.size();
-  diagnostics_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  const std::vector<ShardRange> claims = plan_claims(runs, total_capacity());
+  diagnostics_.resize(claims.size());
+  for (std::size_t s = 0; s < claims.size(); ++s) {
     diagnostics_[s].shard = s;
-    diagnostics_[s].range = ranges[s];
+    diagnostics_[s].range = claims[s];
   }
 
-  const std::string spec_text = format_sweep_spec(spec);
   int timeout_ms = options_.timeout_ms;
   if (const char* env = std::getenv("LR_TEST_WORKER_TIMEOUT_MS")) {
     timeout_ms = std::max(1, std::atoi(env));
@@ -113,61 +116,69 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   const int heartbeat_ms = std::max(kMinHeartbeatMs, timeout_ms / 4);
   const std::size_t max_attempts = std::max<std::size_t>(1, options_.retry.max_attempts);
 
+  // Every session opens with the same request: the spec travels, and is
+  // expanded, once per session.
+  ShardRequestFrame request;
+  request.total = total;
+  request.threads = options_.threads;
+  request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
+  // The worker tolerates a few missed coordinator beacons before
+  // declaring the coordinator gone and unwinding its session.
+  request.liveness_timeout_ms = static_cast<std::uint32_t>(std::max(2 * timeout_ms, 2'000));
+  request.spec_text = format_sweep_spec(spec);
+  request.snapshot_dir = options_.snapshot_dir;
+
   std::vector<Endpoint> endpoints;
   endpoints.reserve(transports_.size() + 1);
   for (const auto& transport : transports_) endpoints.push_back({transport});
 
-  std::vector<SweepCacheStats> shard_cache(shards);
-  std::vector<LiveAttempt> live;
-  std::vector<PendingShard> pending;
-  pending.reserve(shards);
+  std::vector<SweepCacheStats> claim_cache(claims.size());
+  std::vector<std::size_t> session_peak;  // most workloads each session held at once
+  // Ended sessions' channels, whose destructors reap the workers when
+  // run() returns: the workers exit in parallel, off the loop's path.
+  std::vector<std::unique_ptr<ShardChannel>> ended;
+  std::vector<Session> sessions;
+  std::vector<PendingClaim> pending;
+  pending.reserve(claims.size());
   const Clock::time_point start_now = Clock::now();
-  for (std::size_t s = 0; s < shards; ++s) pending.push_back({s, start_now, kNoEndpoint, 0});
+  for (std::size_t s = 0; s < claims.size(); ++s) pending.push_back({s, start_now, kNoEndpoint, 0});
   std::size_t completed = 0;
-  bool exhausted = false;       // some shard ran out of attempts
+  bool exhausted = false;       // some claim ran out of attempts
   bool nowhere_to_run = false;  // every endpoint dead with work outstanding
   std::uint64_t heartbeat_sequence = 0;
   Clock::time_point next_heartbeat = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
 
-  const auto busy_on = [&](std::size_t endpoint) {
-    std::size_t count = 0;
-    for (const LiveAttempt& attempt : live) {
-      if (attempt.endpoint == endpoint) ++count;
-    }
-    return count;
+  const auto sessions_on = [&](std::size_t endpoint) {
+    return static_cast<std::size_t>(std::count_if(
+        sessions.begin(), sessions.end(),
+        [endpoint](const Session& session) { return session.endpoint == endpoint; }));
   };
 
   // Appends the attempt's failure line, charges the endpoint's liveness
-  // score, and re-queues the shard behind its backoff gate — or declares
+  // score, and re-queues the claim behind its backoff gate — or declares
   // the budget exhausted.
-  const auto record_failure = [&](const LiveAttempt& attempt, const std::string& cause) {
+  const auto record_failure = [&](const Attempt& attempt, std::size_t endpoint,
+                                  std::size_t session, const std::string& cause) {
     ShardDiagnostics& diag = diagnostics_[attempt.shard];
     diag.failures.push_back("attempt " + std::to_string(diag.attempts) + ": " + cause);
-    diag.attempt_log.push_back({diag.attempts - 1,
-                                attempt.endpoint == kNoEndpoint
-                                    ? std::string("unassigned")
-                                    : endpoints[attempt.endpoint].transport->endpoint(),
-                                cause, elapsed_ms_since(attempt.started), attempt.backoff_ms});
-    if (attempt.endpoint != kNoEndpoint) {
-      Endpoint& endpoint = endpoints[attempt.endpoint];
-      if (++endpoint.consecutive_failures >= kEndpointFailureThreshold) {
-        endpoint.dead = true;
-      }
+    diag.attempt_log.push_back({diag.attempts - 1, endpoints[endpoint].transport->endpoint(),
+                                cause, elapsed_ms_since(attempt.started), attempt.backoff_ms,
+                                session});
+    if (++endpoints[endpoint].consecutive_failures >= kEndpointFailureThreshold) {
+      endpoints[endpoint].dead = true;
     }
     if (diag.attempts < max_attempts) {
       const auto backoff = options_.retry.delay(attempt.shard, diag.attempts);
-      pending.push_back(
-          {attempt.shard, Clock::now() + backoff, attempt.endpoint, backoff.count()});
+      pending.push_back({attempt.shard, Clock::now() + backoff, endpoint, backoff.count()});
     } else {
       exhausted = true;
     }
   };
 
-  // Validates and applies one decoded frame from a live attempt; returns
-  // a failure description, or empty when the frame was in contract.
-  const auto apply_frame = [&](LiveAttempt& attempt, const Frame& frame) -> std::string {
-    const std::size_t s = attempt.shard;
-    const ShardRange& range = ranges[s];
+  // Validates and applies one decoded frame from a session; returns a
+  // failure description, or empty when the frame was in contract.  A
+  // shard-done frame completes the claim and leaves the session idle.
+  const auto apply_frame = [&](Session& session, const Frame& frame) -> std::string {
     if (frame.type == FrameType::kHeartbeat) {
       // Liveness only — the read already pushed the watchdog deadline.
       // Direction is still validated: a coordinator beacon echoed back
@@ -177,12 +188,15 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
       }
       return {};
     }
-    if (frame.type == FrameType::kShardRequest) {
-      return "worker sent a shard-request frame (coordinator-only frame)";
+    if (frame.type == FrameType::kShardRequest || frame.type == FrameType::kClaim) {
+      return "worker sent a coordinator-only frame";
     }
     if (frame.type == FrameType::kShardError) {
-      return "worker refused shard: " + frame.error.message;
+      return "worker refused: " + frame.error.message;
     }
+    if (!session.attempt) return "frame between claims";
+    Attempt& attempt = *session.attempt;
+    const ShardRange& range = claims[attempt.shard];
     if (frame.type == FrameType::kHello) {
       if (attempt.hello_seen) return "duplicate hello frame";
       const HelloFrame& hello = frame.hello;
@@ -190,14 +204,13 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         return "protocol version mismatch (worker " + std::to_string(hello.version) +
                ", parent " + std::to_string(kShardProtocolVersion) + ")";
       }
-      if (hello.shard != s || hello.begin != range.begin || hello.end != range.end) {
+      if (hello.shard != attempt.shard || hello.begin != range.begin || hello.end != range.end) {
         return "hello frame names the wrong shard";
       }
       attempt.hello_seen = true;
       return {};
     }
     if (!attempt.hello_seen) return "frame before hello";
-    if (attempt.done_seen) return "frame after shard-done";
     if (frame.type == FrameType::kRecord) {
       const RecordFrame& record = frame.record;
       if (attempt.next_position == range.end ||
@@ -221,101 +234,141 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
              std::to_string(attempt.next_position - range.begin) + "/" +
              std::to_string(range.size()) + ")";
     }
-    attempt.done_seen = true;
-    attempt.cache = frame.done.cache;
+    ShardDiagnostics& diag = diagnostics_[attempt.shard];
+    diag.completed = true;
+    diag.attempt_log.push_back({diag.attempts - 1,
+                                endpoints[session.endpoint].transport->endpoint(), "ok",
+                                elapsed_ms_since(attempt.started), attempt.backoff_ms,
+                                session.index});
+    claim_cache[attempt.shard] = frame.done.cache;
+    session_peak[session.index] =
+        std::max(session_peak[session.index], frame.done.cache.peak_entries);
+    Endpoint& endpoint = endpoints[session.endpoint];
+    endpoint.consecutive_failures = 0;
+    endpoint.dead = false;  // a completing endpoint is alive, whatever we presumed
+    ++completed;
+    session.attempt.reset();
     return {};
   };
 
-  while (!exhausted && !nowhere_to_run && completed < shards) {
+  while (!exhausted && !nowhere_to_run && completed < claims.size()) {
     const bool all_dead =
         std::all_of(endpoints.begin(), endpoints.end(), [](const Endpoint& e) { return e.dead; });
+    const bool any_busy = std::any_of(sessions.begin(), sessions.end(),
+                                      [](const Session& session) { return session.attempt.has_value(); });
     if (all_dead && fallback_ != nullptr && !fallback_engaged_) {
       // Graceful degradation: every remote endpoint is gone, so the held-
       // back local transport joins the endpoint set and inherits the
-      // unfinished shards.
+      // unfinished claims.
       endpoints.push_back({fallback_});
       fallback_engaged_ = true;
-    } else if (all_dead && live.empty() && !pending.empty()) {
+    } else if (all_dead && !any_busy && !pending.empty()) {
       nowhere_to_run = true;
       break;
     }
 
-    // Dispatch every pending shard whose backoff gate has passed onto a
-    // live endpoint with a free lane, preferring an endpoint other than
-    // the one that just failed it (reassignment on host death).
+    // Dispatch every pending claim whose backoff gate has passed: a free
+    // lane opens a session for it, else an idle session takes it, either
+    // way preferring an endpoint other than the one that just failed it
+    // (reassignment on host death).
     const Clock::time_point now = Clock::now();
     for (std::size_t i = 0; i < pending.size() && !exhausted;) {
-      if (pending[i].not_before > now) {
+      const PendingClaim job = pending[i];
+      if (job.not_before > now) {
         ++i;
         continue;
       }
-      std::size_t chosen = kNoEndpoint;
-      std::size_t fallback_choice = kNoEndpoint;
-      for (std::size_t e = 0; e < endpoints.size(); ++e) {
-        if (endpoints[e].dead) continue;
-        if (busy_on(e) >= endpoints[e].transport->capacity()) continue;
-        if (e == pending[i].avoid_endpoint) {
-          fallback_choice = e;
+      std::size_t lane = kNoEndpoint;
+      std::size_t avoided_lane = kNoEndpoint;
+      for (std::size_t e = 0; e < endpoints.size() && lane == kNoEndpoint; ++e) {
+        if (endpoints[e].dead || sessions_on(e) >= endpoints[e].transport->capacity()) continue;
+        if (e == job.avoid_endpoint) {
+          avoided_lane = e;
+        } else {
+          lane = e;
+        }
+      }
+      if (lane == kNoEndpoint) lane = avoided_lane;
+      Session* idle = nullptr;
+      if (lane == kNoEndpoint) {
+        for (Session& session : sessions) {
+          if (session.attempt || endpoints[session.endpoint].dead) continue;
+          if (idle == nullptr ||
+              (idle->endpoint == job.avoid_endpoint && session.endpoint != job.avoid_endpoint)) {
+            idle = &session;
+          }
+        }
+        if (idle == nullptr) {
+          ++i;  // nowhere free right now; poll below frees a session
           continue;
         }
-        chosen = e;
-        break;
       }
-      if (chosen == kNoEndpoint) chosen = fallback_choice;
-      if (chosen == kNoEndpoint) {
-        ++i;  // no free lane right now; poll below frees one
-        continue;
-      }
-      const PendingShard job = pending[i];
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
 
       ShardDiagnostics& diag = diagnostics_[job.shard];
       ++diag.attempts;
-      ShardRequestFrame request;
-      request.shard = job.shard;
-      request.begin = ranges[job.shard].begin;
-      request.end = ranges[job.shard].end;
-      request.total = total;
-      request.attempt = diag.attempts - 1;
-      request.threads = options_.threads;
-      request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
-      // The worker tolerates a few missed coordinator beacons before
-      // declaring the coordinator gone and unwinding its session.
-      request.liveness_timeout_ms = static_cast<std::uint32_t>(std::max(2 * timeout_ms, 2'000));
-      request.spec_text = spec_text;
-      request.snapshot_dir = options_.snapshot_dir;
-
-      LiveAttempt attempt;
+      ClaimFrame claim;
+      claim.shard = job.shard;
+      claim.begin = claims[job.shard].begin;
+      claim.end = claims[job.shard].end;
+      claim.attempt = diag.attempts - 1;
+      Attempt attempt;
       attempt.shard = job.shard;
-      attempt.endpoint = chosen;
+      attempt.next_position = claims[job.shard].begin;
       attempt.started = Clock::now();
       attempt.backoff_ms = job.backoff_ms;
-      ShardStart started =
-          endpoints[chosen].transport->start(request, kStartTimeoutMs);
-      if (started.channel == nullptr) {
-        record_failure(attempt, started.error);
+      if (idle != nullptr) {
+        idle->attempt = attempt;
+        const std::string error = idle->channel->send(encode_frame(claim));
+        if (!error.empty()) {
+          record_failure(attempt, idle->endpoint, idle->index,
+                         error + " (" + idle->channel->abort() + ")");
+          sessions.erase(sessions.begin() + (idle - sessions.data()));
+        }
         continue;  // re-scan from the same index (erase shifted the rest)
       }
-      attempt.channel = std::move(started.channel);
-      attempt.next_position = ranges[job.shard].begin;
-      attempt.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-      live.push_back(std::move(attempt));
+      const std::size_t index = session_peak.size();
+      session_peak.push_back(0);
+      ShardStart started = endpoints[lane].transport->start(request, claim, kStartTimeoutMs);
+      if (started.channel == nullptr) {
+        record_failure(attempt, lane, index, started.error);
+        continue;
+      }
+      Session session;
+      session.index = index;
+      session.endpoint = lane;
+      session.channel = std::move(started.channel);
+      session.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+      session.attempt = attempt;
+      sessions.push_back(std::move(session));
     }
-    if (exhausted || completed == shards) break;
+    if (exhausted || completed == claims.size()) break;
 
-    // Multiplex all live attempts; wake at the earliest of any watchdog
+    // An idle session ends once nothing is left to claim, and on a dead
+    // endpoint; it waits while a retry is held back by its backoff gate.
+    for (std::size_t i = 0; i < sessions.size();) {
+      if (!sessions[i].attempt && (pending.empty() || endpoints[sessions[i].endpoint].dead)) {
+        sessions[i].channel->complete();
+        ended.push_back(std::move(sessions[i].channel));
+        sessions.erase(sessions.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      ++i;
+    }
+
+    // Multiplex all sessions; wake at the earliest of any watchdog
     // deadline, backoff gate, or the next coordinator beacon.
     std::vector<struct pollfd> fds;
-    fds.reserve(live.size());
+    fds.reserve(sessions.size());
     const Clock::time_point after_dispatch = Clock::now();
     Clock::time_point earliest = next_heartbeat;
-    for (const LiveAttempt& attempt : live) {
-      fds.push_back({attempt.channel->poll_fd(), POLLIN, 0});
-      earliest = std::min(earliest, attempt.deadline);
+    for (const Session& session : sessions) {
+      fds.push_back({session.channel->poll_fd(), POLLIN, 0});
+      earliest = std::min(earliest, session.deadline);
     }
-    for (const PendingShard& job : pending) {
-      // A past-due job still queued is waiting for a lane, not the
-      // clock; lanes free via fd events or deadlines, so a passed gate
+    for (const PendingClaim& job : pending) {
+      // A past-due job still queued is waiting for a session, not the
+      // clock; sessions free via fd events or deadlines, so a passed gate
       // must not clamp this wait to a busy spin.
       if (job.not_before > after_dispatch) earliest = std::min(earliest, job.not_before);
     }
@@ -324,32 +377,27 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     ::poll(fds.data(), fds.size(), static_cast<int>(std::clamp<long long>(wait_ms, 0, 1000)));
     const Clock::time_point after_poll = Clock::now();
 
-    // Coordinator beacons: prove to every live worker that this end is
-    // still alive.  A beacon that cannot be written is a dead channel.
+    // Coordinator beacons: prove to every session that this end is still
+    // alive.  A beacon that cannot be written is a dead channel.
     const bool send_beacons = after_poll >= next_heartbeat;
     if (send_beacons) next_heartbeat = after_poll + std::chrono::milliseconds(heartbeat_ms);
 
-    for (std::size_t i = 0; i < live.size();) {
-      LiveAttempt& attempt = live[i];
+    for (std::size_t i = 0; i < sessions.size();) {
+      Session& session = sessions[i];
       std::string failure;
-      bool shard_complete = false;
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
         // Drain the channel and the parser until would-block, EOF, or an
         // error.
-        while (failure.empty() && !shard_complete) {
+        while (failure.empty()) {
           std::uint8_t buffer[65536];
-          const ChannelRead read = attempt.channel->read_some(buffer, sizeof(buffer));
+          const ChannelRead read = session.channel->read_some(buffer, sizeof(buffer));
           if (read.kind == ChannelRead::Kind::kData) {
-            attempt.deadline = after_poll + std::chrono::milliseconds(timeout_ms);
-            attempt.parser.feed(buffer, read.bytes);
+            session.deadline = after_poll + std::chrono::milliseconds(timeout_ms);
+            session.parser.feed(buffer, read.bytes);
             try {
-              while (auto frame = attempt.parser.next()) {
-                failure = apply_frame(attempt, *frame);
+              while (auto frame = session.parser.next()) {
+                failure = apply_frame(session, *frame);
                 if (!failure.empty()) break;
-                if (attempt.done_seen) {
-                  shard_complete = true;
-                  break;
-                }
               }
             } catch (const ShardProtocolError& error) {
               failure = error.what();
@@ -357,48 +405,31 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
             continue;
           }
           if (read.kind == ChannelRead::Kind::kEof) {
-            failure = attempt.parser.mid_frame()
-                          ? "stream truncated mid-frame"
-                          : "worker exited before completing its shard";
+            failure = session.parser.mid_frame() ? "stream truncated mid-frame"
+                      : session.attempt          ? "worker exited before completing its shard"
+                                                 : "worker ended the session between claims";
             break;
           }
-          if (read.kind == ChannelRead::Kind::kError) {
-            failure = read.error;
-            break;
-          }
-          break;  // would block; nothing buffered
+          if (read.kind == ChannelRead::Kind::kError) failure = read.error;
+          break;  // an error, or would block with nothing buffered
         }
       }
-      if (shard_complete) {
-        attempt.channel->complete();
-        diagnostics_[attempt.shard].completed = true;
-        diagnostics_[attempt.shard].attempt_log.push_back(
-            {diagnostics_[attempt.shard].attempts - 1,
-             endpoints[attempt.endpoint].transport->endpoint(), "ok",
-             elapsed_ms_since(attempt.started), attempt.backoff_ms});
-        shard_cache[attempt.shard] = attempt.cache;
-        Endpoint& endpoint = endpoints[attempt.endpoint];
-        endpoint.consecutive_failures = 0;
-        endpoint.dead = false;  // a completing endpoint is alive, whatever we presumed
-        ++completed;
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (failure.empty() && after_poll >= attempt.deadline) {
+      if (failure.empty() && after_poll >= session.deadline) {
         failure = "stalled: no frame within " + std::to_string(timeout_ms) + " ms";
       }
       if (failure.empty() && send_beacons) {
-        const std::string beacon_error = attempt.channel->send_heartbeat(heartbeat_sequence++);
-        if (!beacon_error.empty()) failure = beacon_error;
+        failure = session.channel->send(encode_frame(HeartbeatFrame{1, heartbeat_sequence++}));
       }
       if (!failure.empty()) {
-        const std::string status = attempt.channel->abort();
-        // Invalidate the attempt's partial merge: the retry re-emits the
-        // shard from its beginning (records are pure functions of their
-        // spec, so completed slots are simply overwritten identically).
-        record_failure(attempt, failure + " (" + status + ")");
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        // The claim being served is retried from its beginning (records
+        // are pure functions of their spec, so slots it already filled are
+        // simply overwritten identically); an idle session owes nothing.
+        const std::string status = session.channel->abort();
+        if (session.attempt) {
+          record_failure(*session.attempt, session.endpoint, session.index,
+                         failure + " (" + status + ")");
+        }
+        sessions.erase(sessions.begin() + static_cast<std::ptrdiff_t>(i));
         fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
@@ -407,7 +438,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   }
 
   if (exhausted || nowhere_to_run) {
-    for (LiveAttempt& attempt : live) attempt.channel->abort();
+    for (Session& session : sessions) session.channel->abort();
     std::string message =
         nowhere_to_run
             ? options_.label +
@@ -423,14 +454,15 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     }
     throw std::runtime_error(message);
   }
+  for (Session& session : sessions) session.channel->complete();
 
-  for (const SweepCacheStats& cache : shard_cache) {
-    report.cache.peak_entries += cache.peak_entries;
+  for (const SweepCacheStats& cache : claim_cache) {
     report.cache.hits += cache.hits;
     report.cache.misses += cache.misses;
     report.cache.snapshot_loads += cache.snapshot_loads;
     report.cache.snapshot_saves += cache.snapshot_saves;
   }
+  for (const std::size_t peak : session_peak) report.cache.peak_entries += peak;
   return report;
 }
 

@@ -12,39 +12,43 @@
 
 /// \file shard_coordinator.hpp
 /// The transport-agnostic shard coordinator of the sweep dataplane: one
-/// poll() loop that dispatches shards onto any mix of ShardTransports
-/// (runner/shard_transport.hpp), merges their record streams, and owns
-/// every robustness decision — inactivity watchdogs, coordinator
+/// poll() loop that keeps one worker session open per lane of any mix of
+/// ShardTransports (runner/shard_transport.hpp), hands each session its
+/// next claim as soon as it finishes one, merges their record streams,
+/// and owns every robustness decision — inactivity watchdogs, coordinator
 /// heartbeats, backoff-scheduled retries (runner/retry_policy.hpp),
-/// endpoint-death detection, shard reassignment to surviving endpoints,
+/// endpoint-death detection, claim reassignment to surviving endpoints,
 /// and the local-process fallback when every remote endpoint is gone.
 ///
 /// make_shard_coordinator() builds the one coordinator `lr_cli sweep`
 /// shards through: one ProcessShardTransport for `--processes`, or one
 /// TcpShardTransport per `--hosts` entry plus an optional process
-/// fallback.  Shards are equal-count ranges of the sweep's workload order
-/// (workload_order()), so at most shards - 1 workloads straddle a
-/// boundary.  The merge contract is owned here, once: each shard's records
-/// must arrive in that order, every record's spec digest is checked
-/// against the coordinator's own expansion, and the record is written to
-/// its global (expansion) slot with the spec taken from that expansion, so
-/// the merged tables are byte-identical to the in-process runner's at
-/// every transport mix, worker count, and fault schedule — retries and
+/// fallback.  The sweep is cut into claims (plan_claims(): whole
+/// workloads, largest first), so a lane that draws cheap workloads simply
+/// serves more claims.  A session is opened on a lane when a claim needs
+/// one, stays open while claims remain (or a retry waits out its
+/// backoff), and is closed once nothing is left to claim.  The merge
+/// contract is owned here, once: each claim's records must arrive in
+/// workload order, every record's spec digest is checked against the
+/// coordinator's own expansion, and the record is written to its global
+/// (expansion) slot with the spec taken from that expansion, so the
+/// merged tables are byte-identical to the in-process runner's at every
+/// transport mix, worker count, and fault schedule — retries and
 /// reassignments simply overwrite slots with identical bytes.
 ///
 /// Liveness state machine (docs/ARCHITECTURE.md §"The shard dataplane"):
-/// every live attempt carries a deadline that any received frame —
-/// worker heartbeats included — pushes forward; a silent attempt past
-/// the deadline is an unresponsive worker, aborted and charged.
-/// Failures (crash, EOF, protocol violation, stall, refused connect,
-/// heartbeat-write failure) increment the serving endpoint's
-/// consecutive-failure count; at two in a row the endpoint
-/// is declared dead and receives no new work, and its shards are
+/// every open session carries a deadline that any received frame —
+/// worker heartbeats included — pushes forward; a silent session past
+/// the deadline is an unresponsive worker, aborted, and the claim it was
+/// serving (if any) charged and re-queued.  Failures (crash, EOF,
+/// protocol violation, stall, refused connect, failed write) increment
+/// the serving endpoint's consecutive-failure count; at two in a row the
+/// endpoint is declared dead and receives no new work, and its claims are
 /// reassigned to surviving endpoints (preferring an endpoint other than
-/// the one that just failed).  An endpoint that later completes a shard
+/// the one that just failed).  An endpoint that later completes a claim
 /// is resurrected.  When every endpoint is dead the coordinator engages
 /// the fallback transport once, if configured; otherwise it fails
-/// loudly with per-shard diagnostics.  Every wait in the loop is
+/// loudly with per-claim diagnostics.  Every wait in the loop is
 /// deadline-bounded, so no configuration can hang.
 
 namespace lr {
@@ -52,12 +56,13 @@ namespace lr {
 /// Configuration of a ShardCoordinator.
 struct CoordinatorOptions {
   /// Attempt budget and backoff schedule; max_attempts counts total
-  /// tries per shard (first + retries).
+  /// tries per claim (first + retries).
   RetryPolicy retry;
 
-  /// Inactivity watchdog per attempt, in milliseconds: an attempt whose
-  /// channel yields no frame for this long is aborted and charged.  The
-  /// LR_TEST_WORKER_TIMEOUT_MS environment variable overrides it.
+  /// Inactivity watchdog per session, in milliseconds: a session whose
+  /// channel yields no frame for this long is aborted, and the claim it
+  /// was serving charged.  The LR_TEST_WORKER_TIMEOUT_MS environment
+  /// variable overrides it.
   int timeout_ms = 30'000;
 
   /// Error-message prefix naming the backend ("multi-process sweep",
@@ -68,8 +73,9 @@ struct CoordinatorOptions {
   std::string snapshot_dir;     ///< worker SweepCache snapshot dir (empty = none)
 };
 
-/// The generic coordinator: shards a sweep across `transports` (and,
-/// when every one of them dies, `fallback`) and merges the streams.
+/// The generic coordinator: shards a sweep's claims across the sessions of
+/// `transports` (and, when every one of them dies, `fallback`) and merges
+/// the streams.
 /// See the file comment for the dataplane and liveness contracts.
 class ShardCoordinator {
  public:
@@ -80,16 +86,18 @@ class ShardCoordinator {
                    std::vector<std::shared_ptr<ShardTransport>> transports,
                    std::shared_ptr<ShardTransport> fallback = nullptr);
 
-  /// Expands `spec`, runs every shard to completion across the
+  /// Expands `spec`, runs every claim to completion across the
   /// endpoints (retrying, reassigning, and falling back within budget),
   /// and returns the merged report, byte-identical to the in-process
-  /// runner's.  Throws std::runtime_error with per-shard diagnostics
-  /// when a shard exhausts its attempts or every endpoint dies with
-  /// work outstanding — never hangs, never silently drops runs.
+  /// runner's.  Its cache counters sum the claims' (`peak_entries` sums
+  /// each session's most held at once).  Throws std::runtime_error with
+  /// per-claim diagnostics when a claim exhausts its attempts or every
+  /// endpoint dies with work outstanding — never hangs, never silently
+  /// drops runs.
   SweepReport run(const SweepSpec& spec);
 
-  /// Per-shard attempt/failure log of the most recent run() call (valid
-  /// after both success and failure).
+  /// Per-claim attempt/failure log of the most recent run() call (valid
+  /// after both success and failure), indexed by claim.
   const std::vector<ShardDiagnostics>& shard_diagnostics() const noexcept {
     return diagnostics_;
   }
@@ -98,8 +106,8 @@ class ShardCoordinator {
   /// transport because every primary endpoint died.
   bool fallback_engaged() const noexcept { return fallback_engaged_; }
 
-  /// Sum of the primary transports' capacities: the shard count a large
-  /// enough sweep is split into.
+  /// Sum of the primary transports' capacities: the lanes the claims are
+  /// planned for, each holding at most one session at a time.
   std::size_t total_capacity() const noexcept;
 
  private:
@@ -117,7 +125,7 @@ class ShardCoordinator {
 /// `HostSpec::workers` concurrent TCP sessions and `process_workers > 0`
 /// arms a local process fallback engaged only when every host dies;
 /// snapshot_dir is not forwarded (remote hosts do not share this
-/// filesystem).  `threads` is the thread count inside each worker,
+/// filesystem).  `threads` is the thread count inside each session,
 /// `worker_retries` / `worker_timeout_ms` the retry budget and the
 /// inactivity watchdog.  The LR_TEST_TRANSPORT_FAULT environment variable
 /// (`kind:shard[:attempts[:at_byte]]`, kind in connect|drop|corrupt|

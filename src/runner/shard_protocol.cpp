@@ -179,11 +179,7 @@ HeartbeatFrame decode_heartbeat(Cursor& cursor) {
 
 void encode_payload(std::vector<std::uint8_t>& out, const ShardRequestFrame& request) {
   put_u32(out, request.version);
-  put_u64(out, request.shard);
-  put_u64(out, request.begin);
-  put_u64(out, request.end);
   put_u64(out, request.total);
-  put_u64(out, request.attempt);
   put_u64(out, request.threads);
   put_u32(out, request.heartbeat_ms);
   put_u32(out, request.liveness_timeout_ms);
@@ -197,11 +193,7 @@ ShardRequestFrame decode_request(Cursor& cursor) {
   // Another version may lay its fields out differently: keep the version
   // for the worker's refusal, which names both versions, and skip the rest.
   if (request.version != kShardProtocolVersion) return request;
-  request.shard = cursor.u64();
-  request.begin = cursor.u64();
-  request.end = cursor.u64();
   request.total = cursor.u64();
-  request.attempt = cursor.u64();
   request.threads = cursor.u64();
   request.heartbeat_ms = cursor.u32();
   request.liveness_timeout_ms = cursor.u32();
@@ -209,6 +201,23 @@ ShardRequestFrame decode_request(Cursor& cursor) {
   request.snapshot_dir = cursor.string();
   cursor.expect_exhausted();
   return request;
+}
+
+void encode_payload(std::vector<std::uint8_t>& out, const ClaimFrame& claim) {
+  put_u64(out, claim.shard);
+  put_u64(out, claim.begin);
+  put_u64(out, claim.end);
+  put_u64(out, claim.attempt);
+}
+
+ClaimFrame decode_claim(Cursor& cursor) {
+  ClaimFrame claim;
+  claim.shard = cursor.u64();
+  claim.begin = cursor.u64();
+  claim.end = cursor.u64();
+  claim.attempt = cursor.u64();
+  cursor.expect_exhausted();
+  return claim;
 }
 
 void encode_payload(std::vector<std::uint8_t>& out, const ShardErrorFrame& error) {
@@ -283,6 +292,10 @@ std::vector<std::uint8_t> encode_frame(const ShardErrorFrame& error) {
   return encode(FrameType::kShardError, error);
 }
 
+std::vector<std::uint8_t> encode_frame(const ClaimFrame& claim) {
+  return encode(FrameType::kClaim, claim);
+}
+
 void FrameParser::feed(const std::uint8_t* data, std::size_t size) {
   // Compact lazily: drop fully decoded bytes once they dominate the
   // buffer so a long-lived worker stream stays O(frame), not O(stream).
@@ -303,7 +316,7 @@ std::optional<Frame> FrameParser::next() {
   if (magic != kFrameMagic) throw ShardProtocolError("shard frame: bad magic");
   const std::uint8_t raw_type = head[4];
   if (raw_type < static_cast<std::uint8_t>(FrameType::kHello) ||
-      raw_type > static_cast<std::uint8_t>(FrameType::kShardError)) {
+      raw_type > static_cast<std::uint8_t>(FrameType::kClaim)) {
     throw ShardProtocolError("shard frame: unknown frame type " + std::to_string(raw_type));
   }
   std::uint32_t payload_len = 0;
@@ -343,6 +356,9 @@ std::optional<Frame> FrameParser::next() {
       break;
     case FrameType::kShardError:
       frame.error = decode_error(cursor);
+      break;
+    case FrameType::kClaim:
+      frame.claim = decode_claim(cursor);
       break;
   }
   consumed_ += kHeaderSize + payload_len + 8;

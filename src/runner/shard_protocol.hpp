@@ -10,10 +10,10 @@
 
 /// \file shard_protocol.hpp
 /// The wire protocol between a sweep coordinator
-/// (runner/shard_coordinator.hpp) and its shard workers: a small
+/// (runner/shard_coordinator.hpp) and its worker sessions: a small
 /// length-prefixed binary framing over one connected stream socket.  A
-/// worker is either a fork/exec'd `sweep-worker` child holding one end of
-/// a socketpair, or a remote `shard-server` daemon reached over TCP; both
+/// session is either a fork/exec'd `sweep-worker` child holding one end of
+/// a socketpair, or a connection to a remote `shard-server` daemon; both
 /// run the same session (runner/shard_server.hpp).
 ///
 /// Frame layout (all integers little-endian):
@@ -21,16 +21,20 @@
 ///     u32 magic ("LRSH")  |  u8 type  |  u32 payload_len  |
 ///     payload_len bytes   |  u64 fnv1a(type || payload)
 ///
-/// Coordinator -> worker: one kShardRequest opening the attempt, then
-/// kHeartbeat frames proving the coordinator is still alive.  Worker ->
-/// coordinator: one kHello (handshake: protocol version, shard index,
-/// range, attempt), then one kRecord per run of the shard in the sweep's
-/// workload order (workload_order() in runner/shard_transport.hpp; a
-/// shard is a range of positions in that order), then one kShardDone
-/// (record count + the worker's cache counters), with kHeartbeat frames
-/// interleaved at any point after the hello.  A worker that cannot start
-/// the shard (bad spec, version skew) answers with a single kShardError
-/// instead of a hello.
+/// A session serves a sequence of *claims*: contiguous ranges of the
+/// sweep's workload order (workload_order() and plan_claims() in
+/// runner/shard_transport.hpp), handed out on demand.  Coordinator ->
+/// worker: one kShardRequest opening the session (the spec text and the
+/// session's settings), then one kClaim per claim, each sent once the
+/// previous claim is done, and kHeartbeat frames proving the coordinator
+/// is still alive.  Worker -> coordinator, per claim: one kHello
+/// (handshake: protocol version, claim index, range, attempt), one
+/// kRecord per run of the claim in workload order, then one kShardDone
+/// (record count + the claim's cache counters), with kHeartbeat frames
+/// interleaved at any point.  The coordinator ends the session by closing
+/// its end after the last claim.  A worker that cannot serve the session
+/// or a claim (bad spec, version skew, a range outside the sweep) answers
+/// with a single kShardError and ends the session.
 ///
 /// A record frame carries the run's global (expansion) index and
 /// spec_digest() of its RunSpec, not the spec itself: the coordinator
@@ -40,9 +44,10 @@
 /// Everything else — wrong magic, a payload over kMaxFramePayload, a
 /// checksum mismatch, an unknown enum value inside a record, trailing
 /// payload bytes, EOF mid-frame — is a protocol error the coordinator
-/// treats exactly like a worker crash: abort the attempt, retry the shard
-/// (tests/shard_protocol_test.cpp pins the rejection behavior, including
-/// randomized fuzzes over frame boundaries and single-byte corruption).
+/// treats exactly like a worker crash: abort the session, retry the claim
+/// it was serving (tests/shard_protocol_test.cpp pins the rejection
+/// behavior, including randomized fuzzes over frame boundaries and
+/// single-byte corruption).
 ///
 /// Version skew is rejected loudly in both directions and can never
 /// hang: the coordinator rejects a hello of another version by its
@@ -51,19 +56,20 @@
 ///
 /// The parser is deliberately incremental (feed() bytes as the socket
 /// yields them, next() yields complete frames) so the coordinator can
-/// multiplex many workers over poll() without threads, and so tests can
+/// multiplex many sessions over poll() without threads, and so tests can
 /// replay a stream at any chunking.
 
 namespace lr {
 
 /// Frame discriminator on the wire.
 enum class FrameType : std::uint8_t {
-  kHello = 1,         ///< worker handshake, first frame of every attempt
-  kRecord = 2,        ///< one finished run, in the shard's workload order
-  kShardDone = 3,     ///< shard complete: record count + cache counters
+  kHello = 1,         ///< worker handshake, first frame of every claim's answer
+  kRecord = 2,        ///< one finished run, in the claim's workload order
+  kShardDone = 3,     ///< claim complete: record count + cache counters
   kHeartbeat = 4,     ///< liveness beacon, either direction
-  kShardRequest = 5,  ///< coordinator -> worker shard assignment
+  kShardRequest = 5,  ///< coordinator -> worker session opening
   kShardError = 6,    ///< worker -> coordinator loud refusal
+  kClaim = 7,         ///< coordinator -> worker: the next claim to serve
 };
 
 /// Wire magic prefixing every frame ("LRSH" little-endian).
@@ -78,8 +84,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4853524cu;
 /// frame's spec fields with spec_digest(); version 5 added the done
 /// frame's snapshot load and save counters; version 6 cut shards from the
 /// workload order instead of the expansion order and dropped the request's
-/// cache cap and the done frame's eviction count.
-inline constexpr std::uint32_t kShardProtocolVersion = 6;
+/// cache cap and the done frame's eviction count; version 7 made the
+/// session persistent: the request opens it and carries no range, and
+/// each claim travels in its own kClaim frame.
+inline constexpr std::uint32_t kShardProtocolVersion = 7;
 
 /// Upper bound on a frame payload.  Records are a few hundred bytes;
 /// anything near this limit is garbage (e.g. random bytes read as a
@@ -87,17 +95,17 @@ inline constexpr std::uint32_t kShardProtocolVersion = 6;
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
 /// A malformed or out-of-contract byte stream.  The coordinator maps this
-/// to "worker failed, retry the shard", same as a crash.
+/// to "worker failed, retry the claim", same as a crash.
 class ShardProtocolError : public std::runtime_error {
  public:
   explicit ShardProtocolError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Handshake payload: which shard this attempt serves.
+/// Handshake payload: which claim the worker is about to serve.
 struct HelloFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the coordinator's
-  std::uint64_t shard = 0;    ///< shard index the worker was assigned
-  std::uint64_t begin = 0;    ///< first workload-order position of the shard
+  std::uint64_t shard = 0;    ///< index of the claim being served
+  std::uint64_t begin = 0;    ///< first workload-order position of the claim
   std::uint64_t end = 0;      ///< one past the last position
   std::uint64_t attempt = 0;  ///< 0 = first try, +1 per retry
 };
@@ -112,33 +120,29 @@ struct RecordFrame {
   std::uint64_t spec_digest = 0;   ///< decoded digest of the sender's spec
 };
 
-/// End-of-shard marker: lets the coordinator distinguish a complete shard
+/// End-of-claim marker: lets the coordinator distinguish a complete claim
 /// from a worker that died after its last record but before finishing.
 struct ShardDoneFrame {
   std::uint64_t records_emitted = 0;  ///< must equal end - begin
-  SweepCacheStats cache;              ///< the worker's private cache and snapshot counters
+  SweepCacheStats cache;              ///< the claim's private cache and snapshot counters
 };
 
 /// Liveness beacon.  Either end sends one whenever it has produced
 /// no other frame for a while; receiving *any* frame resets the
 /// receiver's inactivity watchdog, so heartbeats only flow when the
 /// channel would otherwise look dead (a worker mid-long-run, a
-/// coordinator waiting on other shards).
+/// coordinator waiting on other claims, an idle session).
 struct HeartbeatFrame {
   std::uint8_t from_coordinator = 0;  ///< 1 = coordinator -> worker
   std::uint64_t sequence = 0;         ///< per-connection beacon counter
 };
 
-/// Shard assignment, coordinator -> worker.  Opens every session:
-/// everything a worker needs to execute the runs at positions
-/// [begin, end) of the workload order of the sweep `spec_text` expands to.
+/// Session opening, coordinator -> worker: the sweep `spec_text` expands
+/// to, which the session expands once, and the settings every claim of
+/// the session runs under.
 struct ShardRequestFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the worker's
-  std::uint64_t shard = 0;        ///< shard index being assigned
-  std::uint64_t begin = 0;        ///< first workload-order position of the shard
-  std::uint64_t end = 0;          ///< one past the last position
   std::uint64_t total = 0;        ///< the full sweep's run count (cross-check)
-  std::uint64_t attempt = 0;      ///< 0 = first try, +1 per retry
   std::uint64_t threads = 1;      ///< worker-internal thread count (at most kMaxThreads)
   std::uint32_t heartbeat_ms = 0;       ///< worker beacon interval (0 = default)
   std::uint32_t liveness_timeout_ms = 0;  ///< worker-side coordinator watchdog
@@ -146,10 +150,19 @@ struct ShardRequestFrame {
   std::string snapshot_dir;       ///< worker SweepCache snapshot dir (empty = none)
 };
 
+/// One claim, coordinator -> worker: execute the runs at positions
+/// [begin, end) of the session's workload order.
+struct ClaimFrame {
+  std::uint64_t shard = 0;    ///< claim index (the `shard` of the diagnostics)
+  std::uint64_t begin = 0;    ///< first workload-order position of the claim
+  std::uint64_t end = 0;      ///< one past the last position
+  std::uint64_t attempt = 0;  ///< 0 = first try, +1 per retry
+};
+
 /// Loud refusal, worker -> coordinator: the worker cannot serve the
-/// request (version skew, unparseable spec, run-count mismatch) and says
-/// why before closing, so the coordinator's diagnostics name the cause
-/// instead of a bare EOF.
+/// session or a claim (version skew, unparseable spec, run-count
+/// mismatch, a range outside the sweep) and says why before closing, so
+/// the coordinator's diagnostics name the cause instead of a bare EOF.
 struct ShardErrorFrame {
   std::string message;  ///< human-readable reason
 };
@@ -163,6 +176,7 @@ struct Frame {
   HeartbeatFrame heartbeat;            ///< payload when type == kHeartbeat
   ShardRequestFrame request;           ///< payload when type == kShardRequest
   ShardErrorFrame error;               ///< payload when type == kShardError
+  ClaimFrame claim;                    ///< payload when type == kClaim
 };
 
 /// Encodes one frame (header + payload + checksum) to wire bytes.
@@ -177,6 +191,8 @@ std::vector<std::uint8_t> encode_frame(const HeartbeatFrame& heartbeat);
 std::vector<std::uint8_t> encode_frame(const ShardRequestFrame& request);
 /// \copydoc encode_frame(const HelloFrame&)
 std::vector<std::uint8_t> encode_frame(const ShardErrorFrame& error);
+/// \copydoc encode_frame(const HelloFrame&)
+std::vector<std::uint8_t> encode_frame(const ClaimFrame& claim);
 
 /// Incremental frame decoder: feed() raw socket bytes in any chunking,
 /// pull complete frames with next().  Throws ShardProtocolError on the

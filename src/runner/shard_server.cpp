@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <stdexcept>
 #include <vector>
 
@@ -196,7 +198,7 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
     return true;
   };
 
-  // ---- Phase 1: receive the shard request, deadline-bounded. ----------
+  // ---- Phase 1: receive the session request, deadline-bounded. --------
   FrameParser parser;
   std::optional<Frame> request_frame;
   std::string refusal;
@@ -207,7 +209,7 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
         std::chrono::duration_cast<std::chrono::milliseconds>(request_deadline - Clock::now())
             .count();
     if (remaining_ms <= 0) {
-      refusal = "no shard request within " + std::to_string(request_timeout_ms) + " ms";
+      refusal = "no session request within " + std::to_string(request_timeout_ms) + " ms";
       break;
     }
     struct pollfd pfd {
@@ -218,7 +220,7 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
     std::uint8_t buffer[65536];
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n == 0) {
-      refusal = "coordinator closed before sending a shard request";
+      refusal = "coordinator closed before sending a session request";
       break;
     }
     if (n < 0) {
@@ -230,7 +232,7 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
       parser.feed(buffer, static_cast<std::size_t>(n));
       if (auto frame = parser.next()) {
         if (frame->type != FrameType::kShardRequest) {
-          refusal = "first frame must be a shard request";
+          refusal = "first frame must be a session request";
         } else {
           request_frame = std::move(frame);
         }
@@ -257,11 +259,6 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
         refusal = "spec expands to " + std::to_string(runs.size()) +
                   " runs but coordinator expected " + std::to_string(request.total);
       }
-      if (refusal.empty() && (request.begin > request.end || request.end > runs.size())) {
-        refusal = "shard range [" + std::to_string(request.begin) + ", " +
-                  std::to_string(request.end) + ") exceeds the sweep's " +
-                  std::to_string(runs.size()) + " runs";
-      }
       if (refusal.empty() && request.threads > kMaxThreads) {
         refusal = "request asks for " + std::to_string(request.threads) +
                   " worker threads; the limit is " + std::to_string(kMaxThreads);
@@ -278,55 +275,62 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
   }
 
   const ShardRequestFrame request = request_frame->request;
+  const std::vector<std::size_t> order = workload_order(runs);
 
-  // ---- Phase 3: hello, then compute with a liveness watchdog. ---------
-  HelloFrame hello;
-  hello.shard = request.shard;
-  hello.begin = request.begin;
-  hello.end = request.end;
-  hello.attempt = request.attempt;
-  send_bytes(encode_frame(hello));
-
+  // ---- Phase 3: serve claims as they arrive, under a liveness watchdog.
   const int heartbeat_ms = static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1));
   const int liveness_ms =
       static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1));
   std::atomic<long long> last_heard_ms{now_ms()};
   std::atomic<bool> finished{false};
+  std::atomic<bool> busy{false};  // a claim is being served
+  std::mutex claims_mutex;
+  std::condition_variable claims_ready;
+  std::deque<ClaimFrame> claims;  // guarded by claims_mutex
+  bool closed = false;            // no claim can come any more; guarded by claims_mutex
+  bool coordinator_closed = false;  // the coordinator ended the session; guarded likewise
 
-  // The watchdog owns the read side: coordinator beacons reset the
-  // liveness deadline; silence past it — or EOF, or a protocol error —
-  // cancels the session so the compute loop unwinds at its next chunk
-  // boundary or failed write.  It also sends this worker's own beacons,
-  // so a chunk that takes longer than the coordinator's watchdog does
-  // not read as a dead worker.
-  // The watchdog inherits the phase-1 parser so a coordinator beacon
-  // whose bytes straddled the request read is parsed, not lost.
-  std::thread watchdog([&] {
+  // Queues every buffered claim for the serving loop below; coordinator
+  // beacons reset the liveness deadline.  Returns false on any other
+  // frame.  The first call, on this thread, takes the first claim from
+  // the bytes the request arrived with.
+  const auto drain = [&]() -> bool {
+    try {
+      while (auto frame = parser.next()) {
+        if (frame->type == FrameType::kClaim) {
+          const std::lock_guard<std::mutex> lock(claims_mutex);
+          claims.push_back(frame->claim);
+          claims_ready.notify_one();
+        } else if (frame->type != FrameType::kHeartbeat ||
+                   frame->heartbeat.from_coordinator != 1) {
+          return false;
+        }
+        last_heard_ms.store(now_ms());
+      }
+    } catch (const ShardProtocolError&) {
+      return false;
+    }
+    return true;
+  };
+  const bool request_in_contract = drain();
+
+  // The reader owns the read side from here: it drains what arrives;
+  // silence past the liveness deadline, or a protocol error, cancels the
+  // session so the serving loop unwinds at its next chunk boundary or
+  // failed write.  EOF is the coordinator ending the session: clean
+  // between claims, a cancel in the middle of one.  It also sends this
+  // worker's own beacons, so a chunk that takes longer than the
+  // coordinator's watchdog, or an idle wait for the next claim, does not
+  // read as a dead worker.
+  std::thread reader([&] {
     std::uint64_t beacon_sequence = 0;
     Clock::time_point next_beacon = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
-    // Drains every buffered frame; returns false on anything but a
-    // coordinator beacon (only beacons are in contract mid-shard).
-    const auto drain_beacons = [&]() -> bool {
-      try {
-        while (auto frame = parser.next()) {
-          if (frame->type != FrameType::kHeartbeat || frame->heartbeat.from_coordinator != 1) {
-            return false;
-          }
-          last_heard_ms.store(now_ms());
-        }
-      } catch (const ShardProtocolError&) {
-        return false;
-      }
-      return true;
-    };
-    if (!drain_beacons()) {
-      cancel_session(fd, cancelled);
-      return;
-    }
-    while (!finished.load() && !cancelled.load()) {
+    bool eof = false;
+    bool in_contract = request_in_contract;
+    while (in_contract && !finished.load() && !cancelled.load()) {
       const Clock::time_point now = Clock::now();
       if (now_ms() - last_heard_ms.load() > liveness_ms) {
-        cancel_session(fd, cancelled);  // coordinator presumed dead or partitioned
+        in_contract = false;  // coordinator presumed dead or partitioned
         break;
       }
       if (now >= next_beacon) {
@@ -347,60 +351,93 @@ bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& canc
       std::uint8_t buffer[4096];
       const ssize_t n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
       if (n == 0) {
-        cancel_session(fd, cancelled);  // coordinator went away
+        eof = true;
         break;
       }
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        cancel_session(fd, cancelled);
+        in_contract = false;
         break;
       }
       parser.feed(buffer, static_cast<std::size_t>(n));
-      if (!drain_beacons()) {
-        cancel_session(fd, cancelled);
-        break;
-      }
+      in_contract = drain();
     }
+    // EOF in the middle of a claim, silence and protocol errors abandon
+    // the claim being served; either way no claim follows.
+    if (!in_contract || (eof && busy.load())) cancel_session(fd, cancelled);
+    const std::lock_guard<std::mutex> lock(claims_mutex);
+    closed = true;
+    coordinator_closed = eof && !cancelled.load();  // not our own shutdown()
+    claims_ready.notify_all();
   });
 
-  // Shared-nothing execution of the shard's runs, in the workload order it
-  // was cut from, with this session's own runner and one cache planned on
-  // them; chunked so records flow long before the shard finishes.
+  // Shared-nothing execution of each claim's runs, in the workload order
+  // it was cut from, with this session's one runner and a cache planned
+  // on the claim and dropped with it, so the session holds at most
+  // `threads` workloads at a time; chunked so records flow long before a
+  // claim finishes.
   constexpr std::size_t kChunk = 16;
-  bool completed = false;
-  {
-    const std::vector<std::size_t> order = workload_order(runs);
-    std::vector<RunSpec> shard;
-    for (std::uint64_t position = request.begin; position < request.end; ++position) {
-      shard.push_back(runs[order[position]]);
+  const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads)});
+  std::size_t received = 0;
+  std::size_t answered = 0;
+  for (;;) {
+    ClaimFrame claim;
+    {
+      std::unique_lock<std::mutex> lock(claims_mutex);
+      claims_ready.wait(lock, [&] { return !claims.empty() || closed; });
+      if (closed || cancelled.load()) break;
+      claim = claims.front();
+      claims.pop_front();
+      busy.store(true);
     }
-    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads)});
-    SweepCache cache(shard, request.snapshot_dir);
+    ++received;
+    if (claim.begin > claim.end || claim.end > runs.size()) {
+      ShardErrorFrame error;
+      error.message = "claim range [" + std::to_string(claim.begin) + ", " +
+                      std::to_string(claim.end) + ") exceeds the sweep's " +
+                      std::to_string(runs.size()) + " runs";
+      send_bytes(encode_frame(error));
+      cancel_session(fd, cancelled);
+      break;
+    }
+    HelloFrame hello;
+    hello.shard = claim.shard;
+    hello.begin = claim.begin;
+    hello.end = claim.end;
+    hello.attempt = claim.attempt;
+    send_bytes(encode_frame(hello));
+
+    std::vector<RunSpec> claimed;
+    for (std::uint64_t position = claim.begin; position < claim.end; ++position) {
+      claimed.push_back(runs[order[position]]);
+    }
+    SweepCache cache(claimed, request.snapshot_dir);
     std::size_t emitted = 0;
-    for (std::size_t offset = 0; offset < shard.size() && !cancelled.load(); offset += kChunk) {
-      const std::size_t stop = std::min(offset + kChunk, shard.size());
-      const std::vector<RunSpec> slice(shard.begin() + static_cast<std::ptrdiff_t>(offset),
-                                       shard.begin() + static_cast<std::ptrdiff_t>(stop));
+    for (std::size_t offset = 0; offset < claimed.size() && !cancelled.load();
+         offset += kChunk) {
+      const std::size_t stop = std::min(offset + kChunk, claimed.size());
+      const std::vector<RunSpec> slice(claimed.begin() + static_cast<std::ptrdiff_t>(offset),
+                                       claimed.begin() + static_cast<std::ptrdiff_t>(stop));
       const std::vector<RunRecord> records = runner.run_all(slice, cache);
       for (std::size_t i = 0; i < records.size() && !cancelled.load(); ++i) {
-        const std::uint64_t index = order[request.begin + offset + i];
+        const std::uint64_t index = order[claim.begin + offset + i];
         if (send_bytes(encode_frame(RecordFrame{index, records[i]}))) ++emitted;
       }
     }
-    if (emitted == shard.size() && !cancelled.load()) {
+    if (emitted == claimed.size() && !cancelled.load()) {
       ShardDoneFrame done;
       done.records_emitted = emitted;
       done.cache = cache.stats();
-      completed = send_bytes(encode_frame(done));
+      if (send_bytes(encode_frame(done))) ++answered;
     }
+    busy.store(false);
   }
-  // Shutting the read side wakes the watchdog from its poll at once, so
-  // a worker process exits without waiting for the coordinator to close
-  // its end; the session reads nothing more anyway.
+  // Shutting the read side wakes the reader from its poll at once, so a
+  // worker process exits without waiting for its next beacon slot.
   finished.store(true);
   ::shutdown(fd, SHUT_RD);
-  watchdog.join();
-  return completed;
+  reader.join();
+  return coordinator_closed && answered == received;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 #include <vector>
 
 /// \file shard_server.hpp
-/// The worker side of the sharded sweep dataplane: one shard session,
+/// The worker side of the sharded sweep dataplane: one worker session,
 /// served over a connected stream socket, and the two ways a coordinator
 /// (runner/shard_coordinator.hpp) reaches it.  A `shard-server` daemon
 /// serves one session per accepted TCP connection (TcpShardTransport); a
@@ -17,18 +17,23 @@
 /// inherits as stdin and stdout (ProcessShardTransport).
 ///
 /// Session contract: the coordinator opens with one kShardRequest; the
-/// worker validates it (protocol version, parseable spec, run-count and
-/// range cross-checks, at most kMaxThreads threads) and either answers
-/// with a single loud kShardError and ends, or replies kHello and executes
-/// the shard's runs in workload order with its own ScenarioRunner and one
-/// SweepCache planned on them, in chunks, streaming kRecord frames and
-/// interleaving kHeartbeat beacons so a long-running chunk never looks
-/// like a dead worker, then kShardDone.  A watchdog thread reads the
-/// coordinator's own beacons; a coordinator silent past the request's
-/// liveness timeout — or a closed connection — makes the worker abandon
-/// the session, so an orphaned worker never computes for a dead
-/// coordinator.  Every wait is deadline-bounded: no peer behavior can
-/// hang a session.
+/// worker validates it (protocol version, parseable spec, run-count
+/// cross-check, at most kMaxThreads threads) and either answers with a
+/// single loud kShardError and ends, or expands the spec once and serves
+/// the kClaim frames that follow, one at a time, for as long as the
+/// coordinator keeps the session open.  Each claim is answered with a
+/// kHello, its runs executed in workload order with the session's one
+/// ScenarioRunner and a SweepCache planned on the claim (dropped when the
+/// claim ends), in chunks, streamed as kRecord frames, then a kShardDone;
+/// a claim whose range lies outside the sweep is refused with a
+/// kShardError.  The coordinator's EOF after the last claim ends the
+/// session.  A reader thread queues the claims, reads the coordinator's
+/// beacons and sends the worker's own, so neither a long-running chunk
+/// nor an idle wait looks like a dead worker; a coordinator silent past
+/// the request's liveness timeout — or a connection closed mid-claim —
+/// makes the worker abandon the session, so an orphaned worker never
+/// computes for a dead coordinator.  Every wait is deadline-bounded: no
+/// peer behavior can hang a session.
 ///
 /// ShardServer is embeddable (tests and benches run real TCP sessions
 /// in-process, no daemon needed); `shard_server_main` wraps it as the
@@ -36,12 +41,13 @@
 
 namespace lr {
 
-/// Serves one shard session (see the file comment) on the connected
+/// Serves one worker session (see the file comment) on the connected
 /// stream socket `fd`, which stays open for the caller to close.
 /// `request_timeout_ms` bounds the wait for the coordinator's request.
 /// Setting `cancelled` and shutting `fd` down abandons the session from
 /// any thread; the session does the same itself when the coordinator
-/// goes silent or away.  Returns true when the shard-done frame was sent.
+/// goes silent or away.  Returns true when the coordinator ended the
+/// session with every claim it sent answered by a shard-done frame.
 bool serve_shard_session(int fd, int request_timeout_ms, std::atomic<bool>& cancelled);
 
 /// Configuration of a ShardServer.
@@ -54,8 +60,8 @@ struct ShardServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   std::uint16_t port = 0;
 
-  /// Budget for a connected coordinator to deliver its kShardRequest
-  /// before the connection is dropped.
+  /// Budget for a connected coordinator to deliver its session request
+  /// (kShardRequest) before the connection is dropped.
   int request_timeout_ms = 10'000;
 };
 
@@ -85,8 +91,8 @@ class ShardServer {
   /// Idempotent.
   void stop();
 
-  /// Sessions that ran their shard to completion (served the shard-done
-  /// frame) since construction.
+  /// Sessions that ended cleanly (the coordinator closed them with every
+  /// claim answered) since construction.
   std::uint64_t sessions_completed() const noexcept { return sessions_completed_.load(); }
 
   /// Sessions that ended any other way: refused requests, protocol
@@ -111,9 +117,9 @@ class ShardServer {
 };
 
 /// Entry point of the internal `sweep-worker` subcommand: serves one
-/// shard session on stdin/stdout, which ProcessShardTransport connects to
+/// worker session on stdin/stdout, which ProcessShardTransport connects to
 /// one end of a socketpair.  Returns the process exit code (0 when the
-/// shard completed).  Refuses to run (exit 2, clear stderr message) when
+/// session ended cleanly).  Refuses to run (exit 2, clear stderr message) when
 /// given arguments or unless the LR_SWEEP_WORKER environment variable
 /// marks the invocation as coming from a coordinator — humans get pointed
 /// at `lr_cli sweep --processes N` instead.

@@ -29,20 +29,38 @@ std::vector<std::size_t> workload_order(const std::vector<RunSpec>& runs) {
   return order;
 }
 
-std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t shards) {
+std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t parts) {
   std::vector<ShardRange> ranges;
-  if (runs == 0 || shards == 0) return ranges;
-  shards = std::min(shards, runs);
-  ranges.reserve(shards);
-  const std::size_t base = runs / shards;
-  const std::size_t extra = runs % shards;  // first `extra` shards take one more
+  if (runs == 0 || parts == 0) return ranges;
+  parts = std::min(parts, runs);
+  ranges.reserve(parts);
+  const std::size_t base = runs / parts;
+  const std::size_t extra = runs % parts;  // first `extra` ranges take one more
   std::size_t begin = 0;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t size = base + (shard < extra ? 1 : 0);
+  for (std::size_t part = 0; part < parts; ++part) {
+    const std::size_t size = base + (part < extra ? 1 : 0);
     ranges.push_back({begin, begin + size});
     begin += size;
   }
   return ranges;
+}
+
+std::vector<ShardRange> plan_claims(const std::vector<RunSpec>& runs, std::size_t lanes) {
+  if (lanes == 0) return {};
+  const std::vector<std::vector<std::size_t>> workloads = group_by_workload(runs);
+  if (workloads.size() < lanes) return shard_ranges(runs.size(), lanes);
+  std::vector<ShardRange> claims;
+  std::size_t begin = 0;
+  std::size_t next = 0;  // first workload not yet claimed
+  while (next < workloads.size()) {
+    const std::size_t remaining = runs.size() - begin;
+    const std::size_t target = (remaining + 2 * lanes - 1) / (2 * lanes);
+    std::size_t end = begin;
+    while (next < workloads.size() && end - begin < target) end += workloads[next++].size();
+    claims.push_back({begin, end});
+    begin = end;
+  }
+  return claims;
 }
 
 namespace {
@@ -112,7 +130,10 @@ int send_all(int fd, const std::vector<std::uint8_t>& bytes, Clock::time_point d
 class SocketShardChannel final : public ShardChannel {
  public:
   SocketShardChannel(int fd, pid_t child) : fd_(fd), child_(child) {}
-  ~SocketShardChannel() override { abort(); }
+  ~SocketShardChannel() override {
+    if (!completed_) abort();
+    if (child_ > 0) reap();  // a completed session's worker exits on the EOF
+  }
 
   int poll_fd() const noexcept override { return fd_; }
 
@@ -127,20 +148,15 @@ class SocketShardChannel final : public ShardChannel {
     }
   }
 
-  std::string send_heartbeat(std::uint64_t sequence) override {
+  std::string send(const std::vector<std::uint8_t>& frame) override {
     if (fd_ < 0) return "connection already closed";
-    HeartbeatFrame beacon;
-    beacon.from_coordinator = 1;
-    beacon.sequence = sequence;
-    // A beacon is tiny; if the socket cannot absorb it within a second
-    // the worker is effectively dead and the attempt has failed.  A peer
-    // that closed its end is left to the read side, which reports the
-    // frames it sent before closing and then EOF: a worker that sent
-    // shard-done and exited has not failed.
-    const int error =
-        send_all(fd_, encode_frame(beacon), Clock::now() + std::chrono::milliseconds(1000));
+    // Claims and beacons are tiny, and the session reads them as they
+    // come; if the socket cannot absorb one within a second the worker is
+    // effectively dead.  A peer that closed its end is left to the read
+    // side, which reports the frames it sent before closing and then EOF.
+    const int error = send_all(fd_, frame, Clock::now() + std::chrono::milliseconds(1000));
     if (error == 0 || error == EPIPE || error == ECONNRESET) return {};
-    return std::string("heartbeat failed (") + std::strerror(error) + ")";
+    return std::string("send to worker failed (") + std::strerror(error) + ")";
   }
 
   std::string abort() override {
@@ -154,8 +170,8 @@ class SocketShardChannel final : public ShardChannel {
   }
 
   void complete() override {
-    close_fd(fd_);  // first: the worker's session sees EOF and exits
-    if (child_ > 0) reap();
+    close_fd(fd_);  // the worker's session sees EOF and exits
+    completed_ = true;
   }
 
  private:
@@ -168,18 +184,22 @@ class SocketShardChannel final : public ShardChannel {
 
   int fd_;
   pid_t child_;
+  bool completed_ = false;
 };
 
-/// Ships `request` over a freshly connected channel; the channel on
-/// success, else the failure (the channel is aborted).
+/// Ships `request` and `first_claim` over a freshly connected channel;
+/// the channel on success, else the failure (the channel is aborted).
 ShardStart ship_request(std::unique_ptr<SocketShardChannel> channel,
-                        const ShardRequestFrame& request, Clock::time_point deadline,
-                        const std::string& endpoint) {
+                        const ShardRequestFrame& request, const ClaimFrame& first_claim,
+                        Clock::time_point deadline, const std::string& endpoint) {
   ShardStart result;
-  const int error = send_all(channel->poll_fd(), encode_frame(request), deadline);
+  std::vector<std::uint8_t> bytes = encode_frame(request);
+  const std::vector<std::uint8_t> claim = encode_frame(first_claim);
+  bytes.insert(bytes.end(), claim.begin(), claim.end());
+  const int error = send_all(channel->poll_fd(), bytes, deadline);
   if (error != 0) {
-    result.error = endpoint + ": failed shipping shard request (" + std::strerror(error) + ", " +
-                   channel->abort() + ")";
+    result.error = endpoint + ": failed shipping session request (" + std::strerror(error) +
+                   ", " + channel->abort() + ")";
     return result;
   }
   result.channel = std::move(channel);
@@ -198,7 +218,8 @@ ProcessShardTransport::ProcessShardTransport(std::size_t workers) : workers_(wor
   }
 }
 
-ShardStart ProcessShardTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
+ShardStart ProcessShardTransport::start(const ShardRequestFrame& request,
+                                        const ClaimFrame& first_claim, int start_timeout_ms) {
   const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(start_timeout_ms);
   ShardStart result;
   // Everything the child needs is built before fork(): until execve the
@@ -239,8 +260,8 @@ ShardStart ProcessShardTransport::start(const ShardRequestFrame& request, int st
   }
   close_fd(ends[1]);
   ::fcntl(ends[0], F_SETFL, O_NONBLOCK);
-  return ship_request(std::make_unique<SocketShardChannel>(ends[0], pid), request, deadline,
-                      endpoint_);
+  return ship_request(std::make_unique<SocketShardChannel>(ends[0], pid), request, first_claim,
+                      deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +279,8 @@ TcpShardTransport::TcpShardTransport(std::string host, std::uint16_t port, std::
   endpoint_ = host_ + ":" + std::to_string(port_);
 }
 
-ShardStart TcpShardTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
+ShardStart TcpShardTransport::start(const ShardRequestFrame& request,
+                                    const ClaimFrame& first_claim, int start_timeout_ms) {
   ShardStart result;
   const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(start_timeout_ms);
 
@@ -314,7 +336,8 @@ ShardStart TcpShardTransport::start(const ShardRequestFrame& request, int start_
   // don't let Nagle batch them against delayed ACKs.
   int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  return ship_request(std::make_unique<SocketShardChannel>(fd, -1), request, deadline, endpoint_);
+  return ship_request(std::make_unique<SocketShardChannel>(fd, -1), request, first_claim,
+                      deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +455,7 @@ TransportFault parse_transport_fault(const std::string& text) {
 namespace {
 
 /// Channel decorator applying one armed TransportFault to the byte
-/// stream of the attempt it wraps.
+/// stream of the session it wraps.
 class FaultyChannel final : public ShardChannel {
  public:
   FaultyChannel(std::unique_ptr<ShardChannel> inner, TransportFault fault)
@@ -508,7 +531,7 @@ class FaultyChannel final : public ShardChannel {
       }
       case TransportFault::Kind::kDelay: {
         // Trickle: tiny reads with a per-read pause, modeling a slow
-        // link.  The shard still completes, just late.
+        // link.  The claims still complete, just late.
         std::this_thread::sleep_for(std::chrono::milliseconds(fault_.delay_ms));
         ChannelRead read = inner_->read_some(buffer, std::min<std::size_t>(capacity, 64));
         if (read.kind == ChannelRead::Kind::kData) seen_ += read.bytes;
@@ -521,10 +544,10 @@ class FaultyChannel final : public ShardChannel {
     return inner_->read_some(buffer, capacity);
   }
 
-  std::string send_heartbeat(std::uint64_t sequence) override {
+  std::string send(const std::vector<std::uint8_t>& frame) override {
     // Beacons keep flowing during a receive stall — the fault models a
     // one-directional partition, the harder case for the watchdog.
-    return inner_->send_heartbeat(sequence);
+    return inner_->send(frame);
   }
 
   std::string abort() override { return inner_->abort(); }
@@ -543,15 +566,16 @@ class FaultyChannel final : public ShardChannel {
 FaultyTransport::FaultyTransport(std::shared_ptr<ShardTransport> inner, TransportFault fault)
     : inner_(std::move(inner)), fault_(fault) {}
 
-ShardStart FaultyTransport::start(const ShardRequestFrame& request, int start_timeout_ms) {
-  const bool armed = fault_.kind != TransportFault::Kind::kNone && request.shard == fault_.shard &&
-                     request.attempt < fault_.attempts;
+ShardStart FaultyTransport::start(const ShardRequestFrame& request,
+                                  const ClaimFrame& first_claim, int start_timeout_ms) {
+  const bool armed = fault_.kind != TransportFault::Kind::kNone &&
+                     first_claim.shard == fault_.shard && first_claim.attempt < fault_.attempts;
   if (armed && fault_.kind == TransportFault::Kind::kConnectRefuse) {
     ShardStart refused;
     refused.error = endpoint() + ": connect: Connection refused (injected fault)";
     return refused;
   }
-  ShardStart started = inner_->start(request, start_timeout_ms);
+  ShardStart started = inner_->start(request, first_claim, start_timeout_ms);
   if (armed && started.channel != nullptr) {
     started.channel = std::make_unique<FaultyChannel>(std::move(started.channel), fault_);
   }

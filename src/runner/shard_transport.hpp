@@ -10,12 +10,13 @@
 
 /// \file shard_transport.hpp
 /// The transport abstraction of the sharded sweep dataplane: how a
-/// coordinator (runner/shard_coordinator.hpp) reaches the workers that
-/// execute its shards.  Every worker runs the same session
+/// coordinator (runner/shard_coordinator.hpp) reaches the worker sessions
+/// that execute its claims.  Every worker runs the same session
 /// (runner/shard_server.hpp) over a connected stream socket, so a
 /// transport only has to (1) connect a socket to a fresh session, (2)
-/// ship the shard request, and (3) hand the socket back as a pollable
-/// channel.  Two transports ship:
+/// ship the session request and its first claim, and (3) hand the socket
+/// back as a pollable channel, over which the coordinator sends the
+/// session's later claims.  Two transports ship:
 ///
 ///   - ProcessShardTransport: a socketpair whose other end a fork/exec'd
 ///     `sweep-worker` child inherits as stdin and stdout,
@@ -24,18 +25,18 @@
 ///
 /// plus FaultyTransport, a deterministic fault-injection decorator that
 /// wraps either one and corrupts / drops / stalls / delays the byte
-/// stream of a chosen shard's first attempts (the LR_TEST_TRANSPORT_FAULT
-/// knob).
+/// stream of the sessions a chosen claim's first attempts open (the
+/// LR_TEST_TRANSPORT_FAULT knob).
 
 namespace lr {
 
-/// One contiguous shard of a sweep's workload order (workload_order()
-/// below): positions [begin, end) of that order.
+/// One contiguous range of a sweep's workload order (workload_order()
+/// below): positions [begin, end) of that order.  A claim is one.
 struct ShardRange {
-  std::size_t begin = 0;  ///< first position of the shard
+  std::size_t begin = 0;  ///< first position of the range
   std::size_t end = 0;    ///< one past the last position
 
-  /// Number of runs in the shard.
+  /// Number of runs in the range.
   std::size_t size() const noexcept { return end - begin; }
 
   /// Ranges compare by their bounds.
@@ -43,36 +44,54 @@ struct ShardRange {
 };
 
 /// A sweep's workload order: its run indexes, workload by workload
-/// (group_by_workload).  Shards are ranges of positions in this order.
+/// (group_by_workload).  Claims are ranges of positions in this order.
 std::vector<std::size_t> workload_order(const std::vector<RunSpec>& runs);
 
-/// Deterministically partitions the `runs` positions of a sweep's workload
-/// order into `shards` contiguous, maximally balanced ranges (sizes differ
-/// by at most one, larger shards first), so at most shards - 1 workloads
-/// straddle a boundary.  `shards` is clamped to `runs` so no shard is
-/// empty; runs = 0 yields no shards.  This is fixed merge contract: each
-/// run lives in the same shard on every machine and every invocation.
-std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t shards);
+/// Deterministically partitions `runs` positions into `parts` contiguous,
+/// maximally balanced ranges (sizes differ by at most one, larger ranges
+/// first).  `parts` is clamped to `runs` so no range is empty; runs = 0
+/// yields no ranges.  plan_claims() falls back to it.
+std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t parts);
 
-/// One dispatched attempt of a shard, as the coordinator logs it —
+/// The claims of a sweep over `lanes` worker sessions: a deterministic
+/// cut of the workload order of `runs` into contiguous ranges, handed to
+/// the sessions on demand, largest first.  Guided self-scheduling over
+/// whole workloads: each claim takes workloads from the front of the
+/// order until it holds at least ceil(remaining runs / (2 x lanes)) runs,
+/// so early claims amortize the dispatch and the last ones even out the
+/// lanes' finishing times.  Every workload thus lies in one claim and is
+/// built once, and claim sizes never increase when every workload holds
+/// the same number of runs (as in any sweep without repeated axis
+/// values).  A sweep with fewer workloads than lanes is instead cut into
+/// shard_ranges(runs, lanes), so one huge workload still spreads across
+/// the lanes.  Fixed merge contract: each run lies in the same claim on
+/// every machine and every invocation.
+std::vector<ShardRange> plan_claims(const std::vector<RunSpec>& runs, std::size_t lanes);
+
+/// One dispatched attempt of a claim, as the coordinator logs it —
 /// surfaced through `lr_cli sweep --shard-log` so operators can see
-/// which endpoint served (or killed) each attempt and how long it took.
+/// which endpoint and session served (or killed) each attempt and how
+/// long it took.
 struct ShardAttemptLog {
   std::size_t attempt = 0;   ///< zero-based attempt number
   std::string endpoint;      ///< transport endpoint that served the attempt
   std::string outcome;       ///< "ok" or the failure description
   long long elapsed_ms = 0;  ///< dispatch to completion / failure
   long long backoff_ms = 0;  ///< retry-policy delay imposed before dispatch
+  /// Index of the worker session that served the attempt, numbered from 0
+  /// in the order the coordinator opened them (a session that failed to
+  /// open keeps its number).
+  std::size_t session = 0;
 };
 
-/// What happened to one shard across all its attempts — surfaced so a
-/// failed sweep can say exactly which shard died how, and a recovered
+/// What happened to one claim across all its attempts — surfaced so a
+/// failed sweep can say exactly which claim died how, and a recovered
 /// one can report the retries and reassignments it absorbed.
 struct ShardDiagnostics {
-  std::size_t shard = 0;              ///< shard index
-  ShardRange range;                   ///< the shard's workload-order positions
-  std::size_t attempts = 0;           ///< attempts dispatched for this shard
-  bool completed = false;             ///< shard delivered all its records
+  std::size_t shard = 0;              ///< claim index
+  ShardRange range;                   ///< the claim's workload-order positions
+  std::size_t attempts = 0;           ///< attempts dispatched for this claim
+  bool completed = false;             ///< claim delivered all its records
   std::vector<std::string> failures;  ///< one human-readable line per failed attempt
   std::vector<ShardAttemptLog> attempt_log;  ///< every attempt, incl. the successful one
 };
@@ -91,10 +110,11 @@ struct ChannelRead {
   std::string error;              ///< description when kind == kError
 };
 
-/// One live shard attempt's byte stream, as the coordinator consumes it.
+/// One live worker session's byte stream, as the coordinator consumes it.
 /// The channel owns the socket and, for a process worker, the child;
 /// exactly one of abort() / complete() should be called, else
-/// destruction ends the attempt implicitly (destructors abort).
+/// destruction ends the session implicitly (destructors abort).  The
+/// destructor reaps the child.
 class ShardChannel {
  public:
   virtual ~ShardChannel() = default;
@@ -105,18 +125,22 @@ class ShardChannel {
   /// Nonblocking read of up to `capacity` bytes into `buffer`.
   virtual ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) = 0;
 
-  /// Sends a coordinator -> worker liveness beacon.  Returns an empty
-  /// string on success, else a failure description (the coordinator
-  /// treats a failed heartbeat like any other channel failure).
-  virtual std::string send_heartbeat(std::uint64_t sequence) = 0;
+  /// Sends one encoded coordinator -> worker frame: a claim or a liveness
+  /// beacon.  Returns an empty string on success, else a failure
+  /// description (the coordinator treats a failed send like any other
+  /// channel failure).  A peer that closed its end is left to the read
+  /// side, which reports the frames it sent before closing and then EOF.
+  virtual std::string send(const std::vector<std::uint8_t>& frame) = 0;
 
-  /// Abandons the attempt — closes the socket and kills and reaps the
+  /// Abandons the session — closes the socket and kills and reaps the
   /// child, if any.  Returns a status description for diagnostics (e.g.
   /// the child's wait status).  Idempotent.
   virtual std::string abort() = 0;
 
-  /// Releases the channel after a clean shard completion (closes the
-  /// socket, reaps the child).  Idempotent.
+  /// Ends the session cleanly once it has no claim left to serve: closes
+  /// the socket, on which the worker sees EOF and exits.  The destructor
+  /// reaps the child, so a caller that keeps ended channels until it has
+  /// closed them all lets the workers exit in parallel.  Idempotent.
   virtual void complete() = 0;
 };
 
@@ -126,9 +150,9 @@ struct ShardStart {
   std::string error;  ///< failure description when channel is null
 };
 
-/// A place that can execute shard attempts: a factory of ShardChannels.
-/// `capacity()` is how many attempts the coordinator may run there
-/// concurrently (worker processes, or connections to a TCP host).
+/// A place that can run worker sessions: a factory of ShardChannels.
+/// `capacity()` is how many sessions the coordinator may keep open there
+/// at once (worker processes, or connections to a TCP host).
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
@@ -137,22 +161,23 @@ class ShardTransport {
   /// diagnostics and the shard log.
   virtual const std::string& endpoint() const noexcept = 0;
 
-  /// Concurrent attempts this transport can serve.
+  /// Concurrent sessions this transport can serve.
   virtual std::size_t capacity() const noexcept = 0;
 
-  /// Starts one shard attempt by opening a session and shipping
-  /// `request`; blocks at most `start_timeout_ms`.  A failure (fork
-  /// failure, connection refused, timeout shipping the request) is
-  /// returned, not thrown — the coordinator charges it against the
-  /// shard's retry budget and the endpoint's liveness score.
-  virtual ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) = 0;
+  /// Opens one session and ships `request` and the session's first
+  /// claim; blocks at most `start_timeout_ms`.  A failure (fork failure,
+  /// connection refused, timeout shipping the request) is returned, not
+  /// thrown — the coordinator charges it against the claim's retry budget
+  /// and the endpoint's liveness score.
+  virtual ShardStart start(const ShardRequestFrame& request, const ClaimFrame& first_claim,
+                           int start_timeout_ms) = 0;
 };
 
 /// Local worker processes: every start() fork/execs this process's own
 /// binary (/proc/self/exe) as `<binary> sweep-worker`, a fresh
 /// shared-nothing process that inherits one end of a socketpair as its
-/// stdin and stdout.  Crash isolation is the process boundary; the
-/// channel owns the child and kills it on abort().
+/// stdin and stdout and serves one session.  Crash isolation is the
+/// process boundary; the channel owns the child and kills it on abort().
 class ProcessShardTransport : public ShardTransport {
  public:
   /// `workers` is the concurrent-attempt capacity (>= 1).
@@ -160,7 +185,8 @@ class ProcessShardTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
+  ShardStart start(const ShardRequestFrame& request, const ClaimFrame& first_claim,
+                   int start_timeout_ms) override;
 
  private:
   std::size_t workers_;
@@ -168,8 +194,8 @@ class ProcessShardTransport : public ShardTransport {
 };
 
 /// One remote `shard-server` endpoint (runner/shard_server.hpp): every
-/// start() opens a fresh TCP connection, ships the request, and returns
-/// the socket as the channel.
+/// start() opens a fresh TCP connection, ships the request and the first
+/// claim, and returns the socket as the channel.
 class TcpShardTransport : public ShardTransport {
  public:
   /// Endpoint `host:port` with `workers` concurrent connections.
@@ -177,7 +203,8 @@ class TcpShardTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
+  ShardStart start(const ShardRequestFrame& request, const ClaimFrame& first_claim,
+                   int start_timeout_ms) override;
 
  private:
   std::string host_;
@@ -190,7 +217,7 @@ class TcpShardTransport : public ShardTransport {
 struct HostSpec {
   std::string host;          ///< hostname or dotted-quad address
   std::uint16_t port = 0;    ///< TCP port, 1..65535
-  std::size_t workers = 1;   ///< concurrent shard connections to the host
+  std::size_t workers = 1;   ///< concurrent sessions (connections) to the host
 
   /// Specs compare field-wise.
   friend bool operator==(const HostSpec&, const HostSpec&) = default;
@@ -203,8 +230,11 @@ struct HostSpec {
 /// non-numeric worker count, or trailing garbage.
 std::vector<HostSpec> parse_host_list(const std::string& text);
 
-/// A deterministic fault, armed for the first `attempts` attempts of one
-/// shard.  Parsed from the LR_TEST_TRANSPORT_FAULT environment knob
+/// A deterministic fault, armed on the sessions opened by the first
+/// `attempts` attempts of one claim: `shard` is the claim whose dispatch
+/// opens the faulted session, and the fault acts on that session's whole
+/// byte stream, whichever claims it goes on to serve.  Parsed from the
+/// LR_TEST_TRANSPORT_FAULT environment knob
 /// (`kind:shard[:attempts[:at_byte]]`), which wraps every primary
 /// transport of a sweep, processes included.
 struct TransportFault {
@@ -212,15 +242,15 @@ struct TransportFault {
   enum class Kind : std::uint8_t {
     kNone,            ///< no fault
     kConnectRefuse,   ///< `connect`: start() fails as if the host were down
-    kDrop,            ///< `drop`: connection closed (child killed) mid-shard
+    kDrop,            ///< `drop`: connection closed (child killed) mid-stream
     kCorrupt,         ///< `corrupt`: one byte of the stream flipped
-    kHeartbeatStall,  ///< `hbstall`: stream goes silent mid-shard
+    kHeartbeatStall,  ///< `hbstall`: stream goes silent mid-stream
     kDelay,           ///< `delay`: bytes trickle through a slowed link
   };
   Kind kind = Kind::kNone;    ///< which fault to inject
-  std::size_t shard = 0;      ///< target shard
-  std::size_t attempts = 1;   ///< arm on attempts [0, attempts)
-  std::size_t at_byte = 200;  ///< stream offset where drop/corrupt/stall triggers
+  std::size_t shard = 0;      ///< claim whose dispatch opens the faulted session
+  std::size_t attempts = 1;   ///< arm on that claim's attempts [0, attempts)
+  std::size_t at_byte = 200;  ///< session stream offset where drop/corrupt/stall triggers
   std::uint32_t delay_ms = 2;  ///< per-read delay of the `delay` fault
 };
 
@@ -230,10 +260,10 @@ struct TransportFault {
 TransportFault parse_transport_fault(const std::string& text);
 
 /// Decorator injecting one TransportFault into an inner transport's byte
-/// stream, deterministically: attempt k of shard s either is or is not
-/// faulted as a pure function of the plan, so every test run exercises
-/// the identical failure schedule.  Attempts outside the plan pass
-/// through untouched.
+/// stream, deterministically: the session opened by attempt k of claim s
+/// either is or is not faulted as a pure function of the plan, so every
+/// test run exercises the identical failure schedule.  Sessions outside
+/// the plan pass through untouched.
 class FaultyTransport : public ShardTransport {
  public:
   /// Wraps `inner`, injecting `fault`.
@@ -241,7 +271,8 @@ class FaultyTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return inner_->endpoint(); }
   std::size_t capacity() const noexcept override { return inner_->capacity(); }
-  ShardStart start(const ShardRequestFrame& request, int start_timeout_ms) override;
+  ShardStart start(const ShardRequestFrame& request, const ClaimFrame& first_claim,
+                   int start_timeout_ms) override;
 
  private:
   std::shared_ptr<ShardTransport> inner_;

@@ -241,6 +241,10 @@ TEST_F(CliIntegrationTest, SweepProcessesFlagValidation) {
   EXPECT_EQ(run_command("sweep " + spec_path + " --processes -1").exit_code, 2);
   EXPECT_EQ(run_command("sweep " + spec_path + " --processes two").exit_code, 2);
   EXPECT_EQ(run_command("sweep " + spec_path + " --processes").exit_code, 2);
+  // Capped like --threads: parsing fails before any worker is forked.
+  const auto above_cap = run_command("sweep " + spec_path + " --processes 257");
+  EXPECT_EQ(above_cap.exit_code, 2);
+  EXPECT_NE(above_cap.output.find("usage:"), std::string::npos) << above_cap.output;
   EXPECT_EQ(run_command("sweep " + spec_path + " --retries -1").exit_code, 2);
   std::filesystem::remove(spec_path);
 }

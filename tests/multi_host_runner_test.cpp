@@ -316,7 +316,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
-  const SweepSpec sweep = small_sweep();
+  // Four workloads on four lanes: four claims, each opening its own
+  // session, so the retry of the faulted claim opens one too (on the lane
+  // the failure freed) and the fault, armed per opening claim, fires again.
+  SweepSpec sweep = small_sweep();
+  sweep.sizes = {8};
   // The fault outlives the budget: 2 total attempts, 20 armed failures.
   const ScopedEnv knob("LR_TEST_TRANSPORT_FAULT", "drop:0:20");
   const auto servers = start_servers(2);
@@ -337,6 +341,50 @@ TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
   EXPECT_FALSE(diagnostics[0].completed);
   EXPECT_EQ(diagnostics[0].attempts, 2u);
   EXPECT_EQ(diagnostics[0].failures.size(), 2u);
+}
+
+TEST(MultiHostRunner, SessionLostOnItsSecondClaimRetriesOnlyThatClaim) {
+  // One lane: the session opened by claim 0 serves it, takes claim 1 on
+  // demand, and dies 50 bytes into claim 1's second record.  Claim 0
+  // stays merged from its first attempt; only claim 1 is retried, on a
+  // fresh session, and the tables are byte-identical.  Both transports
+  // run the one session, so both must behave alike.
+  const SweepSpec sweep = small_sweep();  // 8 workloads: claims of 12, 6, 3, 3 runs
+  const std::string expected = in_process_tables(sweep);
+  const std::vector<ShardRange> claims = plan_claims(sweep.expand(), 1);
+  ASSERT_EQ(claims.size(), 4u);
+  // Fixed-width frames: an error-free record, a hello and a done frame
+  // encode to the same size whatever their values.
+  const std::size_t hello = encode_frame(HelloFrame{}).size();
+  const std::size_t record = encode_frame(RecordFrame{}).size();
+  const std::size_t done = encode_frame(ShardDoneFrame{}).size();
+  const std::size_t cut = hello + claims[0].size() * record + done + hello + record + 50;
+  const ScopedEnv knob("LR_TEST_TRANSPORT_FAULT", "drop:0:1:" + std::to_string(cut));
+  const auto servers = start_servers(1);
+  for (const bool over_tcp : {true, false}) {
+    const char* transport = over_tcp ? "tcp" : "process";
+    ShardCoordinator runner =
+        over_tcp ? make_shard_coordinator({.threads = 1}, hosts_of(servers, 1))
+                 : make_shard_coordinator({.threads = 1, .process_workers = 1}, {});
+    EXPECT_EQ(tables_of(runner.run(sweep)), expected) << transport;
+    const auto& diagnostics = runner.shard_diagnostics();
+    ASSERT_EQ(diagnostics.size(), claims.size()) << transport;
+    for (const ShardDiagnostics& diag : diagnostics) {
+      EXPECT_TRUE(diag.completed) << transport << " claim " << diag.shard;
+      EXPECT_EQ(diag.attempts, diag.shard == 1 ? 2u : 1u) << transport << " claim " << diag.shard;
+    }
+    ASSERT_EQ(diagnostics[0].attempt_log.size(), 1u) << transport;
+    EXPECT_EQ(diagnostics[0].attempt_log[0].outcome, "ok") << transport;
+    const ShardDiagnostics& lost = diagnostics[1];
+    ASSERT_EQ(lost.failures.size(), 1u) << transport;
+    EXPECT_TRUE(lost.failures[0].find("truncated mid-frame") != std::string::npos ||
+                lost.failures[0].find("exited before completing") != std::string::npos)
+        << transport << ": " << lost.failures[0];
+    ASSERT_EQ(lost.attempt_log.size(), 2u) << transport;
+    EXPECT_EQ(lost.attempt_log[0].session, diagnostics[0].attempt_log[0].session) << transport;
+    EXPECT_EQ(lost.attempt_log[1].outcome, "ok") << transport;
+    EXPECT_NE(lost.attempt_log[1].session, lost.attempt_log[0].session) << transport;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,9 +487,7 @@ TEST(MultiHostRunner, ServerRejectsSkewedRequestVersionLoudly) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
   ShardRequestFrame request;
-  request.version = 2;  // one protocol generation behind
-  request.begin = 0;
-  request.end = 4;
+  request.version = 2;  // several protocol generations behind
   request.total = 4;
   request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
   const std::vector<std::uint8_t> bytes = encode_frame(request);
@@ -479,8 +525,6 @@ TEST(MultiHostRunner, ServerRefusesThreadCountsAboveTheLimit) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
   ShardRequestFrame request;
-  request.begin = 0;
-  request.end = 1;
   request.total = 1;
   request.threads = 1'000'000;
   request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
@@ -512,6 +556,48 @@ TEST(MultiHostRunner, ServerRefusesThreadCountsAboveTheLimit) {
       << refusal;
 }
 
+TEST(MultiHostRunner, ServerRefusesAClaimOutsideTheSweep) {
+  // A valid session request for a one-run sweep, then a claim of runs
+  // [0, 5): the session must refuse the claim by name, not index past
+  // its expansion.  It runs on this thread over a socketpair.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  ShardRequestFrame request;
+  request.total = 1;
+  request.heartbeat_ms = 10'000;  // no beacon, and no liveness cancel, within the test
+  request.liveness_timeout_ms = 10'000;
+  request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
+  ClaimFrame claim;
+  claim.end = 5;
+  std::vector<std::uint8_t> bytes = encode_frame(request);
+  const std::vector<std::uint8_t> claim_bytes = encode_frame(claim);
+  bytes.insert(bytes.end(), claim_bytes.begin(), claim_bytes.end());
+  ASSERT_EQ(::send(fds[0], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  std::atomic<bool> cancelled{false};
+  EXPECT_FALSE(serve_shard_session(fds[1], 5'000, cancelled));
+  ::close(fds[1]);
+
+  FrameParser parser;
+  std::vector<FrameType> types;
+  std::string refusal;
+  std::uint8_t buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fds[0], buffer, sizeof(buffer), 0);
+    ASSERT_GE(n, 0);
+    if (n == 0) break;
+    parser.feed(buffer, static_cast<std::size_t>(n));
+    while (auto frame = parser.next()) {
+      types.push_back(frame->type);
+      if (frame->type == FrameType::kShardError) refusal = frame->error.message;
+    }
+  }
+  ::close(fds[0]);
+  EXPECT_EQ(types, std::vector<FrameType>{FrameType::kShardError});  // no hello, no record
+  EXPECT_NE(refusal.find("claim range [0, 5) exceeds the sweep's 1 runs"), std::string::npos)
+      << refusal;
+}
+
 TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
   // A fake "old worker" answers with a version-2 hello.  The coordinator
   // must classify the skew by name.
@@ -535,7 +621,7 @@ TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
 }
 
 TEST(MultiHostRunner, CoordinatorRejectsRecordOfAnotherRun) {
-  // A fake worker whose first record names the shard's first run but
+  // A fake worker whose first record names the claim's first run but
   // carries the digest of its second: a worker that expanded the spec
   // differently.  The coordinator must refuse to merge it, by name.
   const SweepSpec sweep = small_sweep();
@@ -543,7 +629,7 @@ TEST(MultiHostRunner, CoordinatorRejectsRecordOfAnotherRun) {
   const std::vector<std::size_t> order = workload_order(runs);
   HelloFrame hello;
   hello.begin = 0;
-  hello.end = runs.size();
+  hello.end = plan_claims(runs, 1)[0].end;
   RunRecord record;
   record.spec = runs[order[1]];
   std::vector<std::uint8_t> reply = encode_frame(hello);
@@ -621,8 +707,6 @@ TEST(MultiHostRunner, ServerRefusalNamesTheCauseInDiagnostics) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
   ShardRequestFrame request;  // current version, wrong run-count claim
-  request.begin = 0;
-  request.end = 4;
   request.total = 999;
   request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
   const std::vector<std::uint8_t> bytes = encode_frame(request);

@@ -21,14 +21,14 @@
 #include "trace/report.hpp"
 
 /// Acceptance battery of sharded sweeps on local worker processes
-/// (make_shard_coordinator with process_workers and no hosts): shard
-/// partitioning, spec round-trip, byte-identical merges at every worker
-/// count (including sweeps that exercise the engine / sim parallelism
-/// knobs and a shared snapshot dir), and the fault-injection battery —
-/// a worker killed at a frame boundary or mid-frame, or gone silent,
-/// must recover via a retry with identical tables, and an unrecoverable
-/// fault must fail loudly with per-shard diagnostics, never hang or drop
-/// runs.  Faults come from the LR_TEST_TRANSPORT_FAULT knob, which wraps
+/// (make_shard_coordinator with process_workers and no hosts): the claim
+/// plan, spec round-trip, byte-identical merges at every worker count
+/// (including sweeps that exercise the engine / sim parallelism knobs and
+/// a shared snapshot dir), and the fault-injection battery — a worker
+/// killed at a frame boundary or mid-frame, or gone silent, must recover
+/// via a retry of the claim it was serving with identical tables, and an
+/// unrecoverable fault must fail loudly with per-claim diagnostics, never
+/// hang or drop runs.  Faults come from the LR_TEST_TRANSPORT_FAULT knob, which wraps
 /// the process transport like any other (the TCP side of the battery is
 /// tests/multi_host_runner_test.cpp).
 ///
@@ -129,33 +129,75 @@ TEST(ShardRanges, PartitionIsContiguousBalancedAndComplete) {
   }
 }
 
-TEST(ShardRanges, CutTheWorkloadOrderSoAtMostShardsMinusOneWorkloadsStraddle) {
-  const std::vector<RunSpec> runs = small_sweep().expand();  // 8 workloads x 3 runs
-  const std::vector<std::size_t> order = workload_order(runs);
-  std::vector<std::size_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t index = 0; index < runs.size(); ++index) EXPECT_EQ(sorted[index], index);
-  for (const std::size_t shards : {2u, 3u, 5u, 8u}) {
-    std::map<WorkloadKey, std::set<std::size_t>> shards_of;
-    const auto ranges = shard_ranges(order.size(), shards);
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-      for (std::size_t position = ranges[s].begin; position < ranges[s].end; ++position) {
-        shards_of[workload_key(runs[order[position]])].insert(s);
+/// The shard-fanout campaign of perfbench: 90 workloads of 8 runs.
+SweepSpec fanout_sweep() {
+  SweepSpec sweep;
+  sweep.topologies = {TopologyKind::kRandom, TopologyKind::kGrid, TopologyKind::kChain};
+  sweep.sizes = {256};
+  sweep.algorithms = {AlgorithmKind::kFullReversal, AlgorithmKind::kOneStepPR,
+                      AlgorithmKind::kNewPR, AlgorithmKind::kDistPR};
+  sweep.schedulers = {SchedulerKind::kLowestId, SchedulerKind::kRandom};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) sweep.seeds.push_back(seed);
+  return sweep;
+}
+
+TEST(ClaimPlan, CoversTheWorkloadOrderOnceInWholeNonIncreasingClaims) {
+  SweepSpec five_seeds = small_sweep();
+  five_seeds.seeds = {1, 2, 3, 4, 5};
+  for (const SweepSpec& sweep : {small_sweep(), five_seeds, fanout_sweep()}) {
+    const std::vector<RunSpec> runs = sweep.expand();
+    const std::vector<std::size_t> order = workload_order(runs);
+    const std::size_t workloads = group_by_workload(runs).size();
+    for (std::size_t lanes = 1; lanes <= workloads; ++lanes) {
+      const std::vector<ShardRange> claims = plan_claims(runs, lanes);
+      EXPECT_EQ(plan_claims(runs, lanes), claims) << lanes << " lanes";  // deterministic
+      std::size_t cursor = 0;
+      std::map<WorkloadKey, std::set<std::size_t>> claims_of;
+      for (std::size_t c = 0; c < claims.size(); ++c) {
+        EXPECT_EQ(claims[c].begin, cursor) << lanes << " lanes";  // contiguous, in order
+        EXPECT_GT(claims[c].size(), 0u);
+        if (c > 0) {
+          EXPECT_LE(claims[c].size(), claims[c - 1].size()) << lanes << " lanes";
+        }
+        for (std::size_t position = claims[c].begin; position < claims[c].end; ++position) {
+          claims_of[workload_key(runs[order[position]])].insert(c);
+        }
+        cursor = claims[c].end;
+      }
+      EXPECT_EQ(cursor, runs.size()) << lanes << " lanes";  // every position, once
+      EXPECT_EQ(claims_of.size(), workloads);
+      for (const auto& [key, holders] : claims_of) {
+        EXPECT_EQ(holders.size(), 1u) << lanes << " lanes: a workload straddles claims";
       }
     }
-    std::size_t straddling = 0;
-    for (const auto& [key, holders] : shards_of) straddling += holders.size() > 1 ? 1 : 0;
-    EXPECT_LE(straddling, shards - 1) << shards << " shards";
   }
 }
 
-TEST(ShardRanges, LargerShardsComeFirst) {
-  const auto ranges = shard_ranges(10, 4);  // 3,3,2,2
-  ASSERT_EQ(ranges.size(), 4u);
-  EXPECT_EQ(ranges[0].size(), 3u);
-  EXPECT_EQ(ranges[1].size(), 3u);
-  EXPECT_EQ(ranges[2].size(), 2u);
-  EXPECT_EQ(ranges[3].size(), 2u);
+TEST(ClaimPlan, FewerWorkloadsThanLanesFallsBackToEqualCountRanges) {
+  // One workload of three runs on three lanes spreads one run per lane;
+  // eight three-run workloads on twelve lanes take 2 runs per lane.
+  SweepSpec one = small_sweep();
+  one.topologies = {TopologyKind::kChain};
+  one.sizes = {8};
+  one.seeds = {1};
+  EXPECT_EQ(plan_claims(one.expand(), 3), shard_ranges(3, 3));
+  const std::vector<RunSpec> runs = small_sweep().expand();
+  EXPECT_EQ(plan_claims(runs, 12), shard_ranges(runs.size(), 12));
+  EXPECT_EQ(plan_claims(runs, 64).size(), runs.size());  // never an empty claim
+  EXPECT_TRUE(plan_claims({}, 4).empty());
+  EXPECT_TRUE(plan_claims(runs, 0).empty());
+}
+
+TEST(ClaimPlan, ShardFanoutOnTwoLanes) {
+  // Each claim holds at least ceil(remaining / 4) runs, in whole
+  // eight-run workloads.
+  const std::vector<std::size_t> expected = {184, 136, 104, 80, 56, 40, 32,
+                                             24,  16,  16,  8,  8,  8,  8};
+  std::vector<std::size_t> sizes;
+  for (const ShardRange& claim : plan_claims(fanout_sweep().expand(), 2)) {
+    sizes.push_back(claim.size());
+  }
+  EXPECT_EQ(sizes, expected);
 }
 
 TEST(FormatSweepSpec, RoundTripsThroughTheParser) {
@@ -194,7 +236,12 @@ TEST(ProcessShardRunner, ClampsWorkersToRunCount) {
   sweep.algorithms = {AlgorithmKind::kFullReversal};
   sweep.seeds = {1, 2, 3};  // 2 topologies x 3 seeds = 6 runs
   coordinator.run(sweep);
-  EXPECT_EQ(coordinator.shard_diagnostics().size(), 6u);  // one shard per run
+  EXPECT_EQ(coordinator.shard_diagnostics().size(), 6u);  // one claim per run
+  std::set<std::size_t> sessions;
+  for (const ShardDiagnostics& diag : coordinator.shard_diagnostics()) {
+    sessions.insert(diag.attempt_log.at(0).session);
+  }
+  EXPECT_EQ(sessions.size(), 6u);  // one worker per claim, not 64
 }
 
 TEST(ProcessShardRunner, TablesAreByteIdenticalAtEveryWorkerCount) {
@@ -265,14 +312,13 @@ TEST(ProcessShardRunner, WorkersShareTheSnapshotDir) {
     return files;
   };
 
-  // The workers' done frames carry their snapshot counters.  Three shards
-  // of 8 runs cut the workload order of the 8 three-run workloads, so two
-  // workloads straddle a shard boundary and the workers miss 10 times.  A
+  // The workers' done frames carry their snapshot counters.  Claims are
+  // whole workloads, so the workers miss once per workload, 8 times.  A
   // cold miss generates and saves, or reloads a file another worker saved
   // first; a warm miss always reloads.
   const SweepReport cold = process_coordinator(options).run(sweep);
   EXPECT_EQ(tables_of(cold), baseline);
-  EXPECT_EQ(cold.cache.misses, 10u);
+  EXPECT_EQ(cold.cache.misses, 8u);
   EXPECT_EQ(cold.cache.snapshot_loads + cold.cache.snapshot_saves, cold.cache.misses);
   EXPECT_GE(cold.cache.snapshot_saves, 8u);
   const auto saved = inodes();
@@ -325,7 +371,7 @@ bool matches_any(const std::string& text, const std::string& alternatives) {
 /// Each fault kind: the sweep must recover on the retry, the merged
 /// tables must match the in-process baseline byte for byte, and the
 /// diagnostics must record exactly one failed attempt on the faulted
-/// shard.
+/// claim.
 class WorkerFaultRecovery : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
@@ -333,7 +379,7 @@ TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
   const SweepSpec sweep = small_sweep();
   const std::string baseline = in_process_tables(sweep);
 
-  // Arm the fault on shard 2, first attempt only.
+  // Arm the fault on the session claim 2 opens, first attempt only.
   const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob(kind, 2, 1));
   // The stall fault only resolves via the inactivity watchdog; keep the
   // test fast with a short deadline (generous enough for a real frame).
@@ -345,9 +391,9 @@ TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
   EXPECT_EQ(tables_of(report), baseline) << "fault kind " << kind;
 
   const auto& diagnostics = coordinator.shard_diagnostics();
-  ASSERT_EQ(diagnostics.size(), 4u);
+  ASSERT_EQ(diagnostics.size(), 8u);  // one three-run workload per claim
   for (const ShardDiagnostics& diag : diagnostics) {
-    EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
+    EXPECT_TRUE(diag.completed) << "claim " << diag.shard;
     if (diag.shard == 2) {
       EXPECT_EQ(diag.attempts, 2u);
       ASSERT_EQ(diag.failures.size(), 1u);
@@ -366,18 +412,22 @@ INSTANTIATE_TEST_SUITE_P(AllFaultKinds, WorkerFaultRecovery,
                          });
 
 TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
-  const SweepSpec sweep = small_sweep();
-  // Fault every attempt (99 >> retry budget) on shard 1.
+  // Four workloads on four workers: four claims, each opening its own
+  // session, so the retry of claim 1 opens one on the lane its failure
+  // freed, and the fault, armed per opening claim, fires again.
+  SweepSpec sweep = small_sweep();
+  sweep.sizes = {8};
+  // Fault every attempt (99 >> retry budget) on claim 1.
   const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", fault_knob("exit", 1, 99));
 
   ShardCoordinator coordinator =
       process_coordinator({.threads = 1, .process_workers = 4, .worker_retries = 1});
   try {
     coordinator.run(sweep);
-    FAIL() << "a shard faulting on every attempt must fail the sweep";
+    FAIL() << "a claim faulting on every attempt must fail the sweep";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
-    // The message must name the dead shard and read as diagnostics, not
+    // The message must name the dead claim and read as diagnostics, not
     // as a generic failure.
     EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
     EXPECT_NE(what.find("attempt"), std::string::npos) << what;

@@ -97,7 +97,7 @@ TEST(ShardProtocol, HelloRoundTrip) {
   const Frame frame = decode_single(encode_frame(hello));
   ASSERT_EQ(frame.type, FrameType::kHello);
   EXPECT_EQ(frame.hello.version, kShardProtocolVersion);
-  EXPECT_EQ(kShardProtocolVersion, 6u);  // v6: shards are ranges of the workload order
+  EXPECT_EQ(kShardProtocolVersion, 7u);  // v7: persistent sessions, one kClaim per claim
   EXPECT_EQ(frame.hello.shard, 3u);
   EXPECT_EQ(frame.hello.begin, 120u);
   EXPECT_EQ(frame.hello.end, 160u);
@@ -143,11 +143,7 @@ TEST(ShardProtocol, HeartbeatRoundTripBothDirections) {
 
 TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   ShardRequestFrame request;
-  request.shard = 7;
-  request.begin = 1000;
-  request.end = 1250;
   request.total = 4000;
-  request.attempt = 3;
   request.threads = 16;
   request.heartbeat_ms = 750;
   request.liveness_timeout_ms = 30000;
@@ -156,16 +152,26 @@ TEST(ShardProtocol, ShardRequestRoundTripPreservesEveryField) {
   const Frame frame = decode_single(encode_frame(request));
   ASSERT_EQ(frame.type, FrameType::kShardRequest);
   EXPECT_EQ(frame.request.version, kShardProtocolVersion);
-  EXPECT_EQ(frame.request.shard, 7u);
-  EXPECT_EQ(frame.request.begin, 1000u);
-  EXPECT_EQ(frame.request.end, 1250u);
   EXPECT_EQ(frame.request.total, 4000u);
-  EXPECT_EQ(frame.request.attempt, 3u);
   EXPECT_EQ(frame.request.threads, 16u);
   EXPECT_EQ(frame.request.heartbeat_ms, 750u);
   EXPECT_EQ(frame.request.liveness_timeout_ms, 30000u);
   EXPECT_EQ(frame.request.spec_text, request.spec_text);
   EXPECT_EQ(frame.request.snapshot_dir, request.snapshot_dir);
+}
+
+TEST(ShardProtocol, ClaimRoundTrip) {
+  ClaimFrame claim;
+  claim.shard = 13;
+  claim.begin = 712;
+  claim.end = 720;
+  claim.attempt = 2;
+  const Frame frame = decode_single(encode_frame(claim));
+  ASSERT_EQ(frame.type, FrameType::kClaim);
+  EXPECT_EQ(frame.claim.shard, 13u);
+  EXPECT_EQ(frame.claim.begin, 712u);
+  EXPECT_EQ(frame.claim.end, 720u);
+  EXPECT_EQ(frame.claim.attempt, 2u);
 }
 
 TEST(ShardProtocol, ShardErrorRoundTripIncludingAwkwardMessages) {
@@ -195,19 +201,20 @@ TEST(ShardProtocol, SkewedVersionsDecodeFaithfullyForLoudRejection) {
 }
 
 TEST(ShardProtocol, OlderRequestLayoutStillDecodesItsVersion) {
-  // A version-5 request carried a cache cap after the thread count.  Its
-  // payload is 8 bytes longer than a version-6 one, so only the version is
-  // decoded, for the worker to refuse by name rather than as a parse error.
+  // A version-6 request carried its shard's index and range before the
+  // run total and its attempt after it.  Its payload is 32 bytes longer
+  // than a version-7 one, so only the version is decoded, for the worker
+  // to refuse by name rather than as a parse error.
   ShardRequestFrame request;
   request.spec_text = "topology = chain\n";
   const std::vector<std::uint8_t> encoded = encode_frame(request);
   std::vector<std::uint8_t> body(encoded.begin() + 9, encoded.end() - 8);
-  body[0] = 5;  // the version's low byte
-  const std::size_t after_threads = 4 + 6 * 8;  // version, then six u64 fields
-  body.insert(body.begin() + static_cast<std::ptrdiff_t>(after_threads), 8, 0);
+  body[0] = 6;  // the version's low byte
+  body.insert(body.begin() + 4, 3 * 8, 0);       // shard, begin, end
+  body.insert(body.begin() + 4 + 4 * 8, 8, 0);   // attempt, after the total
   const Frame frame = decode_single(frame_payload(FrameType::kShardRequest, body));
   ASSERT_EQ(frame.type, FrameType::kShardRequest);
-  EXPECT_EQ(frame.request.version, 5u);
+  EXPECT_EQ(frame.request.version, 6u);
 }
 
 TEST(ShardProtocol, TruncatedFrameIsIncompleteNotAFrame) {
@@ -303,9 +310,9 @@ TEST(ShardProtocol, TrailingPayloadBytesRejected) {
 }
 
 /// The boundary fuzz: a realistic multi-frame stream — now with the v3
-/// frames (shard-request, heartbeats either direction, shard-error)
-/// interleaved — fed at every chunking a socket might produce must
-/// decode identically.
+/// frames (shard-request, heartbeats either direction, shard-error) and
+/// the v7 claim interleaved — fed at every chunking a socket might
+/// produce must decode identically.
 TEST(ShardProtocol, FuzzRandomChunkBoundaries) {
   std::mt19937_64 rng(20260808);
   std::vector<std::uint8_t> stream;
@@ -318,12 +325,14 @@ TEST(ShardProtocol, FuzzRandomChunkBoundaries) {
   };
   {
     ShardRequestFrame request;
-    request.shard = 1;
-    request.begin = 100;
-    request.end = 140;
     request.total = 400;
     request.spec_text = "topology = chain\nsize = 8\nseed = 1\nalgorithm = fr\n";
     append(encode_frame(request), FrameType::kShardRequest);
+    ClaimFrame claim;
+    claim.shard = 1;
+    claim.begin = 100;
+    claim.end = 140;
+    append(encode_frame(claim), FrameType::kClaim);
   }
   {
     HelloFrame hello;
@@ -426,8 +435,8 @@ TEST(ShardProtocol, FuzzSingleByteCorruptionNeverSilentlyAccepted) {
 
 /// Same single-byte-corruption guarantee over a stream of the v3 frame
 /// types (shard-request with an embedded spec, heartbeats both ways,
-/// shard-error): corruption is always loud, never a silent identical
-/// decode and never a crash or hang.
+/// shard-error) and v7's claim: corruption is always loud, never a silent
+/// identical decode and never a crash or hang.
 TEST(ShardProtocol, FuzzSingleByteCorruptionV3FramesNeverSilentlyAccepted) {
   std::vector<std::uint8_t> stream;
   std::vector<FrameType> expected_types;
@@ -438,14 +447,16 @@ TEST(ShardProtocol, FuzzSingleByteCorruptionV3FramesNeverSilentlyAccepted) {
   };
   {
     ShardRequestFrame request;
-    request.shard = 2;
-    request.begin = 10;
-    request.end = 20;
     request.total = 40;
     request.heartbeat_ms = 500;
     request.liveness_timeout_ms = 10000;
     request.spec_text = "topology = chain, random\nsize = 8\nseed = 1, 2\nalgorithm = fr\n";
     append(encode_frame(request), FrameType::kShardRequest);
+    ClaimFrame claim;
+    claim.shard = 2;
+    claim.begin = 10;
+    claim.end = 20;
+    append(encode_frame(claim), FrameType::kClaim);
   }
   for (const std::uint8_t direction : {1, 0}) {
     HeartbeatFrame beacon;
