@@ -18,7 +18,6 @@ namespace {
 template <typename Slot, typename PushSink, bool kClock = false>
 struct SerialOps {
   Slot* node;
-  std::uint32_t* list_size;
   PushSink& push;
   std::uint32_t clock = 0;  // round of the firing in progress (kClock only)
 
@@ -27,7 +26,6 @@ struct SerialOps {
     if constexpr (kClock) slot.clock = std::max(slot.clock, clock);
     if (--slot.out_degree == 0) push(v);
   }
-  void listed(NodeId v) { ++list_size[v]; }
   void self_sink(NodeId u) { push(u); }
 };
 
@@ -42,7 +40,6 @@ struct SerialOps {
 /// range, so every counter keeps exactly one writer and no RMW is atomic.
 struct DeltaOps {
   std::vector<NodeId>* degree_bucket;  // this firer's row: one bucket per owner
-  std::vector<NodeId>* list_bucket;
   std::vector<NodeId>* next;  // this shard's next-round buffer (zero-flip requeues)
   std::size_t shards;
   std::size_t nodes;
@@ -51,11 +48,42 @@ struct DeltaOps {
     return static_cast<std::size_t>(v) * shards / nodes;
   }
   void flipped(NodeId v) { degree_bucket[owner(v)].push_back(v); }
-  void listed(NodeId v) { list_bucket[owner(v)].push_back(v); }
   // The destination never fires, so a zero-flip self-requeue needs no
   // destination filter here (the merge phase filters its own pushes).
   void self_sink(NodeId u) { next->push_back(u); }
 };
+
+/// How a step count c (mod 4) flips the edges it selects, as one bit per
+/// count: bit c of `head` is the parity of the flips the first c steps of
+/// an edge's initial head made on it, bit c of `tail` the same for its
+/// initial tail.  An FR step flips every incident edge (c flips); a NewPR
+/// step flips `in-nbrs_u` at an even count and `out-nbrs_u` at an odd one
+/// (⌈c/2⌉ flips of an in-edge, ⌊c/2⌋ of an out-edge).  An edge points
+/// from its initial tail to its initial head iff the two bits agree.
+struct FlipMasks {
+  unsigned head;
+  unsigned tail;
+};
+
+constexpr FlipMasks kFullReversalMasks{0b1010, 0b1010};
+constexpr FlipMasks kNewPRMasks{0b0110, 0b1100};
+
+FlipMasks flip_masks(EngineAlgorithm algorithm) {
+  return algorithm == EngineAlgorithm::kNewPR ? kNewPRMasks : kFullReversalMasks;
+}
+
+// OneStepPR's state byte (ReversalEngine::edge_state_): bit 0 the current
+// sense, bit 1 "larger endpoint ∈ list[smaller]", bit 2 the converse.
+constexpr std::uint8_t kSenseBit = 1;
+constexpr std::uint8_t kLowListBit = 2;
+constexpr std::uint8_t kHighListBit = 4;
+static_assert(static_cast<std::uint8_t>(EdgeSense::kBackward) == kSenseBit &&
+              static_cast<std::uint8_t>(EdgeSense::kForward) == 0);
+
+/// The list bit that says "the other endpoint is in my list", seen from `u`.
+std::uint8_t own_list_bit(NodeId u, NodeId other) {
+  return u < other ? kLowListBit : kHighListBit;
+}
 
 }  // namespace
 
@@ -83,20 +111,51 @@ ReversalEngine::ReversalEngine(const Instance& instance)
 
 void ReversalEngine::reset(EngineAlgorithm algorithm) {
   const std::size_t n = csr_.num_nodes();
-  sense_.assign(csr_.initial_senses().begin(), csr_.initial_senses().end());
+  algorithm_ = algorithm;
   node_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     node_[u] = {static_cast<std::uint32_t>(csr_.initial_out_degree(u)), 0};
   }
-  // FR reads nothing else; the PR lists and the NewPR parities are
-  // allocated only by the runs that read them.
+  // Each run allocates only the state its algorithm reads: every list
+  // starts empty, and every step count at zero.
   if (algorithm == EngineAlgorithm::kOneStepPR) {
-    in_list_.assign(2 * csr_.num_edges(), 0);
-    list_size_.assign(n, 0);
-  } else if (algorithm == EngineAlgorithm::kNewPR) {
-    parity_.assign(n, 0);
+    const std::span<const EdgeSense> initial = csr_.initial_senses();
+    edge_state_.resize(initial.size());
+    std::transform(initial.begin(), initial.end(), edge_state_.begin(),
+                   [](EdgeSense sense) { return static_cast<std::uint8_t>(sense); });
+  } else {
+    fires_.assign(n, 0);
   }
   dummy_steps_ = 0;
+}
+
+std::span<const EdgeSense> ReversalEngine::senses() const {
+  // Fills the engine's own buffer: like every call on an engine, this one
+  // comes from the single thread that uses it.
+  const std::span<const EdgeSense> initial = csr_.initial_senses();
+  senses_.resize(initial.size());
+  if (algorithm_ == EngineAlgorithm::kOneStepPR) {
+    std::transform(edge_state_.begin(), edge_state_.end(), senses_.begin(),
+                   [](std::uint8_t state) { return static_cast<EdgeSense>(state & kSenseBit); });
+    return senses_;
+  }
+  const FlipMasks masks = flip_masks(algorithm_);
+  for (NodeId x = 0; x < csr_.num_nodes(); ++x) {
+    const CsrPos end = csr_.adjacency_end(x);
+    for (CsrPos p = csr_.adjacency_begin(x); p < end; ++p) {
+      const NodeId v = csr_.neighbor_at(p);
+      if (v < x) continue;  // each edge once, from its smaller endpoint
+      const EdgeId e = csr_.edge_at(p);
+      // Forward is x -> v: x is the initial tail.
+      const bool forward = initial[e] == EdgeSense::kForward;
+      const NodeId tail = forward ? x : v;
+      const NodeId head = forward ? v : x;
+      const unsigned flipped =
+          ((masks.head >> fires_[head]) ^ (masks.tail >> fires_[tail])) & 1u;
+      senses_[e] = static_cast<EdgeSense>(static_cast<unsigned>(initial[e]) ^ flipped);
+    }
+  }
+  return senses_;
 }
 
 void ReversalEngine::ensure_distances() {
@@ -124,41 +183,69 @@ bool ReversalEngine::compute_destination_oriented() {
   visited_[destination_] = 1;
   bfs_queue_.push_back(destination_);
   std::size_t reached = 1;
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const NodeId x = bfs_queue_[head];
-    const CsrPos end = csr_.adjacency_end(x);
-    for (CsrPos p = csr_.adjacency_begin(x); p < end; ++p) {
-      // Traverse edges *into* x: their tails route to D through x.
-      if (csr_.points_out_of(p, x, sense_)) continue;
-      const NodeId v = csr_.neighbor_at(p);
-      if (!visited_[v]) {
-        visited_[v] = 1;
-        bfs_queue_.push_back(v);
-        ++reached;
+  const auto visit = [this, &reached](NodeId v) {
+    if (!visited_[v]) {
+      visited_[v] = 1;
+      bfs_queue_.push_back(v);
+      ++reached;
+    }
+  };
+  // The BFS walks edges *into* x, whose tails route to D through x.  It
+  // prefetches the block of the node four places ahead in the queue.
+  constexpr std::size_t kAhead = 4;
+  if (algorithm_ == EngineAlgorithm::kOneStepPR) {
+    const NodeId* nbr = csr_.raw_neighbors().data();
+    const EdgeId* edge = csr_.raw_edges().data();
+    for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+      if (head + kAhead < bfs_queue_.size()) {
+        const CsrPos ahead = csr_.adjacency_begin(bfs_queue_[head + kAhead]);
+        __builtin_prefetch(nbr + ahead);
+        __builtin_prefetch(edge + ahead);
       }
+      const NodeId x = bfs_queue_[head];
+      const CsrPos end = csr_.adjacency_end(x);
+      for (CsrPos p = csr_.adjacency_begin(x); p < end; ++p) {
+        const NodeId v = nbr[p];
+        // Forward points from the smaller endpoint to the larger.
+        const bool forward = (edge_state_[edge[p]] & kSenseBit) == 0;
+        if (forward != (x < v)) visit(v);
+      }
+    }
+    return reached == n;
+  }
+  // FR and NewPR: an initial in-edge v -> x still points into x iff the
+  // flips of x (as its head) and of v (as its tail) cancel, and an
+  // initial out-edge x -> v now points into x iff they do not.
+  const FlipMasks masks = flip_masks(algorithm_);
+  const std::uint8_t* fires = fires_.data();
+  const NodeId* part_nbr = csr_.raw_partition_neighbors().data();
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    if (head + kAhead < bfs_queue_.size()) {
+      __builtin_prefetch(part_nbr + csr_.adjacency_begin(bfs_queue_[head + kAhead]));
+    }
+    const NodeId x = bfs_queue_[head];
+    const unsigned as_head = (masks.head >> fires[x]) & 1u;
+    for (const NodeId v : csr_.initial_in_neighbors(x)) {
+      if (((masks.tail >> fires[v]) & 1u) == as_head) visit(v);
+    }
+    const unsigned as_tail = (masks.tail >> fires[x]) & 1u;
+    for (const NodeId v : csr_.initial_out_neighbors(x)) {
+      if (((masks.head >> fires[v]) & 1u) != as_tail) visit(v);
     }
   }
   return reached == n;
 }
 
 template <typename Ops>
-void ReversalEngine::flip(CsrPos p, Ops& ops) {
-  const EdgeId e = csr_.edge_at(p);
-  sense_[e] = sense_[e] == EdgeSense::kForward ? EdgeSense::kBackward : EdgeSense::kForward;
-  ops.flipped(csr_.neighbor_at(p));
-}
-
-
-template <typename Ops>
 std::uint32_t ReversalEngine::fire_full(NodeId u, Ops& ops) {
-  const CsrPos begin = csr_.adjacency_begin(u);
-  const CsrPos end = csr_.adjacency_end(u);
-  for (CsrPos p = begin; p < end; ++p) flip(p, ops);
-  const std::uint32_t flips = end - begin;
-  // Plain store in the sharded kernel too: u's round peers are pairwise
+  const std::span<const NodeId> neighbors = csr_.neighbors(u);
+  for (const NodeId v : neighbors) ops.flipped(v);
+  const auto flips = static_cast<std::uint32_t>(neighbors.size());
+  // Plain stores in the sharded kernel too: u's round peers are pairwise
   // non-adjacent to it and delta events only target non-firing nodes, so
-  // no other shard touches node_[u] this round.
+  // no other shard touches node_[u] or fires_[u] this round.
   node_[u].out_degree = flips;
+  fires_[u] = (fires_[u] + 1) & 3;
   if (flips == 0) ops.self_sink(u);  // a degree-0 node stays a (vacuous) sink
   return flips;
 }
@@ -167,25 +254,34 @@ template <typename Ops>
 std::uint32_t ReversalEngine::fire_pr(NodeId u, Ops& ops) {
   const CsrPos begin = csr_.adjacency_begin(u);
   const CsrPos end = csr_.adjacency_end(u);
-  const bool reverse_all = list_size_[u] == end - begin;
-  std::uint32_t flips = 0;
+  // One scan reverses every edge whose other endpoint is not in list[u],
+  // adds u to that endpoint's list, and empties list[u] while counting
+  // it.  A list that held every neighbour means the step reverses them
+  // all instead, which that scan left untouched.  Only u writes the bytes
+  // of its edges, in the sharded kernel too: round peers are non-adjacent.
+  const auto reverse = [u, &ops](NodeId v, std::uint8_t& state) {
+    state = (state ^ kSenseBit) | own_list_bit(v, u);  // list[v] := list[v] ∪ {u}
+    ops.flipped(v);
+  };
+  std::uint32_t listed = 0;
   for (CsrPos p = begin; p < end; ++p) {
-    if (!reverse_all && in_list_[p]) continue;  // v ∈ list[u]: keep the edge
-    flip(p, ops);
-    ++flips;
-    // list[v] := list[v] ∪ {u}, addressed through the mirror position.
-    // The mirror slot is written by at most one shard per round (it names
-    // the {u, v} edge from v's side and u is the only firing endpoint);
-    // v's list-size counter is shared with u's round peers, which is why
-    // the increment goes through ops (deferred to v's owner when sharded).
-    const CsrPos mp = csr_.mirror(p);
-    if (!in_list_[mp]) {
-      in_list_[mp] = 1;
-      ops.listed(csr_.neighbor_at(p));
+    const NodeId v = csr_.neighbor_at(p);
+    std::uint8_t& state = edge_state_[csr_.edge_at(p)];
+    const std::uint8_t mine = own_list_bit(u, v);
+    if (state & mine) {  // v ∈ list[u]: keep the edge, and drop v from the list
+      state &= static_cast<std::uint8_t>(~mine);
+      ++listed;
+    } else {
+      reverse(v, state);
     }
   }
-  for (CsrPos p = begin; p < end; ++p) in_list_[p] = 0;  // list[u] := ∅
-  list_size_[u] = 0;
+  const std::uint32_t degree = end - begin;
+  if (listed == degree) {
+    for (CsrPos p = begin; p < end; ++p) {
+      reverse(csr_.neighbor_at(p), edge_state_[csr_.edge_at(p)]);
+    }
+  }
+  const std::uint32_t flips = listed == degree ? degree : degree - listed;
   node_[u].out_degree = flips;
   if (flips == 0) ops.self_sink(u);
   return flips;
@@ -193,16 +289,17 @@ std::uint32_t ReversalEngine::fire_pr(NodeId u, Ops& ops) {
 
 template <typename Ops>
 std::uint32_t ReversalEngine::fire_newpr(NodeId u, Ops& ops) {
-  const std::span<const CsrPos> selected =
-      parity_[u] ? csr_.initial_out_positions(u) : csr_.initial_in_positions(u);
-  for (const CsrPos p : selected) flip(p, ops);
-  const std::uint32_t flips = static_cast<std::uint32_t>(selected.size());
+  const std::uint8_t count = fires_[u];
+  const std::span<const NodeId> selected =
+      count & 1 ? csr_.initial_out_neighbors(u) : csr_.initial_in_neighbors(u);
+  for (const NodeId v : selected) ops.flipped(v);
+  const auto flips = static_cast<std::uint32_t>(selected.size());
   node_[u].out_degree = flips;
+  fires_[u] = (count + 1) & 3;
   if (flips == 0) {
     ++dummy_steps_;  // the selected constant set is empty: a dummy step
     ops.self_sink(u);
   }
-  parity_[u] ^= 1;
   return flips;
 }
 
@@ -261,7 +358,7 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
     for (NodeId u = 0; u < n; ++u) {
       if (node_[u].out_degree == 0) push(u);
     }
-    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), list_size_.data(), push};
+    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), push};
     if (policy == EnginePolicy::kRandom) {
       std::mt19937_64 rng(options.scheduler_seed);
       while (result.steps < options.max_steps) {
@@ -276,6 +373,14 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
       }
     } else {
       const bool round_robin = policy == EnginePolicy::kRoundRobin;
+      // The arrays the next firing reads by position: its neighbour ids
+      // name every other line it touches (`part_nbr` for NewPR's constant
+      // sets), and OneStepPR also reads its edge ids.
+      const NodeId* prefetch_nbr = algorithm == EngineAlgorithm::kNewPR
+                                       ? csr_.raw_partition_neighbors().data()
+                                       : csr_.raw_neighbors().data();
+      const EdgeId* prefetch_edge =
+          algorithm == EngineAlgorithm::kOneStepPR ? csr_.raw_edges().data() : nullptr;
       NodeId u = sink_index_.next(0);
       while (result.steps < options.max_steps) {
         if (u == kNoNode) {
@@ -285,10 +390,9 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
         sink_index_.erase(u);  // a zero-flip step re-inserts it through ops
         const NodeId ahead = sink_index_.next(u);
         if (ahead != kNoNode) {
-          // Its neighbour and edge ids name every other line it touches.
           const CsrPos begin = csr_.adjacency_begin(ahead);
-          __builtin_prefetch(csr_.raw_neighbors().data() + begin);
-          __builtin_prefetch(csr_.raw_edges().data() + begin);
+          __builtin_prefetch(prefetch_nbr + begin);
+          if (prefetch_edge != nullptr) __builtin_prefetch(prefetch_edge + begin);
         }
         from = round_robin ? u + 1 : 0;
         inserted = kNoNode;
@@ -316,7 +420,7 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
     for (NodeId u = 0; u < n; ++u) {
       if (node_[u].out_degree == 0) push(u);  // keys are unique: the pop order is fixed
     }
-    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), list_size_.data(), push};
+    SerialOps<NodeSlot, decltype(push), true> ops{node_.data(), push};
     while (result.steps < options.max_steps) {
       NodeId u = kNoNode;
       while (!key_heap_.empty()) {
@@ -377,7 +481,7 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
   const auto push = [this](NodeId v) {
     if (v != destination_) round_next_.push_back(v);
   };
-  SerialOps<NodeSlot, decltype(push)> serial_ops{node_.data(), list_size_.data(), push};
+  SerialOps<NodeSlot, decltype(push)> serial_ops{node_.data(), push};
   const std::size_t shards = options.pool != nullptr ? options.pool->size() : 1;
   std::size_t width = 0;
   std::function<void(std::size_t)> fire_job;
@@ -386,14 +490,12 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
     shard_next_.resize(shards);
     shard_reversals_.assign(shards, 0);
     degree_events_.resize(shards * shards);
-    list_events_.resize(shards * shards);
     // Both jobs are built once per execution (not per round): the fire job
     // reads the current round's size through `width`.
     fire_job = [this, algorithm, &width, shards](std::size_t shard) {
       const std::size_t begin = width * shard / shards;
       const std::size_t end = width * (shard + 1) / shards;
       DeltaOps ops{degree_events_.data() + shard * shards,
-                   list_events_.data() + shard * shards,
                    &shard_next_[shard],
                    shards,
                    csr_.num_nodes()};
@@ -415,9 +517,6 @@ EngineRoundsResult ReversalEngine::run_greedy_rounds(EngineAlgorithm algorithm,
           if (--node_[v].out_degree == 0 && v != destination_) next.push_back(v);
         }
         degree.clear();
-        std::vector<NodeId>& list = list_events_[firer * shards + owner];
-        for (const NodeId v : list) ++list_size_[v];
-        list.clear();
       }
     };
   }

@@ -24,26 +24,38 @@
 /// `ReversalEngine` is the production path.  It executes the *same*
 /// algorithms over a `CsrGraph` snapshot with:
 ///
-///  * flat per-edge sense bytes and per-node out-degree counters (the whole
-///    mutable state of G'),
+///  * per-node out-degree counters, plus only the state each algorithm
+///    defines: FR and NewPR keep one step count (mod 4) per node, and an
+///    edge's direction is its initial sense flipped by the parity of the
+///    flips its endpoints' counts imply; OneStepPR keeps one byte per
+///    edge, its current sense and one "other endpoint ∈ my list" bit per
+///    endpoint,
 ///  * sinks tracked as out-degrees hit zero, so no step scans for them (a
 ///    graph/sink_index.hpp index, or farthest-first's lazy key heap),
 ///  * batched per-node kernels that exploit the sink precondition (every
 ///    incident edge of a firing node points at it, so a "reversal set" is
-///    just a slice of positions to flip),
-///  * O(1) `list[v]` updates in the PR kernel via CSR mirror positions, and
-///  * O(1) dummy-step detection in the NewPR kernel via the precomputed
-///    initial in/out partition, and
+///    just a slice of neighbours to notify): an FR step reads `nbr`, a
+///    NewPR step the constant set `in-nbrs_u` or `out-nbrs_u` of `part_nbr`
+///    that its count's parity selects, and a OneStepPR step `nbr`, `edge`
+///    and the state bytes, counting `|list[u]|` in the same scan,
+///  * a destination check that reads the same state: a BFS over `part_nbr`
+///    and the step counts (FR, NewPR) or over `nbr`, `edge` and the state
+///    bytes (OneStepPR), and
 ///  * a round clock per node in FR and OneStepPR runs, from which one
 ///    single-step run also reports its greedy-rounds count (see
 ///    `EngineResult::greedy_rounds`).
+///
+/// No run reads `mirror` or `part_pos`, which remain only for the snapshot
+/// format, the tests and `perfbench/trace_replay.cpp` (graph/csr.hpp).  The
+/// orientation as one sense per edge is derived only when `senses()` or
+/// `state_checksum()` asks for it.
 ///
 /// Equivalence contract: for every (algorithm, policy, seed, step budget),
 /// `run()` performs the *identical action sequence* as the corresponding
 /// automaton driven by the same scheduler from `automata/scheduler.hpp`,
 /// and therefore produces identical work counts, per-node costs, dummy
-/// counts, and final orientations: both paths make each id-ordered choice
-/// with the same `SinkIndex` query.  `tests/reversal_engine_test.cpp` locks
+/// counts, and orientations, after any step budget: both paths make each
+/// id-ordered choice with the same `SinkIndex` query.  `tests/reversal_engine_test.cpp` locks
 /// this in across algorithms × policies × topologies, which is what makes
 /// the scenario runner's legacy/CSR A/B mode byte-identical.
 
@@ -118,8 +130,7 @@ struct EngineRoundsResult {
 /// non-adjacent (two adjacent nodes cannot both be sinks — their shared
 /// edge points out of one of them), so each edge is flipped by at most one
 /// firing node per round and the only cross-shard state is the out-degree
-/// (and PR list-size) counters of *non-firing* neighbors, whose updates
-/// commute.  The engine never applies those updates concurrently, though:
+/// counters of *non-firing* neighbors, whose updates commute.  The engine never applies those updates concurrently, though:
 /// each firing shard records them as delta events bucketed by the
 /// *owner* shard of the neighbor (contiguous node ranges), and a second
 /// barrier phase has every owner drain the buckets aimed at its range.
@@ -197,11 +208,13 @@ class ReversalEngine {
   /// The destination node D.
   NodeId destination() const noexcept { return destination_; }
 
-  /// Edge senses after the most recent run (initial senses before any).
-  std::span<const EdgeSense> senses() const noexcept { return sense_; }
+  /// Edge senses after the most recent run (initial senses before any),
+  /// derived from the run's state in O(m) on each call.  The span stays
+  /// valid until the next call or run.
+  std::span<const EdgeSense> senses() const;
 
   /// Checksum of the current (post-run) orientation; see senses_checksum().
-  std::uint64_t state_checksum() const { return senses_checksum(sense_); }
+  std::uint64_t state_checksum() const { return senses_checksum(senses()); }
 
   /// True iff `u` currently has no outgoing edge (degree-0 nodes included,
   /// matching `Orientation::is_sink`).
@@ -218,14 +231,14 @@ class ReversalEngine {
   void ensure_distances();
   bool compute_destination_oriented();
 
-  // The fire kernels are policy-templated: `Ops` supplies the two
-  // neighbor-side effects (out-degree decrement on an edge flip, PR
-  // list-size increment) plus the zero-flip self-requeue.  Serial paths
-  // apply them in place; the sharded rounds kernel *defers* them as
-  // per-owner delta events instead — a hub neighbor shared by thousands
-  // of firing leaves would otherwise serialize every shard on one
-  // contended counter cache line.  See run_greedy_rounds for the
-  // two-phase fire/merge that applies the deltas without any atomic RMW.
+  // The fire kernels are policy-templated: `Ops` supplies the
+  // neighbor-side effect of an edge flip (out-degree decrement) plus the
+  // zero-flip self-requeue.  Serial paths apply them in place; the
+  // sharded rounds kernel *defers* them as per-owner delta events
+  // instead — a hub neighbor shared by thousands of firing leaves would
+  // otherwise serialize every shard on one contended counter cache line.
+  // See run_greedy_rounds for the two-phase fire/merge that applies the
+  // deltas without any atomic RMW.
   template <typename Ops>
   std::uint32_t fire(EngineAlgorithm algorithm, NodeId u, Ops& ops);
   template <typename Ops>
@@ -234,26 +247,26 @@ class ReversalEngine {
   std::uint32_t fire_pr(NodeId u, Ops& ops);
   template <typename Ops>
   std::uint32_t fire_newpr(NodeId u, Ops& ops);
-  // Forced inline: GCC otherwise keeps one out-of-line flip per Ops type,
-  // and the call costs the greedy rounds 14-26% at 10^6 (docs/PERFORMANCE.md).
-  template <typename Ops>
-  [[gnu::always_inline]] inline void flip(CsrPos p, Ops& ops);
 
   CsrGraph csr_;
   NodeId destination_ = 0;
 
   // Mutable G' state (reset per run).
-  std::vector<EdgeSense> sense_;  // current sense per edge
-  std::vector<NodeSlot> node_;    // out-degree and round clock per node
-
-  // PR list state: flag per adjacency position, size per node.
-  std::vector<std::uint8_t> in_list_;
-  std::vector<std::uint32_t> list_size_;
-
-  // NewPR parity bits.
-  std::vector<std::uint8_t> parity_;
+  EngineAlgorithm algorithm_ = EngineAlgorithm::kFullReversal;  // which state below is live
+  std::vector<NodeSlot> node_;  // out-degree and round clock per node
+  // FR and NewPR: each node's step count mod 4, which fixes the direction
+  // of every incident edge (see the masks in reversal_engine.cpp).
+  std::vector<std::uint8_t> fires_;
+  // OneStepPR, by edge id: bit 0 the current sense (EdgeSense's value),
+  // bit 1 "the larger endpoint is in the smaller's list", bit 2 the
+  // converse.  A firing writes only its own edges' bytes.
+  std::vector<std::uint8_t> edge_state_;
 
   std::uint64_t dummy_steps_ = 0;
+
+  // senses()' buffer, filled on demand.  An engine is used by one thread
+  // at a time, so the const accessor may fill it.
+  mutable std::vector<EdgeSense> senses_;
 
   // Scheduling scratch (persistent so repeated runs do not allocate).
   SinkIndex sink_index_;                // id-ordered policies: sinks but D
@@ -264,11 +277,10 @@ class ReversalEngine {
   std::vector<std::vector<NodeId>> shard_next_;   // per-shard next-round buffers
   std::vector<std::uint64_t> shard_reversals_;    // per-shard flip counters
   // Sharded-round delta buckets, indexed [firing shard * shards + owner
-  // shard]; each holds the neighbor ids whose counter the firer would have
-  // touched, drained by the owner in the merge phase (capacity persists
-  // across rounds).
-  std::vector<std::vector<NodeId>> degree_events_;  // out-degree decrements
-  std::vector<std::vector<NodeId>> list_events_;    // PR list-size increments
+  // shard]; each holds the neighbor ids whose out-degree the firer would
+  // have decremented, drained by the owner in the merge phase (capacity
+  // persists across rounds).
+  std::vector<std::vector<NodeId>> degree_events_;
   std::vector<std::uint32_t> distance_; // undirected BFS distance to D
   std::vector<std::uint8_t> visited_;   // destination-oriented BFS scratch
   std::vector<NodeId> bfs_queue_;       // BFS scratch

@@ -27,14 +27,21 @@
 ///
 ///  1. **Mirrors** — `mirror(p)` maps position `p` (edge `e` seen from `u`)
 ///     to the position of the same edge in the other endpoint's adjacency
-///     block.  This is what lets Partial Reversal update `list[v]` in O(1)
-///     per reversed edge instead of re-binary-searching `v`'s adjacency.
-///  2. **Initial in/out partition** — per node, the positions (and neighbor
-///     ids) of its initial in-edges and initial out-edges with respect to
-///     the *initial* orientation, as O(1) spans.  These are the paper's
-///     constant sets `in-nbrs_u` / `out-nbrs_u` that NewPR reverses by
-///     parity, so the NewPR kernel touches exactly the set it flips.
+///     block.
+///  2. **Initial in/out partition** — per node, the neighbour ids
+///     (`part_nbr`) and adjacency positions (`part_pos`) of its initial
+///     in-edges and initial out-edges with respect to the *initial*
+///     orientation, as O(1) spans.  These are the paper's constant sets
+///     `in-nbrs_u` / `out-nbrs_u` that NewPR reverses by parity.
 ///  3. **Initial senses** — the orientation itself, one byte per edge.
+///
+/// What the engine's kernels read (core/reversal_engine.hpp): an FR step
+/// reads `nbr`, a NewPR step the `part_nbr` slice its parity selects, and
+/// a OneStepPR step `nbr` and `edge`; the destination check reads
+/// `part_nbr` (FR, NewPR) or `nbr` and `edge` (OneStepPR).  No kernel
+/// reads `mirror` or `part_pos`: they remain only for the snapshot
+/// format, the tests, and `perfbench/trace_replay.cpp`, which sizes the
+/// arrays through `raw_mirrors()` and `raw_partition_positions()`.
 ///
 /// Storage: every array is a read-only span behind one shared owner — a
 /// block of vectors (the graph's adjacency plus the arrays built here), or
@@ -44,8 +51,8 @@
 /// keeps them alive, so a copy outlives the Graph or the Snapshot it came
 /// from.
 ///
-/// A `CsrGraph` never changes: mutable execution state (current edge
-/// senses, out-degrees, lists, parities) lives in the engine.  Topologies
+/// A `CsrGraph` never changes: mutable execution state (out-degrees, step
+/// counts, PR lists and senses) lives in the engine.  Topologies
 /// whose links churn keep their own mutable adjacency instead
 /// (routing/dynamic_heights.hpp).
 
@@ -166,24 +173,26 @@ class CsrGraph {
   /// The initial orientation this CSR graph was built with.
   std::span<const EdgeSense> initial_senses() const noexcept { return a_.senses; }
 
-  /// The paper's constant set `in-nbrs_u` (ascending) as an O(1) slice.
+  /// The paper's constant set `in-nbrs_u` (ascending) as an O(1) slice;
+  /// the NewPR even-parity reversal set.
   std::span<const NodeId> initial_in_neighbors(NodeId u) const {
     return a_.part_nbr.subspan(a_.offsets[u], a_.split[u] - a_.offsets[u]);
   }
 
-  /// The paper's constant set `out-nbrs_u` (ascending) as an O(1) slice.
+  /// The paper's constant set `out-nbrs_u` (ascending) as an O(1) slice;
+  /// the NewPR odd-parity reversal set.
   std::span<const NodeId> initial_out_neighbors(NodeId u) const {
     return a_.part_nbr.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
   }
 
   /// Flat adjacency positions of `u`'s initial in-edges (aligned with
-  /// `initial_in_neighbors`); the NewPR even-parity reversal set.
+  /// `initial_in_neighbors`).
   std::span<const CsrPos> initial_in_positions(NodeId u) const {
     return a_.part_pos.subspan(a_.offsets[u], a_.split[u] - a_.offsets[u]);
   }
 
   /// Flat adjacency positions of `u`'s initial out-edges (aligned with
-  /// `initial_out_neighbors`); the NewPR odd-parity reversal set.
+  /// `initial_out_neighbors`).
   std::span<const CsrPos> initial_out_positions(NodeId u) const {
     return a_.part_pos.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
   }

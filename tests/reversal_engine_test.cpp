@@ -10,7 +10,9 @@
 
 #include <limits>
 #include <optional>
+#include <string>
 #include <random>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/full_reversal.hpp"
 #include "core/newpr.hpp"
 #include "core/pr.hpp"
+#include "graph/digraph_algos.hpp"
 #include "runner/runner.hpp"
 #include "trace/report.hpp"
 
@@ -83,27 +86,64 @@ std::vector<Instance> equivalence_instances() {
   return instances;
 }
 
-/// Runs the legacy automaton for `strategy` under the scheduler `kind` and
-/// returns its final edge senses (the engine must reproduce them exactly).
-template <typename A>
-std::vector<EdgeSense> legacy_final_senses(const Instance& instance, SchedulerKind kind,
-                                           std::uint64_t seed) {
-  A automaton(instance);
-  with_single_scheduler(kind, seed, [&automaton](auto&& s) { run_to_quiescence(automaton, s); });
-  return automaton.orientation().senses();
+/// Calls `body(automaton)` on a fresh reference automaton for `strategy`.
+template <typename Body>
+void with_reference_automaton(const Instance& instance, Strategy strategy, Body&& body) {
+  switch (strategy) {
+    case Strategy::kFullReversal: {
+      FullReversalAutomaton automaton(instance);
+      body(automaton);
+      return;
+    }
+    case Strategy::kPartialReversal: {
+      OneStepPRAutomaton automaton(instance);
+      body(automaton);
+      return;
+    }
+    case Strategy::kNewPR: {
+      NewPRAutomaton automaton(instance);
+      body(automaton);
+      return;
+    }
+  }
+  ADD_FAILURE() << "unknown strategy";
 }
 
+/// Runs the legacy automaton for `strategy` under the scheduler `kind` and
+/// returns its final edge senses (the engine must reproduce them exactly).
 std::vector<EdgeSense> legacy_final_senses(const Instance& instance, Strategy strategy,
                                            SchedulerKind kind, std::uint64_t seed) {
-  switch (strategy) {
-    case Strategy::kFullReversal:
-      return legacy_final_senses<FullReversalAutomaton>(instance, kind, seed);
-    case Strategy::kPartialReversal:
-      return legacy_final_senses<OneStepPRAutomaton>(instance, kind, seed);
-    case Strategy::kNewPR:
-      return legacy_final_senses<NewPRAutomaton>(instance, kind, seed);
-  }
-  return {};
+  std::vector<EdgeSense> senses;
+  with_reference_automaton(instance, strategy, [&](auto& automaton) {
+    with_single_scheduler(kind, seed, [&automaton](auto&& s) { run_to_quiescence(automaton, s); });
+    senses = automaton.orientation().senses();
+  });
+  return senses;
+}
+
+/// One state of a reference execution: its orientation, and whether that
+/// orientation is destination-oriented.
+struct ReferenceState {
+  std::vector<EdgeSense> senses;
+  bool destination_oriented = false;
+};
+
+/// Every state of the legacy run of `strategy` under `kind`: the initial
+/// one, then one after each step.
+std::vector<ReferenceState> legacy_states(const Instance& instance, Strategy strategy,
+                                          SchedulerKind kind, std::uint64_t seed) {
+  std::vector<ReferenceState> states;
+  with_reference_automaton(instance, strategy, [&](auto& automaton) {
+    const auto record = [&states](const auto& a) {
+      states.push_back({a.orientation().senses(),
+                        is_destination_oriented(a.orientation(), a.destination())});
+    };
+    record(automaton);
+    with_single_scheduler(kind, seed, [&](auto&& s) {
+      run_to_quiescence(automaton, s, [&record](const auto& a, NodeId) { record(a); });
+    });
+  });
+  return states;
 }
 
 TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
@@ -143,13 +183,48 @@ TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
 
         const std::vector<EdgeSense> expected =
             legacy_final_senses(instance, strategy, pair.scheduler, seed);
-        EXPECT_TRUE(std::equal(engine.senses().begin(), engine.senses().end(),
-                               expected.begin(), expected.end()))
+        const std::span<const EdgeSense> senses = engine.senses();
+        EXPECT_TRUE(std::equal(senses.begin(), senses.end(), expected.begin(), expected.end()))
             << context << ": final orientations differ";
         EXPECT_EQ(engine.state_checksum(), senses_checksum(expected)) << context;
       }
     }
   }
+}
+
+TEST(ReversalEngineTest, EveryStepBudgetLeavesTheReferenceState) {
+  // The engine keeps no sense per edge for FR and NewPR, and OneStepPR
+  // keeps its senses beside its lists, so a budget of k steps must stop it
+  // in the reference automaton's state after k steps: the senses it
+  // derives and its destination check, at every k.  Comparing only final
+  // orientations would let a flip parity that is wrong at odd step counts
+  // pass.
+  const std::uint64_t seed = 12345;
+  std::size_t checked = 0;
+  for (const Instance& instance : equivalence_instances()) {
+    ReversalEngine engine(instance);
+    for (const Strategy strategy : kStrategies) {
+      for (const NamedPolicy& pair : kPolicies) {
+        const std::vector<ReferenceState> states =
+            legacy_states(instance, strategy, pair.scheduler, seed);
+        for (std::uint64_t k = 0; k < states.size(); ++k) {
+          const EngineResult result = engine.run(engine_algorithm(strategy), pair.policy,
+                                                 {.max_steps = k, .scheduler_seed = seed});
+          const std::string context = std::string(instance.name) + " " +
+                                      strategy_name(strategy) + " " +
+                                      scheduler_name(pair.scheduler) + " k=" + std::to_string(k);
+          ASSERT_EQ(result.steps, k) << context;
+          const std::span<const EdgeSense> senses = engine.senses();
+          ASSERT_TRUE(std::equal(senses.begin(), senses.end(), states[k].senses.begin(),
+                                 states[k].senses.end()))
+              << context << ": orientations differ";
+          ASSERT_EQ(result.destination_oriented, states[k].destination_oriented) << context;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u) << checked;
 }
 
 TEST(ReversalEngineTest, GreedyRoundsMatchLegacyRounds) {
