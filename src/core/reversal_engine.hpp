@@ -45,8 +45,8 @@
 ///    single-step run also reports its greedy-rounds count (see
 ///    `EngineResult::greedy_rounds`).
 ///
-/// No run reads `mirror` or `part_pos`, which remain only for the snapshot
-/// format, the tests and `perfbench/trace_replay.cpp` (graph/csr.hpp).  The
+/// Besides `offsets`, `split` and the initial senses, those are the only CSR
+/// arrays a run reads, and a freeze builds no others (graph/csr.hpp).  The
 /// orientation as one sense per edge is derived only when `senses()` or
 /// `state_checksum()` asks for it.
 ///

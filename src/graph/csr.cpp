@@ -1,5 +1,6 @@
 #include "graph/csr.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -17,26 +18,10 @@ CsrGraph::CsrGraph(const Graph& g, std::span<const EdgeSense> initial) {
   auto store = std::make_shared<AdjacencyStore>();
   store->shared = g.owner_;
   store->senses.assign(initial.begin(), initial.end());
-  store->mirror.resize(2 * m);
   store->part_nbr.resize(2 * m);
-  store->part_pos.resize(2 * m);
   store->split.resize(n);
-  a_ = Arrays{nullptr,          n,              g.offsets_,     g.nbr_,
-              g.edge_,          store->mirror,  store->part_nbr, store->part_pos,
-              store->split,     store->senses};
-  // Mirrors: blocks are visited in ascending u, and v's block lists its
-  // smaller neighbours first, ascending, so the k-th edge (u, v), u < v,
-  // met for v sits at v's k-th position.
-  std::vector<CsrPos> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (CsrPos p = g.offsets_[u]; p < g.offsets_[u + 1]; ++p) {
-      const NodeId v = g.nbr_[p];
-      if (u > v) continue;
-      const CsrPos q = cursor[v]++;
-      store->mirror[p] = q;
-      store->mirror[q] = p;
-    }
-  }
+  a_ = Arrays{nullptr,         n,           g.offsets_,   g.nbr_, g.edge_,
+              store->part_nbr, store->split, store->senses};
   // Initial in/out partition: in-block first, out-block second, both in
   // ascending neighbor order because the adjacency scan is ascending.
   for (NodeId u = 0; u < n; ++u) {
@@ -51,9 +36,7 @@ CsrGraph::CsrGraph(const Graph& g, std::span<const EdgeSense> initial) {
     in_cursor = begin;
     for (CsrPos q = begin; q < end; ++q) {
       CsrPos& slot = points_out_of(q, u, a_.senses) ? out_cursor : in_cursor;
-      store->part_nbr[slot] = a_.nbr[q];
-      store->part_pos[slot] = q;
-      ++slot;
+      store->part_nbr[slot++] = a_.nbr[q];
     }
   }
   a_.owner = std::move(store);
@@ -62,12 +45,22 @@ CsrGraph::CsrGraph(const Graph& g, std::span<const EdgeSense> initial) {
 CsrGraph::CsrGraph(Arrays arrays) : a_(std::move(arrays)) {
   const std::size_t n = a_.num_nodes;
   const std::size_t m = a_.senses.size();
-  const bool consistent = a_.offsets.size() == n + 1 && a_.nbr.size() == 2 * m &&
-                          a_.edge.size() == 2 * m && a_.mirror.size() == 2 * m &&
-                          a_.part_nbr.size() == 2 * m && a_.part_pos.size() == 2 * m &&
-                          a_.split.size() == n && a_.offsets.back() == 2 * m;
-  if (!consistent) {
-    throw std::invalid_argument("CsrGraph: inconsistent array sizes");
+  const bool sized = a_.offsets.size() == n + 1 && a_.nbr.size() == 2 * m &&
+                     a_.edge.size() == 2 * m && a_.part_nbr.size() == 2 * m &&
+                     a_.split.size() == n;
+  if (!sized) throw std::invalid_argument("CsrGraph: inconsistent array sizes");
+  // Every accessor slices by offsets and split, and NewPR indexes per-node
+  // state by part_nbr ids.  offsets[u] <= split[u] <= offsets[u+1] for
+  // every u, with offsets running from 0 to 2m, bounds every block; the
+  // loops carry no branch, so a reload pays about one read of each array.
+  bool out_of_range = a_.offsets[0] != 0 || a_.offsets[n] != 2 * m;
+  for (std::size_t u = 0; u < n; ++u) {
+    out_of_range |= (a_.offsets[u] > a_.split[u]) | (a_.split[u] > a_.offsets[u + 1]);
+  }
+  NodeId largest = 0;
+  for (const NodeId v : a_.part_nbr) largest = std::max(largest, v);
+  if (out_of_range || (m > 0 && largest >= n)) {
+    throw std::invalid_argument("CsrGraph: offsets, splits or partition ids out of range");
   }
 }
 
@@ -83,9 +76,7 @@ std::uint64_t CsrGraph::fingerprint() const {
   for (const CsrPos x : a_.offsets) mix(x);
   for (const NodeId x : a_.nbr) mix(x);
   for (const EdgeId x : a_.edge) mix(x);
-  for (const CsrPos x : a_.mirror) mix(x);
   for (const NodeId x : a_.part_nbr) mix(x);
-  for (const CsrPos x : a_.part_pos) mix(x);
   for (const CsrPos x : a_.split) mix(x);
   for (const EdgeSense s : a_.senses) mix(s == EdgeSense::kForward ? 1u : 0u);
   return hash;

@@ -25,23 +25,19 @@
 ///
 /// On top of the shared adjacency, `CsrGraph(graph, senses)` builds:
 ///
-///  1. **Mirrors** — `mirror(p)` maps position `p` (edge `e` seen from `u`)
-///     to the position of the same edge in the other endpoint's adjacency
-///     block.
-///  2. **Initial in/out partition** — per node, the neighbour ids
-///     (`part_nbr`) and adjacency positions (`part_pos`) of its initial
-///     in-edges and initial out-edges with respect to the *initial*
-///     orientation, as O(1) spans.  These are the paper's constant sets
-///     `in-nbrs_u` / `out-nbrs_u` that NewPR reverses by parity.
-///  3. **Initial senses** — the orientation itself, one byte per edge.
+///  1. **Initial in/out partition** — per node, the neighbour ids
+///     (`part_nbr`) of its initial in-edges and initial out-edges with
+///     respect to the *initial* orientation, as O(1) spans split at
+///     `split[u]`.  These are the paper's constant sets `in-nbrs_u` /
+///     `out-nbrs_u` that NewPR reverses by parity.
+///  2. **Initial senses** — the orientation itself, one byte per edge.
 ///
-/// What the engine's kernels read (core/reversal_engine.hpp): an FR step
-/// reads `nbr`, a NewPR step the `part_nbr` slice its parity selects, and
-/// a OneStepPR step `nbr` and `edge`; the destination check reads
-/// `part_nbr` (FR, NewPR) or `nbr` and `edge` (OneStepPR).  No kernel
-/// reads `mirror` or `part_pos`: they remain only for the snapshot
-/// format, the tests, and `perfbench/trace_replay.cpp`, which sizes the
-/// arrays through `raw_mirrors()` and `raw_partition_positions()`.
+/// So a freeze adds 4 B per adjacency position, 4 B per node and 1 B per
+/// edge to its Graph, and nothing else.  What the engine's kernels read
+/// (core/reversal_engine.hpp): an FR step reads `nbr`, a NewPR step the
+/// `part_nbr` slice its parity selects, and a OneStepPR step `nbr` and
+/// `edge`; the destination check reads `part_nbr` (FR, NewPR) or `nbr`
+/// and `edge` (OneStepPR).  Every array here has a reader.
 ///
 /// Storage: every array is a read-only span behind one shared owner — a
 /// block of vectors (the graph's adjacency plus the arrays built here), or
@@ -63,8 +59,8 @@ namespace lr {
 /// keeps, in `shared`, the owner of the arrays it reuses instead:
 ///
 ///  * `Graph(n, edges)`: endpoints, offsets, nbr, edge;
-///  * `CsrGraph(graph, senses)`: mirror, part_nbr, part_pos, split,
-///    senses; `shared` is the graph's store;
+///  * `CsrGraph(graph, senses)`: part_nbr, split, senses; `shared` is
+///    the graph's store;
 ///  * `Graph(csr)`: endpoints; `shared` is the CSR's owner (a store, or a
 ///    snapshot's mapping).
 ///
@@ -75,9 +71,7 @@ struct AdjacencyStore {
   std::vector<CsrPos> offsets;                       ///< size n+1; block boundaries
   std::vector<NodeId> nbr;                           ///< size 2m; ascending per block
   std::vector<EdgeId> edge;                          ///< size 2m; aligned with nbr
-  std::vector<CsrPos> mirror;                        ///< size 2m; same edge, other endpoint
   std::vector<NodeId> part_nbr;                      ///< size 2m; [in-block | out-block]
-  std::vector<CsrPos> part_pos;                      ///< size 2m; adjacency positions
   std::vector<CsrPos> split;                         ///< size n; where the out-block starts
   std::vector<EdgeSense> senses;                     ///< size m; the initial orientation
 };
@@ -96,12 +90,12 @@ class CsrGraph {
 
   /// Converts `g` with the given initial orientation (one sense per edge,
   /// as stored by `Orientation::senses()` and `Instance::senses`).  Shares
-  /// `g`'s offsets, neighbour and edge arrays and builds only the mirrors,
-  /// the partition, the splits and a copy of the senses.  Throws
+  /// `g`'s offsets, neighbour and edge arrays and builds only the
+  /// partition, the splits and a copy of the senses.  Throws
   /// std::invalid_argument if `initial.size() != g.num_edges()`.
   CsrGraph(const Graph& g, std::span<const EdgeSense> initial);
 
-  /// The eight flat arrays of one CSR graph as read-only spans, plus the
+  /// The six flat arrays of one CSR graph as read-only spans, plus the
   /// owner that keeps their memory alive — the snapshot loader's input
   /// (graph/snapshot.hpp binds the spans over its mapping and passes the
   /// mapping as `owner`).
@@ -111,17 +105,20 @@ class CsrGraph {
     std::span<const CsrPos> offsets;    ///< size n+1
     std::span<const NodeId> nbr;        ///< size 2m
     std::span<const EdgeId> edge;       ///< size 2m
-    std::span<const CsrPos> mirror;     ///< size 2m
     std::span<const NodeId> part_nbr;   ///< size 2m
-    std::span<const CsrPos> part_pos;   ///< size 2m
     std::span<const CsrPos> split;      ///< size n
     std::span<const EdgeSense> senses;  ///< size m
   };
 
   /// A CsrGraph over `arrays`, sharing their owner.  Throws
-  /// std::invalid_argument when the span sizes are mutually inconsistent.
-  /// The arrays' *contents* are trusted — the snapshot layer validates a
-  /// checksum before binding them.
+  /// std::invalid_argument when the span sizes are mutually inconsistent,
+  /// or when the contents every accessor indexes by are out of range:
+  /// `offsets` must start at 0, never decrease and end at 2m, each
+  /// `split[u]` must lie in u's block, and every `part_nbr` id must be a
+  /// node.  Two sequential passes, over `offsets` with `split` and over
+  /// `part_nbr`; `Graph(csr)` range-checks `nbr` and `edge` on its own.  The
+  /// snapshot layer validates a checksum before binding the arrays, so
+  /// these checks catch a file that is intact but wrong.
   explicit CsrGraph(Arrays arrays);
 
   /// Number of nodes.
@@ -141,9 +138,6 @@ class CsrGraph {
 
   /// Edge id at flat position `p`.
   EdgeId edge_at(CsrPos p) const { return a_.edge[p]; }
-
-  /// Position of the same edge inside the *other* endpoint's block.
-  CsrPos mirror(CsrPos p) const { return a_.mirror[p]; }
 
   /// Flat position of neighbor `v` inside `u`'s adjacency block, or
   /// nullopt when `v` is not adjacent to `u`.  O(log deg(u)) over the
@@ -185,18 +179,6 @@ class CsrGraph {
     return a_.part_nbr.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
   }
 
-  /// Flat adjacency positions of `u`'s initial in-edges (aligned with
-  /// `initial_in_neighbors`).
-  std::span<const CsrPos> initial_in_positions(NodeId u) const {
-    return a_.part_pos.subspan(a_.offsets[u], a_.split[u] - a_.offsets[u]);
-  }
-
-  /// Flat adjacency positions of `u`'s initial out-edges (aligned with
-  /// `initial_out_neighbors`).
-  std::span<const CsrPos> initial_out_positions(NodeId u) const {
-    return a_.part_pos.subspan(a_.split[u], a_.offsets[u + 1] - a_.split[u]);
-  }
-
   /// |in-nbrs_u| with respect to the initial orientation.
   std::size_t initial_in_degree(NodeId u) const { return a_.split[u] - a_.offsets[u]; }
 
@@ -211,8 +193,8 @@ class CsrGraph {
   }
 
   // -------------------------------------------------------------------------
-  // Whole-array views (the snapshot writer's and the test suite's flat
-  // window into one CSR graph; kernels use the per-node accessors above)
+  // Whole-array views of the six arrays (the snapshot writer's, the
+  // engine's and the test suite's flat window into one CSR graph)
   // -------------------------------------------------------------------------
 
   /// Block-boundary offsets, size n+1.
@@ -221,17 +203,21 @@ class CsrGraph {
   std::span<const NodeId> raw_neighbors() const noexcept { return a_.nbr; }
   /// Edge ids by position, size 2m.
   std::span<const EdgeId> raw_edges() const noexcept { return a_.edge; }
-  /// Mirror positions, size 2m.
-  std::span<const CsrPos> raw_mirrors() const noexcept { return a_.mirror; }
   /// Partition neighbor ids, size 2m.
   std::span<const NodeId> raw_partition_neighbors() const noexcept { return a_.part_nbr; }
-  /// Partition adjacency positions, size 2m.
-  std::span<const CsrPos> raw_partition_positions() const noexcept { return a_.part_pos; }
   /// Out-block start per node, size n.
   std::span<const CsrPos> raw_splits() const noexcept { return a_.split; }
 
-  /// FNV-1a fingerprint over every array (offsets, adjacency, mirrors,
-  /// partition, splits, senses, node count).  Two CSR graphs with equal
+  /// Always empty: a CsrGraph keeps no mirror array.  Kept only because
+  /// `perfbench/trace_replay.cpp` sums its size into `graph.csr_mb`; goes
+  /// with that call in the next change to the benchmark.
+  std::span<const CsrPos> raw_mirrors() const noexcept { return {}; }
+  /// Always empty: a CsrGraph keeps no partition-position array.  Kept
+  /// only for the same caller as `raw_mirrors()`, and goes with it.
+  std::span<const CsrPos> raw_partition_positions() const noexcept { return {}; }
+
+  /// FNV-1a fingerprint over every array (node count, offsets,
+  /// adjacency, partition, splits, senses).  Two CSR graphs with equal
   /// fingerprints are byte-identical for every accessor — the
   /// self-verification hook of the E10 bench, the snapshot round trips
   /// and the generators' golden fingerprints.

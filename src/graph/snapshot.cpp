@@ -104,7 +104,7 @@ constexpr std::uint64_t pad8(std::uint64_t bytes) { return (bytes + 7) & ~std::u
 /// `name_bytes`-byte label, in file order.  Kept in one place so the
 /// writer and the loader can never disagree.
 struct Extents {
-  std::uint64_t name, offsets, split, nbr, edge, mirror, part_nbr, part_pos, senses;
+  std::uint64_t name, offsets, split, nbr, edge, part_nbr, senses;
 
   Extents(std::uint64_t n, std::uint64_t m, std::uint64_t name_len)
       : name(pad8(name_len)),
@@ -112,14 +112,10 @@ struct Extents {
         split(pad8(n * sizeof(CsrPos))),
         nbr(pad8(2 * m * sizeof(NodeId))),
         edge(pad8(2 * m * sizeof(EdgeId))),
-        mirror(pad8(2 * m * sizeof(CsrPos))),
         part_nbr(pad8(2 * m * sizeof(NodeId))),
-        part_pos(pad8(2 * m * sizeof(CsrPos))),
         senses(pad8(m * sizeof(EdgeSense))) {}
 
-  std::uint64_t total() const {
-    return name + offsets + split + nbr + edge + mirror + part_nbr + part_pos + senses;
-  }
+  std::uint64_t total() const { return name + offsets + split + nbr + edge + part_nbr + senses; }
 };
 
 [[noreturn]] void reject(const std::string& path, const char* why) {
@@ -177,9 +173,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   write_section(out, sum, csr.raw_splits().data(), n * sizeof(CsrPos));
   write_section(out, sum, csr.raw_neighbors().data(), 2 * m * sizeof(NodeId));
   write_section(out, sum, csr.raw_edges().data(), 2 * m * sizeof(EdgeId));
-  write_section(out, sum, csr.raw_mirrors().data(), 2 * m * sizeof(CsrPos));
   write_section(out, sum, csr.raw_partition_neighbors().data(), 2 * m * sizeof(NodeId));
-  write_section(out, sum, csr.raw_partition_positions().data(), 2 * m * sizeof(CsrPos));
   write_section(out, sum, csr.initial_senses().data(), m * sizeof(EdgeSense));
 
   // Patch the now-known checksum into the header and publish.
@@ -263,12 +257,8 @@ Snapshot Snapshot::load(const std::string& path) {
   p += ext.nbr;
   arrays.edge = {reinterpret_cast<const EdgeId*>(p), static_cast<std::size_t>(2 * m)};
   p += ext.edge;
-  arrays.mirror = {reinterpret_cast<const CsrPos*>(p), static_cast<std::size_t>(2 * m)};
-  p += ext.mirror;
   arrays.part_nbr = {reinterpret_cast<const NodeId*>(p), static_cast<std::size_t>(2 * m)};
   p += ext.part_nbr;
-  arrays.part_pos = {reinterpret_cast<const CsrPos*>(p), static_cast<std::size_t>(2 * m)};
-  p += ext.part_pos;
   arrays.senses = {reinterpret_cast<const EdgeSense*>(p), static_cast<std::size_t>(m)};
 
   try {
@@ -276,7 +266,8 @@ Snapshot Snapshot::load(const std::string& path) {
     snap.instance_.graph = Graph(snap.csr_);
   } catch (const std::invalid_argument&) {
     // A checksum-clean file can still lie about its contents: offsets that
-    // do not end at 2m, or ids out of range.
+    // decrease or do not end at 2m, a split outside its block, or ids out
+    // of range.
     reject(path, "array contents are inconsistent with the header");
   }
   const auto senses = snap.csr_.initial_senses();

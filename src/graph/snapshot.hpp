@@ -13,9 +13,10 @@
 /// `FrozenInstance` (runner layer) and the disk owner of the shared
 /// adjacency store described in graph/graph.hpp and graph/csr.hpp.
 ///
-/// A snapshot file is *flat*: one fixed-size header followed by the eight
-/// CSR arrays plus the instance metadata (destination, name), each laid
-/// out exactly as it lives in memory and padded to 8-byte alignment.
+/// A snapshot file is *flat*: one fixed-size header followed by the
+/// instance name and the six CSR arrays (offsets, split, nbr, edge,
+/// part_nbr, senses), each laid out exactly as it lives in memory and
+/// padded to 8-byte alignment; the header carries the destination.
 /// Loading is therefore `mmap` + pointer arithmetic: the `CsrGraph` and
 /// the instance's `Graph` are both bound straight over the mapping, and
 /// the only per-element work is deriving the Graph's endpoint array
@@ -30,7 +31,8 @@
 /// so a single changed word always changes it.  `load` rejects any
 /// mismatch loudly (wrong magic, wrong version, truncation, extent/size
 /// disagreement, a node count outside the NodeId range, a destination that
-/// is not a node, checksum failure).  The byte order is the writing
+/// is not a node, checksum failure, and array contents that an accessor
+/// would index out of bounds by).  The byte order is the writing
 /// host's — a snapshot is a *cache artifact* regenerable from (topology,
 /// size, seed), not an interchange format, so cross-endian portability is
 /// explicitly out of scope (the version field guards against silently
@@ -47,8 +49,9 @@ namespace lr {
 
 /// Snapshot file format version; bumped on any layout or checksum change.
 /// Version 2 extended the checksum over the header; version 3 hashes 8-byte
-/// words in four lanes instead of single bytes.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// words in four lanes instead of single bytes; version 4 drops the mirror
+/// and partition-position sections, which no reader used.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Writes `instance` + its frozen CSR form to `path` (atomically, via a
 /// same-directory temp file + rename).  Throws std::runtime_error on I/O
@@ -64,7 +67,8 @@ class Snapshot {
  public:
   /// Maps `path` read-only and validates it: magic, version, header/array
   /// extent consistency against the file size, the node and destination
-  /// ranges, and the checksum over header and payload.  Throws
+  /// ranges, the checksum over header and payload, and the ranges of the
+  /// offsets, splits and ids (`CsrGraph(Arrays)`, `Graph(csr)`).  Throws
   /// std::runtime_error naming the failure on any rejection.
   static Snapshot load(const std::string& path);
 

@@ -26,7 +26,7 @@ using EdgeId = std::uint32_t;
 /// Offset-width policy (one adjacency store serves `Graph` and `CsrGraph`,
 /// so one `offsets` array of this type serves both): node and edge
 /// *counts* are `std::size_t` end-to-end, but adjacency *positions* are
-/// 32-bit on purpose — position-indexed arrays dominate graph memory (five
+/// 32-bit on purpose — position-indexed arrays dominate graph memory (three
 /// 2m-sized arrays in a CsrGraph, two of them shared with its Graph), so
 /// 32-bit positions and ids halve the footprint of every million-node
 /// topology relative to `std::size_t`.

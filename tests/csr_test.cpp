@@ -1,7 +1,7 @@
 // Tests for the immutable CSR execution core (graph/csr.hpp): conversion
-// round-trips against the Graph front-end, mirror-position consistency,
-// the initial in/out partition against the automata's reference
-// definition of the paper's constant sets, and churned routing adjacency
+// round-trips against the Graph front-end, the initial in/out partition
+// against the automata's reference definition of the paper's constant
+// sets, what a freeze adds to its Graph, and churned routing adjacency
 // against fresh rebuilds.
 
 #include "graph/csr.hpp"
@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -17,6 +19,26 @@
 #include "core/lr_base.hpp"
 #include "graph/generators.hpp"
 #include "routing/dynamic_heights.hpp"
+
+namespace {
+// Bytes this thread asks operator new for while it points here: lets a
+// test see everything one construction allocates, not only the arrays it
+// has accessors for.
+thread_local std::size_t* counted_bytes = nullptr;
+}  // namespace
+
+// The replacements pair malloc with free; GCC cannot see that once it
+// inlines them into a new/delete pair.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t bytes) {
+  if (counted_bytes != nullptr) *counted_bytes += bytes;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace lr {
 namespace {
@@ -72,25 +94,6 @@ TEST(CsrGraphTest, GraphOnlyConversionUsesAllForwardSenses) {
   }
 }
 
-TEST(CsrGraphTest, MirrorPositionsLinkTheTwoEndpoints) {
-  for (const Instance& instance : test_instances()) {
-    const CsrGraph csr(instance.graph, instance.senses);
-    for (NodeId u = 0; u < csr.num_nodes(); ++u) {
-      for (CsrPos p = csr.adjacency_begin(u); p < csr.adjacency_end(u); ++p) {
-        const CsrPos mp = csr.mirror(p);
-        ASSERT_NE(mp, p);
-        EXPECT_EQ(csr.mirror(mp), p);
-        EXPECT_EQ(csr.edge_at(mp), csr.edge_at(p));
-        // The mirror lives in the neighbor's block and points back at u.
-        const NodeId v = csr.neighbor_at(p);
-        EXPECT_EQ(csr.neighbor_at(mp), u);
-        EXPECT_GE(mp, csr.adjacency_begin(v));
-        EXPECT_LT(mp, csr.adjacency_end(v));
-      }
-    }
-  }
-}
-
 TEST(CsrGraphTest, InitialPartitionMatchesAutomatonReferenceSets) {
   for (const Instance& instance : test_instances()) {
     const CsrGraph csr(instance.graph, instance.senses);
@@ -102,19 +105,6 @@ TEST(CsrGraphTest, InitialPartitionMatchesAutomatonReferenceSets) {
       EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()), reference.initial_in_neighbors(u));
       EXPECT_EQ(std::vector<NodeId>(out.begin(), out.end()), reference.initial_out_neighbors(u));
       EXPECT_EQ(csr.initial_in_degree(u) + csr.initial_out_degree(u), csr.degree(u));
-      // Position slices are aligned with the id slices.
-      const auto in_pos = csr.initial_in_positions(u);
-      ASSERT_EQ(in_pos.size(), in.size());
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(csr.neighbor_at(in_pos[i]), in[i]);
-        EXPECT_FALSE(csr.points_out_of(in_pos[i], u, csr.initial_senses()));
-      }
-      const auto out_pos = csr.initial_out_positions(u);
-      ASSERT_EQ(out_pos.size(), out.size());
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(csr.neighbor_at(out_pos[i]), out[i]);
-        EXPECT_TRUE(csr.points_out_of(out_pos[i], u, csr.initial_senses()));
-      }
     }
   }
 }
@@ -182,12 +172,50 @@ TEST(CsrGraphTest, SharesTheGraphAdjacency) {
       EXPECT_EQ(csr.incident_edges(u).data(), g.incident_edges(u).data()) << "node " << u;
     }
     const CsrGraph csr_copy = csr;
-    EXPECT_EQ(csr_copy.raw_mirrors().data(), csr.raw_mirrors().data());
-    EXPECT_EQ(csr_copy.raw_partition_positions().data(), csr.raw_partition_positions().data());
+    EXPECT_EQ(csr_copy.raw_partition_neighbors().data(), csr.raw_partition_neighbors().data());
+    EXPECT_EQ(csr_copy.raw_splits().data(), csr.raw_splits().data());
     fingerprint = csr.fingerprint();
   }  // both Graphs die here; the arrays live on in csr
   EXPECT_EQ(csr.fingerprint(), fingerprint);
   EXPECT_EQ(Graph(csr), instance.graph);
+}
+
+// A freeze reuses the Graph's offsets, neighbour and edge arrays and adds
+// exactly the paper's constant sets (2m partition ids), one split per node
+// and one sense per edge: no other per-position array, whether or not it
+// has an accessor.
+TEST(CsrGraphTest, FreezeAddsOnlyThePartitionSplitsAndSenses) {
+  std::mt19937_64 rng(5);
+  for (const Instance& instance :
+       {make_worst_case_chain(100), make_random_instance(300, 600, rng),
+        make_grid_instance(12, 15, rng), make_unit_disk_instance(200, 0.2, rng)}) {
+    const Graph& g = instance.graph;
+    const std::size_t n = g.num_nodes();
+    const std::size_t m = g.num_edges();
+    std::size_t allocated = 0;
+    counted_bytes = &allocated;
+    const CsrGraph csr(g, instance.senses);
+    counted_bytes = nullptr;
+
+    // Two freezes of g read one offsets array, so neither copied it.
+    EXPECT_EQ(csr.raw_offsets().data(), CsrGraph(g).raw_offsets().data());
+    EXPECT_EQ(csr.raw_neighbors().data(), g.neighbors(0).data());
+    EXPECT_EQ(csr.raw_edges().data(), g.incident_edges(0).data());
+    EXPECT_EQ(csr.raw_partition_neighbors().size_bytes(), 2 * m * sizeof(NodeId));
+    EXPECT_EQ(csr.raw_splits().size_bytes(), n * sizeof(CsrPos));
+    EXPECT_EQ(csr.initial_senses().size_bytes(), m * sizeof(EdgeSense));
+    EXPECT_TRUE(csr.raw_mirrors().empty());
+    EXPECT_TRUE(csr.raw_partition_positions().empty());
+
+    // Beyond the three arrays, one AdjacencyStore and its shared_ptr
+    // control block, which is less than one more 4-byte entry per position.
+    const std::size_t arrays = csr.raw_partition_neighbors().size_bytes() +
+                               csr.raw_splits().size_bytes() + csr.initial_senses().size_bytes();
+    const std::size_t store = sizeof(AdjacencyStore) + 32;
+    ASSERT_LT(store, 2 * m * sizeof(CsrPos));
+    EXPECT_GE(allocated, arrays);
+    EXPECT_LE(allocated, arrays + store);
+  }
 }
 
 // ---------------------------------------------------------------------------

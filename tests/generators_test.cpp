@@ -241,51 +241,51 @@ TEST(GeneratorsTest, SeededInstancesMatchGoldenFingerprints) {
     std::uint64_t schedule;
   };
   const Golden golden[] = {
-      {TopologyKind::kWideRandom, 8, 1, 0xa40092b170a329d9ull, kNoSchedule},
-      {TopologyKind::kWideRandom, 8, 2, 0x5ab77bebe22cf14dull, kNoSchedule},
-      {TopologyKind::kWideRandom, 8, 3, 0xc091c2aba40bafe1ull, kNoSchedule},
-      {TopologyKind::kWideRandom, 300, 1, 0xb835f2b089a924fbull, kNoSchedule},
-      {TopologyKind::kWideRandom, 300, 2, 0xdb9489b88ef418feull, kNoSchedule},
-      {TopologyKind::kWideRandom, 300, 3, 0x567788a168b4b280ull, kNoSchedule},
-      {TopologyKind::kWideRandom, 5000, 1, 0x94bc80abd4870b11ull, kNoSchedule},
-      {TopologyKind::kWideRandom, 5000, 2, 0x967b95cdc1615bdcull, kNoSchedule},
-      {TopologyKind::kWideRandom, 5000, 3, 0x0d1edc1bb38ba7a9ull, kNoSchedule},
-      {TopologyKind::kRandom, 8, 1, 0xbf6dc9edace8dd25ull, kNoSchedule},
-      {TopologyKind::kRandom, 8, 2, 0xfed823f44ced5598ull, kNoSchedule},
-      {TopologyKind::kRandom, 8, 3, 0x0e90d374afab4daeull, kNoSchedule},
-      {TopologyKind::kRandom, 300, 1, 0x7497d582083c099aull, kNoSchedule},
-      {TopologyKind::kRandom, 300, 2, 0x00c8bbeb069cbf35ull, kNoSchedule},
-      {TopologyKind::kRandom, 300, 3, 0x734c25cda55098e9ull, kNoSchedule},
-      {TopologyKind::kRandom, 5000, 1, 0xd746ad2cb4ff5f64ull, kNoSchedule},
-      {TopologyKind::kRandom, 5000, 2, 0xdd24cf7a1920300aull, kNoSchedule},
-      {TopologyKind::kRandom, 5000, 3, 0x9561918b9d147a1full, kNoSchedule},
-      {TopologyKind::kLayered, 8, 1, 0xb3ee24aed84da4ccull, kNoSchedule},
-      {TopologyKind::kLayered, 8, 2, 0x52ae0abec5112598ull, kNoSchedule},
-      {TopologyKind::kLayered, 8, 3, 0x88f7d8a7a92511dcull, kNoSchedule},
-      {TopologyKind::kLayered, 300, 1, 0x6c2626a696063f54ull, kNoSchedule},
-      {TopologyKind::kLayered, 300, 2, 0x5e757a6774d26660ull, kNoSchedule},
-      {TopologyKind::kLayered, 300, 3, 0x86ee05d08253c026ull, kNoSchedule},
-      {TopologyKind::kLayered, 5000, 1, 0xae7ca2c8b99c21caull, kNoSchedule},
-      {TopologyKind::kLayered, 5000, 2, 0xced21b6f3c7ca1d4ull, kNoSchedule},
-      {TopologyKind::kLayered, 5000, 3, 0x54751283d8b6d5cfull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 8, 1, 0x679e79db2c2c7bebull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 8, 2, 0x10c13d17608d3947ull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 8, 3, 0xacae6680fddd6c02ull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 300, 1, 0x72b9ca140c6bc3caull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 300, 2, 0x9d19e7b05f566c1eull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 300, 3, 0x2afeeaae8e24c976ull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 5000, 1, 0xf4cf91710a602849ull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 5000, 2, 0x1f5e18ae8acf812dull, kNoSchedule},
-      {TopologyKind::kUnitDisk, 5000, 3, 0xf89b9c1961fedb59ull, kNoSchedule},
-      {TopologyKind::kWaypoint, 8, 1, 0x833579853bbdd3adull, 0x9eebd8dd214c576dull},
-      {TopologyKind::kWaypoint, 8, 2, 0xd173de60c441c681ull, 0x74ed45829ad8f476ull},
-      {TopologyKind::kWaypoint, 8, 3, 0x26b2d0f90f56f3e7ull, 0x4fa1ce9952a88fccull},
-      {TopologyKind::kWaypoint, 300, 1, 0xbef9cafec94ddfcbull, 0x36eeed8afb25ebb7ull},
-      {TopologyKind::kWaypoint, 300, 2, 0x2905b6a89f621d12ull, 0x10ce8807060f68a4ull},
-      {TopologyKind::kWaypoint, 300, 3, 0x8f4108a5263c63a0ull, 0xbb7c0a758bcbd36cull},
-      {TopologyKind::kWaypoint, 5000, 1, 0xf271bbe962262b9aull, 0xe2f0720c9db64ffcull},
-      {TopologyKind::kWaypoint, 5000, 2, 0x07a74c9508ba95e4ull, 0x029262483e275fb0ull},
-      {TopologyKind::kWaypoint, 5000, 3, 0xa622b06d0e310a32ull, 0x6e458e505958065eull},
+      {TopologyKind::kWideRandom, 8, 1, 0xa1753a918f2cc119ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 8, 2, 0x74f4429961e7d0cdull, kNoSchedule},
+      {TopologyKind::kWideRandom, 8, 3, 0x44d78a3944d4f8e1ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 1, 0x1ae4fc2a7c9d80d7ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 2, 0xbab793dd50d591c2ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 300, 3, 0x3aae03d699ff32d0ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 1, 0x657d202c12f85431ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 2, 0x98f8a9cd13045d30ull, kNoSchedule},
+      {TopologyKind::kWideRandom, 5000, 3, 0x9ba7f5d18753f635ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 1, 0xd4787b932a077aa5ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 2, 0x83e130572dd34e58ull, kNoSchedule},
+      {TopologyKind::kRandom, 8, 3, 0xba8e177a4b1ae18eull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 1, 0x62bf6893ffcea2f2ull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 2, 0x41a3b94ef99201f1ull, kNoSchedule},
+      {TopologyKind::kRandom, 300, 3, 0x7f4f01b81200dfcdull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 1, 0x6be60af317f60ea8ull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 2, 0x0626d62d32f48fd6ull, kNoSchedule},
+      {TopologyKind::kRandom, 5000, 3, 0x4331cd17e586fe33ull, kNoSchedule},
+      {TopologyKind::kLayered, 8, 1, 0x0dde9d411209b5ccull, kNoSchedule},
+      {TopologyKind::kLayered, 8, 2, 0x5cf5e4d8739f81b8ull, kNoSchedule},
+      {TopologyKind::kLayered, 8, 3, 0x51c1dcd737a84dfcull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 1, 0x888c8ce0a5b4bbe8ull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 2, 0x41cf0b5caed03ff0ull, kNoSchedule},
+      {TopologyKind::kLayered, 300, 3, 0x115ca50b03f2320eull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 1, 0xc3b0c37d8acde586ull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 2, 0x7c28caac58fd7854ull, kNoSchedule},
+      {TopologyKind::kLayered, 5000, 3, 0x367c9fc3ebaa0e4full, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 1, 0xb338d219f9cae92bull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 2, 0xa739caca28651ac7ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 8, 3, 0x676b022343674102ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 1, 0xfa2003441ded656eull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 2, 0x4f31739cbfc9a89aull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 300, 3, 0x51f086ee778a0d92ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 1, 0x7958bdd46aab57d1ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 2, 0xa558cf1f26ed0a35ull, kNoSchedule},
+      {TopologyKind::kUnitDisk, 5000, 3, 0x2dbf9c74f07a3dfdull, kNoSchedule},
+      {TopologyKind::kWaypoint, 8, 1, 0x663831e1404fd6adull, 0x9eebd8dd214c576dull},
+      {TopologyKind::kWaypoint, 8, 2, 0x9fc9253ea8d50de1ull, 0x74ed45829ad8f476ull},
+      {TopologyKind::kWaypoint, 8, 3, 0x9f876ac2e9686147ull, 0x4fa1ce9952a88fccull},
+      {TopologyKind::kWaypoint, 300, 1, 0x68b7d7c68923f0e3ull, 0x36eeed8afb25ebb7ull},
+      {TopologyKind::kWaypoint, 300, 2, 0x98f277a9034be692ull, 0x10ce8807060f68a4ull},
+      {TopologyKind::kWaypoint, 300, 3, 0x9977475a49d0a130ull, 0xbb7c0a758bcbd36cull},
+      {TopologyKind::kWaypoint, 5000, 1, 0x927afc7b1ac5c316ull, 0xe2f0720c9db64ffcull},
+      {TopologyKind::kWaypoint, 5000, 2, 0x35e31315b835a47cull, 0x029262483e275fb0ull},
+      {TopologyKind::kWaypoint, 5000, 3, 0x1090904a53ab876aull, 0x6e458e505958065eull},
   };
   for (const Golden& g : golden) {
     RunSpec spec;
@@ -332,10 +332,10 @@ TEST(GeneratorsTest, TorusMatchesGoldenFingerprints) {
     std::uint64_t fingerprint;
   };
   const Golden golden[] = {
-      {3, 3, 0xa9f43ac964fb18eeull},
-      {3, 5, 0x7d79277692f47690ull},
-      {8, 13, 0x97b136d113f62370ull},
-      {100, 100, 0x552cf47fe15f2ee0ull},
+      {3, 3, 0x6065a1d62806932eull},
+      {3, 5, 0x8b31d76c1e8e1010ull},
+      {8, 13, 0xd96db716d503b600ull},
+      {100, 100, 0xed29802516efede0ull},
   };
   for (const Golden& g : golden) {
     const Graph torus = make_torus_graph(g.rows, g.cols);

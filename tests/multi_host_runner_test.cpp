@@ -662,7 +662,7 @@ TEST(MultiHostRunner, LongRunOutlivesTheWatchdogOnBothTransports) {
   // worker process alike.
   SweepSpec sweep;
   sweep.topologies = {TopologyKind::kChain};
-  sweep.sizes = {10'000};  // FR on the away chain: ~n^2/2 node steps
+  sweep.sizes = {15'000};  // FR on the away chain: ~n^2/2 node steps, ~1 s
   sweep.algorithms = {AlgorithmKind::kFullReversal};
   sweep.schedulers = {SchedulerKind::kLowestId};
   sweep.seeds = {1};

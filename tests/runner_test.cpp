@@ -972,14 +972,14 @@ TEST(SweepCacheTest, SnapshotDirReloadIsByteIdentical) {
   const auto reloaded = reader.get(spec);
   EXPECT_EQ(reader.stats().snapshot_loads, 1u);
   // The reload reads the file's sections, which lie back to back (nbr,
-  // then edge, then mirror: 2m 4-byte entries each, no padding); separate
+  // then edge, then part_nbr: 2m 4-byte entries each, no padding); separate
   // heap vectors never do.  The Graph reads the same memory as the CSR.
   const CsrGraph& csr = reloaded->csr;
   const std::size_t positions = csr.raw_neighbors().size();
   EXPECT_EQ(static_cast<const void*>(csr.raw_neighbors().data() + positions),
             static_cast<const void*>(csr.raw_edges().data()));
   EXPECT_EQ(static_cast<const void*>(csr.raw_edges().data() + positions),
-            static_cast<const void*>(csr.raw_mirrors().data()));
+            static_cast<const void*>(csr.raw_partition_neighbors().data()));
   EXPECT_NE(static_cast<const void*>(generated->csr.raw_neighbors().data() + positions),
             static_cast<const void*>(generated->csr.raw_edges().data()));
   EXPECT_EQ(reloaded->instance.graph.neighbors(0).data(), csr.raw_neighbors().data());

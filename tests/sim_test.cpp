@@ -262,7 +262,8 @@ TEST(NetworkTest, BorrowedFrozenSnapshotMatchesOwnedBehavior) {
   Network borrowed(g, {.min_delay = 1, .max_delay = 1, .seed = 4}, frozen);
   // The borrowed network shares the snapshot's arrays; the owned one
   // freezes g once, over g's own adjacency.
-  EXPECT_EQ(borrowed.csr().raw_mirrors().data(), frozen.raw_mirrors().data());
+  EXPECT_EQ(borrowed.csr().raw_partition_neighbors().data(),
+            frozen.raw_partition_neighbors().data());
   EXPECT_EQ(owned.csr().raw_neighbors().data(), g.neighbors(0).data());
   for (Network* net : {&owned, &borrowed}) {
     int received = 0;

@@ -3,7 +3,8 @@
 // instance, the one adjacency store (Graph and CsrGraph both read the
 // mapping, and copies outlive it), and loud rejection of corrupted files
 // (bad magic, bad version, truncation, extent disagreement, header and
-// payload bit flips, out-of-range header fields) in the style of
+// payload bit flips, out-of-range header fields, resealed arrays that an
+// accessor would index out of bounds by) in the style of
 // shard_protocol_test.
 
 #include "graph/snapshot.hpp"
@@ -106,9 +107,7 @@ TEST(Snapshot, RoundTripIsByteIdenticalPerArray) {
   EXPECT_TRUE(spans_equal(reloaded.raw_offsets(), csr.raw_offsets()));
   EXPECT_TRUE(spans_equal(reloaded.raw_neighbors(), csr.raw_neighbors()));
   EXPECT_TRUE(spans_equal(reloaded.raw_edges(), csr.raw_edges()));
-  EXPECT_TRUE(spans_equal(reloaded.raw_mirrors(), csr.raw_mirrors()));
   EXPECT_TRUE(spans_equal(reloaded.raw_partition_neighbors(), csr.raw_partition_neighbors()));
-  EXPECT_TRUE(spans_equal(reloaded.raw_partition_positions(), csr.raw_partition_positions()));
   EXPECT_TRUE(spans_equal(reloaded.raw_splits(), csr.raw_splits()));
   EXPECT_TRUE(spans_equal(reloaded.initial_senses(), csr.initial_senses()));
   EXPECT_EQ(reloaded.fingerprint(), csr.fingerprint());
@@ -240,9 +239,11 @@ TEST(Snapshot, ConcurrentSavesOfOnePathAllSucceed) {
 // Corruption battery — every tampered file must be rejected loudly.
 // Header layout (snapshot.cpp): magic[8], version u32, reserved u32, then
 // u64 num_nodes / num_edges / destination / name_bytes / payload_bytes /
-// checksum; payload starts at byte 64.  The checksum is FNV-1a over the
-// 8-byte words of the header (checksum field zeroed) and the payload, word
-// i into lane i mod 4, then over the four lanes in order.
+// checksum; payload starts at byte 64, with the sections name, offsets,
+// split, nbr, edge, part_nbr, senses, each padded to 8 bytes.  The checksum
+// is FNV-1a over the 8-byte words of the header (checksum field zeroed)
+// and the payload, word i into lane i mod 4, then over the four lanes in
+// order.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kNumNodesAt = 16;
@@ -256,6 +257,16 @@ std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
 }
 
 void write_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+std::uint32_t read_u32(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void write_u32(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint32_t value) {
   std::memcpy(bytes.data() + at, &value, sizeof(value));
 }
 
@@ -292,6 +303,16 @@ class SnapshotCorruption : public ::testing::Test {
     write_file(tampered, bytes);
     EXPECT_THROW(Snapshot::load(tampered), std::runtime_error) << what;
   }
+
+  /// File offsets of the 4-byte entries of offsets[0], split[0] and
+  /// part_nbr[0].
+  std::size_t offsets_at() const { return 64 + pad8(instance_.name.size()); }
+  std::size_t split_at() const { return offsets_at() + pad8(4 * (num_nodes() + 1)); }
+  std::size_t part_nbr_at() const {
+    return split_at() + pad8(4 * num_nodes()) + 2 * pad8(8 * instance_.graph.num_edges());
+  }
+  std::size_t num_nodes() const { return instance_.graph.num_nodes(); }
+  static std::size_t pad8(std::size_t bytes) { return (bytes + 7) / 8 * 8; }
 
   TempDir dir_;
   Instance instance_;
@@ -395,6 +416,40 @@ TEST_F(SnapshotCorruption, NodeCountOutsideNodeIdRangeRejected) {
   expect_rejected(bytes, "num_nodes bit 62, stale checksum");
   reseal(bytes);
   expect_rejected(bytes, "num_nodes bit 62, resealed");
+}
+
+// A checksum only proves the file is the one written; the three cases below
+// reseal arrays whose contents would send an accessor out of bounds.
+
+TEST_F(SnapshotCorruption, SplitOutsideItsBlockRejected) {
+  // initial_in_degree(0) would read 4,294,967,280 for node 0's short block.
+  ASSERT_EQ(read_u32(bytes_, split_at()), csr_.raw_splits()[0]);
+  std::vector<std::uint8_t> bytes = bytes_;
+  write_u32(bytes, split_at(), 0xfffffff0u);
+  reseal(bytes);
+  expect_rejected(bytes, "split[0] past its block");
+}
+
+TEST_F(SnapshotCorruption, DecreasingOffsetRejected) {
+  // offsets still start at 0 and end at 2m, but node 1's block ends before
+  // it begins; past 2m, node 0's block would also run off part_nbr.
+  const std::size_t at = offsets_at() + 4;  // offsets[1]
+  ASSERT_EQ(read_u32(bytes_, at), csr_.raw_offsets()[1]);
+  for (const std::uint32_t value :
+       {csr_.raw_offsets()[2] + 1, static_cast<std::uint32_t>(2 * csr_.num_edges() + 1)}) {
+    std::vector<std::uint8_t> bytes = bytes_;
+    write_u32(bytes, at, value);
+    reseal(bytes);
+    expect_rejected(bytes, ("offsets[1] = " + std::to_string(value)).c_str());
+  }
+}
+
+TEST_F(SnapshotCorruption, PartitionIdOutOfRangeRejected) {
+  ASSERT_EQ(read_u32(bytes_, part_nbr_at()), csr_.raw_partition_neighbors()[0]);
+  std::vector<std::uint8_t> bytes = bytes_;
+  write_u32(bytes, part_nbr_at(), static_cast<std::uint32_t>(num_nodes()));
+  reseal(bytes);
+  expect_rejected(bytes, "part_nbr[0] = n");
 }
 
 TEST_F(SnapshotCorruption, ChecksumFieldTamperRejected) {
